@@ -55,15 +55,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
+def _read_log(command: str, path):
+    """(samples, EXIT_OK), or (None, exit code) after a one-line diagnostic."""
     try:
-        samples = mission.read_sample_log(args.log)
+        return mission.read_sample_log(path), EXIT_OK
     except OSError as exc:
-        _diag(f"validate: {exc}")
-        return EXIT_CONFIG
+        _diag(f"{command}: {exc}")
+        return None, EXIT_CONFIG
     except LogFormatError as exc:
-        _diag(f"validate: {args.log}: {exc}")
-        return EXIT_BAD_LOG
+        _diag(f"{command}: {path}: {exc}")
+        return None, EXIT_BAD_LOG
+
+
+def cmd_validate(args) -> int:
+    samples, code = _read_log("validate", args.log)
+    if code:
+        return code
     counts = Counter(s.status.value for s in samples)
     _diag(f"validate: {len(samples)} samples: " + ", ".join(
         f"{counts.get(status.value, 0)} {status.value}"
@@ -73,14 +80,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_map(args) -> int:
-    try:
-        samples = mission.read_sample_log(args.log)
-    except OSError as exc:
-        _diag(f"map: {exc}")
-        return EXIT_CONFIG
-    except LogFormatError as exc:
-        _diag(f"map: {args.log}: {exc}")
-        return EXIT_BAD_LOG
+    samples, code = _read_log("map", args.log)
+    if code:
+        return code
     valid = mission.select_valid(samples)
     if not valid:
         _diag("map: no valid samples to interpolate")

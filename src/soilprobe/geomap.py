@@ -1,11 +1,12 @@
 """Moisture mapping: inverse-distance-weighted interpolation of valid
 samples onto a raster, plus GeoJSON and ESRI ASCII exports.
 
-IDW with positive weights is a convex combination, so every
-interpolated value stays inside the sampled range and the surface is
-exact at the sample points.  Cells farther than the cutoff radius from
-every sample are no-data (NaN internally, -9999 in the ASCII export):
-the map never extrapolates far beyond the sampled hull.
+One IDW kernel serves :func:`idw_at` and :func:`build_grid`.  IDW with
+positive weights is a convex combination, so every interpolated value
+stays inside the sampled range and the surface is exact at the sample
+points.  Cells farther than the cutoff radius from every sample are
+no-data (NaN internally, -9999 in the ASCII export): the map never
+extrapolates far beyond the sampled hull.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ class IdwParams:
     exact_radius_m: float = 1e-6
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("power must be > 0")
-        if self.cutoff_radius_m <= 0 or self.exact_radius_m <= 0:
-            raise ValueError("radii must be > 0")
+        for name in ("power", "cutoff_radius_m", "exact_radius_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,7 @@ class MoistureGrid:
 
 
 def _as_sample_arrays(xy, theta, ids):
+    """Samples in canonical order, plus each sample's rank by id."""
     xy = np.atleast_2d(np.asarray(xy, dtype=float))
     theta = np.asarray(theta, dtype=float).ravel()
     if xy.size == 0 or theta.size == 0:
@@ -76,7 +78,28 @@ def _as_sample_arrays(xy, theta, ids):
     ids = np.arange(theta.size) if ids is None else np.asarray(ids)
     # canonical sample order so results never depend on input order
     order = np.lexsort((ids, theta, xy[:, 1], xy[:, 0]))
-    return xy[order], theta[order], ids[order]
+    rank = np.argsort(np.argsort(ids[order], kind="stable"))
+    return xy[order], theta[order], rank
+
+
+def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
+    """:func:`idw_at` at each (qx[i], qy[i]); exact-hit ties go to the lowest rank."""
+    out = np.full(qx.size, np.nan)
+    step = max(1, _CHUNK_CELLS // theta.size)
+    for q0 in range(0, qx.size, step):
+        q1 = min(qx.size, q0 + step)
+        d = np.hypot(qx[q0:q1, None] - xy[:, 0], qy[q0:q1, None] - xy[:, 1])
+        # exact hits get 1/0 weights here and are overwritten just below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(d <= params.cutoff_radius_m, d ** -params.power, 0.0)
+            wsum = w.sum(axis=1)
+            np.divide((w * theta).sum(axis=1), wsum, out=out[q0:q1],
+                      where=wsum > 0)
+        hits = np.flatnonzero((d <= params.exact_radius_m).any(axis=1))
+        if hits.size:
+            tied = d[hits] == d[hits].min(axis=1, keepdims=True)
+            out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
+    return out
 
 
 def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
@@ -88,62 +111,31 @@ def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
     sample locations.  Otherwise the samples inside ``cutoff_radius_m``
     are combined with weights d**-power.
     """
-    xy, theta, ids = _as_sample_arrays(xy, theta, ids)
-    d = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
-    exact = np.flatnonzero(d <= params.exact_radius_m)
-    if exact.size:
-        best = min(exact, key=lambda i: (d[i], ids[i]))
-        return float(theta[best])
-    use = d <= params.cutoff_radius_m
-    if not use.any():
-        return float("nan")
-    w = d[use] ** -params.power
-    return float(np.dot(w, theta[use]) / np.sum(w))
+    xy, theta, rank = _as_sample_arrays(xy, theta, ids)
+    return float(_idw(xy, theta, rank, *np.array([[x], [y]], float), params)[0])
 
 
 def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
                cell_size_m: float = 0.5, ids=None) -> MoistureGrid:
     """Evaluate IDW at every cell centre of a rectangular raster.
 
-    ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  The
-    bulk of the grid is evaluated with vectorized distance blocks;
-    cells touching the exact radius fall back to the scalar rule so
-    tie-breaking matches :func:`idw_at` everywhere.
+    ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
+    cell goes through the same kernel as :func:`idw_at`, so values and
+    exact-hit tie-breaks match it everywhere.
     """
-    xy, theta, ids = _as_sample_arrays(xy, theta, ids)
-    if cell_size_m <= 0:
-        raise ValueError("cell_size_m must be > 0")
+    xy, theta, rank = _as_sample_arrays(xy, theta, ids)
+    if not (math.isfinite(cell_size_m) and cell_size_m > 0):
+        raise ValueError("cell_size_m must be finite and > 0")
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if xmax <= xmin or ymax <= ymin:
         raise ValueError("bounds must have positive extent")
     nx = max(1, math.ceil((xmax - xmin) / cell_size_m))
     ny = max(1, math.ceil((ymax - ymin) / cell_size_m))
 
-    gx = xmin + (np.arange(nx) + 0.5) * cell_size_m
-    gy = ymin + (np.arange(ny) + 0.5) * cell_size_m
-    values = np.full((ny, nx), np.nan)
-
-    rows_per_chunk = max(1, _CHUNK_CELLS // max(1, nx * xy.shape[0]))
-    for row0 in range(0, ny, rows_per_chunk):
-        row1 = min(ny, row0 + rows_per_chunk)
-        cx = np.broadcast_to(gx, (row1 - row0, nx))
-        cy = np.broadcast_to(gy[row0:row1, None], (row1 - row0, nx))
-        # (rows, nx, n_samples)
-        d = np.hypot(cx[..., None] - xy[:, 0], cy[..., None] - xy[:, 1])
-        exact_cells = (d <= params.exact_radius_m).any(axis=-1)
-        # cells inside the exact radius get garbage here (1/0 weights);
-        # they are overwritten by the scalar rule just below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(d <= params.cutoff_radius_m, d ** -params.power, 0.0)
-            wsum = w.sum(axis=-1)
-            block = np.where(wsum > 0,
-                             (w * theta).sum(axis=-1) / np.where(wsum > 0, wsum, 1.0),
-                             np.nan)
-        for iy, ix in np.argwhere(exact_cells):
-            block[iy, ix] = idw_at(xy, theta, gx[ix], gy[row0 + iy], params, ids)
-        values[row0:row1] = block
-    return MoistureGrid(origin_x=xmin, origin_y=ymin, cell_size_m=cell_size_m,
-                        values=values)
+    grid = MoistureGrid(xmin, ymin, cell_size_m, values=np.empty((ny, nx)))
+    qx, qy = np.meshgrid(*grid.cell_centers())
+    grid.values.flat = _idw(xy, theta, rank, qx.ravel(), qy.ravel(), params)
+    return grid
 
 
 # -- Exports -----------------------------------------------------------------

@@ -16,9 +16,10 @@ Both serializations are byte-deterministic for a given run.
 
 from __future__ import annotations
 
+import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -210,12 +211,9 @@ def convex_hull_area(points) -> float:
 
 # -- Log serialization -------------------------------------------------------
 
-SAMPLE_FIELDS = ("point_id", "timestamp_s", "lat", "lon", "target_depth_m",
-                 "achieved_depth_m", "attempts", "raw_counts", "temp_c",
-                 "ec_us_cm", "theta", "status")
+SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
 
-SUMMARY_FIELDS = ("points_total", "points_valid", "points_invalid",
-                  "duration_s", "area_convex_hull_m2")
+SUMMARY_FIELDS = tuple(f.name for f in fields(MissionSummary))
 
 
 def sample_to_dict(sample: SoilSample) -> dict:
@@ -259,8 +257,15 @@ def parse_sample_log(lines) -> list[SoilSample]:
 
 
 def read_sample_log(path) -> list[SoilSample]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_sample_log(fh)
+    """Decode a log file; bytes that are not UTF-8 raise LogFormatError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise LogFormatError(f"line {line_no}: not valid UTF-8", line_no) from None
+    return parse_sample_log(io.StringIO(text, newline=None))
 
 
 def summary_to_dict(summary: MissionSummary) -> dict:

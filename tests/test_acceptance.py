@@ -14,9 +14,11 @@ Criteria:
   6. IDW exactness (1e-9), boundedness, and naive-oracle equivalence
      (1e-12) on a 10x10 grid with 20 samples
   7. field recovery: IDW grid vs analytic ground truth, MAE <= 0.05
-  8. identical seeds give byte-identical logs, summaries, and exports
+  8. identical seeds give byte-identical logs, summaries, and exports,
+     and the paper_field artefacts keep their pinned sha256
 """
 
+import hashlib
 import math
 import time
 
@@ -34,6 +36,17 @@ from soilprobe.sampler import SamplerConfig, attempt_point
 from soilprobe.actuator import ActuatorState
 
 from conftest import FlakySensor, idw_oracle, make_field, make_sensor
+
+
+# sha256 of the paper_field artefacts at the default seed; any change to
+# their bytes must be deliberate and update these values
+PAPER_FIELD_SHA256 = {
+    "run.jsonl": "a7250a5514932a1311adf4dba5a314953eea8ca85f5715a90fd2a16623df8134",
+    "summary.json": "d8a2092435a44f3f42f38b81d673e62a87da4743a66b80505f3b50fcbc8dda47",
+    "valid.jsonl": "efe1a4f913ba9498878682073f636d2f5a873ca7947ba1a53143fbfeb50fe8d2",
+    "points.geojson": "5ddb96389e3b5a39d1cedacbb4837c3aafeb980de68c2a7ff25bcea75b66e7e7",
+    "grid.asc": "d1256a0ab32da48fd3f07ae95ec31daa425d72edc02c5c83d5eb97d393c68b96",
+}
 
 
 def ok(n, text):
@@ -221,4 +234,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
                         for name in ("run.jsonl", "summary.json", "valid.jsonl",
                                      "points.geojson", "grid.asc")})
     assert outputs[0] == outputs[1]
-    ok(8, "two seeded runs produced byte-identical logs, summaries, and exports")
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in outputs[0].items()} == PAPER_FIELD_SHA256
+    ok(8, "two seeded runs produced byte-identical logs, summaries, and "
+          "exports, matching the pinned sha256")

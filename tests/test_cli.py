@@ -94,6 +94,10 @@ def test_validate_malformed_log_exits_3(tmp_path, capsys):
     log.write_text('{"point_id": 1}\n')
     assert cli.main(["validate", "--log", str(log)]) == 3
     assert "line 1" in capsys.readouterr().err
+    log.write_bytes(b"\xff\xfe\n")
+    assert cli.main(["validate", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "UTF-8" in err and len(err.splitlines()) == 1
 
 
 def test_map_outputs(tmp_path):
@@ -121,10 +125,15 @@ def test_map_without_valid_samples_exits_4(tmp_path, capsys):
     assert "no valid" in capsys.readouterr().err
 
 
-def test_map_malformed_log_exits_3(tmp_path):
+def test_map_malformed_log_exits_3(tmp_path, capsys):
     log = tmp_path / "broken.jsonl"
     log.write_text("garbage\n")
     assert cli.main(["map", "--log", str(log)]) == 3
+    capsys.readouterr()
+    log.write_bytes(b"\n\xff\xfe\n")
+    assert cli.main(["map", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "UTF-8" in err and len(err.splitlines()) == 1
 
 
 def test_map_bad_parameters_exit_2(tmp_path, capsys):
@@ -133,6 +142,9 @@ def test_map_bad_parameters_exit_2(tmp_path, capsys):
               "--out-log", str(log), "--out-summary", str(tmp_path / "s.json")])
     assert cli.main(["map", "--log", str(log), "--cell-size", "-1"]) == 2
     assert cli.main(["map", "--log", str(log), "--power", "0"]) == 2
+    for bad in ("nan", "inf"):
+        assert cli.main(["map", "--log", str(log), "--cell-size", bad]) == 2
+        assert cli.main(["map", "--log", str(log), "--power", bad]) == 2
     assert "map:" in capsys.readouterr().err
 
 

@@ -60,6 +60,16 @@ def test_coincident_samples_tie_break_by_lowest_id():
     assert idw_at(xy, [0.4, 0.2], 1.0, 1.0, ids=[2, 5]) == 0.4
     # default ids follow input position
     assert idw_at(xy, [0.4, 0.2], 1.0, 1.0) == 0.4
+    # a raster cell centred on the pair breaks the tie the same way
+    grid = build_grid(xy, [0.4, 0.2], (0.5, 0.5, 1.5, 1.5), cell_size_m=1.0,
+                      ids=[7, 3])
+    assert grid.values[0, 0] == 0.2
+    # nearest first: the lower id loses when it is farther away
+    near = [(1.0, 1.0), (1.0 + 5e-7, 1.0)]
+    assert idw_at(near, [0.4, 0.2], 1.0, 1.0, ids=[7, 3]) == 0.4
+    grid = build_grid(near, [0.4, 0.2], (0.5, 0.5, 1.5, 1.5), cell_size_m=1.0,
+                      ids=[7, 3])
+    assert grid.values[0, 0] == 0.4
 
 
 def test_exactness_property_over_random_samples():
@@ -136,6 +146,12 @@ def test_idw_params_validation():
         IdwParams(power=0)
     with pytest.raises(ValueError):
         IdwParams(cutoff_radius_m=0)
+    for bad in (math.nan, math.inf):
+        for field in ("power", "cutoff_radius_m", "exact_radius_m"):
+            with pytest.raises(ValueError):
+                IdwParams(**{field: bad})
+        with pytest.raises(ValueError):
+            build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=bad)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=0)
     with pytest.raises(ValueError):
