@@ -3,8 +3,8 @@
 
 The waypoint sits on a small obstruction, so the first insertion stalls
 at 0.01 m and reads air; the probe retracts, repositions 0.10 m east,
-and the second insertion succeeds.  The phase walk and both attempt
-records are printed.
+and the second insertion succeeds.  Both attempt records are printed;
+the last one decides the point.
 """
 
 from soilprobe.actuator import ActuatorState
@@ -21,10 +21,7 @@ clock = SimClock()
 result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, ActuatorState(),
                        field, SamplerConfig(), clock=clock)
 
-print("phase walk:")
-print("  " + " -> ".join(p.value for p in result.phases))
-
-print("\nattempts:")
+print("attempts:")
 for a in result.attempts:
     reading = "silent" if a.reading is None else f"RAW {a.reading.raw_counts:8.2f}"
     theta = "   --  " if a.theta is None else f"{a.theta:+.4f}"
@@ -32,7 +29,9 @@ for a in result.attempts:
           f"depth {a.achieved_depth_m:.3f} m  {reading}  theta {theta}"
           f"  -> {a.validity.value}")
 
-print(f"\nfinal verdict: {result.final.value}")
+print(f"\nfinal verdict: {result.final.value}, "
+      f"validated at {result.validated_at_s:.1f} s")
 print(f"actuator home: position_steps = {result.actuator.position_steps}")
 print(f"simulated time spent on this point: {clock.now:.1f} s")
-print(f"measure transactions on the bus: {sensor.measure_commands()}")
+print("measure transactions on the bus: "
+      f"{sum(1 for f in sensor.trace if f.endswith(b'M!'))}")

@@ -26,8 +26,8 @@ from .mission import (MissionConfig, MissionSummary, Waypoint,
                       convex_hull_area, generate_waypoints, read_sample_log,
                       run_mission, select_valid, write_sample_log,
                       write_summary)
-from .sampler import (AttemptRecord, Phase, PointResult, SamplerConfig,
-                      SoilSample, attempt_point, finalize_sample)
+from .sampler import (AttemptRecord, PointResult, SamplerConfig, SoilSample,
+                      attempt_point, finalize_sample)
 from .scenario import Scenario, bundled_scenarios, load_scenario
 from .sdi12 import (Command, DataResponse, MeasureAck, RawReading, Verb,
                     decode_reading, encode_command, parse_command,

@@ -8,6 +8,7 @@ or driver signalling is modelled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import RangeError
@@ -23,8 +24,9 @@ class ActuatorConfig:
 
     def __post_init__(self):
         for name in ("steps_per_metre", "max_depth_m", "step_rate_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)

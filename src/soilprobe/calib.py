@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import require_finite
+
 # theta [m3/m3] = VWC_PER_COUNT * RAW + VWC_AT_ZERO_COUNTS
 VWC_PER_COUNT = 3.879e-4
 VWC_AT_ZERO_COUNTS = -0.6956
@@ -40,6 +42,7 @@ class ValidityThresholds:
     depth_tol_m: float = 0.005
 
     def __post_init__(self):
+        require_finite(self, "theta_min", "theta_max", "depth_tol_m")
         if self.theta_min > self.theta_max:
             raise ValueError("theta_min must not exceed theta_max")
         if self.depth_tol_m < 0:

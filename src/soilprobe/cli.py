@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 
 from . import geomap, mission, scenario, sdi12
-from .errors import FrameError, InfeasibleError, LogFormatError, ScenarioError
+from .errors import FrameError, LogFormatError, SoilProbeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,11 +43,14 @@ def cmd_simulate(args) -> int:
     try:
         scn = scenario.load_scenario(args.config, seed_override=args.seed)
         samples, summary = mission.run_mission(scn.mission)
-    except (ScenarioError, InfeasibleError) as exc:
+        # the writers refuse NaN and infinity, which extreme configs can yield
+        log = mission.dump_sample_log(samples)
+        summary_text = mission.dump_summary(summary)
+    except (SoilProbeError, ValueError, OverflowError) as exc:
         _diag(f"simulate: {exc}")
         return EXIT_CONFIG
-    _emit(mission.dump_sample_log(samples), args.out_log)
-    _emit(mission.dump_summary(summary), args.out_summary)
+    _emit(log, args.out_log)
+    _emit(summary_text, args.out_summary)
     _diag(f"simulate: scenario '{scn.name}': {summary.points_total} points, "
           f"{summary.points_valid} valid, {summary.points_invalid} invalid, "
           f"{summary.duration_s:.1f} s simulated, "

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number
+check every config dataclass runs on its float fields."""
+
+import math
+
+
+def require_finite(obj, *names):
+    """Raise ValueError naming the first attribute that is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
 
 
 class SoilProbeError(Exception):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib, sdi12
+from .errors import require_finite
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -40,6 +41,7 @@ class Blob:
     amplitude: float
 
     def __post_init__(self):
+        require_finite(self, "cx", "cy", "sigma_m", "amplitude")
         if self.sigma_m <= 0:
             raise ValueError("sigma_m must be > 0")
 
@@ -53,6 +55,7 @@ class Disk:
     radius_m: float
 
     def __post_init__(self):
+        require_finite(self, "cx", "cy", "radius_m")
         if self.radius_m <= 0:
             raise ValueError("radius_m must be > 0")
 
@@ -72,6 +75,10 @@ class FieldSpec:
     noise_sigma_raw: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "origin_lat", "origin_lon", "width_m", "height_m",
+                        "base_theta", "noise_sigma_raw")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.width_m <= 0 or self.height_m <= 0:
             raise ValueError("field width and height must be > 0")
         if self.noise_sigma_raw < 0:
@@ -186,8 +193,9 @@ class VirtualTeros:
 
     The sampler positions the probe before each measurement via
     :meth:`place`; a probe that is not in soil returns air readings.
-    Every frame the sensor receives is appended to ``trace`` so tests
-    can audit exactly which commands were issued.
+    Every frame the sensor receives, well-formed or not, is appended to
+    ``trace`` in arrival order, so a caller can audit exactly which
+    commands were issued (a start-measurement frame ends in ``M!``).
     """
 
     def __init__(self, spec: FieldSpec, rng: np.random.Generator,
@@ -235,15 +243,3 @@ class VirtualTeros:
             return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
         values, self._staged = self._staged, None
         return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
-
-    def measure_commands(self) -> int:
-        """How many start-measurement frames this sensor has seen."""
-        count = 0
-        for frame in self.trace:
-            try:
-                cmd = sdi12.parse_command(frame)
-            except sdi12.FrameError:
-                continue
-            if cmd.verb is sdi12.Verb.START_MEASUREMENT:
-                count += 1
-        return count

@@ -25,6 +25,9 @@ NODATA = -9999
 # cap on the (cells x samples) distance block held in memory at once
 _CHUNK_CELLS = 65536
 
+# largest raster build_grid accepts: 128 MiB of float64 values
+MAX_GRID_CELLS = 1 << 24
+
 
 @dataclass(frozen=True)
 class IdwParams:
@@ -89,8 +92,9 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     for q0 in range(0, qx.size, step):
         q1 = min(qx.size, q0 + step)
         d = np.hypot(qx[q0:q1, None] - xy[:, 0], qy[q0:q1, None] - xy[:, 1])
-        # exact hits get 1/0 weights here and are overwritten just below
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # exact hits get 1/0 weights here and are overwritten just below;
+        # absurdly large thetas may overflow, which the export writes as no-data
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             w = np.where(d <= params.cutoff_radius_m, d ** -params.power, 0.0)
             wsum = w.sum(axis=1)
             np.divide((w * theta).sum(axis=1), wsum, out=out[q0:q1],
@@ -121,16 +125,22 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
     cell goes through the same kernel as :func:`idw_at`, so values and
-    exact-hit tie-breaks match it everywhere.
+    exact-hit tie-breaks match it everywhere.  A raster of more than
+    ``MAX_GRID_CELLS`` cells raises ValueError before anything is
+    allocated.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
         raise ValueError("cell_size_m must be finite and > 0")
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
-    if xmax <= xmin or ymax <= ymin:
+    if not (xmax > xmin and ymax > ymin):
         raise ValueError("bounds must have positive extent")
-    nx = max(1, math.ceil((xmax - xmin) / cell_size_m))
-    ny = max(1, math.ceil((ymax - ymin) / cell_size_m))
+    # clamped before ceil, so an infinite extent cannot overflow it
+    nx, ny = (max(1, math.ceil(min(extent / cell_size_m, MAX_GRID_CELLS + 1)))
+              for extent in (xmax - xmin, ymax - ymin))
+    if nx * ny > MAX_GRID_CELLS:
+        raise ValueError(f"cell size {cell_size_m} m needs more than "
+                         f"{MAX_GRID_CELLS} cells")
 
     grid = MoistureGrid(xmin, ymin, cell_size_m, values=np.empty((ny, nx)))
     qx, qy = np.meshgrid(*grid.cell_centers())
@@ -173,11 +183,14 @@ def export_points_geojson(samples) -> str:
                        "status": s.status.value, "attempts": s.attempts},
     } for s in samples]
     return json.dumps({"type": "FeatureCollection", "features": features},
-                      indent=2) + "\n"
+                      indent=2, allow_nan=False) + "\n"
 
 
 def export_grid_ascii(grid: MoistureGrid) -> str:
-    """ESRI ASCII raster: header, then rows north to south, 6 decimals."""
+    """ESRI ASCII raster: header, then rows north to south, 6 decimals.
+
+    NaN and infinite cells are written as ``NODATA``.
+    """
     lines = [
         f"ncols {grid.nx}",
         f"nrows {grid.ny}",
@@ -189,5 +202,5 @@ def export_grid_ascii(grid: MoistureGrid) -> str:
     for iy in range(grid.ny - 1, -1, -1):
         row = grid.values[iy]
         lines.append(" ".join(
-            str(NODATA) if math.isnan(v) else f"{v:.6f}" for v in row))
+            f"{v:.6f}" if math.isfinite(v) else str(NODATA) for v in row))
     return "\n".join(lines) + "\n"

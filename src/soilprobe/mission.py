@@ -27,7 +27,7 @@ from . import fieldsim
 from .actuator import ActuatorConfig, ActuatorState
 from .calib import Validity, ValidityThresholds
 from .errors import DegenerateError, InfeasibleError, LogFormatError
-from .sampler import SamplerConfig, SoilSample, attempt_point, chosen_attempt, finalize_sample
+from .sampler import SamplerConfig, SoilSample, attempt_point, finalize_sample
 
 REJECTION_TRIAL_LIMIT = 100_000
 
@@ -53,12 +53,14 @@ class MissionConfig:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if not self.waypoints:
             raise ValueError("waypoint list must be non-empty")
-        if self.speed_mps <= 0:
-            raise ValueError("speed_mps must be > 0")
+        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0):
+            raise ValueError("speed_mps must be finite and > 0")
         ids = [w.id for w in self.waypoints]
         if len(set(ids)) != len(ids):
             raise ValueError("waypoint ids must be unique")
         for w in self.waypoints:
+            if type(w.id) is not int:
+                raise ValueError(f"waypoint id {w.id!r} is not an integer")
             if not (0.0 <= w.x <= self.field.width_m
                     and 0.0 <= w.y <= self.field.height_m):
                 raise ValueError(f"waypoint {w.id} at ({w.x}, {w.y}) is "
@@ -83,15 +85,19 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
 
     Plain rejection sampling: uniform draws over the field, rejected
     when closer than the spacing to any accepted point.  Deterministic
-    under ``seed``.  Raises InfeasibleError once ``max_trials`` draws
-    fail to place all points.
+    under ``seed``, a non-negative int.  Raises InfeasibleError once
+    ``max_trials`` draws fail to place all points.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
     1..count in that order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if type(count) is not int or count < 1:
+        raise ValueError("count must be an integer >= 1")
+    if type(seed) is not int or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    if type(min_spacing_m) not in (int, float) or not 0 <= min_spacing_m < math.inf:
+        raise ValueError("min_spacing_m must be finite and >= 0")
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
     accepted: list[tuple[float, float]] = []
@@ -142,11 +148,8 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
                                address=cfg.sensor_address)
         state = result.actuator
         samples.append(finalize_sample(
-            wp, result.attempts, result.final,
-            timestamp_s=result.validated_at_s,
-            target_depth_m=cfg.sampler.target_depth_m))
-        src = chosen_attempt(result.attempts)
-        positions.append((src.x, src.y))
+            wp, result, target_depth_m=cfg.sampler.target_depth_m))
+        positions.append((result.attempts[-1].x, result.attempts[-1].y))
 
     valid = sum(1 for s in samples if s.status is Validity.VALID)
     try:
@@ -212,8 +215,15 @@ def convex_hull_area(points) -> float:
 # -- Log serialization -------------------------------------------------------
 
 SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
+_INT_FIELDS = tuple(f.name for f in fields(SoilSample) if f.type == "int")
+_NUMBER_FIELDS = tuple((f.name, f.type == "float | None")
+                       for f in fields(SoilSample) if f.type.startswith("float"))
 
 SUMMARY_FIELDS = tuple(f.name for f in fields(MissionSummary))
+
+# json.dumps's own settings, except that NaN and infinity raise ValueError
+# instead of becoming bare tokens that are not JSON
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def sample_to_dict(sample: SoilSample) -> dict:
@@ -223,16 +233,36 @@ def sample_to_dict(sample: SoilSample) -> dict:
 
 
 def sample_from_dict(d: dict) -> SoilSample:
-    missing = [name for name in SAMPLE_FIELDS if name not in d]
-    if missing:
-        raise KeyError(f"missing fields: {', '.join(missing)}")
-    kwargs = {name: d[name] for name in SAMPLE_FIELDS}
-    kwargs["status"] = Validity(d["status"])
+    """Check one decoded record against SoilSample's field types.
+
+    Integers must be ints, other numbers finite ints or floats, and only
+    the ``float | None`` fields may be null; a valid record needs a
+    theta.  Values are checked, never converted, so the record dumps
+    back to the same bytes.
+    """
+    try:
+        kwargs = {name: d[name] for name in SAMPLE_FIELDS}
+    except KeyError:
+        missing = [name for name in SAMPLE_FIELDS if name not in d]
+        raise KeyError(f"missing fields: {', '.join(missing)}") from None
+    for name in _INT_FIELDS:
+        if type(kwargs[name]) is not int:
+            raise TypeError(f"{name} must be an integer")
+    for name, nullable in _NUMBER_FIELDS:
+        value = kwargs[name]
+        if value is None and nullable:
+            continue
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number"
+                             + (" or null" if nullable else ""))
+    kwargs["status"] = status = Validity(kwargs["status"])
+    if status is Validity.VALID and kwargs["theta"] is None:
+        raise ValueError("a valid sample needs a theta")
     return SoilSample(**kwargs)
 
 
 def dump_sample_log(samples: list[SoilSample]) -> str:
-    return "".join(json.dumps(sample_to_dict(s)) + "\n" for s in samples)
+    return "".join(_ENCODER.encode(sample_to_dict(s)) + "\n" for s in samples)
 
 
 def write_sample_log(samples: list[SoilSample], path):
@@ -251,7 +281,7 @@ def parse_sample_log(lines) -> list[SoilSample]:
             continue
         try:
             samples.append(sample_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
     return samples
 
@@ -273,7 +303,7 @@ def summary_to_dict(summary: MissionSummary) -> dict:
 
 
 def dump_summary(summary: MissionSummary) -> str:
-    return json.dumps(summary_to_dict(summary)) + "\n"
+    return _ENCODER.encode(summary_to_dict(summary)) + "\n"
 
 
 def write_summary(summary: MissionSummary, path):

@@ -1,11 +1,9 @@
 """Surface-aware sampling state machine.
 
-Each waypoint runs one instance of the per-point loop:
-
-    IDLE -> LOWERING -> SETTLING -> MEASURING -> VALIDATING
-      valid, or no attempts left:  VALIDATING -> RETRACTING -> DONE
-      invalid, attempts remaining: VALIDATING -> RETRACTING ->
-                                   REPOSITIONING -> LOWERING
+Each waypoint runs one instance of the per-point loop.  Every attempt
+lowers the probe, settles, measures, validates and retracts; the loop
+stops at the first valid attempt or when no attempts are left, so the
+last attempt in a :class:`PointResult` decides the point.
 
 A failed attempt never retries in place (a rock would just stall the
 probe again): attempt k probes ``reposition_offset_m`` metres from the
@@ -22,25 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from . import actuator as act
 from . import fieldsim
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import FrameError, RangeError, ShapeError
+from .errors import FrameError, RangeError, ShapeError, require_finite
 from .sdi12 import RawReading, run_transaction
-
-
-class Phase(Enum):
-    IDLE = "idle"
-    LOWERING = "lowering"
-    SETTLING = "settling"
-    MEASURING = "measuring"
-    VALIDATING = "validating"
-    REPOSITIONING = "repositioning"
-    RETRACTING = "retracting"
-    DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -51,14 +37,13 @@ class SamplerConfig:
     reposition_offset_m: float = 0.10
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        require_finite(self, "target_depth_m", "settle_s", "reposition_offset_m")
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ValueError("max_attempts must be an integer >= 1")
         if self.target_depth_m < 0:
             raise ValueError("target_depth_m must be >= 0")
         if self.settle_s < 0:
             raise ValueError("settle_s must be >= 0")
-        if not math.isfinite(self.reposition_offset_m):
-            raise ValueError("reposition_offset_m must be finite")
 
 
 @dataclass(frozen=True)
@@ -78,11 +63,15 @@ class AttemptRecord:
 
 @dataclass
 class PointResult:
+    """Every attempt at one point, in order; the last one decides it."""
+
     attempts: list[AttemptRecord]
-    final: Validity
     actuator: act.ActuatorState
-    phases: list[Phase]
-    validated_at_s: float  # clock reading when the deciding attempt validated
+    validated_at_s: float  # clock reading when the last attempt validated
+
+    @property
+    def final(self) -> Validity:
+        return self.attempts[-1].validity
 
 
 def attempt_offset(attempt_index: int, offset_m: float) -> tuple[float, float]:
@@ -108,14 +97,12 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
     ``point`` needs ``x``/``y`` in the field's local frame; ``sensor``
     needs ``exchange()`` and ``place()`` (see fieldsim.VirtualTeros).
     The actuator must start retracted and is always retracted again on
-    return.  Returns every attempt plus the final classification: VALID
-    if any attempt was valid (the first valid attempt ends the loop),
-    otherwise the last attempt's verdict.
+    return.  Returns every attempt; the first valid attempt ends the
+    loop, so the last attempt's verdict is the point's.
     """
     if actuator_state.position_steps != 0:
         raise ValueError("actuator must be fully retracted before sampling")
     clock = clock if clock is not None else fieldsim.SimClock()
-    phases = [Phase.IDLE]
     attempts: list[AttemptRecord] = []
     state = actuator_state
     validated_at = clock.now
@@ -124,17 +111,13 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
         dx, dy = attempt_offset(k, cfg.reposition_offset_m)
         x, y = point.x + dx, point.y + dy
 
-        phases.append(Phase.LOWERING)
         from_steps = state.position_steps
         state = act.lower_to(state, actuator_cfg, cfg.target_depth_m,
                              fieldsim.obstruction_at(field, x, y))
         clock.advance(act.motion_duration(from_steps, state.position_steps,
                                           actuator_cfg))
-
-        phases.append(Phase.SETTLING)
         clock.advance(cfg.settle_s)
 
-        phases.append(Phase.MEASURING)
         sensor.place(x, y, in_soil=not state.stalled)
         reading: RawReading | None = None
         theta: float | None = None
@@ -144,9 +127,6 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
             validity = Validity.SENSOR_ERROR
         else:
             theta = raw_to_vwc(reading.raw_counts)
-
-        phases.append(Phase.VALIDATING)
-        if reading is not None:
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
         lat, lon = fieldsim.local_to_wgs84(field, x, y)
@@ -156,27 +136,15 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
             validity=validity))
         validated_at = clock.now
 
-        phases.append(Phase.RETRACTING)
         from_steps = state.position_steps
         state = act.retract(state)
         clock.advance(act.motion_duration(from_steps, 0, actuator_cfg))
 
-        if validity is Validity.VALID or k == cfg.max_attempts:
-            phases.append(Phase.DONE)
+        if validity is Validity.VALID:
             break
-        phases.append(Phase.REPOSITIONING)
 
-    final = attempts[-1].validity
-    return PointResult(attempts=attempts, final=final, actuator=state,
-                       phases=phases, validated_at_s=validated_at)
-
-
-def chosen_attempt(attempts: list[AttemptRecord]) -> AttemptRecord:
-    """The attempt a point is reported from: first valid, else the last."""
-    for a in attempts:
-        if a.validity is Validity.VALID:
-            return a
-    return attempts[-1]
+    return PointResult(attempts=attempts, actuator=state,
+                       validated_at_s=validated_at)
 
 
 @dataclass(frozen=True)
@@ -197,29 +165,28 @@ class SoilSample:
     status: Validity
 
 
-def finalize_sample(point, attempts: list[AttemptRecord], final: Validity, *,
-                    timestamp_s: float, target_depth_m: float) -> SoilSample:
-    """Build the persistent record for one point.
+def finalize_sample(point, result: PointResult, *,
+                    target_depth_m: float) -> SoilSample:
+    """Build the persistent record for one point from its last attempt.
 
-    Reports the first valid attempt when there is one, otherwise the
-    last attempt.  Invalid points are kept and flagged, never dropped:
-    downstream consumers filter on ``status``.
+    Invalid points are kept and flagged, never dropped: downstream
+    consumers filter on ``status``.
     """
-    if not attempts:
+    if not result.attempts:
         raise ValueError("attempts must be non-empty")
-    src = chosen_attempt(attempts)
+    src = result.attempts[-1]
     r = src.reading
     return SoilSample(
         point_id=point.id,
-        timestamp_s=timestamp_s,
+        timestamp_s=result.validated_at_s,
         lat=src.lat,
         lon=src.lon,
         target_depth_m=target_depth_m,
         achieved_depth_m=src.achieved_depth_m,
-        attempts=len(attempts),
+        attempts=len(result.attempts),
         raw_counts=r.raw_counts if r is not None else None,
         temp_c=r.temp_c if r is not None else None,
         ec_us_cm=r.ec_us_cm if r is not None else None,
         theta=src.theta,
-        status=final,
+        status=src.validity,
     )

@@ -41,24 +41,33 @@ def bundled_scenarios() -> list[str]:
                   for p in root.iterdir() if p.name.endswith(".json"))
 
 
+def _expect(value, kind: type, context: str):
+    """``value`` itself when it is a ``kind`` (dict or list), else ScenarioError."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"{context}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _build(cls, doc: dict, context: str, **extra):
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{context}: expected an object, got {type(doc).__name__}")
+    _expect(doc, dict, context)
     names = {f for f in cls.__dataclass_fields__}
     unknown = set(doc) - names
     if unknown:
         raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
     try:
         return cls(**doc, **extra)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{context}: {exc}") from None
 
 
 def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
-    doc = dict(doc)
-    blobs = tuple(_build(Blob, b, "field.blobs") for b in doc.pop("blobs", []))
+    doc = dict(_expect(doc, dict, "field"))
+    blobs = tuple(_build(Blob, b, "field.blobs")
+                  for b in _expect(doc.pop("blobs", []), list, "field.blobs"))
     disks = tuple(_build(Disk, d, "field.obstructions")
-                  for d in doc.pop("obstructions", []))
+                  for d in _expect(doc.pop("obstructions", []), list,
+                                   "field.obstructions"))
     if seed_override is not None:
         doc["seed"] = seed_override
     return _build(FieldSpec, doc, "field", blobs=blobs, obstructions=disks)
@@ -70,24 +79,31 @@ def _waypoints(doc: dict, field: FieldSpec) -> tuple[Waypoint, ...]:
     if (explicit is None) == (generate is None):
         raise ScenarioError("mission: give exactly one of 'waypoints' or 'generate'")
     if generate is not None:
+        _expect(generate, dict, "mission.generate")
         for key in ("count", "min_spacing_m", "seed"):
             if key not in generate:
                 raise ScenarioError(f"mission.generate: missing '{key}'")
         unknown = set(generate) - {"count", "min_spacing_m", "seed"}
         if unknown:
             raise ScenarioError(f"mission.generate: unknown keys {sorted(unknown)}")
-        return tuple(generate_waypoints(field, generate["count"],
-                                        generate["min_spacing_m"],
-                                        generate["seed"]))
+        try:
+            return tuple(generate_waypoints(field, generate["count"],
+                                            generate["min_spacing_m"],
+                                            generate["seed"]))
+        except ValueError as exc:
+            raise ScenarioError(f"mission.generate: {exc}") from None
     points = []
-    for i, entry in enumerate(explicit):
+    for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ScenarioError(f"mission.waypoints[{i}]: need an object with 'id'")
         if "x" in entry and "y" in entry:
             points.append(Waypoint(entry["id"], entry["x"], entry["y"]))
         elif "lat" in entry and "lon" in entry:
-            x, y = wgs84_to_local_at(field.origin_lat, field.origin_lon,
-                                     entry["lat"], entry["lon"])
+            try:
+                x, y = wgs84_to_local_at(field.origin_lat, field.origin_lon,
+                                         entry["lat"], entry["lon"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ScenarioError(f"mission.waypoints[{i}]: {exc}") from None
             points.append(Waypoint(entry["id"], x, y))
         else:
             raise ScenarioError(f"mission.waypoints[{i}]: need x/y or lat/lon")
@@ -131,7 +147,7 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         raise ScenarioError(f"{name}: 'field' and 'mission' are required")
 
     field = _field_spec(doc["field"], seed_override)
-    mission_doc = dict(doc["mission"])
+    mission_doc = dict(_expect(doc["mission"], dict, "mission"))
     waypoints = _waypoints(mission_doc, field)
     mission_doc.pop("waypoints", None)
     mission_doc.pop("generate", None)

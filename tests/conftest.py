@@ -42,6 +42,11 @@ def make_sensor(spec, **kwargs):
     return VirtualTeros(spec, spec.rng(), **kwargs)
 
 
+def measure_frames(frames) -> int:
+    """How many start-measurement (``aM!``) frames are in ``frames``."""
+    return sum(1 for f in frames if f.endswith(b"M!"))
+
+
 class ScriptedSensor:
     """Replays canned replies in order; None entries model silence."""
 
@@ -87,7 +92,7 @@ class FlakySensor:
         return reply
 
     def dropped_measures(self) -> int:
-        return sum(1 for f in self.dropped_frames if f.endswith(b"M!"))
+        return measure_frames(self.dropped_frames)
 
 
 @pytest.fixture

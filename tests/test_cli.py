@@ -1,6 +1,7 @@
 """CLI behaviour: subcommands, exit codes, stdout/stderr discipline."""
 
 import json
+import math
 
 import pytest
 
@@ -146,6 +147,65 @@ def test_map_bad_parameters_exit_2(tmp_path, capsys):
         assert cli.main(["map", "--log", str(log), "--cell-size", bad]) == 2
         assert cli.main(["map", "--log", str(log), "--power", bad]) == 2
     assert "map:" in capsys.readouterr().err
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    return err.startswith(prefix) and len(err.splitlines()) == 1
+
+
+def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
+    scn = small_scenario(tmp_path)
+    assert cli.main(["simulate", "--config", str(scn), "--seed", "-1"]) == 2
+    assert one_line_error(capsys, "simulate: field: seed")
+    doc = json.loads(scn.read_text())
+    for mutate in (lambda d: d["field"].update(seed="abc"),
+                   lambda d: d.update(sampler={"target_depth_m": math.nan}),
+                   lambda d: d["mission"].update(speed_mps=math.nan),
+                   lambda d: d.update(mission={"generate": {
+                       "count": 3, "min_spacing_m": 1.0, "seed": -1}}),
+                   lambda d: d.update(mission={"generate": {
+                       "count": "5", "min_spacing_m": 1.0, "seed": 1}}),
+                   # finite, but travel time overflows; the writers refuse inf
+                   lambda d: d["mission"].update(speed_mps=5e-324)):
+        bad = json.loads(json.dumps(doc))
+        mutate(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out-log", str(out)]) == 2
+        assert one_line_error(capsys, "simulate: ")
+        assert not out.exists()
+
+
+def test_mistyped_log_records_exit_3(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    cli.main(["simulate", "--config", str(small_scenario(tmp_path, 0)),
+              "--out-log", str(log), "--out-summary", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    lines = log.read_text().splitlines()
+    first = json.loads(lines[0])
+    assert first["status"] == "valid"
+    for change in ({"lat": "45.0"}, {"theta": None}, {"theta": math.nan}):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps({**first, **change})] + lines[1:]))
+        for command in ("validate", "map"):
+            assert cli.main([command, "--log", str(bad)]) == 3
+            assert one_line_error(capsys, f"{command}: ")
+
+
+def test_map_oversized_raster_exits_2(tmp_path, capsys):
+    # two samples about 11 m x 8 m apart: 1e-5 m cells would be ~1e12 cells
+    log = tmp_path / "two.jsonl"
+    rec = {"point_id": 1, "timestamp_s": 1.0, "lat": 45.0, "lon": 7.5,
+           "target_depth_m": 0.05, "achieved_depth_m": 0.05, "attempts": 1,
+           "raw_counts": 2400.0, "temp_c": 24.0, "ec_us_cm": 150.0,
+           "theta": 0.25, "status": "valid"}
+    log.write_text(json.dumps(rec) + "\n" + json.dumps(
+        {**rec, "point_id": 2, "lat": 45.0001, "lon": 7.5001}) + "\n")
+    assert cli.main(["map", "--log", str(log), "--cell-size", "1e-5"]) == 2
+    assert one_line_error(capsys, "map: cell size")
 
 
 def test_codec_parse_and_encode(capsys):

@@ -14,7 +14,7 @@ from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 obstruction_at, sense_raw, sense_raw_air,
                                 theta_true, wgs84_to_local)
 
-from conftest import make_field, make_sensor
+from conftest import make_field, make_sensor, measure_frames
 
 CROSSOVER_RAW = 0.6956 / 3.879e-4
 
@@ -151,6 +151,23 @@ def test_field_spec_validation():
         Blob(0, 0, 0.0, 0.1)
     with pytest.raises(ValueError):
         Disk(0, 0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for name in ("theta", "noise", "width", "height"):
+            with pytest.raises(ValueError, match="finite"):
+                make_field(**{name: bad})
+        with pytest.raises(ValueError, match="origin_lat"):
+            FieldSpec(origin_lat=bad, origin_lon=0, width_m=1, height_m=1,
+                      base_theta=0.2, seed=1)
+        for args in ((bad, 0, 1.0, 0.1), (0, bad, 1.0, 0.1),
+                     (0, 0, bad, 0.1), (0, 0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                Blob(*args)
+        for args in ((bad, 0, 1.0), (0, bad, 1.0), (0, 0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                Disk(*args)
+    for seed in (-1, 1.0, "7", True, None):
+        with pytest.raises(ValueError, match="seed"):
+            make_field(seed=seed)
 
 
 # -- simulated clock -----------------------------------------------------------
@@ -204,4 +221,5 @@ def test_virtual_sensor_transaction_counter():
     sensor.place(1.0, 1.0, in_soil=True)
     for _ in range(3):
         sdi12.run_transaction(sensor, "0")
-    assert sensor.measure_commands() == 3
+    assert measure_frames(sensor.trace) == 3
+    assert sensor.trace == [b"0M!", b"0D0!"] * 3

@@ -8,8 +8,9 @@ import pytest
 
 from soilprobe.calib import Validity
 from soilprobe.errors import EmptyInputError
-from soilprobe.geomap import (IdwParams, build_grid, export_grid_ascii,
-                              export_points_geojson, idw_at, samples_to_local)
+from soilprobe.geomap import (IdwParams, MoistureGrid, build_grid,
+                              export_grid_ascii, export_points_geojson, idw_at,
+                              samples_to_local)
 from soilprobe.sampler import SoilSample
 
 from conftest import idw_oracle
@@ -158,6 +159,16 @@ def test_idw_params_validation():
         build_grid([(0, 0)], [0.1], (1, 0, 0, 1))
 
 
+def test_raster_size_cap_rejects_before_allocating():
+    # about 1e12 cells: refused by the cap, never handed to numpy
+    with pytest.raises(ValueError, match="cells"):
+        build_grid([(0, 0)], [0.1], (0, 0, 1e6, 1e6), cell_size_m=1.0)
+    with pytest.raises(ValueError, match="cells"):
+        build_grid([(0, 0)], [0.1], (0, 0, math.inf, 1.0), cell_size_m=1.0)
+    with pytest.raises(ValueError, match="cells"):
+        build_grid([(0, 0)], [0.1], (-1e308, -1e308, 1e308, 1e308))
+
+
 # -- exports ----------------------------------------------------------------------
 
 
@@ -195,6 +206,13 @@ def test_ascii_grid_layout():
     assert lines[6] == "0.250000 0.333333"
     assert lines[7] == "0.100000 -9999"
     assert text.endswith("\n")
+
+
+def test_exports_never_write_nan_or_infinity():
+    grid = MoistureGrid(0.0, 0.0, 1.0, np.array([[math.inf, -math.inf, 0.5]]))
+    assert export_grid_ascii(grid).splitlines()[6] == "-9999 -9999 0.500000"
+    with pytest.raises(ValueError):
+        export_points_geojson([make_sample(1, theta=math.nan)])
 
 
 def test_samples_to_local_anchor():

@@ -1,5 +1,7 @@
 """Waypoint generation, hull geometry, mission execution, log I/O."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -204,6 +206,12 @@ def test_mission_config_validation():
     with pytest.raises(ValueError):
         MissionConfig(field=field, waypoints=(Waypoint(1, 1, 1),),
                       speed_mps=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="speed_mps"):
+            MissionConfig(field=field, waypoints=(Waypoint(1, 1, 1),),
+                          speed_mps=bad)
+    with pytest.raises(ValueError, match="integer"):
+        MissionConfig(field=field, waypoints=(Waypoint(1.0, 1, 1),))
 
 
 def test_randomized_missions_hold_invariants():
@@ -263,7 +271,6 @@ def test_log_is_jsonl_with_expected_keys():
     samples, _ = run_mission(simple_mission(2))
     lines = dump_sample_log(samples).splitlines()
     assert len(lines) == 2
-    import json
     rec = json.loads(lines[0])
     assert list(rec) == ["point_id", "timestamp_s", "lat", "lon",
                          "target_depth_m", "achieved_depth_m", "attempts",
@@ -288,6 +295,55 @@ def test_parse_log_reports_offending_line():
     assert err.value.line_no == 1
 
 
+def _valid_record(**changes):
+    rec = {"point_id": 3, "timestamp_s": 12, "lat": 45.0, "lon": 7.5,
+           "target_depth_m": 0.05, "achieved_depth_m": 0.05, "attempts": 1,
+           "raw_counts": 2400.0, "temp_c": 24.0, "ec_us_cm": 150.0,
+           "theta": 0.25, "status": "valid"}
+    rec.update(changes)
+    return json.dumps(rec)
+
+
+def test_parse_log_keeps_values_unconverted():
+    line = _valid_record()
+    (sample,) = parse_sample_log([line])
+    assert type(sample.timestamp_s) is int  # an int is a number; kept as is
+    assert dump_sample_log([sample]) == line + "\n"
+    flagged = _valid_record(raw_counts=None, temp_c=None, ec_us_cm=None,
+                            theta=None, status="sensor_error")
+    assert dump_sample_log(parse_sample_log([flagged])) == flagged + "\n"
+
+
+@pytest.mark.parametrize("changes,needle", [
+    ({"lat": "45.0"}, "lat"),
+    ({"lon": None}, "lon"),
+    ({"timestamp_s": math.nan}, "timestamp_s"),
+    ({"achieved_depth_m": math.inf}, "achieved_depth_m"),
+    ({"raw_counts": [1]}, "raw_counts"),
+    ({"temp_c": True}, "temp_c"),
+    ({"lat": 10 ** 400}, "line 2"),
+    ({"point_id": 3.0}, "point_id"),
+    ({"point_id": "3"}, "point_id"),
+    ({"attempts": True}, "attempts"),
+    ({"theta": None}, "theta"),
+    ({"theta": math.nan}, "theta"),
+    ({"status": "great"}, "great"),
+])
+def test_parse_log_rejects_mistyped_fields(changes, needle):
+    lines = [_valid_record(), _valid_record(**changes)]
+    with pytest.raises(LogFormatError, match=needle) as err:
+        parse_sample_log(lines)
+    assert err.value.line_no == 2
+
+
+def test_writers_refuse_nan():
+    (sample,) = parse_sample_log([_valid_record()])
+    with pytest.raises(ValueError):
+        dump_sample_log([dataclasses.replace(sample, theta=math.nan)])
+    with pytest.raises(ValueError):
+        dump_summary(MissionSummary(1, 1, 0, math.nan, 0.0))
+
+
 def test_parse_log_empty_and_blank_lines(tmp_path):
     assert parse_sample_log([]) == []
     path = tmp_path / "empty.jsonl"
@@ -299,7 +355,6 @@ def test_parse_log_empty_and_blank_lines(tmp_path):
 def test_summary_serialization_shape():
     summary = MissionSummary(5, 3, 2, 120.5, 44.0)
     text = dump_summary(summary)
-    import json
     d = json.loads(text)
     assert d == {"points_total": 5, "points_valid": 3, "points_invalid": 2,
                  "duration_s": 120.5, "area_convex_hull_m2": 44.0}

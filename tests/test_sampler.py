@@ -7,25 +7,13 @@ from soilprobe.actuator import ActuatorState
 from soilprobe.calib import Validity
 from soilprobe.fieldsim import Disk, SimClock
 from soilprobe.mission import Waypoint
-from soilprobe.sampler import (AttemptRecord, Phase, SamplerConfig,
-                               attempt_offset, attempt_point, chosen_attempt,
-                               finalize_sample)
+from soilprobe.sampler import (AttemptRecord, PointResult, SamplerConfig,
+                               attempt_offset, attempt_point, finalize_sample)
 
-from conftest import FlakySensor, ScriptedSensor, make_field, make_sensor
+from conftest import (FlakySensor, ScriptedSensor, make_field, make_sensor,
+                      measure_frames)
 
 CFG = SamplerConfig()
-
-# the edges the per-point loop is allowed to walk
-ALLOWED_EDGES = {
-    (Phase.IDLE, Phase.LOWERING),
-    (Phase.LOWERING, Phase.SETTLING),
-    (Phase.SETTLING, Phase.MEASURING),
-    (Phase.MEASURING, Phase.VALIDATING),
-    (Phase.VALIDATING, Phase.RETRACTING),
-    (Phase.RETRACTING, Phase.DONE),
-    (Phase.RETRACTING, Phase.REPOSITIONING),
-    (Phase.REPOSITIONING, Phase.LOWERING),
-}
 
 
 def run_point(field, wp=Waypoint(1, 10.0, 10.0), sensor=None, cfg=CFG, **kwargs):
@@ -53,10 +41,7 @@ def test_clean_point_takes_one_attempt():
     assert a.achieved_depth_m == 0.05
     assert (a.x, a.y) == (10.0, 10.0)
     assert result.actuator.position_steps == 0
-    assert result.phases == [Phase.IDLE, Phase.LOWERING, Phase.SETTLING,
-                             Phase.MEASURING, Phase.VALIDATING,
-                             Phase.RETRACTING, Phase.DONE]
-    assert sensor.measure_commands() == 1
+    assert measure_frames(sensor.trace) == 1
 
 
 def test_fully_obstructed_point_exhausts_attempts():
@@ -69,8 +54,7 @@ def test_fully_obstructed_point_exhausts_attempts():
         assert a.achieved_depth_m == pytest.approx(0.01)
         assert a.theta < 0  # air reading
     assert result.actuator.position_steps == 0
-    assert result.phases.count(Phase.REPOSITIONING) == CFG.max_attempts - 1
-    assert sensor.measure_commands() == CFG.max_attempts
+    assert measure_frames(sensor.trace) == CFG.max_attempts
 
 
 def test_obstruction_at_first_attempt_only():
@@ -134,19 +118,6 @@ def test_requires_retracted_actuator():
                       make_field(), CFG)
 
 
-def test_phase_walk_stays_on_allowed_edges():
-    scenarios = [
-        make_field(theta=0.25),
-        make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)]),
-        make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)]),
-    ]
-    for field in scenarios:
-        result, _ = run_point(field)
-        edges = set(zip(result.phases, result.phases[1:]))
-        assert edges <= ALLOWED_EDGES
-        assert result.phases[0] is Phase.IDLE and result.phases[-1] is Phase.DONE
-
-
 def test_clock_accounting_single_attempt():
     clock = SimClock()
     result, _ = run_point(make_field(theta=0.25), clock=clock)
@@ -154,6 +125,30 @@ def test_clock_accounting_single_attempt():
     assert result.validated_at_s == pytest.approx(3.0)
     # plus the final retract (2 s)
     assert clock.now == pytest.approx(5.0)
+
+
+def test_clock_accounting_retry_after_stall():
+    # attempt 1 stalls at 200 steps: lower 0.4 s, settle 1 s, retract 0.4 s;
+    # attempt 2 east of the disk: lower 2 s, settle 1 s -> validated at 4.8 s
+    clock = SimClock()
+    field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)])
+    result, _ = run_point(field, clock=clock)
+    assert [a.validity for a in result.attempts] == [Validity.NOT_PENETRATED,
+                                                     Validity.VALID]
+    assert result.validated_at_s == pytest.approx(4.8)
+    # plus the final full retract (2 s)
+    assert clock.now == pytest.approx(6.8)
+
+
+def test_clock_accounting_fully_obstructed():
+    # three stalled attempts of 1.8 s each; the last validates before
+    # its 0.4 s retract
+    clock = SimClock()
+    field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)])
+    result, _ = run_point(field, clock=clock)
+    assert len(result.attempts) == CFG.max_attempts
+    assert result.validated_at_s == pytest.approx(5.0)
+    assert clock.now == pytest.approx(5.4)
 
 
 def test_attempt_bound_and_early_exit():
@@ -170,6 +165,10 @@ def test_attempt_bound_and_early_exit():
         assert 1 <= n <= CFG.max_attempts
         if n < CFG.max_attempts:
             assert result.attempts[-1].validity is Validity.VALID
+        # the loop stops at the first valid attempt, so the last decides
+        assert all(a.validity is not Validity.VALID
+                   for a in result.attempts[:-1])
+        assert result.final is result.attempts[-1].validity
         for k, a in enumerate(result.attempts, start=1):
             assert a.attempt_index == k
 
@@ -197,7 +196,7 @@ def test_transaction_counts_match_attempts_when_bus_is_clean():
     ]
     for field in scenarios:
         result, sensor = run_point(field)
-        assert sensor.measure_commands() == len(result.attempts)
+        assert measure_frames(sensor.trace) == len(result.attempts)
 
 
 def test_transaction_accounting_against_trace_with_drops():
@@ -212,7 +211,7 @@ def test_transaction_accounting_against_trace_with_drops():
         flaky = FlakySensor(inner, rng, p_silent=0.25)
         result = attempt_point(Waypoint(1, 10.0, 10.0), flaky, ActuatorState(),
                                field, CFG)
-        assert inner.measure_commands() + flaky.dropped_measures() \
+        assert measure_frames(inner.trace) + flaky.dropped_measures() \
             == len(result.attempts)
 
 
@@ -240,12 +239,18 @@ def attempt(k, validity, theta=0.25, x=10.0, y=10.0):
                          validity=validity)
 
 
+def point_result(attempts, validated_at_s=1.0):
+    return PointResult(attempts=attempts, actuator=ActuatorState(),
+                       validated_at_s=validated_at_s)
+
+
 def test_finalize_picks_first_valid():
     attempts = [attempt(1, Validity.NOT_PENETRATED, x=10.0),
                 attempt(2, Validity.VALID, theta=0.30, x=10.1),
                 ]
-    s = finalize_sample(Waypoint(7, 10.0, 10.0), attempts, Validity.VALID,
-                        timestamp_s=12.5, target_depth_m=0.05)
+    s = finalize_sample(Waypoint(7, 10.0, 10.0),
+                        point_result(attempts, validated_at_s=12.5),
+                        target_depth_m=0.05)
     assert s.point_id == 7
     assert s.status is Validity.VALID
     assert s.theta == 0.30
@@ -258,32 +263,25 @@ def test_finalize_falls_back_to_last_attempt():
     attempts = [attempt(1, Validity.NOT_PENETRATED),
                 attempt(2, Validity.SENSOR_ERROR),
                 attempt(3, Validity.NOT_PENETRATED, theta=-0.6)]
-    s = finalize_sample(Waypoint(9, 10.0, 10.0), attempts,
-                        Validity.NOT_PENETRATED, timestamp_s=2.0,
+    s = finalize_sample(Waypoint(9, 10.0, 10.0),
+                        point_result(attempts, validated_at_s=2.0),
                         target_depth_m=0.05)
     assert s.status is Validity.NOT_PENETRATED
     assert s.theta == -0.6
     assert s.attempts == 3
+    assert s.timestamp_s == 2.0
 
 
 def test_finalize_sensor_error_has_null_reading_fields():
-    attempts = [attempt(1, Validity.SENSOR_ERROR)]
-    s = finalize_sample(Waypoint(1, 10.0, 10.0), attempts,
-                        Validity.SENSOR_ERROR, timestamp_s=1.0,
+    s = finalize_sample(Waypoint(1, 10.0, 10.0),
+                        point_result([attempt(1, Validity.SENSOR_ERROR)]),
                         target_depth_m=0.05)
+    assert s.status is Validity.SENSOR_ERROR
     assert s.raw_counts is None and s.temp_c is None and s.ec_us_cm is None
     assert s.theta is None
 
 
 def test_finalize_requires_attempts():
     with pytest.raises(ValueError):
-        finalize_sample(Waypoint(1, 0, 0), [], Validity.VALID,
-                        timestamp_s=0.0, target_depth_m=0.05)
-
-
-def test_chosen_attempt_rule():
-    a = [attempt(1, Validity.NOT_PENETRATED), attempt(2, Validity.VALID),
-         attempt(3, Validity.VALID)]
-    assert chosen_attempt(a).attempt_index == 2
-    b = [attempt(1, Validity.NOT_PENETRATED), attempt(2, Validity.SENSOR_ERROR)]
-    assert chosen_attempt(b).attempt_index == 2
+        finalize_sample(Waypoint(1, 0, 0), point_result([]),
+                        target_depth_m=0.05)

@@ -1,6 +1,7 @@
 """Scenario document loading and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -58,6 +59,8 @@ def test_seed_override_touches_only_the_field(tmp_path):
     assert bumped.mission.field.seed == 99
     assert base.mission.field.seed == 5
     assert bumped.mission.waypoints == base.mission.waypoints
+    with pytest.raises(ScenarioError, match="seed"):
+        load_scenario(path, seed_override=-1)
 
 
 def test_generate_block(tmp_path):
@@ -73,6 +76,20 @@ def test_lat_lon_waypoints_convert(tmp_path):
     scn = load_scenario(write_doc(tmp_path, doc))
     w = scn.mission.waypoints[0]
     assert abs(w.x) < 1e-9 and abs(w.y) < 1e-9
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _generate(count=3, min_spacing_m=1.0, seed=1):
+    return _set(("mission",), {"generate": {
+        "count": count, "min_spacing_m": min_spacing_m, "seed": seed}})
 
 
 @pytest.mark.parametrize("mutate,needle", [
@@ -92,6 +109,52 @@ def test_lat_lon_waypoints_convert(tmp_path):
     (lambda d: d.update(sampler={"target_depth_m": 0.5}), "max depth"),
     (lambda d: d.update(calib={"theta_min": 1.0, "theta_max": 0.1}),
      "theta_min"),
+    pytest.param(_set(("field", "seed"), -1), "seed", id="seed-negative"),
+    pytest.param(_set(("field", "seed"), "abc"), "seed", id="seed-string"),
+    pytest.param(_set(("field", "seed"), 1.5), "seed", id="seed-float"),
+    pytest.param(_set(("field", "width_m"), math.nan), "width_m", id="width-nan"),
+    pytest.param(_set(("field", "width_m"), 10 ** 400), "field", id="width-huge-int"),
+    pytest.param(_set(("field", "base_theta"), math.inf), "base_theta",
+                 id="base-theta-inf"),
+    pytest.param(_set(("field", "blobs"), [{"cx": 1, "cy": 1, "sigma_m": 1,
+                                            "amplitude": math.inf}]),
+                 "amplitude", id="blob-inf"),
+    pytest.param(_set(("field", "obstructions"), [{"cx": math.nan, "cy": 1,
+                                                   "radius_m": 1}]),
+                 "cx", id="disk-nan"),
+    pytest.param(_set(("field",), []), "field: expected an object", id="field-list"),
+    pytest.param(_set(("field", "blobs"), {}), "expected a list", id="blobs-object"),
+    pytest.param(_set(("mission", "waypoints"), 5), "expected a list",
+                 id="waypoints-number"),
+    pytest.param(_set(("mission", "waypoints"), [{"id": 1, "lat": "x", "lon": 7.5}]),
+                 r"waypoints\[0\]", id="waypoint-lat-string"),
+    pytest.param(_set(("mission", "waypoints"), [{"id": 1.5, "x": 1, "y": 1}]),
+                 "integer", id="waypoint-id-float"),
+    pytest.param(_set(("mission", "speed_mps"), math.nan), "speed_mps",
+                 id="speed-nan"),
+    pytest.param(_set(("sampler",), {"target_depth_m": math.nan}),
+                 "target_depth_m", id="target-depth-nan"),
+    pytest.param(_set(("sampler",), {"settle_s": math.inf}), "settle_s",
+                 id="settle-inf"),
+    pytest.param(_set(("sampler",), {"max_attempts": 2.0}), "max_attempts",
+                 id="max-attempts-float"),
+    pytest.param(_set(("actuator",), {"step_rate_hz": math.inf}), "step_rate_hz",
+                 id="step-rate-inf"),
+    pytest.param(_set(("calib",), {"depth_tol_m": math.nan}), "depth_tol_m",
+                 id="depth-tol-nan"),
+    pytest.param(_generate(seed=-1), "seed", id="generate-seed-negative"),
+    pytest.param(_generate(seed="1"), "seed", id="generate-seed-string"),
+    pytest.param(_generate(count="5"), "count", id="generate-count-string"),
+    pytest.param(_generate(count=0), "count", id="generate-count-zero"),
+    pytest.param(_generate(count=True), "count", id="generate-count-bool"),
+    pytest.param(_generate(min_spacing_m=math.nan), "min_spacing_m",
+                 id="generate-spacing-nan"),
+    pytest.param(_generate(min_spacing_m=-1.0), "min_spacing_m",
+                 id="generate-spacing-negative"),
+    pytest.param(_generate(min_spacing_m="1"), "min_spacing_m",
+                 id="generate-spacing-string"),
+    pytest.param(_set(("mission",), {"generate": 5}), "expected an object",
+                 id="generate-number"),
 ])
 def test_bad_documents_raise_scenario_error(tmp_path, mutate, needle):
     doc = minimal_doc()
