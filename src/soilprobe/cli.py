@@ -6,9 +6,10 @@
     soilprobe codec --parse 304d21
     soilprobe codec --encode 0D0
 
-Exit codes: 0 success, 2 scenario/config error, 3 malformed sample log,
-4 no valid samples to map, 5 frame decode error.  Diagnostics go to
-stderr; data goes to stdout only when its --out flag is omitted.
+Exit codes: 0 success, 2 scenario/config error or an output path that
+cannot be written, 3 malformed sample log, 4 no valid samples to map,
+5 frame decode error.  Diagnostics go to stderr; data goes to stdout
+only when its --out flag is omitted.
 """
 
 from __future__ import annotations
@@ -27,12 +28,23 @@ EXIT_NO_VALID = 4
 EXIT_FRAME = 5
 
 
-def _emit(text: str, path):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+def _emit(command: str, *outputs) -> int:
+    """Write each (text, path) pair, to stdout when path is None.
+
+    Returns EXIT_OK, or EXIT_CONFIG after a one-line diagnostic when a
+    path cannot be written.
+    """
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
+            continue
+        try:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _diag(f"{command}: {exc}")
+            return EXIT_CONFIG
+    return EXIT_OK
 
 
 def _diag(message: str):
@@ -49,8 +61,10 @@ def cmd_simulate(args) -> int:
     except (SoilProbeError, ValueError, OverflowError) as exc:
         _diag(f"simulate: {exc}")
         return EXIT_CONFIG
-    _emit(log, args.out_log)
-    _emit(summary_text, args.out_summary)
+    code = _emit("simulate", (log, args.out_log),
+                 (summary_text, args.out_summary))
+    if code:
+        return code
     _diag(f"simulate: scenario '{scn.name}': {summary.points_total} points, "
           f"{summary.points_valid} valid, {summary.points_invalid} invalid, "
           f"{summary.duration_s:.1f} s simulated, "
@@ -74,11 +88,14 @@ def cmd_validate(args) -> int:
     samples, code = _read_log("validate", args.log)
     if code:
         return code
+    code = _emit("validate", (mission.dump_sample_log(
+        mission.select_valid(samples)), args.out))
+    if code:
+        return code
     counts = Counter(s.status.value for s in samples)
     _diag(f"validate: {len(samples)} samples: " + ", ".join(
         f"{counts.get(status.value, 0)} {status.value}"
         for status in mission.Validity))
-    _emit(mission.dump_sample_log(mission.select_valid(samples)), args.out)
     return EXIT_OK
 
 
@@ -104,8 +121,11 @@ def cmd_map(args) -> int:
     except ValueError as exc:
         _diag(f"map: {exc}")
         return EXIT_CONFIG
-    _emit(geomap.export_points_geojson(samples), args.out_points)
-    _emit(geomap.export_grid_ascii(grid), args.out_grid)
+    code = _emit("map",
+                 (geomap.export_points_geojson(samples), args.out_points),
+                 (geomap.export_grid_ascii(grid), args.out_grid))
+    if code:
+        return code
     _diag(f"map: {len(valid)} valid samples onto {grid.nx} x {grid.ny} cells "
           f"of {grid.cell_size_m} m")
     return EXIT_OK

@@ -44,6 +44,10 @@ class Blob:
         require_finite(self, "cx", "cy", "sigma_m", "amplitude")
         if self.sigma_m <= 0:
             raise ValueError("sigma_m must be > 0")
+        # theta_true divides by 2 * sigma_m ** 2, which must not underflow
+        # to 0; the test is kept to sigma_m < 1, where ** cannot overflow
+        if self.sigma_m < 1 and not 2.0 * self.sigma_m ** 2 > 0:
+            raise ValueError("sigma_m is so small that 2 * sigma_m ** 2 is 0")
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,12 @@ def theta_true(spec: FieldSpec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     theta = np.full(np.broadcast(x, y).shape, spec.base_theta, dtype=float)
-    for b in spec.blobs:
-        theta += b.amplitude * np.exp(
-            -((x - b.cx) ** 2 + (y - b.cy) ** 2) / (2.0 * b.sigma_m ** 2))
+    # a blob centre far out may overflow the squared distance to inf, and
+    # exp(-inf) = 0 is then the right limit
+    with np.errstate(over="ignore"):
+        for b in spec.blobs:
+            theta += b.amplitude * np.exp(
+                -((x - b.cx) ** 2 + (y - b.cy) ** 2) / (2.0 * b.sigma_m ** 2))
     theta = np.clip(theta, 0.0, THETA_TRUE_MAX)
     return float(theta) if theta.ndim == 0 else theta
 

@@ -7,6 +7,11 @@ stays inside the sampled range and the surface is exact at the sample
 points.  Cells farther than the cutoff radius from every sample are
 no-data (NaN internally, -9999 in the ASCII export): the map never
 extrapolates far beyond the sampled hull.
+
+Only samples within the cutoff (or exact) radius can change a value,
+so the kernel groups its queries into square tiles of that side and
+weighs each tile against the samples near it, never against all of
+them (local Shepard interpolation; Franke & Nielson 1980).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
 
-# cap on the (cells x samples) distance block held in memory at once
+# cap on the (tile cells x tile samples) distance block held in memory at once
 _CHUNK_CELLS = 65536
 
 # largest raster build_grid accepts: 128 MiB of float64 values
@@ -86,23 +91,66 @@ def _as_sample_arrays(xy, theta, ids):
 
 
 def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
-    """:func:`idw_at` at each (qx[i], qy[i]); exact-hit ties go to the lowest rank."""
+    """:func:`idw_at` at each (qx[i], qy[i]); exact-hit ties go to the lowest rank.
+
+    ``xy`` must be in canonical order, which sorts it by x first.  The
+    finite queries are grouped into square tiles whose side is ``reach``,
+    the larger of the cutoff and exact radii.  Each tile weighs only the
+    samples inside its queries' bounding box grown by ``reach``, which
+    holds every sample the cutoff and exact tests can keep.  Non-finite
+    queries stay NaN.
+    """
     out = np.full(qx.size, np.nan)
-    step = max(1, _CHUNK_CELLS // theta.size)
-    for q0 in range(0, qx.size, step):
-        q1 = min(qx.size, q0 + step)
-        d = np.hypot(qx[q0:q1, None] - xy[:, 0], qy[q0:q1, None] - xy[:, 1])
-        # exact hits get 1/0 weights here and are overwritten just below;
-        # absurdly large thetas may overflow, which the export writes as no-data
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = np.where(d <= params.cutoff_radius_m, d ** -params.power, 0.0)
-            wsum = w.sum(axis=1)
-            np.divide((w * theta).sum(axis=1), wsum, out=out[q0:q1],
-                      where=wsum > 0)
-        hits = np.flatnonzero((d <= params.exact_radius_m).any(axis=1))
-        if hits.size:
-            tied = d[hits] == d[hits].min(axis=1, keepdims=True)
-            out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
+    live = np.flatnonzero(np.isfinite(qx) & np.isfinite(qy))
+    if not live.size:
+        return out
+    reach = max(params.cutoff_radius_m, params.exact_radius_m)
+    # a tiny reach may overflow a tile index to inf, which only merges tiles
+    with np.errstate(over="ignore"):
+        tx, ty = np.floor(qx[live] / reach), np.floor(qy[live] / reach)
+    by_tile = np.lexsort((tx, ty))
+    live, tx, ty = live[by_tile], tx[by_tile], ty[by_tile]
+    starts = np.r_[0, np.flatnonzero((tx[1:] != tx[:-1])
+                                     | (ty[1:] != ty[:-1])) + 1]
+    ends = np.r_[starts[1:], live.size]
+    lqx, lqy = qx[live], qy[live]
+    x0, x1 = np.minimum.reduceat(lqx, starts), np.maximum.reduceat(lqx, starts)
+    y0, y1 = np.minimum.reduceat(lqy, starts), np.maximum.reduceat(lqy, starts)
+    # each tile's query box grown by reach; the pad outweighs every rounding
+    # in the box and in d, so no sample that d <= cutoff or d <= exact would
+    # keep is left out
+    with np.errstate(over="ignore"):
+        grow = reach + 1e-9 * (reach + np.abs([x0, x1, y0, y1]).max(axis=0))
+        x0, x1, y0, y1 = x0 - grow, x1 + grow, y0 - grow, y1 + grow
+    xs, ys = xy[:, 0], xy[:, 1]
+    i0, i1 = xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")
+    vals = np.full(live.size, np.nan)
+
+    for t in np.flatnonzero(i1 > i0):
+        # ascending indices keep canonical order within the tile
+        near = i0[t] + np.flatnonzero((ys[i0[t]:i1[t]] >= y0[t])
+                                      & (ys[i0[t]:i1[t]] <= y1[t]))
+        if not near.size:
+            continue
+        sx, sy, sth, srank = xs[near], ys[near], theta[near], rank[near]
+        step = max(1, _CHUNK_CELLS // near.size)
+        for q0 in range(starts[t], ends[t], step):
+            q1 = min(ends[t], q0 + step)
+            d = np.hypot(lqx[q0:q1, None] - sx, lqy[q0:q1, None] - sy)
+            # exact hits get 1/0 weights here and are overwritten just below;
+            # absurdly large thetas may overflow, written as no-data on export
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                w = np.where(d <= params.cutoff_radius_m, d ** -params.power,
+                             0.0)
+                wsum = w.sum(axis=1)
+                np.divide((w * sth).sum(axis=1), wsum, out=vals[q0:q1],
+                          where=wsum > 0)
+            hits = np.flatnonzero((d <= params.exact_radius_m).any(axis=1))
+            if hits.size:
+                tied = d[hits] == d[hits].min(axis=1, keepdims=True)
+                vals[q0 + hits] = sth[
+                    np.where(tied, srank, rank.size).argmin(axis=1)]
+    out[live] = vals
     return out
 
 

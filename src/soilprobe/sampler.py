@@ -28,6 +28,10 @@ from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
 from .errors import FrameError, RangeError, ShapeError, require_finite
 from .sdi12 import RawReading, run_transaction
 
+# most attempts SamplerConfig accepts: from attempt 6 on, attempt k probes
+# where attempt k - 4 did, so more attempts only retry bus faults
+MAX_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -38,8 +42,10 @@ class SamplerConfig:
 
     def __post_init__(self):
         require_finite(self, "target_depth_m", "settle_s", "reposition_offset_m")
-        if type(self.max_attempts) is not int or self.max_attempts < 1:
-            raise ValueError("max_attempts must be an integer >= 1")
+        if (type(self.max_attempts) is not int
+                or not 1 <= self.max_attempts <= MAX_ATTEMPTS):
+            raise ValueError(
+                f"max_attempts must be an integer in [1, {MAX_ATTEMPTS}]")
         if self.target_depth_m < 0:
             raise ValueError("target_depth_m must be >= 0")
         if self.settle_s < 0:

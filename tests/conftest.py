@@ -1,5 +1,5 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
-and the naive interpolation oracle."""
+the naive interpolation oracle and the dense IDW kernel."""
 
 from __future__ import annotations
 
@@ -28,6 +28,31 @@ def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
             num += w * theta[i]
             den += w
     return num / den if den > 0 else float("nan")
+
+
+def idw_dense_reference(xy, theta, rank, qx, qy, power=2.0, cutoff=10.0,
+                        exact=1e-6):
+    """The dense IDW kernel: every query weighs every sample.
+
+    Same arguments as ``geomap._idw`` (samples in canonical order, ranks
+    by id, 1-D queries), with the parameters spelt out.  The library's
+    kernel must agree with it to rounding, and exactly on exact hits.
+    """
+    out = np.full(qx.size, np.nan)
+    step = max(1, 65536 // theta.size)
+    for q0 in range(0, qx.size, step):
+        q1 = min(qx.size, q0 + step)
+        d = np.hypot(qx[q0:q1, None] - xy[:, 0], qy[q0:q1, None] - xy[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            w = np.where(d <= cutoff, d ** -power, 0.0)
+            wsum = w.sum(axis=1)
+            np.divide((w * theta).sum(axis=1), wsum, out=out[q0:q1],
+                      where=wsum > 0)
+        hits = np.flatnonzero((d <= exact).any(axis=1))
+        if hits.size:
+            tied = d[hits] == d[hits].min(axis=1, keepdims=True)
+            out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
+    return out
 
 
 def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,

@@ -167,7 +167,13 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
                    lambda d: d.update(mission={"generate": {
                        "count": "5", "min_spacing_m": 1.0, "seed": 1}}),
                    # finite, but travel time overflows; the writers refuse inf
-                   lambda d: d["mission"].update(speed_mps=5e-324)):
+                   lambda d: d["mission"].update(speed_mps=5e-324),
+                   # 2 * sigma_m ** 2 underflows to 0
+                   lambda d: d["field"].update(blobs=[{
+                       "cx": 2.0, "cy": 2.0, "sigma_m": 5e-324,
+                       "amplitude": 0.1}]),
+                   # with an obstructed waypoint this once looped without end
+                   lambda d: d.update(sampler={"max_attempts": 10 ** 19})):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
         path = tmp_path / "bad.json"
@@ -177,6 +183,38 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
                          "--out-log", str(out)]) == 2
         assert one_line_error(capsys, "simulate: ")
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_far_blob_prints_only_the_summary(tmp_path, capsys):
+    doc = json.loads(small_scenario(tmp_path).read_text())
+    doc["field"]["blobs"] = [{"cx": 1e308, "cy": 2.0, "sigma_m": 3.0,
+                              "amplitude": 0.1}]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out-log", str(tmp_path / "run.jsonl"),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    assert one_line_error(capsys, "simulate: scenario")
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    scn = str(small_scenario(tmp_path))
+    log = str(tmp_path / "run.jsonl")
+    assert cli.main(["simulate", "--config", scn, "--out-log", log,
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (["simulate", "--config", scn, "--out-log", missing],
+                 ["simulate", "--config", scn, "--out-log", log,
+                  "--out-summary", missing],
+                 ["validate", "--log", log, "--out", missing],
+                 ["validate", "--log", log, "--out", str(tmp_path)],
+                 ["map", "--log", log, "--out-points", missing],
+                 ["map", "--log", log, "--out-points",
+                  str(tmp_path / "p.geojson"), "--out-grid", missing]):
+        assert cli.main(argv) == 2
+        assert one_line_error(capsys, f"{argv[0]}: ")
 
 
 def test_mistyped_log_records_exit_3(tmp_path, capsys):

@@ -54,6 +54,18 @@ def test_theta_true_vectorized_matches_scalar():
             assert grid[i, j] == theta_true(spec, x, y)
 
 
+@pytest.mark.filterwarnings("error")
+def test_theta_true_extreme_blobs_print_no_warning():
+    far = make_field(theta=0.2, blobs=[Blob(1e308, 5.0, 3.0, 0.1)])
+    assert theta_true(far, 5.0, 5.0) == 0.2
+    xs = np.linspace(0, 20, 5)
+    assert np.all(theta_true(far, xs[None, :], xs[:, None]) == 0.2)
+    # 2 * sigma_m ** 2 is subnormal: d**2 / it overflows to inf off centre
+    narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, 1e-160, 0.1)])
+    assert theta_true(narrow, 5.0, 5.0) == pytest.approx(0.3, abs=1e-12)
+    assert theta_true(narrow, 6.0, 5.0) == 0.2
+
+
 # -- obstructions -------------------------------------------------------------
 
 
@@ -149,6 +161,9 @@ def test_field_spec_validation():
         FieldSpec(origin_lat=0, origin_lon=0, width_m=1, height_m=1, base_theta=0.2)
     with pytest.raises(ValueError):
         Blob(0, 0, 0.0, 0.1)
+    for sigma in (5e-324, 1e-170):  # 2 * sigma_m ** 2 underflows to 0
+        with pytest.raises(ValueError, match="sigma_m"):
+            Blob(0, 0, sigma, 0.1)
     with pytest.raises(ValueError):
         Disk(0, 0, 0.0)
     for bad in (math.nan, math.inf, -math.inf):

@@ -8,12 +8,12 @@ import pytest
 
 from soilprobe.calib import Validity
 from soilprobe.errors import EmptyInputError
-from soilprobe.geomap import (IdwParams, MoistureGrid, build_grid,
-                              export_grid_ascii, export_points_geojson, idw_at,
-                              samples_to_local)
+from soilprobe.geomap import (IdwParams, MoistureGrid, _as_sample_arrays,
+                              build_grid, export_grid_ascii,
+                              export_points_geojson, idw_at, samples_to_local)
 from soilprobe.sampler import SoilSample
 
-from conftest import idw_oracle
+from conftest import idw_dense_reference, idw_oracle
 
 
 def make_sample(i, lat=45.0, lon=7.5, theta=0.25, status=Validity.VALID,
@@ -140,6 +140,131 @@ def test_grid_cell_containing_sample_echoes_it():
     grid = build_grid(xy, [0.11, 0.44], (0, 0, 10, 10), cell_size_m=5.0)
     assert grid.values[0, 0] == 0.11
     assert grid.values[1, 1] == 0.44
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_queries_are_nodata_without_warnings():
+    xy = [(0.0, 0.0), (1.0, 1.0)]
+    for bad in (math.nan, math.inf, -math.inf):
+        assert math.isnan(idw_at(xy, [0.1, 0.2], bad, 1.0))
+        assert math.isnan(idw_at(xy, [0.1, 0.2], 1.0, bad))
+    # a finite query near the float limit is fine too
+    assert idw_at([(1.7e308, 0.0), (1.0, 1.0)], [0.1, 0.2], 1.7e308, 0.0) == 0.1
+
+
+# -- the tiled kernel against the dense one ---------------------------------------
+
+
+def exact_hit_cells(grid, xy, exact):
+    """Cells whose centre lies within ``exact`` of some sample."""
+    gx, gy = grid.cell_centers()
+    hit = np.zeros(grid.values.shape, dtype=bool)
+    for sx, sy in xy:
+        ix = np.flatnonzero(np.abs(gx - sx) <= exact)
+        iy = np.flatnonzero(np.abs(gy - sy) <= exact)
+        hit[np.ix_(iy, ix)] |= np.hypot(gx[ix] - sx, gy[iy, None] - sy) <= exact
+    return hit
+
+
+def assert_grid_matches_dense(xy, theta, ids, bounds, params, cell):
+    grid = build_grid(xy, theta, bounds, params, cell_size_m=cell, ids=ids)
+    qx, qy = np.meshgrid(*grid.cell_centers())
+    want = idw_dense_reference(
+        *_as_sample_arrays(xy, theta, ids), qx.ravel(), qy.ravel(),
+        params.power, params.cutoff_radius_m,
+        params.exact_radius_m).reshape(grid.values.shape)
+    got = grid.values
+    nodata = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nodata)
+    hit = exact_hit_cells(grid, xy, params.exact_radius_m)
+    assert np.array_equal(got[hit], want[hit])
+    assert np.abs(got - want)[~nodata].max(initial=0.0) <= 1e-12
+    assert export_grid_ascii(grid) == export_grid_ascii(
+        MoistureGrid(grid.origin_x, grid.origin_y, cell, want))
+    return nodata, hit
+
+
+# (width, height, cell, cutoff, exact, origin, samples): binary fractions,
+# so a sample placed ``cutoff`` from a cell centre is exactly that far away
+DYADIC_CASES = [
+    (60.0, 60.0, 0.25, 1.5, 1e-6, (0.0, 0.0), 120),
+    (200.0, 120.0, 2.0, 5.0, 1e-6, (-37.5, 12.25), 400),
+    (100.0, 80.0, 0.5, 2.5, 3.75, (3.5, -20.0), 150),  # exact > cutoff
+    (150.0, 150.0, 1.0, 1.0, 1e-6, (-0.5, -0.5), 300),
+]
+
+
+def sweep_cases():
+    for case in DYADIC_CASES:
+        yield case
+    rng = np.random.default_rng(404)
+    for _ in range(6):
+        width, height = rng.uniform(60.0, 200.0, size=2)
+        # at most 80k cells keeps the dense reference quick
+        cell = max(rng.uniform(0.25, 2.0), math.sqrt(width * height / 80_000))
+        cutoff = rng.uniform(1.0, 5.0)
+        yield (width, height, cell, cutoff, 1e-6,
+               tuple(rng.uniform(-50.0, 50.0, size=2)),
+               int(rng.integers(50, 400)))
+
+
+@pytest.mark.parametrize("case", list(sweep_cases()))
+def test_tiled_kernel_matches_dense_kernel(case):
+    width, height, cell, cutoff, exact, (ox, oy), n = case
+    rng = np.random.default_rng(int(width * 1000 + n))
+    params = IdwParams(cutoff_radius_m=cutoff, exact_radius_m=exact)
+    reach = max(cutoff, exact)
+    bounds = (ox, oy, ox + width, oy + height)
+    nx, ny = math.ceil(width / cell), math.ceil(height / cell)
+    gx = ox + (np.arange(nx) + 0.5) * cell
+    gy = oy + (np.arange(ny) + 0.5) * cell
+
+    scattered = np.column_stack([rng.uniform(ox, ox + width, n),
+                                 rng.uniform(oy, oy + height, n)])
+    k = max(4, n // 10)
+    on_centres = np.column_stack([rng.choice(gx, k), rng.choice(gy, k)])
+    # exactly cutoff away from a cell centre, along each axis
+    at_cutoff = on_centres[: k // 2] + [[cutoff, 0.0]] * (k // 2)
+    at_cutoff = np.vstack([at_cutoff, on_centres[k // 2:] - [[0.0, cutoff]]])
+    # on tile edges: multiples of reach in x, in y, and in both
+    ex = reach * rng.integers(math.ceil(ox / reach),
+                              math.floor((ox + width) / reach) + 1, k)
+    ey = reach * rng.integers(math.ceil(oy / reach),
+                              math.floor((oy + height) / reach) + 1, k)
+    on_edges = np.vstack([np.column_stack([ex, rng.choice(gy, k)]),
+                          np.column_stack([rng.choice(gx, k), ey]),
+                          np.column_stack([ex, ey])])
+    xy = np.vstack([scattered, on_centres, at_cutoff, on_edges])
+    # coincident pairs with their own theta, on cell centres and elsewhere
+    xy = np.vstack([xy, on_centres,
+                    xy[rng.choice(len(xy), k, replace=False)]])
+    theta = rng.uniform(0.05, 0.45, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+    perm = rng.permutation(len(xy))
+
+    nodata, hit = assert_grid_matches_dense(xy[perm], theta[perm], ids[perm],
+                                            bounds, params, cell)
+    # the cutoff prunes, and the exact-hit rule is exercised
+    assert nodata.any() and hit.any()
+
+
+def test_grid_matches_naive_oracle_where_tiles_prune():
+    rng = np.random.default_rng(65)
+    xy = rng.uniform(0, 40, size=(50, 2))
+    theta = rng.uniform(0.05, 0.5, size=50)
+    params = IdwParams(cutoff_radius_m=3.0)
+    grid = build_grid(xy, theta, (0, 0, 40, 40), params, cell_size_m=1.0)
+    gx, gy = grid.cell_centers()
+    worst = 0.0
+    for iy, y in enumerate(gy):
+        for ix, x in enumerate(gx):
+            want = idw_oracle(xy, theta, x, y, cutoff=3.0)
+            got = grid.values[iy, ix]
+            assert math.isnan(want) == math.isnan(got)
+            if not math.isnan(want):
+                worst = max(worst, abs(got - want))
+    assert np.isnan(grid.values).any()
+    assert worst <= 1e-12
 
 
 def test_idw_params_validation():

@@ -7,8 +7,9 @@ from soilprobe.actuator import ActuatorState
 from soilprobe.calib import Validity
 from soilprobe.fieldsim import Disk, SimClock
 from soilprobe.mission import Waypoint
-from soilprobe.sampler import (AttemptRecord, PointResult, SamplerConfig,
-                               attempt_offset, attempt_point, finalize_sample)
+from soilprobe.sampler import (MAX_ATTEMPTS, AttemptRecord, PointResult,
+                               SamplerConfig, attempt_offset, attempt_point,
+                               finalize_sample)
 
 from conftest import (FlakySensor, ScriptedSensor, make_field, make_sensor,
                       measure_frames)
@@ -109,6 +110,13 @@ def test_recovers_after_one_bad_exchange():
     assert [a.validity for a in result.attempts] == [Validity.SENSOR_ERROR,
                                                      Validity.VALID]
     assert result.final is Validity.VALID
+
+
+def test_max_attempts_is_bounded():
+    assert SamplerConfig(max_attempts=MAX_ATTEMPTS).max_attempts == MAX_ATTEMPTS
+    for bad in (0, MAX_ATTEMPTS + 1, 10 ** 19):
+        with pytest.raises(ValueError, match="max_attempts"):
+            SamplerConfig(max_attempts=bad)
 
 
 def test_requires_retracted_actuator():

@@ -138,6 +138,11 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
                  id="settle-inf"),
     pytest.param(_set(("sampler",), {"max_attempts": 2.0}), "max_attempts",
                  id="max-attempts-float"),
+    pytest.param(_set(("sampler",), {"max_attempts": 10 ** 19}), "max_attempts",
+                 id="max-attempts-huge"),
+    pytest.param(_set(("field", "blobs"), [{"cx": 1, "cy": 1, "sigma_m": 5e-324,
+                                            "amplitude": 0.1}]),
+                 "sigma_m", id="blob-sigma-underflow"),
     pytest.param(_set(("actuator",), {"step_rate_hz": math.inf}), "step_rate_hz",
                  id="step-rate-inf"),
     pytest.param(_set(("calib",), {"depth_tol_m": math.nan}), "depth_tol_m",
