@@ -15,6 +15,8 @@ only when its --out flag is omitted.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from collections import Counter
 
@@ -31,19 +33,36 @@ EXIT_FRAME = 5
 def _emit(command: str, *outputs) -> int:
     """Write each (text, path) pair, to stdout when path is None.
 
+    All or nothing: each file is written to a temporary sibling first,
+    and only when every one is written do they replace their paths.
     Returns EXIT_OK, or EXIT_CONFIG after a one-line diagnostic when a
-    path cannot be written.
+    path cannot be written; the temporary files are then removed.
     """
+    staged = []
+    try:
+        for k, (text, path) in enumerate(outputs):
+            if path is None:
+                continue
+            if os.path.isdir(path):
+                # refused here, before any file is replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = f"{path}.{os.getpid()}-{k}.tmp"
+            with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+                staged.append((tmp, path))
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _ in staged:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass  # already renamed into place, or never created
+        _diag(f"{command}: {exc}")
+        return EXIT_CONFIG
     for text, path in outputs:
         if path is None:
             sys.stdout.write(text)
-            continue
-        try:
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _diag(f"{command}: {exc}")
-            return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -44,10 +44,16 @@ class Blob:
         require_finite(self, "cx", "cy", "sigma_m", "amplitude")
         if self.sigma_m <= 0:
             raise ValueError("sigma_m must be > 0")
-        # theta_true divides by 2 * sigma_m ** 2, which must not underflow
-        # to 0; the test is kept to sigma_m < 1, where ** cannot overflow
-        if self.sigma_m < 1 and not 2.0 * self.sigma_m ** 2 > 0:
+        # theta_true divides by 2 * sigma_m ** 2, which must neither
+        # underflow to 0 nor overflow
+        try:
+            spread = 2.0 * self.sigma_m ** 2
+        except OverflowError:
+            spread = math.inf
+        if spread == 0:
             raise ValueError("sigma_m is so small that 2 * sigma_m ** 2 is 0")
+        if spread == math.inf:
+            raise ValueError("sigma_m is so large that 2 * sigma_m ** 2 overflows")
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,11 @@ class Disk:
         require_finite(self, "cx", "cy", "radius_m")
         if self.radius_m <= 0:
             raise ValueError("radius_m must be > 0")
+        try:
+            self.radius_m ** 2
+        except OverflowError:
+            raise ValueError("radius_m is so large that radius_m ** 2 "
+                             "overflows") from None
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,9 @@ class FieldSpec:
             raise ValueError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(self, "obstructions", tuple(self.obstructions))
+        object.__setattr__(self, "_obstruction_index",
+                           _index_disks(self.obstructions,
+                                        self.width_m * self.height_m))
 
     def rng(self) -> np.random.Generator:
         """Fresh generator for one mission execution."""
@@ -114,11 +128,75 @@ def theta_true(spec: FieldSpec, x, y):
     return float(theta) if theta.ndim == 0 else theta
 
 
+# -- Obstruction index ---------------------------------------------------------
+#
+# A uniform grid over the plane.  Each disk is listed in every cell that
+# its bounding square, grown by the rounding reach below, overlaps, so a
+# query tests only the disks of its own cell.  A disk that would cover
+# more than _MAX_DISK_CELLS cells goes on a list every query tests
+# instead, which bounds the index at _MAX_DISK_CELLS entries per disk.
+
+_MAX_DISK_CELLS = 16
+_CELL_LIMIT = 2 ** 40    # far and non-finite coordinates share the edge cells
+
+
+def _cell(q: float) -> int:
+    """floor(q), clamped to +-_CELL_LIMIT; NaN maps to -_CELL_LIMIT.
+
+    Monotone in q, so a point inside a disk's bounding square always
+    falls in one of the cells the square was listed in.
+    """
+    if -_CELL_LIMIT < q < _CELL_LIMIT:
+        return math.floor(q)
+    return _CELL_LIMIT if q > 0 else -_CELL_LIMIT
+
+
+def _index_disks(disks: tuple[Disk, ...], area_m2: float):
+    """(cell size, {(i, j): disks listed there}, disks every query tests).
+
+    The cell is the larger of the field's area per disk and the median
+    disk diameter, so at least half the disks cover at most 3 x 3 cells.
+    """
+    if not disks:
+        return 1.0, {}, []
+    radii = sorted(d.radius_m for d in disks)
+    size = max(math.sqrt(area_m2 / len(disks)), 2.0 * radii[len(radii) // 2])
+    cells: dict[tuple[int, int], list[Disk]] = {}
+    scanned: list[Disk] = []
+    for d in disks:
+        # the rounded test in obstruction_at accepts no point further than
+        # this from the centre along either axis; the absolute term covers
+        # subnormal squares, which pass points up to 5e-162 beyond the rim
+        reach = d.radius_m * (1.0 + 1e-9) + 1e-160
+        i0, i1 = _cell((d.cx - reach) / size), _cell((d.cx + reach) / size)
+        j0, j1 = _cell((d.cy - reach) / size), _cell((d.cy + reach) / size)
+        if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_DISK_CELLS:
+            scanned.append(d)
+            continue
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                cells.setdefault((i, j), []).append(d)
+    return size, cells, scanned
+
+
 def obstruction_at(spec: FieldSpec, x: float, y: float) -> float | None:
-    """Depth at which the probe stalls at (x, y), or None for clear soil."""
-    for d in spec.obstructions:
-        if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
-            return STALL_DEPTH_M
+    """Depth at which the probe stalls at (x, y), or None for clear soil.
+
+    A point is obstructed when ``(x - cx) ** 2 + (y - cy) ** 2 <=
+    radius_m ** 2`` for some disk.  Only the disks listed in the query's
+    cell of the spec's obstruction index, and the few too big to list,
+    are tested, which gives the same answer as testing every disk.  A
+    squared distance that overflows is a miss, so a disk far out never
+    obstructs, and NaN or infinite queries are never obstructed.
+    """
+    size, cells, scanned = spec._obstruction_index
+    for disks in (cells.get((_cell(x / size), _cell(y / size)), ()), scanned):
+        for d in disks:
+            try:
+                if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
+                    return STALL_DEPTH_M
+            except OverflowError:
+                pass  # beyond the largest float, so beyond radius_m ** 2
     return None
 
 
@@ -149,8 +227,7 @@ def sense_raw_air(spec: FieldSpec, rng: np.random.Generator) -> float:
 
 # -- Geo-referencing ---------------------------------------------------------
 #
-# Equirectangular projection about the field origin.  Over the ~20 m
-# extents simulated here the curvature error is sub-millimetre.
+# Equirectangular projection about the field origin.
 
 
 def local_to_wgs84_at(origin_lat: float, origin_lon: float,

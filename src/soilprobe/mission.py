@@ -83,14 +83,18 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
                        max_trials: int = REJECTION_TRIAL_LIMIT) -> list[Waypoint]:
     """Draw ``count`` points with pairwise spacing >= ``min_spacing_m``.
 
-    Plain rejection sampling: uniform draws over the field, rejected
-    when closer than the spacing to any accepted point.  Deterministic
-    under ``seed``, a non-negative int.  Raises InfeasibleError once
-    ``max_trials`` draws fail to place all points.
+    Rejection sampling: uniform draws over the field, rejected when
+    closer than the spacing to any accepted point.  A background grid
+    (Bridson 2007) keeps the accepted points by cell, so each draw is
+    compared only with the points in the cells within reach of it; the
+    results are those of comparing it with every accepted point.
+    Deterministic under ``seed``, a non-negative int.  Raises
+    InfeasibleError once ``max_trials`` draws fail to place all points.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
-    1..count in that order.
+    1..count in that order; of equally near points the one accepted
+    first comes first.
     """
     if type(count) is not int or count < 1:
         raise ValueError("count must be an integer >= 1")
@@ -99,7 +103,15 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     if type(min_spacing_m) not in (int, float) or not 0 <= min_spacing_m < math.inf:
         raise ValueError("min_spacing_m must be finite and >= 0")
     rng = np.random.default_rng(seed)
+    width, height = field.width_m, field.height_m
     spacing_sq = min_spacing_m * min_spacing_m
+    # the rounded spacing test rejects no pair further apart than this
+    # along either axis; the absolute term covers subnormal squares, which
+    # reject pairs up to 5e-162 further apart than the spacing
+    reach = min_spacing_m * (1.0 + 1e-9) + 1e-160
+    # at most 1024 cells per axis, so every cell index is a small int
+    size = max(min_spacing_m, width / 1024, height / 1024) or 1.0
+    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
     accepted: list[tuple[float, float]] = []
     trials = 0
     while len(accepted) < count:
@@ -107,22 +119,47 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
             raise InfeasibleError(
                 f"placed {len(accepted)} of {count} points after {trials} "
                 f"draws; spacing {min_spacing_m} m does not fit "
-                f"{field.width_m} x {field.height_m} m")
+                f"{width} x {height} m")
         trials += 1
-        x = rng.uniform(0.0, field.width_m)
-        y = rng.uniform(0.0, field.height_m)
-        if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq for ax, ay in accepted):
+        x = rng.uniform(0.0, width)
+        y = rng.uniform(0.0, height)
+        columns = range(math.floor(max(x - reach, 0.0) / size),
+                        math.floor(min(x + reach, width) / size) + 1)
+        rows = range(math.floor(max(y - reach, 0.0) / size),
+                     math.floor(min(y + reach, height) / size) + 1)
+        if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq
+               for i in columns for j in rows for ax, ay in grid.get((i, j), ())):
             accepted.append((x, y))
+            grid.setdefault((math.floor(x / size), math.floor(y / size)),
+                            []).append((x, y))
+    return [Waypoint(i + 1, *accepted[k])
+            for i, k in enumerate(_nearest_neighbour_tour(accepted))]
 
-    ordered: list[tuple[float, float]] = []
+
+def _nearest_neighbour_tour(points: list[tuple[float, float]]) -> list[int]:
+    """Indices of ``points`` in greedy nearest-neighbour order from (0, 0).
+
+    Each step takes the remaining point with the least ``(x - cx) ** 2 +
+    (y - cy) ** 2``, the lowest index on ties.  numpy squares by
+    multiplying, which can differ from Python's ``** 2`` in the last
+    bit, so the numpy keys only shortlist the points within a relative
+    1e-12 of the least one, and the Python keys decide among those.
+    """
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    order: list[int] = []
     cx, cy = 0.0, 0.0
-    remaining = list(accepted)
-    while remaining:
-        nearest = min(remaining, key=lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2)
-        remaining.remove(nearest)
-        ordered.append(nearest)
-        cx, cy = nearest
-    return [Waypoint(i + 1, x, y) for i, (x, y) in enumerate(ordered)]
+    for _ in points:
+        with np.errstate(over="ignore"):
+            key = (xs - cx) ** 2 + (ys - cy) ** 2
+            # taken points have NaN keys, which fmin and <= both pass over
+            bound = np.fmin.reduce(key) * (1.0 + 1e-12) + 1e-300
+        best = min(np.flatnonzero(key <= bound).tolist(),
+                   key=lambda k: (points[k][0] - cx) ** 2 + (points[k][1] - cy) ** 2)
+        xs[best] = np.nan
+        order.append(best)
+        cx, cy = points[best]
+    return order
 
 
 def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:

@@ -1,5 +1,6 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
-the naive interpolation oracle and the dense IDW kernel."""
+the naive interpolation oracle, the dense IDW kernel and the linear
+waypoint and obstruction references."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
-from soilprobe.fieldsim import FieldSpec, VirtualTeros
+from soilprobe.errors import InfeasibleError
+from soilprobe.fieldsim import STALL_DEPTH_M, FieldSpec, VirtualTeros
+from soilprobe.mission import REJECTION_TRIAL_LIMIT, Waypoint
 
 
 def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
@@ -53,6 +56,49 @@ def idw_dense_reference(xy, theta, rank, qx, qy, power=2.0, cutoff=10.0,
             tied = d[hits] == d[hits].min(axis=1, keepdims=True)
             out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
     return out
+
+
+def generate_waypoints_reference(field, count, min_spacing_m, seed,
+                                 max_trials=REJECTION_TRIAL_LIMIT):
+    """The quadratic waypoint generator: every draw is compared with every
+    accepted point, and each tour step scans every remaining point.
+
+    ``mission.generate_waypoints`` must return the same waypoints and
+    raise the same InfeasibleError message (argument checks aside).
+    """
+    rng = np.random.default_rng(seed)
+    spacing_sq = min_spacing_m * min_spacing_m
+    accepted: list[tuple[float, float]] = []
+    trials = 0
+    while len(accepted) < count:
+        if trials >= max_trials:
+            raise InfeasibleError(
+                f"placed {len(accepted)} of {count} points after {trials} "
+                f"draws; spacing {min_spacing_m} m does not fit "
+                f"{field.width_m} x {field.height_m} m")
+        trials += 1
+        x = rng.uniform(0.0, field.width_m)
+        y = rng.uniform(0.0, field.height_m)
+        if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq for ax, ay in accepted):
+            accepted.append((x, y))
+
+    ordered: list[tuple[float, float]] = []
+    cx, cy = 0.0, 0.0
+    remaining = list(accepted)
+    while remaining:
+        nearest = min(remaining, key=lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2)
+        remaining.remove(nearest)
+        ordered.append(nearest)
+        cx, cy = nearest
+    return [Waypoint(i + 1, x, y) for i, (x, y) in enumerate(ordered)]
+
+
+def obstruction_at_reference(spec, x, y):
+    """The linear scan: test the point against every disk of the spec."""
+    for d in spec.obstructions:
+        if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
+            return STALL_DEPTH_M
+    return None
 
 
 def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -183,6 +184,19 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
                          "--out-log", str(out)]) == 2
         assert one_line_error(capsys, "simulate: ")
         assert not out.exists()
+    # squares that overflow are refused by name, not met in theta_true or
+    # obstruction_at as "(34, 'Numerical result out of range')"
+    for key, entry, prefix in (
+            ("blobs", {"cx": 2.0, "cy": 2.0, "sigma_m": 1e200, "amplitude": 0.1},
+             "simulate: field.blobs: sigma_m is so large"),
+            ("obstructions", {"cx": 2.0, "cy": 2.0, "radius_m": 1e200},
+             "simulate: field.obstructions: radius_m is so large")):
+        bad = json.loads(json.dumps(doc))
+        bad["field"][key] = [entry]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert one_line_error(capsys, prefix)
 
 
 @pytest.mark.filterwarnings("error")
@@ -196,6 +210,25 @@ def test_simulate_far_blob_prints_only_the_summary(tmp_path, capsys):
                      "--out-log", str(tmp_path / "run.jsonl"),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
     assert one_line_error(capsys, "simulate: scenario")
+
+
+def test_simulate_far_disk_prints_only_the_summary(tmp_path, capsys):
+    # a disk 1e200 m out never obstructs, as a blob that far never wets
+    plain = tmp_path / "plain"
+    far = tmp_path / "far"
+    doc = json.loads((resources.files("soilprobe") / "scenarios"
+                      / "paper_field.json").read_text())
+    doc["field"]["obstructions"].append({"cx": 1e200, "cy": 2.0, "radius_m": 0.5})
+    path = tmp_path / "paper_field_far.json"
+    path.write_text(json.dumps(doc))
+    for config, out in (("paper_field", plain), (str(path), far)):
+        out.mkdir()
+        assert cli.main(["simulate", "--config", config,
+                         "--out-log", str(out / "run.jsonl"),
+                         "--out-summary", str(out / "s.json")]) == 0
+        assert one_line_error(capsys, "simulate: scenario")
+    for name in ("run.jsonl", "s.json"):
+        assert (far / name).read_bytes() == (plain / name).read_bytes()
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, capsys):
@@ -215,6 +248,26 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
                   str(tmp_path / "p.geojson"), "--out-grid", missing]):
         assert cli.main(argv) == 2
         assert one_line_error(capsys, f"{argv[0]}: ")
+    # all or nothing: a failed later output leaves an earlier path as it
+    # was, absent or not, and no temporary file stays behind
+    fresh = tmp_path / "fresh"
+    for old in (None, "old"):
+        if old:
+            fresh.write_text(old)
+        before = sorted(tmp_path.iterdir())
+        for argv in (["simulate", "--config", scn, "--out-log", str(fresh),
+                      "--out-summary", missing],
+                     ["map", "--log", log, "--out-points", str(fresh),
+                      "--out-grid", missing],
+                     ["map", "--log", log, "--out-points", str(fresh),
+                      "--out-grid", str(tmp_path)]):
+            assert cli.main(argv) == 2
+            assert one_line_error(capsys, f"{argv[0]}: ")
+            assert sorted(tmp_path.iterdir()) == before
+    assert fresh.read_text() == "old"
+    assert cli.main(["simulate", "--config", scn, "--out-log", str(fresh),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    assert fresh.read_bytes() == (tmp_path / "run.jsonl").read_bytes()
 
 
 def test_mistyped_log_records_exit_3(tmp_path, capsys):

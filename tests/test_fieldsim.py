@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from soilprobe import sdi12
+from soilprobe import fieldsim, sdi12
 from soilprobe.calib import raw_to_vwc
 from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 THETA_TRUE_MAX, Blob, Disk, FieldSpec,
@@ -14,7 +14,8 @@ from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 obstruction_at, sense_raw, sense_raw_air,
                                 theta_true, wgs84_to_local)
 
-from conftest import make_field, make_sensor, measure_frames
+from conftest import (make_field, make_sensor, measure_frames,
+                      obstruction_at_reference)
 
 CROSSOVER_RAW = 0.6956 / 3.879e-4
 
@@ -76,6 +77,111 @@ def test_obstruction_membership():
     # boundary is inclusive
     assert obstruction_at(spec, 6.0, 5.0) == STALL_DEPTH_M
     assert obstruction_at(spec, 6.0 + 1e-9, 5.0) is None
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def rim_queries(disks):
+    """Each disk's four axis rim points, a step either side of them, and,
+    for radii 5/8 and 5/4, rim points off the axes (3-4-5 triangles),
+    all exact in binary."""
+    for d in disks:
+        r = d.radius_m
+        offsets = [(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]
+        if r in (0.625, 1.25):
+            offsets += [(sx * r * 0.6, sy * r * 0.8) for sx in (1, -1) for sy in (1, -1)]
+        for dx, dy in offsets:
+            x, y = d.cx + dx, d.cy + dy
+            yield x, y
+            yield math.nextafter(x, math.inf), y
+            yield math.nextafter(x, -math.inf), y
+            yield x, math.nextafter(y, math.inf)
+            yield x, math.nextafter(y, -math.inf)
+
+
+def assert_index_matches_linear_scan(spec, queries):
+    for x, y in queries:
+        expected = obstruction_at_reference(spec, x, y)
+        assert obstruction_at(spec, x, y) == expected, (x, y)
+    for x in (*NON_FINITE, 0.5, -3.0):
+        for y in (*NON_FINITE, 0.5):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                assert obstruction_at(spec, x, y) is None, (x, y)
+    size, cells, scanned = spec._obstruction_index
+    assert sum(map(len, cells.values())) <= (
+        fieldsim._MAX_DISK_CELLS * (len(spec.obstructions) - len(scanned)))
+
+
+def test_obstruction_index_matches_linear_scan_on_cell_edges():
+    # more than half the disks have radius 0.5 and the field holds less
+    # than 1 m2 per disk, so the cells are 1 m and their edges sit on the
+    # integers.  The disks do not overlap; each is centred on an edge, or
+    # touches one or two edges with its rim, or lies inside one cell.
+    offsets = (0.0, 0.5, 0.25, 0.75)
+    disks = [Disk(3 * i + offsets[(i + j) % 4], 3 * j + offsets[(i * j + 1) % 4], 0.5)
+             for i in range(-2, 6) for j in range(-2, 6)]
+    disks += [Disk(30 + 4 * i + 0.5 * (i % 2), 4 * j - 0.25 * (j % 3), r)
+              for i, r in enumerate((0.125, 0.625, 1.25, 1.0)) for j in range(8)]
+    big = [Disk(60 + 8 * i, 8.0, 2.5) for i in range(4)] + [Disk(300, 300, 40.0)]
+    spec = make_field(width=4.0, height=4.0, obstructions=disks + big)
+    size, _, scanned = spec._obstruction_index
+    assert size == 1.0 and scanned == big
+    rng = np.random.default_rng(11)
+    grid = [(i / 16, j / 16) for i in range(-112, 1400, 3) for j in range(-112, 496, 5)]
+    random = rng.uniform(-8.0, 100.0, size=(4000, 2)).tolist()
+    assert_index_matches_linear_scan(
+        spec, [*rim_queries(disks + big), *grid, *random])
+
+
+def test_obstruction_index_covers_subnormal_squares():
+    # radius_m ** 2 = 1e-320 is subnormal, so the test passes points up to
+    # about 2e-4 radii beyond the rim; each rim stops 1e-6 radii short of
+    # a cell edge, and the points just past the edge must still stall
+    r = 1e-160
+    size = 2.0 * r
+    disks = [Disk(k * size - r * (1 + 1e-6), 0.0, r) for k in range(1, 9)]
+    spec = make_field(width=r, height=r, obstructions=disks)
+    assert spec._obstruction_index[0] == size
+    queries = [(k * size * (1 + j * 1e-6), 0.0) for k in range(1, 9) for j in range(50)]
+    assert any(obstruction_at_reference(spec, x, y) for x, y in queries)
+    assert_index_matches_linear_scan(spec, queries)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_obstruction_index_matches_linear_scan_on_random_specs(seed):
+    rng = np.random.default_rng(seed)
+    width = float(rng.choice([5.0, 60.5, 1000.0]))
+    count = int(rng.choice([1, 7, 300]))
+    disks = [Disk(*rng.uniform(-0.1 * width, 1.1 * width, size=2).tolist(),
+                  float(10 ** rng.uniform(-2, 0.7)))
+             for _ in range(count)]
+    spec = make_field(width=width, height=width, obstructions=disks)
+    # retry offsets can put queries below 0 and past the far edges
+    queries = rng.uniform(-0.2 * width, 1.2 * width, size=(3000, 2)).tolist()
+    assert_index_matches_linear_scan(spec, [*rim_queries(disks), *queries])
+
+
+def test_obstruction_index_without_disks():
+    spec = make_field()
+    assert_index_matches_linear_scan(spec, [(0.0, 0.0), (-1.0, 3.5), (1e300, 5.0)])
+
+
+def test_far_and_huge_disks_stay_bounded():
+    # the linear scan raises OverflowError on a disk 1e200 m out; the
+    # index never lists it near the field, and a squared distance that
+    # overflows is a miss
+    far = Disk(1e200, 5.0, 0.5)
+    huge = Disk(2.0, 2.0, 1e150)
+    stone = Disk(5.0, 5.0, 1.0)
+    spec = make_field(obstructions=[far, stone])
+    assert obstruction_at(spec, 5.0, 5.0) == STALL_DEPTH_M
+    assert obstruction_at(spec, 15.0, 5.0) is None
+    assert obstruction_at(spec, 1e200, 5.0) == STALL_DEPTH_M
+    spec = make_field(obstructions=[far, stone, huge])
+    assert spec._obstruction_index[2] == [huge]
+    assert obstruction_at(spec, 15.0, 5.0) == STALL_DEPTH_M
+    assert obstruction_at(spec, 1e300, -1e300) is None
 
 
 # -- inverse sensor model ------------------------------------------------------
@@ -162,10 +268,16 @@ def test_field_spec_validation():
     with pytest.raises(ValueError):
         Blob(0, 0, 0.0, 0.1)
     for sigma in (5e-324, 1e-170):  # 2 * sigma_m ** 2 underflows to 0
-        with pytest.raises(ValueError, match="sigma_m"):
+        with pytest.raises(ValueError, match="sigma_m is so small"):
+            Blob(0, 0, sigma, 0.1)
+    for sigma in (1e154, 1e200):  # 2 * sigma_m ** 2 overflows
+        with pytest.raises(ValueError, match="sigma_m is so large"):
             Blob(0, 0, sigma, 0.1)
     with pytest.raises(ValueError):
         Disk(0, 0, 0.0)
+    for radius in (1e155, 1e200):  # radius_m ** 2 overflows
+        with pytest.raises(ValueError, match="radius_m is so large"):
+            Disk(0, 0, radius)
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("theta", "noise", "width", "height"):
             with pytest.raises(ValueError, match="finite"):

@@ -9,6 +9,7 @@ import pytest
 
 from soilprobe.calib import Validity
 from soilprobe.errors import DegenerateError, InfeasibleError, LogFormatError
+from soilprobe import mission
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
@@ -18,7 +19,7 @@ from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                sample_to_dict, select_valid, write_sample_log,
                                write_summary)
 
-from conftest import make_field
+from conftest import generate_waypoints_reference, make_field
 
 
 # -- waypoint generation -------------------------------------------------------
@@ -58,6 +59,74 @@ def test_generate_waypoints_deterministic_and_tourlike():
     # emitted in nearest-neighbour order from the origin
     first = min(a, key=lambda w: w.x ** 2 + w.y ** 2)
     assert a[0] == first
+
+
+# (width, height, count, spacing, seed)
+WAYPOINT_SWEEP = [
+    (20.0, 20.0, 95, 1.0, 4242),
+    (100.0, 37.0, 300, 2.0, 1),
+    (100.0, 100.0, 250, 2, 2),         # an int spacing
+    (0.5, 300.0, 150, 0.25, 3),
+    (3.0, 3.0, 40, 0.3, 4),
+    (20.0, 20.0, 200, 0.0, 5),
+    (20.0, 20.0, 200, 5e-324, 6),      # spacing_sq underflows to 0
+    (20.0, 20.0, 200, 1e-160, 7),      # spacing_sq is subnormal
+    (100.0, 100.0, 200, 1e-6, 8),      # cells set by the extent, not the spacing
+    (1e6, 1e6, 150, 5e4, 9),
+    (1e-3, 1e-3, 60, 1e-4, 10),
+    (10.0, 10.0, 1, 1e300, 11),
+    (7.0, 5.0, 2, 5.0, 12),            # spacing as wide as the field
+]
+
+
+@pytest.mark.parametrize("width,height,count,spacing,seed", WAYPOINT_SWEEP)
+def test_generate_waypoints_matches_quadratic_reference(width, height, count,
+                                                        spacing, seed):
+    field = make_field(width=width, height=height)
+    for s in range(seed, seed + 3):
+        expected = generate_waypoints_reference(field, count, spacing, s)
+        assert generate_waypoints(field, count, spacing, s) == expected
+
+
+# (width, height, count, spacing, seed, max_trials)
+INFEASIBLE_SWEEP = [
+    (2.0, 2.0, 1000, 1.0, 3, 20_000),
+    (10.0, 10.0, 2, 1e300, 1, 1000),
+    (20.0, 20.0, 400, 1.0, 2, 5000),
+    (5.0, 5.0, 30, 1.0, 0, 20),
+    (1.0, 1.0, 5, 0.0, 4, 4),
+]
+
+
+@pytest.mark.parametrize("width,height,count,spacing,seed,max_trials",
+                         INFEASIBLE_SWEEP)
+def test_generate_waypoints_infeasible_matches_reference(width, height, count,
+                                                         spacing, seed, max_trials):
+    field = make_field(width=width, height=height)
+    with pytest.raises(InfeasibleError) as expected:
+        generate_waypoints_reference(field, count, spacing, seed, max_trials)
+    with pytest.raises(InfeasibleError) as got:
+        generate_waypoints(field, count, spacing, seed, max_trials)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("points,order", [
+    ([(3.0, 4.0), (5.0, 0.0), (0.0, 5.0), (4.0, 3.0)], [0, 3, 1, 2]),
+    ([(1.0, 1.0), (2.0, 2.0), (1.0, 1.0)], [0, 2, 1]),
+    # numpy's x * x keys of the first two are equal, and of the next two
+    # put the first nearer the origin; Python's ** 2 keys, which decide,
+    # put the second nearer in both pairs
+    ([(0.6629591047443686, 2.9258306898104243),
+      (0.3217719193568289, 2.9826938884024656)], None),
+    ([(0.3357497907385406, 2.9811528102428806),
+      (1.392514441297946, 2.6572360698245587)], None),
+])
+def test_tour_takes_the_first_of_equally_near_points(points, order):
+    if order is None:
+        nearest = min(range(len(points)),
+                      key=lambda k: points[k][0] ** 2 + points[k][1] ** 2)
+        order = [nearest, 1 - nearest]
+    assert mission._nearest_neighbour_tour(points) == order
 
 
 # -- convex hull ----------------------------------------------------------------

@@ -1,42 +1,44 @@
-"""The benchmark's tracer and the demos keep working against the package.
+"""The benchmark's tracer, its workloads and the demos keep working
+against the package.
 
 ``perfbench/tracing.py`` looks up package attributes by name and reads
 ``VirtualTeros.trace``; a rename inside the package would only show up
 when ``perfbench/run.py --trace 1`` runs.  These tests load the tracer
-from its file (without editing it) and run the demos that write no
-files.
+and the workload builder from their files (without editing them), and
+run the demos that write no files.
 """
 
 import importlib.util
+import json
 import runpy
 from pathlib import Path
 
 import pytest
 
-from soilprobe import mission
+from soilprobe import mission, scenario
 from soilprobe.mission import MissionConfig, Waypoint
 
-from conftest import make_field
+from conftest import generate_waypoints_reference, make_field
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_attribute_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for owner, attr, name in tracing.TRACED:
         assert callable(getattr(owner, attr, None)), name
 
 
 def test_tracer_counts_trace_frames_after_run_mission():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     cfg = MissionConfig(field=make_field(), waypoints=(Waypoint(1, 2.0, 2.0),
                                                        Waypoint(2, 5.0, 2.0)))
     tracer = tracing.Tracer()
@@ -49,6 +51,20 @@ def test_tracer_counts_trace_frames_after_run_mission():
     exchanges = sum(1 for span in tracer.spans if span[0] == "fieldsim.exchange")
     assert len(samples) == 2
     assert tracer.counts["trace_frames"] == exchanges == 4  # aM! + aD0! each
+
+
+def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
+    # ties the benchmark's generated layout, pinned by its golden hashes,
+    # to the reference generator
+    workloads = load_perfbench("workloads")
+    run = workloads.build("survey_1k", workloads.DEFAULT_SEED, ROOT, tmp_path)
+    scn = scenario.load_scenario(run["config"])
+    generate = json.loads(Path(run["config"]).read_text())["mission"]["generate"]
+    expected = generate_waypoints_reference(
+        scn.mission.field, generate["count"], generate["min_spacing_m"],
+        generate["seed"])
+    assert len(expected) == 1000
+    assert list(scn.mission.waypoints) == expected
 
 
 @pytest.mark.parametrize("script", [
