@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 from collections import Counter
 
@@ -33,22 +34,43 @@ EXIT_FRAME = 5
 def _emit(command: str, *outputs) -> int:
     """Write each (text, path) pair, to stdout when path is None.
 
-    All or nothing: each file is written to a temporary sibling first,
-    and only when every one is written do they replace their paths.
-    Returns EXIT_OK, or EXIT_CONFIG after a one-line diagnostic when a
-    path cannot be written; the temporary files are then removed.
+    All or nothing for files.  A path that is absent or leads, through
+    any symlinks, to a regular file is written to a temporary file
+    beside that file, which keeps the file's mode.  Any other existing
+    path, a device such as /dev/null or a FIFO, is written through once
+    the temporary files are written.  Only when every output is written
+    do the temporary files replace their files.  Returns EXIT_OK, or
+    EXIT_CONFIG after a one-line diagnostic when a path cannot be
+    written; the temporary files are then removed, so no regular file
+    has changed.
     """
-    staged = []
+    staged, through = [], []
+    path = None
     try:
-        for k, (text, path) in enumerate(outputs):
+        for text, path in outputs:
             if path is None:
                 continue
-            if os.path.isdir(path):
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and stat.S_ISDIR(mode):
                 # refused here, before any file is replaced
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            tmp = f"{path}.{os.getpid()}-{k}.tmp"
-            with open(tmp, "x", encoding="ascii", newline="\n") as fh:
-                staged.append((tmp, path))
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if mode is not None and not stat.S_ISREG(mode):
+                through.append((text, path))
+                continue
+            real = os.path.realpath(path)
+            head, tail = os.path.split(real)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, real))
+            with open(fd, "w", encoding="ascii", newline="\n") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fh.write(text)
+        for text, path in through:
+            with open(path, "w", encoding="ascii", newline="\n") as fh:
                 fh.write(text)
         for tmp, path in staged:
             os.replace(tmp, path)
@@ -57,8 +79,8 @@ def _emit(command: str, *outputs) -> int:
             try:
                 os.remove(tmp)
             except OSError:
-                pass  # already renamed into place, or never created
-        _diag(f"{command}: {exc}")
+                pass  # already moved into place
+        _diag(f"{command}: {path}: {exc.strerror or exc}")
         return EXIT_CONFIG
     for text, path in outputs:
         if path is None:

@@ -100,9 +100,11 @@ class FieldSpec:
             raise ValueError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(self, "obstructions", tuple(self.obstructions))
+        # float() first: int sides too big for a float quotient give an
+        # infinite area, hence one cell, where int division would raise
+        area_m2 = float(self.width_m) * float(self.height_m)
         object.__setattr__(self, "_obstruction_index",
-                           _index_disks(self.obstructions,
-                                        self.width_m * self.height_m))
+                           _index_disks(self.obstructions, area_m2))
 
     def rng(self) -> np.random.Generator:
         """Fresh generator for one mission execution."""

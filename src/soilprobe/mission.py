@@ -100,7 +100,13 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
         raise ValueError("count must be an integer >= 1")
     if type(seed) is not int or seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if type(min_spacing_m) not in (int, float) or not 0 <= min_spacing_m < math.inf:
+    try:
+        # an int beyond float range would overflow the float arithmetic below
+        finite = (type(min_spacing_m) in (int, float)
+                  and 0 <= float(min_spacing_m) < math.inf)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError("min_spacing_m must be finite and >= 0")
     rng = np.random.default_rng(seed)
     width, height = field.width_m, field.height_m

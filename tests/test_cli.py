@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from importlib import resources
 
 import pytest
@@ -186,13 +188,19 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
         assert not out.exists()
     # squares that overflow are refused by name, not met in theta_true or
     # obstruction_at as "(34, 'Numerical result out of range')"
-    for key, entry, prefix in (
-            ("blobs", {"cx": 2.0, "cy": 2.0, "sigma_m": 1e200, "amplitude": 0.1},
+    for mutate, prefix in (
+            (lambda d: d["field"].update(blobs=[{
+                "cx": 2.0, "cy": 2.0, "sigma_m": 1e200, "amplitude": 0.1}]),
              "simulate: field.blobs: sigma_m is so large"),
-            ("obstructions", {"cx": 2.0, "cy": 2.0, "radius_m": 1e200},
-             "simulate: field.obstructions: radius_m is so large")):
+            (lambda d: d["field"].update(obstructions=[{
+                "cx": 2.0, "cy": 2.0, "radius_m": 1e200}]),
+             "simulate: field.obstructions: radius_m is so large"),
+            # an int spacing beyond float range is refused, not overflowed
+            (lambda d: d.update(mission={"generate": {
+                "count": 1, "min_spacing_m": 10 ** 400, "seed": 1}}),
+             "simulate: mission.generate: min_spacing_m must be finite")):
         bad = json.loads(json.dumps(doc))
-        bad["field"][key] = [entry]
+        mutate(bad)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli.main(["simulate", "--config", str(path)]) == 2
@@ -268,6 +276,35 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", scn, "--out-log", str(fresh),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
     assert fresh.read_bytes() == (tmp_path / "run.jsonl").read_bytes()
+
+
+def test_outputs_write_through_devices_and_symlinks(tmp_path, capsys):
+    scn = str(small_scenario(tmp_path))
+    log = tmp_path / "run.jsonl"
+    summary = str(tmp_path / "s.json")
+    missing = str(tmp_path / "missing" / "out")
+    # a device is written through, never swapped for a regular file
+    for argv, code in ((["simulate", "--config", scn, "--out-log", os.devnull,
+                         "--out-summary", summary], 0),
+                       (["simulate", "--config", scn, "--out-log", str(log),
+                         "--out-summary", os.devnull], 0),
+                       (["map", "--log", str(log), "--out-points", os.devnull,
+                         "--out-grid", os.devnull], 0),
+                       (["simulate", "--config", scn, "--out-log", os.devnull,
+                         "--out-summary", missing], 2)):
+        assert cli.main(argv) == code
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+    capsys.readouterr()
+    # a symlink stays a symlink, its target takes the output and keeps its mode
+    target = tmp_path / "target.jsonl"
+    target.write_text("old")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    assert cli.main(["simulate", "--config", scn, "--out-log", str(link),
+                     "--out-summary", summary]) == 0
+    assert link.is_symlink() and target.read_bytes() == log.read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
 
 
 def test_mistyped_log_records_exit_3(tmp_path, capsys):

@@ -295,6 +295,12 @@ def test_field_spec_validation():
     for seed in (-1, 1.0, "7", True, None):
         with pytest.raises(ValueError, match="seed"):
             make_field(seed=seed)
+    # int sides whose int area over the disk count no float can hold make
+    # an infinite area, hence one index cell
+    vast = make_field(width=10 ** 200, height=10 ** 200,
+                      obstructions=[Disk(2.0, 2.0, 1.0)])
+    assert obstruction_at(vast, 2.5, 2.0) == obstruction_at_reference(vast, 2.5, 2.0)
+    assert obstruction_at(vast, 5.0, 5.0) is None
 
 
 # -- simulated clock -----------------------------------------------------------

@@ -41,6 +41,9 @@ def test_generate_waypoints_spacing_by_brute_force():
 def test_generate_waypoints_single_point():
     wps = generate_waypoints(make_field(), 1, 1.0, seed=1)
     assert len(wps) == 1 and wps[0].id == 1
+    # an int spacing no float can hold is refused, not overflowed
+    with pytest.raises(ValueError, match="min_spacing_m"):
+        generate_waypoints(make_field(), 1, 10 ** 400, seed=1)
 
 
 def test_generate_waypoints_infeasible():
@@ -75,6 +78,7 @@ WAYPOINT_SWEEP = [
     (1e6, 1e6, 150, 5e4, 9),
     (1e-3, 1e-3, 60, 1e-4, 10),
     (10.0, 10.0, 1, 1e300, 11),
+    (10.0, 10.0, 1, 10 ** 300, 13),    # an int spacing near the float limit
     (7.0, 5.0, 2, 5.0, 12),            # spacing as wide as the field
 ]
 
