@@ -28,6 +28,7 @@ STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
 AIR_RAW_MEAN = 200.0     # RAW counts of a probe left in air
 SOIL_TEMP_C = 24.0       # passthrough constants: thermal and EC fields
 SOIL_EC_US_CM = 150.0    # are not modelled
+MEASURE_DELAY_S = 0      # seconds the sensor acknowledges on aM!
 EARTH_RADIUS_M = 6_371_000.0
 
 
@@ -285,11 +286,10 @@ class VirtualTeros:
     """
 
     def __init__(self, spec: FieldSpec, rng: np.random.Generator,
-                 address: str = "0", measure_delay_s: int = 0):
+                 address: str = "0"):
         self.spec = spec
         self.rng = rng
         self.address = address
-        self.measure_delay_s = int(measure_delay_s)
         self.trace: list[bytes] = []
         self._staged: tuple[float, float, float] | None = None
         self._x = 0.0
@@ -323,7 +323,7 @@ class VirtualTeros:
                 raw = sense_raw_air(self.spec, self.rng)
             self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
             return sdi12.encode_measure_ack(
-                sdi12.MeasureAck(self.address, self.measure_delay_s, 3))
+                sdi12.MeasureAck(self.address, MEASURE_DELAY_S, 3))
         # SEND_DATA: only index 0 carries values, and only once per M
         if cmd.index != 0 or self._staged is None:
             return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))

@@ -108,8 +108,12 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
         finite = False
     if not finite:
         raise ValueError("min_spacing_m must be finite and >= 0")
-    rng = np.random.default_rng(seed)
     width, height = field.width_m, field.height_m
+    # no squared distance between two points of the field exceeds this
+    if not math.isfinite(width * width + height * height):
+        raise ValueError(f"a field of {width} x {height} m is so large that "
+                         f"squared distances across it overflow")
+    rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
     # the rounded spacing test rejects no pair further apart than this
     # along either axis; the absolute term covers subnormal squares, which

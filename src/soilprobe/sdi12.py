@@ -3,7 +3,7 @@ TEROS-12-class soil probe, plus the measure-then-read transaction
 sequencer.
 
 Commands are ASCII frames terminated by '!'; responses are ASCII frames
-terminated by CR LF.  The implemented subset:
+terminated by CR LF.  The implemented subset and its replies:
 
     ?!              address query
     a!              acknowledge active
@@ -14,7 +14,10 @@ terminated by CR LF.  The implemented subset:
 where ``a`` is one address character from 0-9, a-z, A-Z, ``ttt`` is the
 measurement delay in seconds (3 digits), ``n`` the number of values the
 sensor will return (1 digit), and each ``<sv>`` is a decimal number with
-a mandatory leading '+' or '-'.
+a mandatory leading '+' or '-' and no exponent: ``[+-](d+(.d+)?|.d+)``,
+at most 9 of them per frame.  Each of the three frame kinds (command,
+measure ack, data frame) is one compiled bytes pattern below, and a
+parser is one match of it plus a conversion.
 
 Example:
     >>> encode_command(Command(Verb.START_MEASUREMENT, "0"))
@@ -26,7 +29,12 @@ Example:
 
 Parsing is total: any byte sequence either decodes to a typed value or
 raises :class:`~soilprobe.errors.FrameError` (or ShapeError/RangeError
-at the reading-decode stage); nothing else escapes.
+at the reading-decode stage); nothing else escapes.  Every FrameError
+names a byte: its ``position`` is where the match of the grammar stops,
+the offset of the first element (address, verb, field, value or
+terminator) that the frame gets wrong, or the frame's length when the
+frame ends early.  A value too large for a float is rejected at its
+sign.
 """
 
 from __future__ import annotations
@@ -44,11 +52,37 @@ RESPONSE_TERMINATOR = b"\r\n"
 
 ADDRESS_CHARS = frozenset(string.digits + string.ascii_letters)
 
-# unsigned decimal: "150", "24.3", ".5" -- no exponent, no trailing dot
-_DECIMAL_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)\Z")
-
 # values a data frame can hold before the sensor must split across D0..D9
 MAX_VALUES_PER_FRAME = 9
+
+# deadline for a reply the sensor owes at once; see run_transaction
+BASE_TIMEOUT_S = 1.0
+
+# The grammar, one pattern per frame kind.  Every element after the
+# address may be missing, and one the grammar requires nests the
+# elements after it, so a match stops at the first element the frame
+# gets wrong and only a whole frame reaches the terminator (see _match).
+_COMMAND = re.compile(
+    rb"(?:\?|(?P<address>[0-9A-Za-z])(?P<verb>[IM]|D(?P<index>\d))?)!?")
+_MEASURE_ACK = re.compile(
+    rb"(?P<address>[0-9A-Za-z])(?:(?P<delay>\d{3})(?:(?P<count>\d)(?:\r\n)?)?)?")
+_VALUE = re.compile(rb"[+-](?:\d+(?:\.\d+)?|\.\d+)")
+_DATA_RESPONSE = re.compile(
+    rb"(?P<address>[0-9A-Za-z])(?P<values>(?:%s){0,%d})(?:\r\n)?"
+    % (_VALUE.pattern, MAX_VALUES_PER_FRAME))
+
+
+def _match(grammar: re.Pattern, frame: bytes, terminator: bytes,
+           kind: str) -> re.Match:
+    """Match a whole frame, or raise FrameError where the match stops."""
+    frame = bytes(frame)
+    match = grammar.match(frame)
+    stop = match.end() if match else 0
+    if stop < len(frame):
+        raise FrameError(f"{kind}: unexpected {frame[stop:stop + 1]!r}", position=stop)
+    if not frame.endswith(terminator):
+        raise FrameError(f"{kind} ends early", position=stop)
+    return match
 
 
 def _check_address(address: str) -> str:
@@ -66,6 +100,10 @@ class Verb(Enum):
     IDENTIFY = "identify"
     START_MEASUREMENT = "start_measurement"
     SEND_DATA = "send_data"
+
+
+# verbs by their letter in a command frame; SEND_DATA also carries an index
+_VERBS = {None: Verb.ACKNOWLEDGE, b"I": Verb.IDENTIFY, b"M": Verb.START_MEASUREMENT}
 
 
 @dataclass(frozen=True)
@@ -111,29 +149,13 @@ def parse_command(frame: bytes) -> Command:
 
     Raises FrameError for anything outside the implemented subset.
     """
-    frame = bytes(frame)
-    if len(frame) < 2:
-        raise FrameError(f"command frame too short ({len(frame)} bytes)", position=0)
-    if frame[-1:] != COMMAND_TERMINATOR:
-        raise FrameError("command frame must end with '!'", position=len(frame) - 1)
-    try:
-        body = frame[:-1].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FrameError("command frame is not ASCII", position=exc.start) from None
-
-    if body == "?":
+    match = _match(_COMMAND, frame, COMMAND_TERMINATOR, "command frame")
+    address, verb, index = match.group("address", "verb", "index")
+    if address is None:
         return Command(Verb.ADDRESS_QUERY)
-    if body[0] not in ADDRESS_CHARS:
-        raise FrameError(f"invalid address character {body[0]!r}", position=0)
-    if len(body) == 1:
-        return Command(Verb.ACKNOWLEDGE, body[0])
-    if len(body) == 2 and body[1] == "I":
-        return Command(Verb.IDENTIFY, body[0])
-    if len(body) == 2 and body[1] == "M":
-        return Command(Verb.START_MEASUREMENT, body[0])
-    if len(body) == 3 and body[1] == "D" and body[2] in string.digits:
-        return Command(Verb.SEND_DATA, body[0], index=int(body[2]))
-    raise FrameError(f"unrecognized command body {body!r}", position=1)
+    if index is not None:
+        return Command(Verb.SEND_DATA, address.decode("ascii"), index=int(index))
+    return Command(_VERBS[verb], address.decode("ascii"))
 
 
 # -- Measurement acknowledge ("atttn") ---------------------------------------
@@ -161,21 +183,9 @@ def encode_measure_ack(ack: MeasureAck) -> bytes:
 
 def parse_measure_ack(frame: bytes) -> MeasureAck:
     """Decode an "atttn\\r\\n" measurement acknowledge (exactly 7 bytes)."""
-    frame = bytes(frame)
-    if len(frame) != 7:
-        raise FrameError(f"measure ack must be 7 bytes, got {len(frame)}")
-    if frame[-2:] != RESPONSE_TERMINATOR:
-        raise FrameError("measure ack must end with CR LF", position=5)
-    try:
-        body = frame[:-2].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FrameError("measure ack is not ASCII", position=exc.start) from None
-    if body[0] not in ADDRESS_CHARS:
-        raise FrameError(f"invalid address character {body[0]!r}", position=0)
-    for i, ch in enumerate(body[1:], start=1):
-        if ch not in string.digits:
-            raise FrameError(f"non-digit {ch!r} in delay/count field", position=i)
-    return MeasureAck(body[0], delay_s=int(body[1:4]), value_count=int(body[4]))
+    match = _match(_MEASURE_ACK, frame, RESPONSE_TERMINATOR, "measure ack")
+    address, delay, count = match.group("address", "delay", "count")
+    return MeasureAck(address.decode("ascii"), delay_s=int(delay), value_count=int(count))
 
 
 # -- Data response ("a<+v><+v>...") ------------------------------------------
@@ -218,42 +228,19 @@ def encode_data_response(resp: DataResponse) -> bytes:
 def parse_data_response(frame: bytes) -> DataResponse:
     """Decode a CR-LF-terminated data frame into address plus signed values.
 
-    The payload is split at sign characters; every value must carry an
-    explicit '+' or '-' and parse as a plain decimal.
+    Every value must carry an explicit '+' or '-' and be a plain decimal
+    that a float can hold.
     """
-    frame = bytes(frame)
-    if len(frame) < 3:
-        raise FrameError(f"data frame too short ({len(frame)} bytes)", position=0)
-    if frame[-2:] != RESPONSE_TERMINATOR:
-        raise FrameError("data frame must end with CR LF", position=len(frame) - 2)
-    try:
-        body = frame[:-2].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FrameError("data frame is not ASCII", position=exc.start) from None
-    if body[0] not in ADDRESS_CHARS:
-        raise FrameError(f"invalid address character {body[0]!r}", position=0)
-
-    payload = body[1:]
-    if payload and payload[0] not in "+-":
-        raise FrameError("first value is missing its sign", position=1)
-
+    match = _match(_DATA_RESPONSE, frame, RESPONSE_TERMINATOR, "data frame")
+    start, end = match.span("values")
     values = []
-    token_start = None  # index into body of the current token's sign
-    for i in range(1, len(body) + 1):
-        at_end = i == len(body)
-        if at_end or body[i] in "+-":
-            if token_start is not None:
-                token = body[token_start + 1:i]
-                if not _DECIMAL_RE.match(token):
-                    raise FrameError(f"malformed value {body[token_start:i]!r}",
-                                     position=token_start)
-                values.append(float(body[token_start:i]))
-            if not at_end:
-                token_start = i
-    if len(values) > MAX_VALUES_PER_FRAME:
-        raise FrameError(f"more than {MAX_VALUES_PER_FRAME} values in one frame",
-                         position=1)
-    return DataResponse(body[0], tuple(values))
+    for value in _VALUE.findall(match.string, start, end):
+        number = float(value)
+        if math.isinf(number):
+            raise FrameError("data frame: value too large for a float", position=start)
+        values.append(number)
+        start += len(value)
+    return DataResponse(match["address"].decode("ascii"), tuple(values))
 
 
 # -- Sensor reading ----------------------------------------------------------
@@ -291,13 +278,12 @@ def decode_reading(resp: DataResponse) -> RawReading:
 # -- Transaction sequencer ---------------------------------------------------
 
 
-def run_transaction(sensor, address: str = "0", *, clock=None,
-                    base_timeout_s: float = 1.0) -> RawReading:
+def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
     """Run exactly one measure-then-read cycle against a sensor handle.
 
     ``sensor`` must expose ``exchange(frame: bytes) -> bytes | None``;
     ``None`` means the sensor stayed silent past the deadline.  The
-    deadline for each exchange is ``2 * known_delay + base_timeout_s``
+    deadline for each exchange is ``2 * known_delay + BASE_TIMEOUT_S``
     seconds, where the delay is 0 for the M command and the acknowledged
     delay for the D command.
 
@@ -309,14 +295,12 @@ def run_transaction(sensor, address: str = "0", *, clock=None,
     Raises FrameError/ShapeError/RangeError on malformed replies and
     TimeoutError on silence.
     """
-    _check_address(address)
-
     reply = sensor.exchange(encode_command(Command(Verb.START_MEASUREMENT, address)))
     if reply is None:
         if clock is not None:
-            clock.advance(base_timeout_s)
+            clock.advance(BASE_TIMEOUT_S)
         raise TimeoutError(f"sensor {address!r} silent on measure command "
-                           f"for {base_timeout_s} s")
+                           f"for {BASE_TIMEOUT_S} s")
     ack = parse_measure_ack(reply)
     if ack.address != address:
         raise FrameError(f"measure ack from address {ack.address!r}, "
@@ -324,7 +308,7 @@ def run_transaction(sensor, address: str = "0", *, clock=None,
     if clock is not None:
         clock.advance(ack.delay_s)
 
-    deadline = 2 * ack.delay_s + base_timeout_s
+    deadline = 2 * ack.delay_s + BASE_TIMEOUT_S
     reply = sensor.exchange(encode_command(Command(Verb.SEND_DATA, address, index=0)))
     if reply is None:
         if clock is not None:

@@ -1,17 +1,23 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
-the naive interpolation oracle, the dense IDW kernel and the linear
-waypoint and obstruction references."""
+the naive interpolation oracle, the dense IDW kernel, the linear
+waypoint and obstruction references and the hand-written SDI-12
+parsers."""
 
 from __future__ import annotations
 
 import math
+import re
+import string
 
 import numpy as np
 import pytest
 
-from soilprobe.errors import InfeasibleError
+from soilprobe.errors import FrameError, InfeasibleError
 from soilprobe.fieldsim import STALL_DEPTH_M, FieldSpec, VirtualTeros
 from soilprobe.mission import REJECTION_TRIAL_LIMIT, Waypoint
+from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
+                             MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
+                             Command, DataResponse, MeasureAck, Verb)
 
 
 def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
@@ -99,6 +105,107 @@ def obstruction_at_reference(spec, x, y):
         if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
             return STALL_DEPTH_M
     return None
+
+
+# -- SDI-12 parsers, one hand-written scanner per frame kind ------------------
+#
+# The codec's grammar patterns must accept exactly the frames these accept
+# and decode them to equal values.  A value too large for a float is the
+# one difference: these let DataResponse raise ValueError on it, where the
+# codec raises FrameError.
+
+# unsigned decimal: "150", "24.3", ".5" -- no exponent, no trailing dot
+_DECIMAL_RE = re.compile(r"(?:\d+(?:\.\d+)?|\.\d+)\Z")
+
+
+def parse_command_reference(frame: bytes) -> Command:
+    """Decode a '!'-terminated command frame.
+
+    Raises FrameError for anything outside the implemented subset.
+    """
+    frame = bytes(frame)
+    if len(frame) < 2:
+        raise FrameError(f"command frame too short ({len(frame)} bytes)", position=0)
+    if frame[-1:] != COMMAND_TERMINATOR:
+        raise FrameError("command frame must end with '!'", position=len(frame) - 1)
+    try:
+        body = frame[:-1].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FrameError("command frame is not ASCII", position=exc.start) from None
+
+    if body == "?":
+        return Command(Verb.ADDRESS_QUERY)
+    if body[0] not in ADDRESS_CHARS:
+        raise FrameError(f"invalid address character {body[0]!r}", position=0)
+    if len(body) == 1:
+        return Command(Verb.ACKNOWLEDGE, body[0])
+    if len(body) == 2 and body[1] == "I":
+        return Command(Verb.IDENTIFY, body[0])
+    if len(body) == 2 and body[1] == "M":
+        return Command(Verb.START_MEASUREMENT, body[0])
+    if len(body) == 3 and body[1] == "D" and body[2] in string.digits:
+        return Command(Verb.SEND_DATA, body[0], index=int(body[2]))
+    raise FrameError(f"unrecognized command body {body!r}", position=1)
+
+
+def parse_measure_ack_reference(frame: bytes) -> MeasureAck:
+    """Decode an "atttn\\r\\n" measurement acknowledge (exactly 7 bytes)."""
+    frame = bytes(frame)
+    if len(frame) != 7:
+        raise FrameError(f"measure ack must be 7 bytes, got {len(frame)}")
+    if frame[-2:] != RESPONSE_TERMINATOR:
+        raise FrameError("measure ack must end with CR LF", position=5)
+    try:
+        body = frame[:-2].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FrameError("measure ack is not ASCII", position=exc.start) from None
+    if body[0] not in ADDRESS_CHARS:
+        raise FrameError(f"invalid address character {body[0]!r}", position=0)
+    for i, ch in enumerate(body[1:], start=1):
+        if ch not in string.digits:
+            raise FrameError(f"non-digit {ch!r} in delay/count field", position=i)
+    return MeasureAck(body[0], delay_s=int(body[1:4]), value_count=int(body[4]))
+
+
+def parse_data_response_reference(frame: bytes) -> DataResponse:
+    """Decode a CR-LF-terminated data frame into address plus signed values.
+
+    The payload is split at sign characters; every value must carry an
+    explicit '+' or '-' and parse as a plain decimal.
+    """
+    frame = bytes(frame)
+    if len(frame) < 3:
+        raise FrameError(f"data frame too short ({len(frame)} bytes)", position=0)
+    if frame[-2:] != RESPONSE_TERMINATOR:
+        raise FrameError("data frame must end with CR LF", position=len(frame) - 2)
+    try:
+        body = frame[:-2].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FrameError("data frame is not ASCII", position=exc.start) from None
+    if body[0] not in ADDRESS_CHARS:
+        raise FrameError(f"invalid address character {body[0]!r}", position=0)
+
+    payload = body[1:]
+    if payload and payload[0] not in "+-":
+        raise FrameError("first value is missing its sign", position=1)
+
+    values = []
+    token_start = None  # index into body of the current token's sign
+    for i in range(1, len(body) + 1):
+        at_end = i == len(body)
+        if at_end or body[i] in "+-":
+            if token_start is not None:
+                token = body[token_start + 1:i]
+                if not _DECIMAL_RE.match(token):
+                    raise FrameError(f"malformed value {body[token_start:i]!r}",
+                                     position=token_start)
+                values.append(float(body[token_start:i]))
+            if not at_end:
+                token_start = i
+    if len(values) > MAX_VALUES_PER_FRAME:
+        raise FrameError(f"more than {MAX_VALUES_PER_FRAME} values in one frame",
+                         position=1)
+    return DataResponse(body[0], tuple(values))
 
 
 def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,

@@ -198,7 +198,12 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
             # an int spacing beyond float range is refused, not overflowed
             (lambda d: d.update(mission={"generate": {
                 "count": 1, "min_spacing_m": 10 ** 400, "seed": 1}}),
-             "simulate: mission.generate: min_spacing_m must be finite")):
+             "simulate: mission.generate: min_spacing_m must be finite"),
+            # the tour's squared distances would overflow
+            (lambda d: (d["field"].update(width_m=1e200, height_m=1e200),
+                        d.update(mission={"generate": {
+                            "count": 5, "min_spacing_m": 1.0, "seed": 1}})),
+             "simulate: mission.generate: a field of 1e+200 x 1e+200 m is so large")):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
         path = tmp_path / "bad.json"
@@ -351,6 +356,12 @@ def test_codec_frame_error_exits_5(capsys):
     assert cli.main(["codec", "--parse", "30580d0a21"]) == 5
     assert "codec:" in capsys.readouterr().err
     assert cli.main(["codec", "--encode", "0X"]) == 5
+
+
+def test_codec_value_too_large_for_a_float_exits_5(capsys):
+    frame = b"0+1" + b"0" * 400 + b"\r\n"
+    assert cli.main(["codec", "--parse", frame.hex()]) == 5
+    assert one_line_error(capsys, "codec: data frame: value too large for a float at byte 1")
 
 
 def test_codec_bad_hex_exits_2(capsys):

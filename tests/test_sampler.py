@@ -81,6 +81,14 @@ def test_silent_sensor_records_sensor_errors():
     assert result.actuator.position_steps == 0
 
 
+def test_reply_value_too_large_for_a_float_is_a_sensor_error():
+    overflow = b"0+1" + b"0" * 400 + b"\r\n"
+    result, _ = run_point(make_field(), sensor=ScriptedSensor(
+        [b"00003\r\n", overflow] + [b"00003\r\n", b"0+2000+24+150\r\n"]))
+    assert [a.validity for a in result.attempts] == [Validity.SENSOR_ERROR,
+                                                     Validity.VALID]
+
+
 def test_reading_absent_iff_sensor_error():
     field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)])
     for sensor in (None, ScriptedSensor([]),):

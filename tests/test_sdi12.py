@@ -6,7 +6,9 @@ are cross-checked by the encode/parse round-trip oracle.
 
 import doctest
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from soilprobe import sdi12
@@ -18,7 +20,12 @@ from soilprobe.sdi12 import (Command, DataResponse, MeasureAck, RawReading,
                              format_value, parse_command, parse_data_response,
                              parse_measure_ack, run_transaction)
 
-from conftest import ScriptedSensor
+from conftest import (ScriptedSensor, parse_command_reference,
+                      parse_data_response_reference,
+                      parse_measure_ack_reference)
+
+# a reply value no float holds: float() gives inf
+OVERFLOW = b"0+1" + b"0" * 400 + b"\r\n"
 
 
 def test_module_doctests():
@@ -126,10 +133,117 @@ def test_data_response_round_trip_examples():
     b"\xc3\xa90+1\r\n",     # not ASCII
     b"0+1+2+3+4+5+6+7+8+9+10\r\n",  # ten values
     b"0+1",                 # no terminator
+    pytest.param(OVERFLOW, id="overflow"),
 ])
 def test_parse_data_response_rejects(frame):
     with pytest.raises(FrameError):
         parse_data_response(frame)
+
+
+# where the match of the grammar stops: the first element the frame gets
+# wrong, or the frame's length when it ends early
+@pytest.mark.parametrize("parser,frame,position", [
+    (parse_command, b"", 0),
+    (parse_command, b"!", 0),
+    (parse_command, b"0M", 2),
+    (parse_command, b"0m!", 1),
+    (parse_command, b"0X!", 1),
+    (parse_command, b"??!", 1),
+    (parse_command, b"0D!", 1),
+    (parse_command, b"0Dx!", 1),
+    (parse_command, b"0D00!", 3),
+    (parse_command, b"\xff!", 0),
+    (parse_command, b"0M!\r\n", 3),
+    (parse_measure_ack, b"0A013\r\n", 1),
+    (parse_measure_ack, b"0001\r\n", 4),
+    (parse_measure_ack, b"000013\r\n", 5),
+    (parse_measure_ack, b"00013\n\r", 5),
+    (parse_measure_ack, b"00013\r ", 5),
+    (parse_measure_ack, b"!0013\r\n", 0),
+    (parse_measure_ack, b"0001x\r\n", 4),
+    (parse_measure_ack, b"000A3\r\n", 1),  # the delay field, not its bad digit
+    (parse_data_response, b"0123\r\n", 1),
+    (parse_data_response, b"0+\r\n", 1),
+    (parse_data_response, b"0++5\r\n", 1),
+    (parse_data_response, b"0+5..5\r\n", 3),
+    (parse_data_response, b"0+5.\r\n", 3),
+    (parse_data_response, b"0+1e3\r\n", 3),
+    (parse_data_response, b"0+1 2\r\n", 3),
+    (parse_data_response, b"\xc3\xa90+1\r\n", 0),
+    (parse_data_response, b"0+1+2+3+4+5+6+7+8+9+10\r\n", 19),
+    (parse_data_response, b"0+1", 3),
+    pytest.param(parse_data_response, OVERFLOW, 1, id="overflow"),
+])
+def test_frame_error_names_the_rejected_byte(parser, frame, position):
+    with pytest.raises(FrameError) as info:
+        parser(frame)
+    assert info.value.position == position
+
+
+def _fuzzed_frames(rng, count):
+    """Criterion-4-style frames: valid frames of each kind, random bytes,
+    and valid frames with one byte replaced, inserted or deleted, with a
+    run of digits no float holds, or with the values of two data frames."""
+    addresses = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    alphabet = b"09aZ?!IMD+-.e \r\n\xff"
+    commands, acks, data = [], [], []
+    for _ in range(1000):
+        address = addresses[rng.integers(len(addresses))]
+        commands.append(encode_command(Command(
+            list(Verb)[rng.integers(len(Verb))], address, index=int(rng.integers(10)))))
+        acks.append(encode_measure_ack(MeasureAck(
+            address, int(rng.integers(1000)), int(rng.integers(10)))))
+        data.append(encode_data_response(DataResponse(address, tuple(
+            round(float(rng.uniform(-99_999.0, 99_999.0)), int(rng.integers(7)))
+            for _ in range(rng.integers(10))))))
+    valid = commands + acks + data
+    pool = rng.integers(0, 256, size=16 * count, dtype=np.uint8).tobytes()
+    for i in range(count):
+        frame = bytearray(valid[rng.integers(len(valid))])
+        at = int(rng.integers(len(frame)))
+        kind = i % 8
+        if kind == 1:
+            frame = pool[16 * i:16 * i + rng.integers(16)]
+        elif kind == 2:
+            frame[at] = int(rng.integers(256))
+        elif kind == 3:
+            frame[at] = alphabet[rng.integers(len(alphabet))]
+        elif kind == 4:
+            frame.insert(at, alphabet[rng.integers(len(alphabet))])
+        elif kind == 5:
+            del frame[at]
+        elif kind == 6:
+            frame[at:at] = b"9" * 310
+        elif kind == 7:
+            frame = data[rng.integers(len(data))][:-2] + data[rng.integers(len(data))][1:]
+        yield bytes(frame)
+
+
+def test_parsers_agree_with_the_hand_written_references():
+    pairs = ((parse_command, parse_command_reference),
+             (parse_measure_ack, parse_measure_ack_reference),
+             (parse_data_response, parse_data_response_reference))
+    seen = Counter()
+    for frame in _fuzzed_frames(np.random.default_rng(606), 20_000):
+        for parser, reference in pairs:
+            try:
+                expected = repr(reference(frame))
+            except FrameError:
+                expected = FrameError
+            except ValueError as exc:
+                # the one difference: a value no float holds
+                assert "non-finite" in str(exc)
+                expected = FrameError
+                seen["overflow"] += 1
+            try:
+                got = repr(parser(frame))
+            except FrameError as exc:
+                assert type(exc.position) is int
+                got = FrameError
+            assert got == expected, (parser.__name__, frame)
+            seen[parser.__name__, got is FrameError] += 1
+    # every parser both accepted and rejected frames, some for overflow
+    assert min(seen.values()) >= 100 and len(seen) == 7
 
 
 @pytest.mark.parametrize("value,text", [
