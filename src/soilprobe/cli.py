@@ -199,13 +199,22 @@ def cmd_codec(args) -> int:
 
 
 def _parse_any(frame: bytes):
-    """Decode a frame as command, measure ack, or data response."""
+    """Decode a frame as command, measure ack, or data response.
+
+    A reply both parsers reject raises the error of the one whose
+    grammar got further into the frame, the data parser's on a tie.
+    """
     if frame.endswith(sdi12.COMMAND_TERMINATOR):
         return sdi12.parse_command(frame)
     try:
         return sdi12.parse_measure_ack(frame)
-    except FrameError:
-        return sdi12.parse_data_response(frame)
+    except FrameError as ack_error:
+        try:
+            return sdi12.parse_data_response(frame)
+        except FrameError as data_error:
+            if ack_error.position > data_error.position:
+                raise ack_error from None
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:

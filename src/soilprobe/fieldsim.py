@@ -15,6 +15,7 @@ owned by the caller; identical seeds reproduce identical behaviour.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -322,10 +323,19 @@ class VirtualTeros:
             else:
                 raw = sense_raw_air(self.spec, self.rng)
             self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
-            return sdi12.encode_measure_ack(
-                sdi12.MeasureAck(self.address, MEASURE_DELAY_S, 3))
-        # SEND_DATA: only index 0 carries values, and only once per M
+            return _measure_ack_reply(self.address)
+        # SEND_DATA: only index 0 carries values, and only once per M.  The
+        # address is the command's, so only RAW is left for DataResponse's
+        # checks to refuse: noise wide enough to overflow it.
         if cmd.index != 0 or self._staged is None:
-            return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
+            return sdi12.encode_data_response(sdi12._data_response(self.address, ()))
         values, self._staged = self._staged, None
-        return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
+        if not math.isfinite(values[0]):
+            raise ValueError(f"non-finite value {values[0]!r} cannot go on the wire")
+        return sdi12.encode_data_response(sdi12._data_response(self.address, values))
+
+
+@functools.lru_cache(maxsize=len(sdi12.ADDRESS_CHARS))
+def _measure_ack_reply(address: str) -> bytes:
+    """The reply to aM!: RAW, temperature and EC after MEASURE_DELAY_S."""
+    return sdi12.encode_measure_ack(sdi12.MeasureAck(address, MEASURE_DELAY_S, 3))

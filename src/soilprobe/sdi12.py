@@ -35,10 +35,22 @@ the offset of the first element (address, verb, field, value or
 terminator) that the frame gets wrong, or the frame's length when the
 frame ends early.  A value too large for a float is rejected at its
 sign.
+
+Work whose answer cannot change is done once.  ``parse_command`` and
+``parse_measure_ack`` are memoised on the frame's bytes, in bounded
+``functools.lru_cache`` memos that keep results only, so a rejected
+frame raises a fresh FrameError every time and grows no memo.
+``run_transaction`` builds the ``aM!`` and ``aD0!`` frames once per
+address, after checking the address.  The public constructors of
+:class:`Command`, :class:`MeasureAck` and :class:`DataResponse` check
+every field; ``parse_data_response`` builds its result through a
+private constructor that skips those checks, because the grammar and
+its overflow test have already made them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
@@ -57,6 +69,10 @@ MAX_VALUES_PER_FRAME = 9
 
 # deadline for a reply the sensor owes at once; see run_transaction
 BASE_TIMEOUT_S = 1.0
+
+# entries each parse memo keeps: far more distinct frames than a mission
+# sends, and a bound no input can push past
+_PARSE_MEMO_SIZE = 256
 
 # The grammar, one pattern per frame kind.  Every element after the
 # address may be missing, and one the grammar requires nests the
@@ -149,6 +165,11 @@ def parse_command(frame: bytes) -> Command:
 
     Raises FrameError for anything outside the implemented subset.
     """
+    return _parse_command(bytes(frame))
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_command(frame: bytes) -> Command:
     match = _match(_COMMAND, frame, COMMAND_TERMINATOR, "command frame")
     address, verb, index = match.group("address", "verb", "index")
     if address is None:
@@ -183,6 +204,11 @@ def encode_measure_ack(ack: MeasureAck) -> bytes:
 
 def parse_measure_ack(frame: bytes) -> MeasureAck:
     """Decode an "atttn\\r\\n" measurement acknowledge (exactly 7 bytes)."""
+    return _parse_measure_ack(bytes(frame))
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_measure_ack(frame: bytes) -> MeasureAck:
     match = _match(_MEASURE_ACK, frame, RESPONSE_TERMINATOR, "measure ack")
     address, delay, count = match.group("address", "delay", "count")
     return MeasureAck(address.decode("ascii"), delay_s=int(delay), value_count=int(count))
@@ -208,6 +234,18 @@ class DataResponse:
                 raise ValueError(f"non-finite value {v!r} cannot go on the wire")
 
 
+def _data_response(address: str, values: tuple[float, ...]) -> DataResponse:
+    """A DataResponse built without its checks, for a caller that has made them.
+
+    ``address`` must be one address character and ``values`` a tuple of
+    at most MAX_VALUES_PER_FRAME finite floats.
+    """
+    resp = object.__new__(DataResponse)
+    object.__setattr__(resp, "address", address)
+    object.__setattr__(resp, "values", values)
+    return resp
+
+
 def format_value(value: float) -> str:
     """Canonical signed wire text for one value.
 
@@ -221,7 +259,7 @@ def format_value(value: float) -> str:
 
 
 def encode_data_response(resp: DataResponse) -> bytes:
-    payload = "".join(format_value(v) for v in resp.values)
+    payload = "".join(map(format_value, resp.values))
     return f"{resp.address}{payload}\r\n".encode("ascii")
 
 
@@ -240,7 +278,7 @@ def parse_data_response(frame: bytes) -> DataResponse:
             raise FrameError("data frame: value too large for a float", position=start)
         values.append(number)
         start += len(value)
-    return DataResponse(match["address"].decode("ascii"), tuple(values))
+    return _data_response(match["address"].decode("ascii"), tuple(values))
 
 
 # -- Sensor reading ----------------------------------------------------------
@@ -278,6 +316,13 @@ def decode_reading(resp: DataResponse) -> RawReading:
 # -- Transaction sequencer ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=len(ADDRESS_CHARS))
+def _transaction_frames(address: str) -> tuple[bytes, bytes]:
+    """The aM! and aD0! frames for a checked address."""
+    return (encode_command(Command(Verb.START_MEASUREMENT, address)),
+            encode_command(Command(Verb.SEND_DATA, address, index=0)))
+
+
 def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
     """Run exactly one measure-then-read cycle against a sensor handle.
 
@@ -292,10 +337,12 @@ def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
     the expired deadline, so simulated missions account for sensor time
     without sleeping.
 
-    Raises FrameError/ShapeError/RangeError on malformed replies and
+    Raises ValueError for a bad address, before any frame is sent,
+    FrameError/ShapeError/RangeError on malformed replies and
     TimeoutError on silence.
     """
-    reply = sensor.exchange(encode_command(Command(Verb.START_MEASUREMENT, address)))
+    measure, send_data = _transaction_frames(_check_address(address))
+    reply = sensor.exchange(measure)
     if reply is None:
         if clock is not None:
             clock.advance(BASE_TIMEOUT_S)
@@ -309,7 +356,7 @@ def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
         clock.advance(ack.delay_s)
 
     deadline = 2 * ack.delay_s + BASE_TIMEOUT_S
-    reply = sensor.exchange(encode_command(Command(Verb.SEND_DATA, address, index=0)))
+    reply = sensor.exchange(send_data)
     if reply is None:
         if clock is not None:
             clock.advance(deadline)

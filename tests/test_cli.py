@@ -203,7 +203,10 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
             (lambda d: (d["field"].update(width_m=1e200, height_m=1e200),
                         d.update(mission={"generate": {
                             "count": 5, "min_spacing_m": 1.0, "seed": 1}})),
-             "simulate: mission.generate: a field of 1e+200 x 1e+200 m is so large")):
+             "simulate: mission.generate: a field of 1e+200 x 1e+200 m is so large"),
+            # noise this wide overflows a RAW reading, which no frame carries
+            (lambda d: d["field"].update(noise_sigma_raw=1.7976931348623157e308),
+             "simulate: non-finite value inf cannot go on the wire")):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
         path = tmp_path / "bad.json"
@@ -362,6 +365,16 @@ def test_codec_value_too_large_for_a_float_exits_5(capsys):
     frame = b"0+1" + b"0" * 400 + b"\r\n"
     assert cli.main(["codec", "--parse", frame.hex()]) == 5
     assert one_line_error(capsys, "codec: data frame: value too large for a float at byte 1")
+
+
+def test_codec_names_the_parser_that_got_furthest(capsys):
+    # a near-miss ack: the ack grammar stops at the bad terminator, byte 5,
+    # where the data grammar stops at byte 1
+    assert cli.main(["codec", "--parse", "30303031330d20"]) == 5  # "00013\r "
+    assert capsys.readouterr().err == "codec: measure ack: unexpected b'\\r' at byte 5\n"
+    # a near-miss data frame still reports in data-frame terms
+    assert cli.main(["codec", "--parse", b"0+5..5\r\n".hex()]) == 5
+    assert capsys.readouterr().err == "codec: data frame: unexpected b'.' at byte 3\n"
 
 
 def test_codec_bad_hex_exits_2(capsys):

@@ -356,3 +356,31 @@ def test_virtual_sensor_transaction_counter():
         sdi12.run_transaction(sensor, "0")
     assert measure_frames(sensor.trace) == 3
     assert sensor.trace == [b"0M!", b"0D0!"] * 3
+
+
+@pytest.mark.parametrize("address", ["0", "z", "Q"])
+def test_virtual_sensor_replies_match_the_public_encoders(address):
+    sensor = make_sensor(make_field(noise=50.0), address=address)
+    sensor.place(2.0, 2.0, in_soil=True)
+    for _ in range(3):
+        ack = sensor.exchange(f"{address}M!".encode())
+        assert ack == sdi12.encode_measure_ack(sdi12.MeasureAck(address, 0, 3))
+        resp = sdi12.parse_data_response(sensor.exchange(f"{address}D0!".encode()))
+        assert len(resp.values) == 3
+        assert sensor.trace[-1] == f"{address}D0!".encode()
+        # what the sensor sent is what the checking constructor encodes
+        public = sdi12.DataResponse(address, resp.values)
+        assert sdi12.encode_data_response(resp) == sdi12.encode_data_response(public)
+    empty = sensor.exchange(f"{address}D1!".encode())
+    assert empty == sdi12.encode_data_response(sdi12.DataResponse(address, ()))
+
+
+def test_virtual_sensor_refuses_a_non_finite_reading():
+    # noise this wide overflows RAW to inf on some draws: the sensor
+    # refuses to send it, as DataResponse refuses to hold it
+    sensor = make_sensor(make_field(noise=1.7976931348623157e308))
+    sensor.place(2.0, 2.0, in_soil=True)
+    with pytest.raises(ValueError, match="non-finite value inf"):
+        for _ in range(100):
+            sensor.exchange(b"0M!")
+            sensor.exchange(b"0D0!")

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from soilprobe import sdi12
+from soilprobe import fieldsim, sdi12
 from soilprobe.errors import FrameError, RangeError, ShapeError
 from soilprobe.fieldsim import SimClock
 from soilprobe.sdi12 import (Command, DataResponse, MeasureAck, RawReading,
@@ -20,7 +20,8 @@ from soilprobe.sdi12 import (Command, DataResponse, MeasureAck, RawReading,
                              format_value, parse_command, parse_data_response,
                              parse_measure_ack, run_transaction)
 
-from conftest import (ScriptedSensor, parse_command_reference,
+from conftest import (ScriptedSensor, make_field, make_sensor,
+                      parse_command_reference,
                       parse_data_response_reference,
                       parse_measure_ack_reference)
 
@@ -244,6 +245,112 @@ def test_parsers_agree_with_the_hand_written_references():
             seen[parser.__name__, got is FrameError] += 1
     # every parser both accepted and rejected frames, some for overflow
     assert min(seen.values()) >= 100 and len(seen) == 7
+
+
+# -- memos and the checks-skipping constructor --------------------------------
+
+
+def _memos():
+    """Every lru_cache memo in the codec and the virtual sensor."""
+    return [f for module in (sdi12, fieldsim) for f in vars(module).values()
+            if hasattr(f, "cache_info")]
+
+
+@pytest.mark.parametrize("parser,frame", [
+    (parse_command, b"0M!"),
+    (parse_measure_ack, b"00013\r\n"),
+    (parse_data_response, b"0+1.5-2\r\n"),
+])
+def test_parsers_accept_bytearray_and_memoryview(parser, frame):
+    expected = parser(frame)
+    assert parser(bytearray(frame)) == expected
+    assert parser(memoryview(frame)) == expected
+    assert parser(memoryview(bytearray(frame))) == expected
+    with pytest.raises(FrameError):
+        parser(bytearray(frame[:-1]))
+
+
+def test_frame_errors_are_raised_afresh():
+    # a memo keeps results only, so each call on a bad frame raises anew
+    raised = []
+    for parser, frame in ((parse_command, b"0X!"), (parse_command, b"0X!"),
+                          (parse_measure_ack, b"0001\r\n"),
+                          (parse_measure_ack, b"0001\r\n")):
+        with pytest.raises(FrameError) as info:
+            parser(frame)
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 4
+    assert [exc.position for exc in raised] == [1, 1, 4, 4]
+
+
+@pytest.mark.parametrize("address", [["0"], "00", None, "", "!", 0])
+def test_run_transaction_rejects_bad_addresses_before_sending(address):
+    sensor = ScriptedSensor([b"00013\r\n", b"0+1+2+3\r\n"])
+    with pytest.raises(ValueError, match="invalid SDI-12 address"):
+        run_transaction(sensor, address)
+    assert sensor.trace == []
+
+
+def test_memos_stay_bounded():
+    memos = _memos()
+    assert len(memos) == 4
+    assert all(memo.cache_info().maxsize is not None for memo in memos)
+    addresses = sorted(sdi12.ADDRESS_CHARS)
+    # 10,000 distinct acks, every command frame, and 10,000 distinct
+    # frames no grammar accepts
+    acks = [f"{addresses[i % 62]}{i // 62:03d}{i % 10}\r\n".encode()
+            for i in range(10_000)]
+    commands = [b"?!"] + [f"{a}{verb}!".encode() for a in addresses
+                          for verb in ("", "I", "M", *(f"D{i}" for i in range(10)))]
+    bad = [b"#%d!" % i for i in range(10_000)]
+    assert len(set(acks + commands + bad)) == 10_000 + 807 + 10_000
+    for frame in acks + commands + bad:
+        for parser in (parse_command, parse_measure_ack, parse_data_response):
+            try:
+                parser(frame)
+            except FrameError:
+                pass
+    for address in addresses:
+        sensor = make_sensor(make_field(), address=address)
+        sensor.place(1.0, 1.0, in_soil=True)
+        assert run_transaction(sensor, address).temp_c == 24.0
+    for memo in memos:
+        # filled to its bound, and no further
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize <= 1024, memo.__name__
+
+
+def test_parsed_data_responses_equal_publicly_built_ones():
+    # the corpus of test_parsers_agree_with_the_hand_written_references
+    accepted = 0
+    for frame in _fuzzed_frames(np.random.default_rng(606), 20_000):
+        try:
+            resp = parse_data_response(frame)
+        except FrameError:
+            continue
+        public = DataResponse(resp.address, resp.values)
+        assert resp == public and hash(resp) == hash(public), frame
+        assert all(type(v) is float for v in resp.values), frame
+        assert encode_data_response(resp) == encode_data_response(public)
+        accepted += 1
+    assert accepted >= 100
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DataResponse("0", (math.nan,)),
+    lambda: DataResponse("0", (2.0, -math.inf)),
+    lambda: DataResponse("0", (1.0,) * 10),
+    lambda: DataResponse("00", ()),
+    lambda: DataResponse(None, (1.0,)),
+    lambda: Command(Verb.SEND_DATA, "!", index=0),
+    lambda: MeasureAck("00", 1, 3),
+    lambda: MeasureAck("0", 1000, 3),
+    lambda: MeasureAck("0", 1, 10),
+], ids=["nan", "minus-inf", "ten-values", "two-char-address", "no-address",
+        "command-address", "ack-address", "ack-delay-1000", "ack-count-10"])
+def test_public_constructors_keep_their_checks(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("value,text", [

@@ -11,6 +11,7 @@ run the demos that write no files.
 import importlib.util
 import json
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,9 +49,13 @@ def test_tracer_counts_trace_frames_after_run_mission():
         samples, _ = mission.run_mission(cfg)
     finally:
         tracer.uninstall()
-    exchanges = sum(1 for span in tracer.spans if span[0] == "fieldsim.exchange")
-    assert len(samples) == 2
-    assert tracer.counts["trace_frames"] == exchanges == 4  # aM! + aD0! each
+    spans = Counter(span[0] for span in tracer.spans)
+    transactions = spans["sdi12.run_transaction"]
+    assert len(samples) == 2 and transactions == 2
+    # the per-layer figures count where the work happens: one data frame
+    # parsed per transaction, and two frames on the wire (aM! and aD0!)
+    assert spans["sdi12.parse_data_response"] == transactions
+    assert tracer.counts["trace_frames"] == spans["fieldsim.exchange"] == 2 * transactions
 
 
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
