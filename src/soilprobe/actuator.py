@@ -8,10 +8,9 @@ or driver signalling is modelled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import RangeError
+from .errors import RangeError, require_positive
 
 
 @dataclass(frozen=True)
@@ -23,10 +22,7 @@ class ActuatorConfig:
     step_rate_hz: float = 500.0
 
     def __post_init__(self):
-        for name in ("steps_per_metre", "max_depth_m", "step_rate_hz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        require_positive(self, "steps_per_metre", "max_depth_m", "step_rate_hz")
 
 
 @dataclass(frozen=True)

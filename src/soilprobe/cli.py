@@ -179,22 +179,18 @@ def cmd_codec(args) -> int:
         except ValueError as exc:
             _diag(f"codec: not a hex string: {exc}")
             return EXIT_CONFIG
-        try:
-            print(_parse_any(frame))
-        except FrameError as exc:
-            where = "" if exc.position is None else f" at byte {exc.position}"
-            _diag(f"codec: {exc}{where}")
-            return EXIT_FRAME
-        return EXIT_OK
-    spec = args.encode if args.encode.endswith("!") else args.encode + "!"
     try:
-        cmd = sdi12.parse_command(spec.encode("ascii", errors="replace"))
+        if args.parse is not None:
+            print(_parse_any(frame))
+        else:
+            spec = args.encode if args.encode.endswith("!") else args.encode + "!"
+            wire = sdi12.encode_command(
+                sdi12.parse_command(spec.encode("ascii", errors="replace")))
+            print(f"{wire.hex()}  {wire.decode('ascii')}")
     except FrameError as exc:
         where = "" if exc.position is None else f" at byte {exc.position}"
         _diag(f"codec: {exc}{where}")
         return EXIT_FRAME
-    wire = sdi12.encode_command(cmd)
-    print(f"{wire.hex()}  {wire.decode('ascii')}")
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the finite-number
-check every config dataclass runs on its float fields."""
+checks every config dataclass runs on its float fields."""
 
 import math
 
@@ -9,6 +9,14 @@ def require_finite(obj, *names):
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise ValueError(f"{name} must be finite")
+
+
+def require_positive(obj, *names):
+    """Raise ValueError naming the first attribute not both finite and > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0")
 
 
 class SoilProbeError(Exception):

@@ -15,7 +15,6 @@ owned by the caller; identical seeds reproduce identical behaviour.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -279,15 +278,31 @@ class SimClock:
 class VirtualTeros:
     """SDI-12 endpoint backed by the synthetic field.
 
+    When built, the sensor tables the 14 frames it answers, each
+    encoded by :func:`sdi12.encode_command`, against their commands:
+    ``?!`` and, for its own address ``a``, ``a!``, ``aI!``, ``aM!`` and
+    ``aD0!`` to ``aD9!``.  A bad address raises ValueError then.  Every
+    other frame, garbage or another sensor's, gets silence.
+
     The sampler positions the probe before each measurement via
     :meth:`place`; a probe that is not in soil returns air readings.
-    Every frame the sensor receives, well-formed or not, is appended to
-    ``trace`` in arrival order, so a caller can audit exactly which
-    commands were issued (a start-measurement frame ends in ``M!``).
+    Every bytes-like frame the sensor receives, answered or not, is
+    appended to ``trace`` in arrival order, so a caller can audit
+    exactly which commands were issued (a start-measurement frame ends
+    in ``M!``).
     """
 
     def __init__(self, spec: FieldSpec, rng: np.random.Generator,
                  address: str = "0"):
+        Verb = sdi12.Verb
+        commands = [sdi12.Command(Verb.ADDRESS_QUERY)]
+        commands += [sdi12.Command(verb, address) for verb in
+                     (Verb.ACKNOWLEDGE, Verb.IDENTIFY, Verb.START_MEASUREMENT)]
+        commands += [sdi12.Command(Verb.SEND_DATA, address, index=i) for i in range(10)]
+        self._commands = {sdi12.encode_command(cmd): cmd for cmd in commands}
+        # the reply to aM!: RAW, temperature and EC after MEASURE_DELAY_S
+        self._measure_ack = sdi12.encode_measure_ack(
+            sdi12.MeasureAck(address, MEASURE_DELAY_S, 3))
         self.spec = spec
         self.rng = rng
         self.address = address
@@ -304,16 +319,12 @@ class VirtualTeros:
 
     def exchange(self, frame: bytes) -> bytes | None:
         """Answer one command frame; None models bus silence."""
-        self.trace.append(bytes(frame))
-        try:
-            cmd = sdi12.parse_command(frame)
-        except sdi12.FrameError:
-            return None  # garbage on the bus: a real sensor stays quiet
-        if cmd.verb is sdi12.Verb.ADDRESS_QUERY:
-            return f"{self.address}\r\n".encode("ascii")
-        if cmd.address != self.address:
-            return None
-        if cmd.verb is sdi12.Verb.ACKNOWLEDGE:
+        frame = sdi12.frame_bytes(frame)
+        self.trace.append(frame)
+        cmd = self._commands.get(frame)
+        if cmd is None:
+            return None  # garbage, or not our address: a real sensor stays quiet
+        if cmd.verb in (sdi12.Verb.ADDRESS_QUERY, sdi12.Verb.ACKNOWLEDGE):
             return f"{self.address}\r\n".encode("ascii")
         if cmd.verb is sdi12.Verb.IDENTIFY:
             return f"{self.address}13SIMSOIL TER12 001\r\n".encode("ascii")
@@ -323,19 +334,10 @@ class VirtualTeros:
             else:
                 raw = sense_raw_air(self.spec, self.rng)
             self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
-            return _measure_ack_reply(self.address)
-        # SEND_DATA: only index 0 carries values, and only once per M.  The
-        # address is the command's, so only RAW is left for DataResponse's
-        # checks to refuse: noise wide enough to overflow it.
+            return self._measure_ack
+        # SEND_DATA: only index 0 carries values, and only once per M
         if cmd.index != 0 or self._staged is None:
-            return sdi12.encode_data_response(sdi12._data_response(self.address, ()))
+            return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
         values, self._staged = self._staged, None
-        if not math.isfinite(values[0]):
-            raise ValueError(f"non-finite value {values[0]!r} cannot go on the wire")
-        return sdi12.encode_data_response(sdi12._data_response(self.address, values))
-
-
-@functools.lru_cache(maxsize=len(sdi12.ADDRESS_CHARS))
-def _measure_ack_reply(address: str) -> bytes:
-    """The reply to aM!: RAW, temperature and EC after MEASURE_DELAY_S."""
-    return sdi12.encode_measure_ack(sdi12.MeasureAck(address, MEASURE_DELAY_S, 3))
+        # DataResponse refuses a RAW that noise wide enough made infinite
+        return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))

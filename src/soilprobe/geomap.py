@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import EmptyInputError, require_positive
 from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
@@ -41,10 +41,7 @@ class IdwParams:
     exact_radius_m: float = 1e-6
 
     def __post_init__(self):
-        for name in ("power", "cutoff_radius_m", "exact_radius_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0")
+        require_positive(self, "power", "cutoff_radius_m", "exact_radius_m")
 
 
 @dataclass(frozen=True)
@@ -199,20 +196,17 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
 # -- Exports -----------------------------------------------------------------
 
 
-def samples_to_local(samples, origin_lat: float | None = None,
-                     origin_lon: float | None = None):
+def samples_to_local(samples):
     """Project samples onto a local metric frame.
 
-    With no origin given, anchors at (min lat, min lon) over the
-    samples, which is all a bare log file supports.  Returns the (n, 2)
-    coordinate array plus the anchor used.
+    Anchors at (min lat, min lon) over the samples, which is all a bare
+    log file supports.  Returns the (n, 2) coordinate array plus the
+    anchor.
     """
     if not samples:
         raise EmptyInputError("no samples to project")
-    if origin_lat is None:
-        origin_lat = min(s.lat for s in samples)
-    if origin_lon is None:
-        origin_lon = min(s.lon for s in samples)
+    origin_lat = min(s.lat for s in samples)
+    origin_lon = min(s.lon for s in samples)
     xy = np.array([wgs84_to_local_at(origin_lat, origin_lon, s.lat, s.lon)
                    for s in samples])
     return xy, (origin_lat, origin_lon)

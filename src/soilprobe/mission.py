@@ -26,7 +26,7 @@ import numpy as np
 from . import fieldsim
 from .actuator import ActuatorConfig, ActuatorState
 from .calib import Validity, ValidityThresholds
-from .errors import DegenerateError, InfeasibleError, LogFormatError
+from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
 from .sampler import SamplerConfig, SoilSample, attempt_point, finalize_sample
 
 REJECTION_TRIAL_LIMIT = 100_000
@@ -53,8 +53,7 @@ class MissionConfig:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if not self.waypoints:
             raise ValueError("waypoint list must be non-empty")
-        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0):
-            raise ValueError("speed_mps must be finite and > 0")
+        require_positive(self, "speed_mps")
         ids = [w.id for w in self.waypoints]
         if len(set(ids)) != len(ids):
             raise ValueError("waypoint ids must be unique")

@@ -36,16 +36,19 @@ terminator) that the frame gets wrong, or the frame's length when the
 frame ends early.  A value too large for a float is rejected at its
 sign.
 
-Work whose answer cannot change is done once.  ``parse_command`` and
-``parse_measure_ack`` are memoised on the frame's bytes, in bounded
-``functools.lru_cache`` memos that keep results only, so a rejected
-frame raises a fresh FrameError every time and grows no memo.
-``run_transaction`` builds the ``aM!`` and ``aD0!`` frames once per
-address, after checking the address.  The public constructors of
-:class:`Command`, :class:`MeasureAck` and :class:`DataResponse` check
-every field; ``parse_data_response`` builds its result through a
-private constructor that skips those checks, because the grammar and
-its overflow test have already made them.
+A frame is anything bytes-like; an int or a list of ints raises
+TypeError before a byte is copied (see :func:`frame_bytes`).
+
+Work whose answer cannot change is done once, in two bounded
+``functools.lru_cache`` memos.  ``_parse_measure_ack`` memoises
+``parse_measure_ack`` on the frame's bytes, keeping results only, so a
+rejected frame raises a fresh FrameError every time and grows no memo.
+``_transaction_frames`` gives ``run_transaction`` the ``aM!`` and
+``aD0!`` frames of each address it has checked.  The public
+constructors of :class:`Command`, :class:`MeasureAck` and
+:class:`DataResponse` check every field; ``parse_data_response`` builds
+its result through a private constructor that skips those checks,
+because the grammar and its overflow test have already made them.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ MAX_VALUES_PER_FRAME = 9
 # deadline for a reply the sensor owes at once; see run_transaction
 BASE_TIMEOUT_S = 1.0
 
-# entries each parse memo keeps: far more distinct frames than a mission
-# sends, and a bound no input can push past
+# entries the measure-ack memo keeps: far more distinct acks than a
+# mission receives, and a bound no input can push past
 _PARSE_MEMO_SIZE = 256
 
 # The grammar, one pattern per frame kind.  Every element after the
@@ -88,10 +91,15 @@ _DATA_RESPONSE = re.compile(
     % (_VALUE.pattern, MAX_VALUES_PER_FRAME))
 
 
+def frame_bytes(frame) -> bytes:
+    """``frame`` as bytes; TypeError, before any copy, if not bytes-like."""
+    return frame if type(frame) is bytes else bytes(memoryview(frame))
+
+
 def _match(grammar: re.Pattern, frame: bytes, terminator: bytes,
            kind: str) -> re.Match:
     """Match a whole frame, or raise FrameError where the match stops."""
-    frame = bytes(frame)
+    frame = frame_bytes(frame)
     match = grammar.match(frame)
     stop = match.end() if match else 0
     if stop < len(frame):
@@ -165,11 +173,6 @@ def parse_command(frame: bytes) -> Command:
 
     Raises FrameError for anything outside the implemented subset.
     """
-    return _parse_command(bytes(frame))
-
-
-@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
-def _parse_command(frame: bytes) -> Command:
     match = _match(_COMMAND, frame, COMMAND_TERMINATOR, "command frame")
     address, verb, index = match.group("address", "verb", "index")
     if address is None:
@@ -204,7 +207,7 @@ def encode_measure_ack(ack: MeasureAck) -> bytes:
 
 def parse_measure_ack(frame: bytes) -> MeasureAck:
     """Decode an "atttn\\r\\n" measurement acknowledge (exactly 7 bytes)."""
-    return _parse_measure_ack(bytes(frame))
+    return _parse_measure_ack(frame_bytes(frame))
 
 
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
@@ -323,7 +326,7 @@ def _transaction_frames(address: str) -> tuple[bytes, bytes]:
             encode_command(Command(Verb.SEND_DATA, address, index=0)))
 
 
-def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
+def run_transaction(sensor, address: str = "0", *, clock) -> RawReading:
     """Run exactly one measure-then-read cycle against a sensor handle.
 
     ``sensor`` must expose ``exchange(frame: bytes) -> bytes | None``;
@@ -332,10 +335,10 @@ def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
     seconds, where the delay is 0 for the M command and the acknowledged
     delay for the D command.
 
-    ``clock``, when given, must expose ``advance(seconds)``; it is
-    advanced by the acknowledged measurement delay and, on silence, by
-    the expired deadline, so simulated missions account for sensor time
-    without sleeping.
+    ``clock`` must expose ``advance(seconds)``; it is advanced by the
+    acknowledged measurement delay and, on silence, by the expired
+    deadline, so simulated missions account for sensor time without
+    sleeping.
 
     Raises ValueError for a bad address, before any frame is sent,
     FrameError/ShapeError/RangeError on malformed replies and
@@ -344,22 +347,19 @@ def run_transaction(sensor, address: str = "0", *, clock=None) -> RawReading:
     measure, send_data = _transaction_frames(_check_address(address))
     reply = sensor.exchange(measure)
     if reply is None:
-        if clock is not None:
-            clock.advance(BASE_TIMEOUT_S)
+        clock.advance(BASE_TIMEOUT_S)
         raise TimeoutError(f"sensor {address!r} silent on measure command "
                            f"for {BASE_TIMEOUT_S} s")
     ack = parse_measure_ack(reply)
     if ack.address != address:
         raise FrameError(f"measure ack from address {ack.address!r}, "
                          f"expected {address!r}", position=0)
-    if clock is not None:
-        clock.advance(ack.delay_s)
+    clock.advance(ack.delay_s)
 
     deadline = 2 * ack.delay_s + BASE_TIMEOUT_S
     reply = sensor.exchange(send_data)
     if reply is None:
-        if clock is not None:
-            clock.advance(deadline)
+        clock.advance(deadline)
         raise TimeoutError(f"sensor {address!r} silent on data command "
                            f"for {deadline} s")
     resp = parse_data_response(reply)

@@ -1,7 +1,7 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
 the naive interpolation oracle, the dense IDW kernel, the linear
-waypoint and obstruction references and the hand-written SDI-12
-parsers."""
+waypoint and obstruction references, the hand-written SDI-12 parsers
+and the parse-based virtual sensor."""
 
 from __future__ import annotations
 
@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 
 from soilprobe.errors import FrameError, InfeasibleError
-from soilprobe.fieldsim import STALL_DEPTH_M, FieldSpec, VirtualTeros
+from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
+                                STALL_DEPTH_M, FieldSpec, VirtualTeros,
+                                sense_raw, sense_raw_air)
 from soilprobe.mission import REJECTION_TRIAL_LIMIT, Waypoint
 from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
                              MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
-                             Command, DataResponse, MeasureAck, Verb)
+                             Command, DataResponse, MeasureAck, Verb,
+                             encode_data_response, encode_measure_ack,
+                             parse_command)
 
 
 def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
@@ -206,6 +210,54 @@ def parse_data_response_reference(frame: bytes) -> DataResponse:
         raise FrameError(f"more than {MAX_VALUES_PER_FRAME} values in one frame",
                          position=1)
     return DataResponse(body[0], tuple(values))
+
+
+class ParsingTeros:
+    """The virtual sensor that parses every frame it receives.
+
+    ``VirtualTeros`` must answer every frame as this one does, draw the
+    same random numbers and keep the same trace: it looks its 14 frames
+    up in a table, where this sensor decodes each frame with
+    ``parse_command`` and compares the address.
+    """
+
+    def __init__(self, spec, rng, address="0"):
+        self.spec = spec
+        self.rng = rng
+        self.address = address
+        self.trace = []
+        self._staged = None
+        self._x = self._y = 0.0
+        self._in_soil = False
+
+    def place(self, x, y, in_soil):
+        self._x, self._y, self._in_soil = float(x), float(y), bool(in_soil)
+
+    def exchange(self, frame):
+        self.trace.append(bytes(frame))
+        try:
+            cmd = parse_command(frame)
+        except FrameError:
+            return None
+        if cmd.verb is Verb.ADDRESS_QUERY:
+            return f"{self.address}\r\n".encode("ascii")
+        if cmd.address != self.address:
+            return None
+        if cmd.verb is Verb.ACKNOWLEDGE:
+            return f"{self.address}\r\n".encode("ascii")
+        if cmd.verb is Verb.IDENTIFY:
+            return f"{self.address}13SIMSOIL TER12 001\r\n".encode("ascii")
+        if cmd.verb is Verb.START_MEASUREMENT:
+            if self._in_soil:
+                raw = sense_raw(self.spec, self._x, self._y, self.rng)
+            else:
+                raw = sense_raw_air(self.spec, self.rng)
+            self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
+            return encode_measure_ack(MeasureAck(self.address, MEASURE_DELAY_S, 3))
+        if cmd.index != 0 or self._staged is None:
+            return encode_data_response(DataResponse(self.address, ()))
+        values, self._staged = self._staged, None
+        return encode_data_response(DataResponse(self.address, values))
 
 
 def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,

@@ -353,7 +353,7 @@ def test_virtual_sensor_transaction_counter():
     sensor = make_sensor(make_field())
     sensor.place(1.0, 1.0, in_soil=True)
     for _ in range(3):
-        sdi12.run_transaction(sensor, "0")
+        sdi12.run_transaction(sensor, "0", clock=SimClock())
     assert measure_frames(sensor.trace) == 3
     assert sensor.trace == [b"0M!", b"0D0!"] * 3
 

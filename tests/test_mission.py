@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
 from soilprobe.errors import DegenerateError, InfeasibleError, LogFormatError
 from soilprobe import mission
 from soilprobe.fieldsim import Disk
+from soilprobe.geomap import IdwParams
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
                                dump_summary, generate_waypoints,
@@ -285,6 +287,24 @@ def test_mission_config_validation():
                           speed_mps=bad)
     with pytest.raises(ValueError, match="integer"):
         MissionConfig(field=field, waypoints=(Waypoint(1.0, 1, 1),))
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda v: ActuatorConfig(steps_per_metre=v), "steps_per_metre"),
+    (lambda v: ActuatorConfig(max_depth_m=v), "max_depth_m"),
+    (lambda v: ActuatorConfig(step_rate_hz=v), "step_rate_hz"),
+    (lambda v: IdwParams(power=v), "power"),
+    (lambda v: IdwParams(cutoff_radius_m=v), "cutoff_radius_m"),
+    (lambda v: IdwParams(exact_radius_m=v), "exact_radius_m"),
+    (lambda v: MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),),
+                             speed_mps=v), "speed_mps"),
+])
+def test_positive_fields_name_themselves(build, name):
+    for bad in (0, 0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as info:
+            build(bad)
+        assert str(info.value) == f"{name} must be finite and > 0"
+    build(5e-324)
 
 
 def test_randomized_missions_hold_invariants():

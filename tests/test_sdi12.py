@@ -6,6 +6,7 @@ are cross-checked by the encode/parse round-trip oracle.
 
 import doctest
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,7 +21,7 @@ from soilprobe.sdi12 import (Command, DataResponse, MeasureAck, RawReading,
                              format_value, parse_command, parse_data_response,
                              parse_measure_ack, run_transaction)
 
-from conftest import (ScriptedSensor, make_field, make_sensor,
+from conftest import (ParsingTeros, ScriptedSensor, make_field, make_sensor,
                       parse_command_reference,
                       parse_data_response_reference,
                       parse_measure_ack_reference)
@@ -287,13 +288,72 @@ def test_frame_errors_are_raised_afresh():
 def test_run_transaction_rejects_bad_addresses_before_sending(address):
     sensor = ScriptedSensor([b"00013\r\n", b"0+1+2+3\r\n"])
     with pytest.raises(ValueError, match="invalid SDI-12 address"):
-        run_transaction(sensor, address)
+        run_transaction(sensor, address, clock=SimClock())
     assert sensor.trace == []
+
+
+@pytest.mark.parametrize("take", ["parse_command", "parse_measure_ack",
+                                  "parse_data_response", "exchange"])
+@pytest.mark.parametrize("frame", [10 ** 7, [48, 77, 33], "0M!", None])
+def test_only_bytes_like_objects_are_frames(take, frame):
+    # an int n is not n zero bytes, nor a list of ints their bytes
+    sensor = make_sensor(make_field())
+    take = sensor.exchange if take == "exchange" else getattr(sdi12, take)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TypeError):
+            take(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert sensor.trace == []
+
+
+def test_the_sensor_traces_bytes():
+    sensor = make_sensor(make_field())
+    assert sensor.exchange(bytearray(b"0!")) == b"0\r\n"
+    assert sensor.trace == [b"0!"] and type(sensor.trace[0]) is bytes
+
+
+@pytest.mark.parametrize("address", ["0", "z", "Q"])
+def test_the_sensor_answers_as_the_parsing_reference(address):
+    spec = make_field(noise=50.0, seed=808, blobs=[fieldsim.Blob(10.0, 2.0, 3.0, 0.2)])
+    table, reference = (make_sensor(spec, address=address),
+                        ParsingTeros(spec, spec.rng(), address=address))
+    rng = np.random.default_rng(909)
+    addresses = sorted(sdi12.ADDRESS_CHARS)
+    frames = [b"?!"] + [f"{a}{verb}!".encode() for a in addresses
+                        for verb in ("", "I", "M", *(f"D{i}" for i in range(10)))]
+    assert len(set(frames)) == 807
+    frames += _fuzzed_frames(np.random.default_rng(606), 12_000)
+    frames = [frames[i] for i in rng.permutation(len(frames))]
+    pair = [f"{address}M!".encode(), f"{address}D0!".encode()]
+    answered = Counter()
+    for i in range(0, len(frames), 10):
+        x, in_soil = rng.uniform(0, 20), bool(rng.integers(2))
+        for sensor in (table, reference):
+            sensor.place(x, 2.0, in_soil)
+        for frame in frames[i:i + 10] + pair:
+            reply = table.exchange(frame)
+            assert reply == reference.exchange(frame), frame
+            answered[reply is not None] += 1
+    assert table.trace == reference.trace
+    # the 14 table frames, a pair after every ten frames, and the valid
+    # frames among the fuzzed ones were answered; the rest got silence
+    assert answered[True] > 14 + 2 * 1_280 and answered[False] > 10_000
+    assert table.rng.random() == reference.rng.random()
+
+
+@pytest.mark.parametrize("address", ["00", "", "!", None])
+def test_the_sensor_refuses_a_bad_address_when_built(address):
+    with pytest.raises(ValueError, match="invalid SDI-12 address"):
+        make_sensor(make_field(), address=address)
 
 
 def test_memos_stay_bounded():
     memos = _memos()
-    assert len(memos) == 4
+    assert len(memos) == 2
     assert all(memo.cache_info().maxsize is not None for memo in memos)
     addresses = sorted(sdi12.ADDRESS_CHARS)
     # 10,000 distinct acks, every command frame, and 10,000 distinct
@@ -313,7 +373,7 @@ def test_memos_stay_bounded():
     for address in addresses:
         sensor = make_sensor(make_field(), address=address)
         sensor.place(1.0, 1.0, in_soil=True)
-        assert run_transaction(sensor, address).temp_c == 24.0
+        assert run_transaction(sensor, address, clock=SimClock()).temp_c == 24.0
     for memo in memos:
         # filled to its bound, and no further
         info = memo.cache_info()
@@ -421,18 +481,20 @@ def test_run_transaction_silent_on_data():
 
 def test_run_transaction_bad_frames():
     with pytest.raises(FrameError):
-        run_transaction(ScriptedSensor([b"garbage"]), "0")
+        run_transaction(ScriptedSensor([b"garbage"]), "0", clock=SimClock())
     with pytest.raises(FrameError):
-        run_transaction(ScriptedSensor([b"10013\r\n"]), "0")  # wrong address
+        run_transaction(ScriptedSensor([b"10013\r\n"]), "0", clock=SimClock())  # wrong address
     with pytest.raises(ShapeError):
-        run_transaction(ScriptedSensor([b"00012\r\n", b"0+1+2\r\n"]), "0")
+        run_transaction(ScriptedSensor([b"00012\r\n", b"0+1+2\r\n"]), "0",
+                        clock=SimClock())
     with pytest.raises(RangeError):
-        run_transaction(ScriptedSensor([b"00013\r\n", b"0-5+24.3+150\r\n"]), "0")
+        run_transaction(ScriptedSensor([b"00013\r\n", b"0-5+24.3+150\r\n"]), "0",
+                        clock=SimClock())
 
 
 def test_run_transaction_issues_one_measure_one_data():
     sensor = ScriptedSensor([b"00003\r\n", b"0+2000+24+150\r\n"])
-    run_transaction(sensor, "0")
+    run_transaction(sensor, "0", clock=SimClock())
     measures = [f for f in sensor.trace if f.endswith(b"M!")]
     data = [f for f in sensor.trace if b"D" in f]
     assert len(sensor.trace) == 2 and len(measures) == 1 and len(data) == 1

@@ -8,6 +8,7 @@ and the workload builder from their files (without editing them), and
 run the demos that write no files.
 """
 
+import ast
 import importlib.util
 import json
 import runpy
@@ -56,6 +57,28 @@ def test_tracer_counts_trace_frames_after_run_mission():
     # parsed per transaction, and two frames on the wire (aM! and aD0!)
     assert spans["sdi12.parse_data_response"] == transactions
     assert tracer.counts["trace_frames"] == spans["fieldsim.exchange"] == 2 * transactions
+
+
+def test_no_module_reads_a_private_name_of_another():
+    package = ROOT / "src" / "soilprobe"
+    modules = {path.stem for path in package.glob("*.py")}
+    assert {"sdi12", "fieldsim"} <= modules
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # names this module binds to package modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases.add(alias.asname or alias.name)
+                    elif node.module is not None and alias.name.startswith("_"):
+                        hits.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                hits.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert hits == []
 
 
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
