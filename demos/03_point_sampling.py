@@ -7,7 +7,6 @@ and the second insertion succeeds.  Both attempt records are printed;
 the last one decides the point.
 """
 
-from soilprobe.actuator import ActuatorState
 from soilprobe.fieldsim import Disk, FieldSpec, SimClock, VirtualTeros
 from soilprobe.mission import Waypoint
 from soilprobe.sampler import SamplerConfig, attempt_point
@@ -18,8 +17,8 @@ field = FieldSpec(origin_lat=45.0, origin_lon=7.5, width_m=20.0, height_m=20.0,
 sensor = VirtualTeros(field, field.rng())
 clock = SimClock()
 
-result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, ActuatorState(),
-                       field, SamplerConfig(), clock=clock)
+result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, SamplerConfig(),
+                       clock=clock)
 
 print("attempts:")
 for a in result.attempts:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from soilprobe.fieldsim import theta_true, wgs84_to_local
+from soilprobe.fieldsim import theta_true, wgs84_to_local_at
 from soilprobe.geomap import build_grid, export_grid_ascii, export_points_geojson
 from soilprobe.mission import run_mission, select_valid
 from soilprobe.scenario import load_scenario
@@ -23,7 +23,8 @@ valid = select_valid(samples)
 print(f"{len(valid)} valid samples feed the map; "
       f"{len(samples) - len(valid)} flagged points stay out")
 
-xy = np.array([wgs84_to_local(field, s.lat, s.lon) for s in valid])
+xy = np.array([wgs84_to_local_at(field.origin_lat, field.origin_lon, s.lat, s.lon)
+               for s in valid])
 theta = np.array([s.theta for s in valid])
 grid = build_grid(xy, theta, (0, 0, field.width_m, field.height_m), scn.idw,
                   cell_size_m=0.5, ids=[s.point_id for s in valid])

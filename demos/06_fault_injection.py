@@ -9,7 +9,6 @@ ever leaks out as an exception or leaves the actuator extended.
 
 import numpy as np
 
-from soilprobe.actuator import ActuatorState
 from soilprobe.calib import Validity
 from soilprobe.fieldsim import FieldSpec, VirtualTeros
 from soilprobe.mission import Waypoint
@@ -49,8 +48,7 @@ tally = {status: 0 for status in Validity}
 for run in range(12):
     bus = LossyBus(VirtualTeros(field, field.rng()), rng,
                    p_silent=0.15, p_garbage=0.15)
-    result = attempt_point(Waypoint(run, 10.0, 10.0), bus, ActuatorState(),
-                           field, SamplerConfig())
+    result = attempt_point(Waypoint(run, 10.0, 10.0), bus, field, SamplerConfig())
     assert result.actuator.position_steps == 0  # always parked
     trail = " ".join(a.validity.value for a in result.attempts)
     print(f"  run {run:2d}: {len(result.attempts)} attempt(s): {trail}"

@@ -17,15 +17,14 @@ from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds, classify,
 from .errors import (DegenerateError, EmptyInputError, FrameError,
                      InfeasibleError, LogFormatError, RangeError,
                      ScenarioError, ShapeError, SoilProbeError)
-from .fieldsim import (Blob, Disk, FieldSpec, SimClock, VirtualTeros,
-                       local_to_wgs84, obstruction_at, sense_raw,
-                       sense_raw_air, theta_true, wgs84_to_local)
+from .fieldsim import (Blob, CellIndex, Disk, FieldSpec, SimClock, VirtualTeros,
+                       local_to_wgs84_at, obstruction_at, sense_raw,
+                       sense_raw_air, theta_true, wgs84_to_local_at)
 from .geomap import (IdwParams, MoistureGrid, build_grid, export_grid_ascii,
                      export_points_geojson, idw_at)
 from .mission import (MissionConfig, MissionSummary, Waypoint,
                       convex_hull_area, generate_waypoints, read_sample_log,
-                      run_mission, select_valid, write_sample_log,
-                      write_summary)
+                      run_mission, select_valid)
 from .sampler import (AttemptRecord, PointResult, SamplerConfig, SoilSample,
                       attempt_point, finalize_sample)
 from .scenario import Scenario, bundled_scenarios, load_scenario

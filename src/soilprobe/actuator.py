@@ -35,9 +35,9 @@ class ActuatorState:
 RETRACTED = ActuatorState()
 
 
-def lower_to(state: ActuatorState, cfg: ActuatorConfig, target_depth_m: float,
+def lower_to(cfg: ActuatorConfig, target_depth_m: float,
              obstruction_depth_m: float | None = None) -> ActuatorState:
-    """Drive the probe down to ``target_depth_m``.
+    """Drive the retracted probe down to ``target_depth_m``.
 
     With an obstruction shallower than the target the carriage stops
     there instead.  The stall flag is set exactly when the final

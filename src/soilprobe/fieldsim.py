@@ -131,75 +131,98 @@ def theta_true(spec: FieldSpec, x, y):
     return float(theta) if theta.ndim == 0 else theta
 
 
-# -- Obstruction index ---------------------------------------------------------
+# -- Cell index ----------------------------------------------------------------
 #
-# A uniform grid over the plane.  Each disk is listed in every cell that
-# its bounding square, grown by the rounding reach below, overlaps, so a
-# query tests only the disks of its own cell.  A disk that would cover
-# more than _MAX_DISK_CELLS cells goes on a list every query tests
-# instead, which bounds the index at _MAX_DISK_CELLS entries per disk.
+# CellIndex is a uniform grid over the plane that answers "which items
+# can be within reach of this point?" for the obstruction disks and for
+# the waypoint generator's accepted points.  Each item is listed in
+# every cell that its square of side 2 * reach, grown by a rounding pad,
+# overlaps, so a query reads only its own cell.  An item that would
+# cover more than MAX_CELLS cells goes on a list every query reads
+# instead, which bounds the index at MAX_CELLS entries per item.
 
-_MAX_DISK_CELLS = 16
 _CELL_LIMIT = 2 ** 40    # far and non-finite coordinates share the edge cells
 
 
 def _cell(q: float) -> int:
     """floor(q), clamped to +-_CELL_LIMIT; NaN maps to -_CELL_LIMIT.
 
-    Monotone in q, so a point inside a disk's bounding square always
-    falls in one of the cells the square was listed in.
+    Monotone in q, so a point inside an item's square always falls in
+    one of the cells the square was listed in.
     """
     if -_CELL_LIMIT < q < _CELL_LIMIT:
         return math.floor(q)
     return _CELL_LIMIT if q > 0 else -_CELL_LIMIT
 
 
-def _index_disks(disks: tuple[Disk, ...], area_m2: float):
-    """(cell size, {(i, j): disks listed there}, disks every query tests).
+class CellIndex:
+    """Items by grid cell of side ``size`` (> 0), for neighbour queries.
+
+    After ``add(item, cx, cy, reach)``, ``near(x, y)`` holds ``item``
+    whenever the rounded test ``(x - cx) ** 2 + (y - cy) ** 2 <= reach
+    ** 2`` passes; it may hold farther items too.
+    """
+
+    MAX_CELLS = 16
+
+    def __init__(self, size: float):
+        self.size = size
+        self.cells: dict[tuple[int, int], list] = {}
+        self.scanned: list = []  # items every query reads
+
+    def add(self, item, cx: float, cy: float, reach: float):
+        # the rounded test passes no point further than this from (cx, cy)
+        # along either axis; the absolute term covers subnormal squares,
+        # which pass points up to 5e-162 beyond reach
+        reach = reach * (1.0 + 1e-9) + 1e-160
+        size = self.size
+        i0, i1 = _cell((cx - reach) / size), _cell((cx + reach) / size)
+        j0, j1 = _cell((cy - reach) / size), _cell((cy + reach) / size)
+        if (i1 - i0 + 1) * (j1 - j0 + 1) > self.MAX_CELLS:
+            self.scanned.append(item)
+            return
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                self.cells.setdefault((i, j), []).append(item)
+
+    def near(self, x: float, y: float) -> list:
+        """The items listed in the cell of (x, y), then the scanned ones."""
+        items = self.cells.get((_cell(x / self.size), _cell(y / self.size)), [])
+        return items + self.scanned if self.scanned else items
+
+
+def _index_disks(disks: tuple[Disk, ...], area_m2: float) -> CellIndex:
+    """The disks in a CellIndex, each within its radius.
 
     The cell is the larger of the field's area per disk and the median
     disk diameter, so at least half the disks cover at most 3 x 3 cells.
     """
     if not disks:
-        return 1.0, {}, []
+        return CellIndex(1.0)
     radii = sorted(d.radius_m for d in disks)
-    size = max(math.sqrt(area_m2 / len(disks)), 2.0 * radii[len(radii) // 2])
-    cells: dict[tuple[int, int], list[Disk]] = {}
-    scanned: list[Disk] = []
+    index = CellIndex(max(math.sqrt(area_m2 / len(disks)),
+                          2.0 * radii[len(radii) // 2]))
     for d in disks:
-        # the rounded test in obstruction_at accepts no point further than
-        # this from the centre along either axis; the absolute term covers
-        # subnormal squares, which pass points up to 5e-162 beyond the rim
-        reach = d.radius_m * (1.0 + 1e-9) + 1e-160
-        i0, i1 = _cell((d.cx - reach) / size), _cell((d.cx + reach) / size)
-        j0, j1 = _cell((d.cy - reach) / size), _cell((d.cy + reach) / size)
-        if (i1 - i0 + 1) * (j1 - j0 + 1) > _MAX_DISK_CELLS:
-            scanned.append(d)
-            continue
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                cells.setdefault((i, j), []).append(d)
-    return size, cells, scanned
+        index.add(d, d.cx, d.cy, d.radius_m)
+    return index
 
 
 def obstruction_at(spec: FieldSpec, x: float, y: float) -> float | None:
     """Depth at which the probe stalls at (x, y), or None for clear soil.
 
     A point is obstructed when ``(x - cx) ** 2 + (y - cy) ** 2 <=
-    radius_m ** 2`` for some disk.  Only the disks listed in the query's
-    cell of the spec's obstruction index, and the few too big to list,
-    are tested, which gives the same answer as testing every disk.  A
-    squared distance that overflows is a miss, so a disk far out never
-    obstructs, and NaN or infinite queries are never obstructed.
+    radius_m ** 2`` for some disk.  Only the disks the spec's obstruction
+    index holds near the query are tested, which gives the same answer as
+    testing every disk.  A squared distance that overflows is a miss, so
+    a disk far out never obstructs, and NaN or infinite queries are never
+    obstructed.
     """
-    size, cells, scanned = spec._obstruction_index
-    for disks in (cells.get((_cell(x / size), _cell(y / size)), ()), scanned):
-        for d in disks:
-            try:
-                if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
-                    return STALL_DEPTH_M
-            except OverflowError:
-                pass  # beyond the largest float, so beyond radius_m ** 2
+    for d in spec._obstruction_index.near(x, y):
+        try:
+            if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
+                return STALL_DEPTH_M
+        except OverflowError:
+            pass  # beyond the largest float, so beyond radius_m ** 2
     return None
 
 
@@ -247,14 +270,6 @@ def wgs84_to_local_at(origin_lat: float, origin_lon: float,
     x = math.radians(lon - origin_lon) * EARTH_RADIUS_M * math.cos(
         math.radians(origin_lat))
     return x, y
-
-
-def local_to_wgs84(spec: FieldSpec, x: float, y: float) -> tuple[float, float]:
-    return local_to_wgs84_at(spec.origin_lat, spec.origin_lon, x, y)
-
-
-def wgs84_to_local(spec: FieldSpec, lat: float, lon: float) -> tuple[float, float]:
-    return wgs84_to_local_at(spec.origin_lat, spec.origin_lon, lat, lon)
 
 
 # -- Simulated time ----------------------------------------------------------

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import fieldsim
-from .actuator import ActuatorConfig, ActuatorState
+from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
 from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
 from .sampler import SamplerConfig, SoilSample, attempt_point, finalize_sample
@@ -84,9 +84,11 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
 
     Rejection sampling: uniform draws over the field, rejected when
     closer than the spacing to any accepted point.  A background grid
-    (Bridson 2007) keeps the accepted points by cell, so each draw is
-    compared only with the points in the cells within reach of it; the
-    results are those of comparing it with every accepted point.
+    (Bridson 2007), a :class:`fieldsim.CellIndex` in which each accepted
+    point reaches ``min_spacing_m``, keeps the accepted points by cell,
+    so each draw is compared only with the points listed in its own
+    cell; the results are those of comparing it with every accepted
+    point.
     Deterministic under ``seed``, a non-negative int.  Raises
     InfeasibleError once ``max_trials`` draws fail to place all points.
 
@@ -114,13 +116,9 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
                          f"squared distances across it overflow")
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
-    # the rounded spacing test rejects no pair further apart than this
-    # along either axis; the absolute term covers subnormal squares, which
-    # reject pairs up to 5e-162 further apart than the spacing
-    reach = min_spacing_m * (1.0 + 1e-9) + 1e-160
-    # at most 1024 cells per axis, so every cell index is a small int
-    size = max(min_spacing_m, width / 1024, height / 1024) or 1.0
-    grid: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    # cells no smaller than the spacing, and at most 1024 per axis
+    index = fieldsim.CellIndex(
+        max(min_spacing_m, width / 1024, height / 1024) or 1.0)
     accepted: list[tuple[float, float]] = []
     trials = 0
     while len(accepted) < count:
@@ -132,15 +130,10 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
         trials += 1
         x = rng.uniform(0.0, width)
         y = rng.uniform(0.0, height)
-        columns = range(math.floor(max(x - reach, 0.0) / size),
-                        math.floor(min(x + reach, width) / size) + 1)
-        rows = range(math.floor(max(y - reach, 0.0) / size),
-                     math.floor(min(y + reach, height) / size) + 1)
         if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq
-               for i in columns for j in rows for ax, ay in grid.get((i, j), ())):
+               for ax, ay in index.near(x, y)):
             accepted.append((x, y))
-            grid.setdefault((math.floor(x / size), math.floor(y / size)),
-                            []).append((x, y))
+            index.add((x, y), x, y, min_spacing_m)
     return [Waypoint(i + 1, *accepted[k])
             for i, k in enumerate(_nearest_neighbour_tour(accepted))]
 
@@ -180,7 +173,6 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
     rng = cfg.field.rng()
     sensor = fieldsim.VirtualTeros(cfg.field, rng, address=cfg.sensor_address)
     clock = fieldsim.SimClock()
-    state = ActuatorState()
     samples: list[SoilSample] = []
     positions: list[tuple[float, float]] = []
     here = (0.0, 0.0)
@@ -188,11 +180,10 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
     for wp in cfg.waypoints:
         clock.advance(math.dist(here, (wp.x, wp.y)) / cfg.speed_mps)
         here = (wp.x, wp.y)
-        result = attempt_point(wp, sensor, state, cfg.field, cfg.sampler,
+        result = attempt_point(wp, sensor, cfg.field, cfg.sampler,
                                actuator_cfg=cfg.actuator,
                                thresholds=cfg.thresholds, clock=clock,
                                address=cfg.sensor_address)
-        state = result.actuator
         samples.append(finalize_sample(
             wp, result, target_depth_m=cfg.sampler.target_depth_m))
         positions.append((result.attempts[-1].x, result.attempts[-1].y))
@@ -311,11 +302,6 @@ def dump_sample_log(samples: list[SoilSample]) -> str:
     return "".join(_ENCODER.encode(sample_to_dict(s)) + "\n" for s in samples)
 
 
-def write_sample_log(samples: list[SoilSample], path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_sample_log(samples))
-
-
 def parse_sample_log(lines) -> list[SoilSample]:
     """Decode an iterable of JSONL lines; blank lines are skipped.
 
@@ -329,6 +315,9 @@ def parse_sample_log(lines) -> list[SoilSample]:
             samples.append(sample_from_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
+        except RecursionError:
+            raise LogFormatError(f"line {line_no}: JSON nested too deeply",
+                                 line_no) from None
     return samples
 
 
@@ -350,11 +339,6 @@ def summary_to_dict(summary: MissionSummary) -> dict:
 
 def dump_summary(summary: MissionSummary) -> str:
     return _ENCODER.encode(summary_to_dict(summary)) + "\n"
-
-
-def write_summary(summary: MissionSummary, path):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(dump_summary(summary))
 
 
 def read_summary(path) -> MissionSummary:

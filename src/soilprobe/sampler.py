@@ -92,8 +92,7 @@ def attempt_offset(attempt_index: int, offset_m: float) -> tuple[float, float]:
     return offset_m * math.sin(bearing), offset_m * math.cos(bearing)
 
 
-def attempt_point(point, sensor, actuator_state: act.ActuatorState,
-                  field: fieldsim.FieldSpec, cfg: SamplerConfig, *,
+def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, *,
                   actuator_cfg: act.ActuatorConfig = act.ActuatorConfig(),
                   thresholds: ValidityThresholds = DEFAULT_THRESHOLDS,
                   clock: fieldsim.SimClock | None = None,
@@ -102,26 +101,21 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
 
     ``point`` needs ``x``/``y`` in the field's local frame; ``sensor``
     needs ``exchange()`` and ``place()`` (see fieldsim.VirtualTeros).
-    The actuator must start retracted and is always retracted again on
-    return.  Returns every attempt; the first valid attempt ends the
+    The actuator starts retracted and is retracted again after every
+    attempt.  Returns every attempt; the first valid attempt ends the
     loop, so the last attempt's verdict is the point's.
     """
-    if actuator_state.position_steps != 0:
-        raise ValueError("actuator must be fully retracted before sampling")
     clock = clock if clock is not None else fieldsim.SimClock()
     attempts: list[AttemptRecord] = []
-    state = actuator_state
     validated_at = clock.now
 
     for k in range(1, cfg.max_attempts + 1):
         dx, dy = attempt_offset(k, cfg.reposition_offset_m)
         x, y = point.x + dx, point.y + dy
 
-        from_steps = state.position_steps
-        state = act.lower_to(state, actuator_cfg, cfg.target_depth_m,
+        state = act.lower_to(actuator_cfg, cfg.target_depth_m,
                              fieldsim.obstruction_at(field, x, y))
-        clock.advance(act.motion_duration(from_steps, state.position_steps,
-                                          actuator_cfg))
+        clock.advance(act.motion_duration(0, state.position_steps, actuator_cfg))
         clock.advance(cfg.settle_s)
 
         sensor.place(x, y, in_soil=not state.stalled)
@@ -135,21 +129,21 @@ def attempt_point(point, sensor, actuator_state: act.ActuatorState,
             theta = raw_to_vwc(reading.raw_counts)
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
-        lat, lon = fieldsim.local_to_wgs84(field, x, y)
+        lat, lon = fieldsim.local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                              x, y)
         attempts.append(AttemptRecord(
             attempt_index=k, x=x, y=y, lat=lat, lon=lon,
             achieved_depth_m=state.depth_m, reading=reading, theta=theta,
             validity=validity))
         validated_at = clock.now
 
-        from_steps = state.position_steps
-        state = act.retract(state)
-        clock.advance(act.motion_duration(from_steps, 0, actuator_cfg))
+        # retract to position 0
+        clock.advance(act.motion_duration(0, state.position_steps, actuator_cfg))
 
         if validity is Validity.VALID:
             break
 
-    return PointResult(attempts=attempts, actuator=state,
+    return PointResult(attempts=attempts, actuator=act.RETRACTED,
                        validated_at_s=validated_at)
 
 

@@ -137,6 +137,8 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{name}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{name}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{name}: top level must be an object")
     known = {"name", "field", "mission", "sampler", "actuator", "calib", "idw"}

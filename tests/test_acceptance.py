@@ -33,7 +33,6 @@ from soilprobe.geomap import build_grid, idw_at
 from soilprobe.mission import (MissionConfig, Waypoint, generate_waypoints,
                                read_summary, run_mission, select_valid)
 from soilprobe.sampler import SamplerConfig, attempt_point
-from soilprobe.actuator import ActuatorState
 
 from conftest import FlakySensor, idw_oracle, make_field, make_sensor
 
@@ -162,8 +161,7 @@ def test_criterion_5_fsm_safety_500_scenarios():
                              p_silent=float(rng.uniform(0, 0.3)),
                              p_garbage=float(rng.uniform(0, 0.3)))
         cfg = SamplerConfig(max_attempts=int(rng.integers(1, 5)))
-        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor,
-                               ActuatorState(), field, cfg)
+        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, cfg)
         assert result.actuator.position_steps == 0
         assert 1 <= len(result.attempts) <= cfg.max_attempts
     ok(5, "500 randomized runs ended retracted with attempts within bounds")

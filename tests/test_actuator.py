@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from soilprobe.actuator import (ActuatorConfig, ActuatorState, lower_to,
-                                motion_duration, retract)
+from soilprobe.actuator import ActuatorConfig, lower_to, motion_duration, retract
 from soilprobe.errors import RangeError
 
 CFG = ActuatorConfig()  # 20000 steps/m, 0.15 m max, 500 Hz
@@ -12,38 +11,38 @@ CFG = ActuatorConfig()  # 20000 steps/m, 0.15 m max, 500 Hz
 
 def test_lower_to_target_exact_steps():
     # 0.05 m * 20000 steps/m = 1000 whole steps
-    s = lower_to(ActuatorState(), CFG, 0.05)
+    s = lower_to(CFG, 0.05)
     assert s.position_steps == 1000
     assert s.depth_m == 0.05
     assert not s.stalled
 
 
 def test_lower_to_obstruction_stalls():
-    s = lower_to(ActuatorState(), CFG, 0.05, obstruction_depth_m=0.02)
+    s = lower_to(CFG, 0.05, obstruction_depth_m=0.02)
     assert s.position_steps == 400
     assert s.depth_m == pytest.approx(0.02)
     assert s.stalled
 
 
 def test_lower_to_null_motion():
-    s = lower_to(ActuatorState(), CFG, 0.0, obstruction_depth_m=0.01)
+    s = lower_to(CFG, 0.0, obstruction_depth_m=0.01)
     assert s.position_steps == 0 and not s.stalled
 
 
 def test_lower_to_obstruction_below_target_is_clean():
-    s = lower_to(ActuatorState(), CFG, 0.05, obstruction_depth_m=0.10)
+    s = lower_to(CFG, 0.05, obstruction_depth_m=0.10)
     assert s.position_steps == 1000 and not s.stalled
 
 
 def test_lower_to_rejects_out_of_range():
     with pytest.raises(RangeError):
-        lower_to(ActuatorState(), CFG, 0.151)
+        lower_to(CFG, 0.151)
     with pytest.raises(RangeError):
-        lower_to(ActuatorState(), CFG, -0.01)
+        lower_to(CFG, -0.01)
 
 
 def test_retract_clears_everything():
-    s = lower_to(ActuatorState(), CFG, 0.05, obstruction_depth_m=0.01)
+    s = lower_to(CFG, 0.05, obstruction_depth_m=0.01)
     r = retract(s)
     assert r.position_steps == 0 and r.depth_m == 0.0 and not r.stalled
 
@@ -61,7 +60,7 @@ def test_motion_duration(frm, to, rate, expected):
 def test_depth_quantization_property():
     rng = np.random.default_rng(21)
     for target in rng.uniform(0.0, CFG.max_depth_m, size=500):
-        s = lower_to(ActuatorState(), CFG, target)
+        s = lower_to(CFG, target)
         assert isinstance(s.position_steps, int)
         assert abs(s.depth_m * CFG.steps_per_metre - s.position_steps) < 1.0
 
@@ -69,10 +68,10 @@ def test_depth_quantization_property():
 def test_stall_iff_shortfall_beyond_one_step():
     step = 1.0 / CFG.steps_per_metre
     # obstruction one step short of target: quantization, not a stall
-    near = lower_to(ActuatorState(), CFG, 0.05, obstruction_depth_m=0.05 - step)
+    near = lower_to(CFG, 0.05, obstruction_depth_m=0.05 - step)
     assert near.position_steps == 999 and not near.stalled
     # two steps short: stall
-    shy = lower_to(ActuatorState(), CFG, 0.05, obstruction_depth_m=0.05 - 2 * step)
+    shy = lower_to(CFG, 0.05, obstruction_depth_m=0.05 - 2 * step)
     assert shy.position_steps == 998 and shy.stalled
 
 
@@ -81,7 +80,7 @@ def test_lower_then_retract_always_returns_home():
     for _ in range(200):
         target = rng.uniform(0, CFG.max_depth_m)
         obstr = rng.uniform(0, CFG.max_depth_m) if rng.random() < 0.5 else None
-        s = retract(lower_to(ActuatorState(), CFG, target, obstr))
+        s = retract(lower_to(CFG, target, obstr))
         assert s.position_steps == 0
 
 

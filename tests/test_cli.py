@@ -331,6 +331,33 @@ def test_mistyped_log_records_exit_3(tmp_path, capsys):
             assert one_line_error(capsys, f"{command}: ")
 
 
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys):
+    # json gives up with RecursionError about 1,000 levels deep
+    log = tmp_path / "run.jsonl"
+    cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
+              "--out-log", str(log), "--out-summary", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(log.read_text().splitlines()[0] + "\n" + "[" * 200_000 + "\n")
+    out = tmp_path / "out"
+    for argv in (["validate", "--log", str(deep), "--out", str(out / "v.jsonl")],
+                 ["map", "--log", str(deep), "--out-points", str(out / "p.geojson"),
+                  "--out-grid", str(out / "g.asc")]):
+        out.mkdir()
+        assert cli.main(argv) == 3
+        assert one_line_error(capsys, f"{argv[0]}: {deep}: line 2: ")
+        assert list(out.iterdir()) == []
+        out.rmdir()
+    scn = tmp_path / "deep.json"
+    scn.write_text('{"a":' * 200_000)
+    out.mkdir()
+    assert cli.main(["simulate", "--config", str(scn),
+                     "--out-log", str(out / "run.jsonl"),
+                     "--out-summary", str(out / "s.json")]) == 2
+    assert one_line_error(capsys, "simulate: deep: invalid JSON: ")
+    assert list(out.iterdir()) == []
+
+
 def test_map_oversized_raster_exits_2(tmp_path, capsys):
     # two samples about 11 m x 8 m apart: 1e-5 m cells would be ~1e12 cells
     log = tmp_path / "two.jsonl"

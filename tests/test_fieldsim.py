@@ -1,18 +1,21 @@
 """Synthetic field: ground truth, inverse sensor model, projection,
 virtual sensor behaviour."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from soilprobe import fieldsim, sdi12
+from soilprobe import sdi12
 from soilprobe.calib import raw_to_vwc
 from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 THETA_TRUE_MAX, Blob, Disk, FieldSpec,
-                                SimClock, VirtualTeros, local_to_wgs84,
-                                obstruction_at, sense_raw, sense_raw_air,
-                                theta_true, wgs84_to_local)
+                                CellIndex, SimClock, VirtualTeros,
+                                local_to_wgs84_at, obstruction_at, sense_raw,
+                                sense_raw_air, theta_true, wgs84_to_local_at)
+
+from soilprobe.mission import generate_waypoints
 
 from conftest import (make_field, make_sensor, measure_frames,
                       obstruction_at_reference)
@@ -108,9 +111,9 @@ def assert_index_matches_linear_scan(spec, queries):
         for y in (*NON_FINITE, 0.5):
             if not (math.isfinite(x) and math.isfinite(y)):
                 assert obstruction_at(spec, x, y) is None, (x, y)
-    size, cells, scanned = spec._obstruction_index
-    assert sum(map(len, cells.values())) <= (
-        fieldsim._MAX_DISK_CELLS * (len(spec.obstructions) - len(scanned)))
+    index = spec._obstruction_index
+    assert sum(map(len, index.cells.values())) <= (
+        CellIndex.MAX_CELLS * (len(spec.obstructions) - len(index.scanned)))
 
 
 def test_obstruction_index_matches_linear_scan_on_cell_edges():
@@ -125,8 +128,8 @@ def test_obstruction_index_matches_linear_scan_on_cell_edges():
               for i, r in enumerate((0.125, 0.625, 1.25, 1.0)) for j in range(8)]
     big = [Disk(60 + 8 * i, 8.0, 2.5) for i in range(4)] + [Disk(300, 300, 40.0)]
     spec = make_field(width=4.0, height=4.0, obstructions=disks + big)
-    size, _, scanned = spec._obstruction_index
-    assert size == 1.0 and scanned == big
+    index = spec._obstruction_index
+    assert index.size == 1.0 and index.scanned == big
     rng = np.random.default_rng(11)
     grid = [(i / 16, j / 16) for i in range(-112, 1400, 3) for j in range(-112, 496, 5)]
     random = rng.uniform(-8.0, 100.0, size=(4000, 2)).tolist()
@@ -142,7 +145,7 @@ def test_obstruction_index_covers_subnormal_squares():
     size = 2.0 * r
     disks = [Disk(k * size - r * (1 + 1e-6), 0.0, r) for k in range(1, 9)]
     spec = make_field(width=r, height=r, obstructions=disks)
-    assert spec._obstruction_index[0] == size
+    assert spec._obstruction_index.size == size
     queries = [(k * size * (1 + j * 1e-6), 0.0) for k in range(1, 9) for j in range(50)]
     assert any(obstruction_at_reference(spec, x, y) for x, y in queries)
     assert_index_matches_linear_scan(spec, queries)
@@ -179,9 +182,80 @@ def test_far_and_huge_disks_stay_bounded():
     assert obstruction_at(spec, 15.0, 5.0) is None
     assert obstruction_at(spec, 1e200, 5.0) == STALL_DEPTH_M
     spec = make_field(obstructions=[far, stone, huge])
-    assert spec._obstruction_index[2] == [huge]
+    assert spec._obstruction_index.scanned == [huge]
     assert obstruction_at(spec, 15.0, 5.0) == STALL_DEPTH_M
     assert obstruction_at(spec, 1e300, -1e300) is None
+
+
+def rim_walk(c, reach, sign):
+    """Points from the rim at c + sign * reach outward: three ulps, then
+    the relative steps that only a subnormal reach ** 2 lets pass."""
+    rim = c + sign * reach
+    points = [rim]
+    for _ in range(3):
+        points.append(math.nextafter(points[-1], sign * math.inf))
+    return points + [rim + sign * reach * t for t in (1e-6, 1e-5, 1e-4, 2e-4)]
+
+
+def test_cell_index_finds_every_item_within_reach():
+    # reaches of 0, subnormal squares, ordinary and huge, on cells of
+    # ordinary and of subnormal-scale size.  Some items have rims on the
+    # cell edge at 0, or just short of it, and the queries walk out from
+    # every rim across the edge, where x - cx rounds to the reach.
+    rng = np.random.default_rng(17)
+    for size in (1.0, 0.3, 2e-160, 3e-160):
+        items, far_huge = [], []
+        for reach in (0.0, 1e-160, size * float(rng.uniform(0.05, 2.0)), 1e150):
+            for sx, sy, short in itertools.product(
+                    (1.0, -1.0), (1.0, -1.0), (1.0, 1.0 + 1e-6, 1.0 + 1e-5)):
+                items.append((-sx * reach * short, -sy * reach * short, reach))
+            for _ in range(8):
+                if reach == 1e150:
+                    far_huge.append(len(items))
+                items.append((*(size * rng.uniform(-20.0, 20.0, size=2)).tolist(), reach))
+        index = CellIndex(size)
+        for k, (cx, cy, reach) in enumerate(items):
+            index.add(k, cx, cy, reach)
+        queries = [(x, y) for x in (*NON_FINITE, 0.0) for y in (*NON_FINITE, 0.0)]
+        queries += (size * rng.uniform(-22.0, 22.0, size=(400, 2))).tolist()
+        for cx, cy, reach in items:
+            for sign in (1.0, -1.0):
+                queries += [(x, cy) for x in rim_walk(cx, reach, sign)]
+                queries += [(cx, y) for y in rim_walk(cy, reach, sign)]
+                queries += [(cx + sign * f * reach, cy + f * reach) for f in (0.5, 0.7071)]
+        for x, y in queries:
+            near = index.near(x, y)
+            for k, (cx, cy, reach) in enumerate(items):
+                try:
+                    within = (x - cx) ** 2 + (y - cy) ** 2 <= reach ** 2
+                except OverflowError:
+                    within = False
+                if within:
+                    assert k in near, (size, k, x, y)
+        # a huge item near the field covers too many cells to list
+        assert set(far_huge) <= set(index.scanned)
+        listed = len(items) - len(index.scanned)
+        assert sum(map(len, index.cells.values())) <= CellIndex.MAX_CELLS * listed
+
+
+def test_neighbour_queries_go_through_the_cell_index(monkeypatch):
+    calls = []
+    near = CellIndex.near
+
+    def counting_near(self, x, y):
+        calls.append((x, y))
+        return near(self, x, y)
+
+    monkeypatch.setattr(CellIndex, "near", counting_near)
+    spec = make_field(obstructions=[Disk(5.0, 5.0, 1.0)])
+    assert obstruction_at(spec, 5.0, 5.0) == STALL_DEPTH_M
+    assert obstruction_at(spec, 9.0, 9.0) is None
+    assert calls == [(5.0, 5.0), (9.0, 9.0)]
+    calls.clear()
+    # one query per draw, and at least one draw per waypoint
+    waypoints = generate_waypoints(make_field(), 30, 1.0, seed=3)
+    assert len(calls) >= len(waypoints) == 30
+    assert {(w.x, w.y) for w in waypoints} <= set(calls)
 
 
 # -- inverse sensor model ------------------------------------------------------
@@ -238,22 +312,23 @@ def test_air_soil_separability_100k_draws():
 
 def test_projection_origin_fixed_point():
     spec = make_field()
-    assert local_to_wgs84(spec, 0.0, 0.0) == (spec.origin_lat, spec.origin_lon)
+    origin = (spec.origin_lat, spec.origin_lon)
+    assert local_to_wgs84_at(*origin, 0.0, 0.0) == origin
 
 
 def test_projection_round_trip_within_nanometre():
     spec = make_field()
     rng = np.random.default_rng(31)
     for x, y in rng.uniform(-500.0, 500.0, size=(200, 2)):
-        lat, lon = local_to_wgs84(spec, x, y)
-        x2, y2 = wgs84_to_local(spec, lat, lon)
+        lat, lon = local_to_wgs84_at(spec.origin_lat, spec.origin_lon, x, y)
+        x2, y2 = wgs84_to_local_at(spec.origin_lat, spec.origin_lon, lat, lon)
         assert abs(x - x2) <= 1e-9 and abs(y - y2) <= 1e-9
 
 
 def test_projection_one_degree_north():
     spec = make_field()
     y = EARTH_RADIUS_M * math.pi / 180.0
-    lat, lon = local_to_wgs84(spec, 0.0, y)
+    lat, lon = local_to_wgs84_at(spec.origin_lat, spec.origin_lon, 0.0, y)
     assert abs(lat - (spec.origin_lat + 1.0)) <= 1e-9
     assert lon == spec.origin_lon
 

@@ -18,8 +18,7 @@ from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                dump_summary, generate_waypoints,
                                parse_sample_log, read_sample_log,
                                read_summary, run_mission, sample_from_dict,
-                               sample_to_dict, select_valid, write_sample_log,
-                               write_summary)
+                               sample_to_dict, select_valid)
 
 from conftest import generate_waypoints_reference, make_field
 
@@ -353,10 +352,10 @@ def test_hull_area_in_summary():
 def test_log_round_trip(tmp_path):
     samples, summary = run_mission(simple_mission(4, obstructed=(2,)))
     path = tmp_path / "run.jsonl"
-    write_sample_log(samples, path)
+    path.write_text(dump_sample_log(samples), encoding="ascii")
     assert read_sample_log(path) == samples
     spath = tmp_path / "summary.json"
-    write_summary(summary, spath)
+    spath.write_text(dump_summary(summary), encoding="ascii")
     assert read_summary(spath) == summary
 
 

@@ -19,7 +19,7 @@ CFG = SamplerConfig()
 
 def run_point(field, wp=Waypoint(1, 10.0, 10.0), sensor=None, cfg=CFG, **kwargs):
     sensor = sensor if sensor is not None else make_sensor(field)
-    return attempt_point(wp, sensor, ActuatorState(), field, cfg, **kwargs), sensor
+    return attempt_point(wp, sensor, field, cfg, **kwargs), sensor
 
 
 def test_attempt_offsets_walk_the_compass():
@@ -127,13 +127,6 @@ def test_max_attempts_is_bounded():
             SamplerConfig(max_attempts=bad)
 
 
-def test_requires_retracted_actuator():
-    with pytest.raises(ValueError):
-        attempt_point(Waypoint(1, 1.0, 1.0), make_sensor(make_field()),
-                      ActuatorState(position_steps=10, depth_m=0.0005),
-                      make_field(), CFG)
-
-
 def test_clock_accounting_single_attempt():
     clock = SimClock()
     result, _ = run_point(make_field(theta=0.25), clock=clock)
@@ -198,8 +191,7 @@ def test_safety_property_with_fault_injection():
                            seed=int(rng.integers(1 << 30)))
         sensor = FlakySensor(make_sensor(field), rng,
                              p_silent=0.15, p_garbage=0.15)
-        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, ActuatorState(),
-                               field, CFG)
+        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, CFG)
         assert result.actuator.position_steps == 0
         assert 1 <= len(result.attempts) <= CFG.max_attempts
 
@@ -225,8 +217,7 @@ def test_transaction_accounting_against_trace_with_drops():
             obstructions=[Disk(10, 10, 0.05)] if rng.random() < 0.5 else [])
         inner = make_sensor(field)
         flaky = FlakySensor(inner, rng, p_silent=0.25)
-        result = attempt_point(Waypoint(1, 10.0, 10.0), flaky, ActuatorState(),
-                               field, CFG)
+        result = attempt_point(Waypoint(1, 10.0, 10.0), flaky, field, CFG)
         assert measure_frames(inner.trace) + flaky.dropped_measures() \
             == len(result.attempts)
 
