@@ -11,7 +11,7 @@ ESRI ASCII exports (:mod:`~soilprobe.geomap`).  ``soilprobe.cli`` binds
 it all into the ``soilprobe`` command.
 """
 
-from .actuator import ActuatorConfig, ActuatorState, lower_to, motion_duration, retract
+from .actuator import ActuatorConfig, ActuatorState, lower_to, motion_duration
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds, classify,
                     raw_to_vwc, vwc_to_raw)
 from .errors import (DegenerateError, EmptyInputError, FrameError,

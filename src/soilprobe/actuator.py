@@ -58,11 +58,6 @@ def lower_to(cfg: ActuatorConfig, target_depth_m: float,
                          stalled=stalled)
 
 
-def retract(state: ActuatorState) -> ActuatorState:
-    """Return the carriage to position 0 and clear any stall flag."""
-    return RETRACTED
-
-
 def motion_duration(from_steps: int, to_steps: int, cfg: ActuatorConfig) -> float:
     """Seconds the stepper needs to travel between two positions."""
     return abs(to_steps - from_steps) / cfg.step_rate_hz

@@ -11,14 +11,18 @@ extrapolates far beyond the sampled hull.
 Only samples within the cutoff (or exact) radius can change a value,
 so the kernel groups its queries into square tiles of that side and
 weighs each tile against the samples near it, never against all of
-them (local Shepard interpolation; Franke & Nielson 1980).
+them (local Shepard interpolation; Franke & Nielson 1980).  Weights
+come from squared distances; ``hypot`` decides every pair that lies
+within rounding of either radius, so which samples count, and which
+sample wins an exact hit, never depend on the squaring.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,6 +36,15 @@ _CHUNK_CELLS = 65536
 
 # largest raster build_grid accepts: 128 MiB of float64 values
 MAX_GRID_CELLS = 1 << 24
+
+# relative width of the band around a squared radius inside which the
+# squared distance cannot tell in from out; dx*dx + dy*dy and hypot each
+# round within a few ulps, far inside it
+_SQUARE_BAND = 1e-12
+
+# below the smallest normal float, squares round in absolute steps that
+# no relative band covers
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,16 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     samples inside its queries' bounding box grown by ``reach``, which
     holds every sample the cutoff and exact tests can keep.  Non-finite
     queries stay NaN.
+
+    Weights are ``d2 ** (-power / 2)`` on squared distances ``d2``,
+    computed in reused buffers.  ``np.hypot`` decides and weighs what
+    squaring cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of
+    the squared cutoff or below the normal floats, and the exact-hit
+    test of every row holding a ``d2`` within that band of the squared
+    exact radius.  So the kept pairs, the no-data cells and the
+    exact-hit winners are those of distances from ``np.hypot``, at any
+    scale; only the weights differ from ``hypot(...) ** -power``, by a
+    few ulps.
     """
     out = np.full(qx.size, np.nan)
     live = np.flatnonzero(np.isfinite(qx) & np.isfinite(qy))
@@ -123,6 +146,20 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     i0, i1 = xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")
     vals = np.full(live.size, np.nan)
 
+    power, cutoff, exact = params.power, params.cutoff_radius_m, params.exact_radius_m
+    # each squared radius widened by the band and by _NORMAL_MIN; products,
+    # not **, so a square beyond the floats is inf rather than an error
+    shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
+    cut_lo = (cutoff * shrink) * (cutoff * shrink) - _NORMAL_MIN
+    cut_hi = (cutoff * grow) * (cutoff * grow) + _NORMAL_MIN
+    exact_hi = (exact * grow) * (exact * grow) + _NORMAL_MIN
+    # a chunk holds at most max(_CHUNK_CELLS, samples of one tile) pairs,
+    # and never more than every query against those samples
+    most = int((i1 - i0).max())
+    size = min(max(_CHUNK_CELLS, most), live.size * most)
+    d2_buf, dy_buf = np.empty(size), np.empty(size)
+    keep_buf, sure_buf = np.empty(size, bool), np.empty(size, bool)
+
     for t in np.flatnonzero(i1 > i0):
         # ascending indices keep canonical order within the tile
         near = i0[t] + np.flatnonzero((ys[i0[t]:i1[t]] >= y0[t])
@@ -133,19 +170,45 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
         step = max(1, _CHUNK_CELLS // near.size)
         for q0 in range(starts[t], ends[t], step):
             q1 = min(ends[t], q0 + step)
-            d = np.hypot(lqx[q0:q1, None] - sx, lqy[q0:q1, None] - sy)
+            shape = (q1 - q0, near.size)
+            d2, dy, keep, sure = (buf[:shape[0] * shape[1]].reshape(shape)
+                                  for buf in (d2_buf, dy_buf, keep_buf, sure_buf))
+            # far pairs may overflow to inf, which every test drops
+            with np.errstate(over="ignore"):
+                np.subtract(lqx[q0:q1, None], sx, out=d2)
+                np.subtract(lqy[q0:q1, None], sy, out=dy)
+                np.multiply(d2, d2, out=d2)
+                np.multiply(dy, dy, out=dy)
+                d2 += dy
+            row_min = d2.min(axis=1)
+            may_hit = np.flatnonzero(row_min <= exact_hi)
+            np.less_equal(d2, cut_hi, out=keep)
+            np.less(d2, cut_lo, out=sure)
+            # hypot weighs the pairs whose squares cannot tell in from out,
+            # and those whose squares fell below the normal range
+            edge = None
+            if (np.count_nonzero(keep) != np.count_nonzero(sure)
+                    or row_min.min() < _NORMAL_MIN):
+                edge = np.flatnonzero((keep ^ sure) | (d2 < _NORMAL_MIN))
+                r, c = np.divmod(edge, shape[1])
+                d = np.hypot(lqx[q0 + r] - sx[c], lqy[q0 + r] - sy[c])
             # exact hits get 1/0 weights here and are overwritten just below;
             # absurdly large thetas may overflow, written as no-data on export
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = np.where(d <= params.cutoff_radius_m, d ** -params.power,
-                             0.0)
+                w = np.power(d2, -0.5 * power, out=d2)
+                w *= keep
+                if edge is not None:
+                    w.flat[edge] = np.where(d <= cutoff, d ** -power, 0.0)
                 wsum = w.sum(axis=1)
-                np.divide((w * sth).sum(axis=1), wsum, out=vals[q0:q1],
-                          where=wsum > 0)
-            hits = np.flatnonzero((d <= params.exact_radius_m).any(axis=1))
-            if hits.size:
-                tied = d[hits] == d[hits].min(axis=1, keepdims=True)
-                vals[q0 + hits] = sth[
+                w *= sth
+                np.divide(w.sum(axis=1), wsum, out=vals[q0:q1], where=wsum > 0)
+            if may_hit.size:
+                d = np.hypot(lqx[q0 + may_hit, None] - sx,
+                             lqy[q0 + may_hit, None] - sy)
+                hit = (d <= exact).any(axis=1)
+                d = d[hit]
+                tied = d == d.min(axis=1, keepdims=True)
+                vals[q0 + may_hit[hit]] = sth[
                     np.where(tied, srank, rank.size).argmin(axis=1)]
     out[live] = vals
     return out
@@ -212,20 +275,63 @@ def samples_to_local(samples):
     return xy, (origin_lat, origin_lon)
 
 
+# one GeoJSON Feature as json.dumps(indent=2) lays it out inside the collection
+_FEATURE = """\
+    {{
+      "type": "Feature",
+      "geometry": {{
+        "type": "Point",
+        "coordinates": [
+          {lon},
+          {lat}
+        ]
+      }},
+      "properties": {{
+        "point_id": {point_id},
+        "theta": {theta},
+        "status": {status},
+        "attempts": {attempts}
+      }}
+    }}"""
+
+
+def _json_number(value) -> str:
+    """``value`` as :func:`json.dumps` writes a number or null.
+
+    Ints and floats (subclasses too, such as ``np.float64``) take the
+    ``int`` and ``float`` reprs that ``json`` uses; NaN and infinity
+    raise ValueError, as ``allow_nan=False`` does.  Anything else,
+    bools and strings included, raises TypeError.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value {value!r} is not "
+                             "JSON compliant")
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"{type(value).__name__} is not a JSON number")
+
+
 def export_points_geojson(samples) -> str:
     """GeoJSON FeatureCollection of all samples, valid and invalid.
 
     Coordinates are [longitude, latitude] per RFC 7946; ``status`` in
-    the properties tells the two classes apart.
+    the properties tells the two classes apart.  The text is what
+    ``json.dumps(..., indent=2, allow_nan=False)`` gives, written from
+    one template per Feature.
     """
-    features = [{
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [s.lon, s.lat]},
-        "properties": {"point_id": s.point_id, "theta": s.theta,
-                       "status": s.status.value, "attempts": s.attempts},
-    } for s in samples]
-    return json.dumps({"type": "FeatureCollection", "features": features},
-                      indent=2, allow_nan=False) + "\n"
+    num = _json_number
+    features = [_FEATURE.format(
+        lon=num(s.lon), lat=num(s.lat), point_id=num(s.point_id),
+        theta=num(s.theta), status=encode_basestring_ascii(s.status.value),
+        attempts=num(s.attempts)) for s in samples]
+    if not features:
+        return '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
+    return ('{\n  "type": "FeatureCollection",\n  "features": [\n'
+            + ",\n".join(features) + "\n  ]\n}\n")
 
 
 def export_grid_ascii(grid: MoistureGrid) -> str:
@@ -241,8 +347,12 @@ def export_grid_ascii(grid: MoistureGrid) -> str:
         f"cellsize {grid.cell_size_m:.6f}",
         f"NODATA_value {NODATA}",
     ]
-    for iy in range(grid.ny - 1, -1, -1):
-        row = grid.values[iy]
-        lines.append(" ".join(
-            f"{v:.6f}" if math.isfinite(v) else str(NODATA) for v in row))
+    fmt, nodata = "{:.6f}".format, str(NODATA)
+    rows = grid.values[::-1]
+    for finite, row in zip(np.isfinite(rows).all(axis=1).tolist(), rows):
+        if finite:
+            lines.append(" ".join(map(fmt, row.tolist())))
+        else:
+            lines.append(" ".join(fmt(v) if math.isfinite(v) else nodata
+                                  for v in row.tolist()))
     return "\n".join(lines) + "\n"

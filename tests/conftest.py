@@ -1,7 +1,7 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
-the naive interpolation oracle, the dense IDW kernel, the linear
-waypoint and obstruction references, the hand-written SDI-12 parsers
-and the parse-based virtual sensor."""
+the naive interpolation oracle, the dense IDW kernel, the per-cell ASCII
+raster writer, the linear waypoint and obstruction references, the
+hand-written SDI-12 parsers and the parse-based virtual sensor."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from soilprobe.errors import FrameError, InfeasibleError
 from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
                                 STALL_DEPTH_M, FieldSpec, VirtualTeros,
                                 sense_raw, sense_raw_air)
+from soilprobe.geomap import NODATA
 from soilprobe.mission import REJECTION_TRIAL_LIMIT, Waypoint
 from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
                              MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
@@ -66,6 +67,27 @@ def idw_dense_reference(xy, theta, rank, qx, qy, power=2.0, cutoff=10.0,
             tied = d[hits] == d[hits].min(axis=1, keepdims=True)
             out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
     return out
+
+
+def export_grid_ascii_reference(grid) -> str:
+    """The per-cell ESRI ASCII writer: every numpy scalar is tested and
+    formatted on its own.
+
+    ``geomap.export_grid_ascii`` must write the same text.
+    """
+    lines = [
+        f"ncols {grid.nx}",
+        f"nrows {grid.ny}",
+        f"xllcorner {grid.origin_x:.6f}",
+        f"yllcorner {grid.origin_y:.6f}",
+        f"cellsize {grid.cell_size_m:.6f}",
+        f"NODATA_value {NODATA}",
+    ]
+    for iy in range(grid.ny - 1, -1, -1):
+        row = grid.values[iy]
+        lines.append(" ".join(
+            f"{v:.6f}" if math.isfinite(v) else str(NODATA) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def generate_waypoints_reference(field, count, min_spacing_m, seed,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from soilprobe.actuator import ActuatorConfig, lower_to, motion_duration, retract
+from soilprobe.actuator import ActuatorConfig, lower_to, motion_duration
 from soilprobe.errors import RangeError
 
 CFG = ActuatorConfig()  # 20000 steps/m, 0.15 m max, 500 Hz
@@ -41,12 +41,6 @@ def test_lower_to_rejects_out_of_range():
         lower_to(CFG, -0.01)
 
 
-def test_retract_clears_everything():
-    s = lower_to(CFG, 0.05, obstruction_depth_m=0.01)
-    r = retract(s)
-    assert r.position_steps == 0 and r.depth_m == 0.0 and not r.stalled
-
-
 @pytest.mark.parametrize("frm,to,rate,expected", [
     (0, 1000, 500.0, 2.0),
     (0, 0, 500.0, 0.0),
@@ -73,15 +67,6 @@ def test_stall_iff_shortfall_beyond_one_step():
     # two steps short: stall
     shy = lower_to(CFG, 0.05, obstruction_depth_m=0.05 - 2 * step)
     assert shy.position_steps == 998 and shy.stalled
-
-
-def test_lower_then_retract_always_returns_home():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        target = rng.uniform(0, CFG.max_depth_m)
-        obstr = rng.uniform(0, CFG.max_depth_m) if rng.random() < 0.5 else None
-        s = retract(lower_to(CFG, target, obstr))
-        assert s.position_steps == 0
 
 
 def test_config_validation():

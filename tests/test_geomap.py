@@ -1,5 +1,6 @@
 """IDW interpolation properties and export formats."""
 
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,8 @@ from soilprobe.geomap import (IdwParams, MoistureGrid, _as_sample_arrays,
                               export_points_geojson, idw_at, samples_to_local)
 from soilprobe.sampler import SoilSample
 
-from conftest import idw_dense_reference, idw_oracle
+from conftest import (export_grid_ascii_reference, idw_dense_reference,
+                      idw_oracle)
 
 
 def make_sample(i, lat=45.0, lon=7.5, theta=0.25, status=Validity.VALID,
@@ -267,6 +269,107 @@ def test_grid_matches_naive_oracle_where_tiles_prune():
     assert worst <= 1e-12
 
 
+def on_circle(rng, centres, radius):
+    """One point per centre, at a random angle, within ulps of its circle.
+
+    Each point's x is walked one float at a time to the last value with
+    ``hypot(dx, dy) <= radius``, then moved 2 floats inwards to 3
+    outwards, so the points straddle the circle.
+    """
+    cx, cy = centres.T
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(centres))
+    x, y = cx + radius * np.cos(angle), cy + radius * np.sin(angle)
+    outward = np.where(x > cx, np.inf, -np.inf)
+    inside = np.hypot(x - cx, y - cy) <= radius
+    walk = np.where(inside, outward, -outward)
+    for _ in range(64):
+        step = np.nextafter(x, walk)
+        same_side = (np.hypot(step - cx, y - cy) <= radius) == inside
+        if not same_side.any():
+            break
+        x = np.where(same_side, step, x)
+    x = np.where(inside, x, np.nextafter(x, -outward))  # the last float inside
+    k = rng.integers(-2, 4, len(x))  # k = 1 is the first float outside
+    for i in range(1, 4):
+        x = np.where(k >= i, np.nextafter(x, outward), x)
+        x = np.where(-k >= i, np.nextafter(x, -outward), x)
+    return np.column_stack([x, y])
+
+
+# (coordinate scale, power): squared distances are normal floats, below
+# them, and above them
+@pytest.mark.parametrize("scale,power", [(1.0, 2.0), (1e-160, 1.0), (1e160, 1.0)])
+def test_kernel_decides_both_circles_as_hypot_does(scale, power):
+    # a squared distance within rounding of the squared cutoff or exact
+    # radius may fall on the other side of it; hypot's decision must win
+    rng = np.random.default_rng(707)
+    cutoff, exact, side = 1.5 * scale, 0.25 * scale, 40
+    params = IdwParams(power=power, cutoff_radius_m=cutoff, exact_radius_m=exact)
+    centres = (rng.integers(0, side, (1100, 2)) + 0.5) * scale
+    at_cutoff = on_circle(rng, centres[:300], cutoff)
+    at_exact = on_circle(rng, centres[300:1000], exact)
+    # two points on one exact circle: the nearer one by hypot wins
+    tied = np.vstack([on_circle(rng, centres[1000:], exact),
+                      on_circle(rng, centres[1000:], exact)])
+    xy = np.vstack([at_cutoff, at_exact, tied])
+    theta = rng.uniform(0.05, 0.45, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+
+    nodata, hit = assert_grid_matches_dense(
+        xy, theta, ids, (0, 0, side * scale, side * scale), params, scale)
+    assert nodata.any() and hit.any()
+    # the placements straddle both circles, and squaring misjudges some
+    for ring, centre, radius in ((at_cutoff, centres[:300], cutoff),
+                                 (at_exact, centres[300:1000], exact)):
+        dx, dy = (ring - centre).T
+        inside = np.hypot(dx, dy) <= radius
+        with np.errstate(over="ignore"):
+            misjudged = (dx * dx + dy * dy <= radius * radius) != inside
+        assert inside.any() and not inside.all() and misjudged.any()
+
+
+def scaled_case(rng, scale):
+    """60 scattered samples and 8 on cell centres of a 16 x 16 raster of
+    ``scale``-sized cells, as (xy, theta, ids, bounds, cell)."""
+    centres = rng.integers(0, 16, (8, 2)) + 0.5
+    xy = np.vstack([rng.uniform(0.0, 16.0, (60, 2)), centres]) * scale
+    theta = rng.uniform(0.05, 0.45, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+    return xy, theta, ids, (0.0, 0.0, 16.0 * scale, 16.0 * scale), scale
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e100,
+                                   1e150])
+def test_kernel_matches_dense_kernel_across_magnitudes(scale):
+    rng = np.random.default_rng(int(math.log10(scale)) + 1000)
+    xy, theta, ids, bounds, cell = scaled_case(rng, scale)
+    params = IdwParams(cutoff_radius_m=2.5 * scale, exact_radius_m=0.3 * scale)
+    nodata, hit = assert_grid_matches_dense(xy, theta, ids, bounds, params, cell)
+    assert nodata.any() and hit.any() and not nodata.all()
+
+
+# (coordinate scale, cutoff, exact, power): squared radii or distances
+# overflow to inf or fall below the normal floats, down to 0
+@pytest.mark.parametrize("scale,cutoff,exact,power", [
+    (1.0, 1e200, 1e-200, 2.0),
+    (1.0, 2.5, 1e300, 2.0),
+    (1.0, 5e-324, 5e-324, 2.0),
+    (1e150, 1e300, 1e-300, 2.0),
+    (1e-155, 2.5e-155, 3e-156, 2.0),
+    (1e-160, 2.5e-150, 3e-170, 1.0),
+    (1e-165, 2.5e-165, 3e-166, 1.0),
+    (1e-300, 2.5e-300, 3e-301, 1.0),
+    (1e160, 2.5e160, 3e159, 1.0),
+])
+def test_kernel_matches_dense_kernel_where_squares_leave_the_floats(
+        scale, cutoff, exact, power):
+    rng = np.random.default_rng(int(abs(math.log10(scale))) + 2000)
+    xy, theta, ids, bounds, cell = scaled_case(rng, scale)
+    params = IdwParams(power=power, cutoff_radius_m=cutoff, exact_radius_m=exact)
+    _, hit = assert_grid_matches_dense(xy, theta, ids, bounds, params, cell)
+    assert hit.any()
+
+
 def test_idw_params_validation():
     with pytest.raises(ValueError):
         IdwParams(power=0)
@@ -349,3 +452,94 @@ def test_samples_to_local_anchor():
     assert xy[1][0] > 0 and xy[1][1] > 0
     with pytest.raises(EmptyInputError):
         samples_to_local([])
+
+
+# -- the writers against json and the per-cell reference -------------------------
+
+
+def geojson_reference(samples) -> str:
+    """The FeatureCollection as ``json`` writes it: the writer's definition."""
+    features = [{
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [s.lon, s.lat]},
+        "properties": {"point_id": s.point_id, "theta": s.theta,
+                       "status": s.status.value, "attempts": s.attempts},
+    } for s in samples]
+    return json.dumps({"type": "FeatureCollection", "features": features},
+                      indent=2, allow_nan=False) + "\n"
+
+
+SPECIAL_NUMBERS = [0, 1, -7, 45, 2**64 + 1, -(2**70), 0.0, -0.0, 5e-324,
+                   -5e-324, 1e16, -1e16, 1e-7, 0.1, 1e300, 1.7976931348623157e308,
+                   np.float64(0.1), np.float64(-0.0), np.float64(1e16)]
+
+
+def random_number(rng):
+    pick = rng.random()
+    if pick < 0.4:
+        return SPECIAL_NUMBERS[rng.integers(len(SPECIAL_NUMBERS))]
+    if pick < 0.7:
+        return float(rng.uniform(-180.0, 180.0))
+    if pick < 0.85:
+        return np.float64(rng.normal() * 10.0 ** rng.integers(-20, 21))
+    return int(rng.integers(-10**6, 10**6))
+
+
+def random_int(rng):
+    return int(rng.integers(0, 10**6)) if rng.random() < 0.8 else 2**64 + 7
+
+
+def test_geojson_matches_json_on_random_samples():
+    rng = np.random.default_rng(808)
+    statuses = list(Validity)
+    assert export_points_geojson([]) == geojson_reference([])
+    for _ in range(300):
+        samples = [SoilSample(
+            point_id=random_int(rng), timestamp_s=0.0, lat=random_number(rng),
+            lon=random_number(rng), target_depth_m=0.05, achieved_depth_m=0.05,
+            attempts=random_int(rng), raw_counts=None, temp_c=None,
+            ec_us_cm=None,
+            theta=None if rng.random() < 0.2 else random_number(rng),
+            status=statuses[rng.integers(len(statuses))])
+            for _ in range(rng.integers(0, 6))]
+        assert export_points_geojson(samples) == geojson_reference(samples)
+
+
+@pytest.mark.parametrize("field", ["lat", "lon", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 np.float64("nan"), np.float64("-inf")])
+def test_geojson_refuses_non_finite_numbers(field, bad):
+    samples = [make_sample(1), dataclasses.replace(make_sample(2), **{field: bad})]
+    with pytest.raises(ValueError):
+        geojson_reference(samples)
+    with pytest.raises(ValueError):
+        export_points_geojson(samples)
+
+
+@pytest.mark.parametrize("field", ["point_id", "lat", "lon", "theta", "attempts"])
+def test_geojson_refuses_non_numbers(field):
+    with pytest.raises(TypeError):
+        geojson_reference([dataclasses.replace(make_sample(1),
+                                               **{field: np.int64(3)})])
+    for bad in (np.int64(3), "45.0", True, [1.0]):
+        samples = [dataclasses.replace(make_sample(1), **{field: bad})]
+        with pytest.raises(TypeError):
+            export_points_geojson(samples)
+
+
+def test_ascii_grid_matches_per_cell_writer():
+    rng = np.random.default_rng(909)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 1e300, -1e300, 5e-324,
+                -5e-324, 0.0078125, -0.0078125, 2.5 + 2**-7]
+    for _ in range(60):
+        ny, nx = rng.integers(1, 25, 2)
+        values = rng.uniform(-1.0, 1.0, (ny, nx))
+        # odd multiples of 2**-7 end in 5 at the 7th decimal: .6f half-ways
+        halfway = rng.random((ny, nx)) < 0.2
+        values[halfway] = rng.integers(-10**5, 10**5, halfway.sum()) * 2.0**-7
+        for iy in np.flatnonzero(rng.random(ny) < 0.4):
+            cells = rng.integers(0, nx, rng.integers(1, nx + 1))
+            values[iy, cells] = rng.choice(specials, cells.size)
+        grid = MoistureGrid(*rng.uniform(-1e3, 1e3, 2), rng.uniform(0.1, 5.0),
+                            values)
+        assert export_grid_ascii(grid) == export_grid_ascii_reference(grid)
