@@ -114,23 +114,26 @@ def cmd_simulate(args) -> int:
 
 
 def _read_log(command: str, path):
-    """(samples, EXIT_OK), or (None, exit code) after a one-line diagnostic."""
+    """(samples, their lines, EXIT_OK), or (None, None, exit code) after a
+    one-line diagnostic."""
     try:
-        return mission.read_sample_log(path), EXIT_OK
+        return *mission.read_sample_log(path), EXIT_OK
     except OSError as exc:
         _diag(f"{command}: {exc}")
-        return None, EXIT_CONFIG
+        return None, None, EXIT_CONFIG
     except LogFormatError as exc:
         _diag(f"{command}: {path}: {exc}")
-        return None, EXIT_BAD_LOG
+        return None, None, EXIT_BAD_LOG
 
 
 def cmd_validate(args) -> int:
-    samples, code = _read_log("validate", args.log)
+    samples, lines, code = _read_log("validate", args.log)
     if code:
         return code
-    code = _emit("validate", (mission.dump_sample_log(
-        mission.select_valid(samples)), args.out))
+    # each valid record's line, copied as read: a checked line is ASCII
+    valid = "".join(f"{line}\n" for sample, line in zip(samples, lines)
+                    if sample.status is mission.Validity.VALID)
+    code = _emit("validate", (valid, args.out))
     if code:
         return code
     counts = Counter(s.status.value for s in samples)
@@ -141,13 +144,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_map(args) -> int:
-    samples, code = _read_log("map", args.log)
+    samples, lines, code = _read_log("map", args.log)
     if code:
         return code
+    del lines  # only validate copies them; held here, they add to map's peak memory
     valid = mission.select_valid(samples)
     if not valid:
         _diag("map: no valid samples to interpolate")
         return EXIT_NO_VALID
+    try:
+        params = geomap.IdwParams(power=args.power)
+    except ValueError as exc:
+        _diag(f"map: --power {args.power}: {exc}")
+        return EXIT_CONFIG
 
     xy, _origin = geomap.samples_to_local(valid)
     theta = [s.theta for s in valid]
@@ -156,7 +165,6 @@ def cmd_map(args) -> int:
     bounds = (xy[:, 0].min() - pad, xy[:, 1].min() - pad,
               xy[:, 0].max() + pad, xy[:, 1].max() + pad)
     try:
-        params = geomap.IdwParams(power=args.power)
         grid = geomap.build_grid(xy, theta, bounds, params,
                                  cell_size_m=args.cell_size, ids=ids)
     except ValueError as exc:
@@ -239,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-size", type=float, default=0.5,
                    help="grid cell size in metres (default 0.5)")
     p.add_argument("--power", type=float, default=2.0,
-                   help="IDW power (default 2.0)")
+                   help="IDW power, at most 50 (default 2.0)")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("codec", help="debug the wire codec")

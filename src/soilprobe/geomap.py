@@ -47,14 +47,50 @@ _SQUARE_BAND = 1e-12
 _NORMAL_MIN = sys.float_info.min
 
 
+# a weight d ** -power of a sample that counts, exact < d <= cutoff, stays
+# within 10 ** +-_WEIGHT_EXPONENT: far from the floats' limits, which leaves
+# room for the sum of the weights
+_WEIGHT_EXPONENT = 300
+
+
 @dataclass(frozen=True)
 class IdwParams:
+    """IDW settings.  A power above ``max_power`` is refused: the weight
+    near the exact radius could overflow, or the one at the cutoff
+    underflow, and cells with samples in reach would turn no-data."""
+
     power: float = 2.0
     cutoff_radius_m: float = 10.0
     exact_radius_m: float = 1e-6
 
     def __post_init__(self):
         require_positive(self, "power", "cutoff_radius_m", "exact_radius_m")
+        if self.power > self.max_power:
+            raise ValueError(
+                f"power must be at most {self.max_power:.6g} for radii "
+                f"{self.exact_radius_m:g} to {self.cutoff_radius_m:g} m, or an "
+                f"IDW weight leaves 1e-{_WEIGHT_EXPONENT}..1e{_WEIGHT_EXPONENT}")
+
+    @property
+    def max_power(self) -> float:
+        """The largest power these radii accept.
+
+        That is the largest one whose weights stay within 1e-300..1e300
+        at every distance weighed, above the exact radius and up to the
+        cutoff (no limit when the exact radius reaches the cutoff).  It
+        is never less than 2, so inverse-square weighting stays available
+        at every scale; with an exact radius below 1e-150 or a cutoff
+        above 1e150, even those weights leave that range, and cells in
+        reach may still turn no-data.
+        """
+        exact, cutoff = self.exact_radius_m, self.cutoff_radius_m
+        limit = math.inf
+        if exact < cutoff:
+            if exact < 1.0:
+                limit = _WEIGHT_EXPONENT / -math.log10(exact)
+            if cutoff > 1.0:
+                limit = min(limit, _WEIGHT_EXPONENT / math.log10(cutoff))
+        return max(2.0, limit)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,15 @@ taken when its deciding attempt finishes validating, so the mission
 duration equals the final timestamp plus the final retract.
 
 Sample logs are JSON Lines, one self-describing record per sample, with
-the field names of SoilSample; the summary is a single JSON object.
-Both serializations are byte-deterministic for a given run.
+exactly the field names of SoilSample; the summary is a single JSON
+object.  Both serializations are byte-deterministic for a given run.
+The log round-trips by copy: the reader returns each record's line
+beside its sample, and ``validate`` writes the valid lines as they were
+read instead of encoding their samples again.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -252,9 +254,11 @@ def convex_hull_area(points) -> float:
 # -- Log serialization -------------------------------------------------------
 
 SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
-_INT_FIELDS = tuple(f.name for f in fields(SoilSample) if f.type == "int")
-_NUMBER_FIELDS = tuple((f.name, f.type == "float | None")
-                       for f in fields(SoilSample) if f.type.startswith("float"))
+# each field with the check its value gets, in one table walked per record
+_KINDS = {"int": "int", "float": "number", "float | None": "number or null",
+          "Validity": "status"}
+_SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type]) for f in fields(SoilSample))
+_STATUSES = {status.value: status for status in Validity}
 
 SUMMARY_FIELDS = tuple(f.name for f in fields(MissionSummary))
 
@@ -263,66 +267,115 @@ SUMMARY_FIELDS = tuple(f.name for f in fields(MissionSummary))
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
+def _unique_fields(pairs: list) -> dict:
+    """One decoded JSON object; a name that repeats raises ValueError.
+
+    ``json`` alone would keep the last value, and the line copied by
+    ``validate`` would then mean something else to a reader that keeps
+    the first.
+    """
+    d = dict(pairs)
+    if len(d) != len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ValueError(f"field {name!r} appears more than once")
+            seen.add(name)
+    return d
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+
+
 def sample_to_dict(sample: SoilSample) -> dict:
     d = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
     d["status"] = sample.status.value
     return d
 
 
-def sample_from_dict(d: dict) -> SoilSample:
-    """Check one decoded record against SoilSample's field types.
+def _field_set_error(d: dict) -> ValueError:
+    missing = [name for name in SAMPLE_FIELDS if name not in d]
+    unknown = [repr(name) for name in d if name not in SAMPLE_FIELDS]
+    return ValueError("; ".join(
+        f"{what} fields: {', '.join(names)}"
+        for what, names in (("missing", missing), ("unknown", unknown)) if names))
 
-    Integers must be ints, other numbers finite ints or floats, and only
-    the ``float | None`` fields may be null; a valid record needs a
-    theta.  Values are checked, never converted, so the record dumps
-    back to the same bytes.
+
+def sample_from_dict(d: dict) -> SoilSample:
+    """Check one decoded record against SoilSample's fields and types.
+
+    The record holds exactly SoilSample's fields.  Integers must be
+    ints, other numbers finite ints or floats, and only the ``float |
+    None`` fields may be null; a valid record needs a theta.  Values are
+    checked, never converted, so the record dumps back to the same
+    bytes.
     """
-    try:
-        kwargs = {name: d[name] for name in SAMPLE_FIELDS}
-    except KeyError:
-        missing = [name for name in SAMPLE_FIELDS if name not in d]
-        raise KeyError(f"missing fields: {', '.join(missing)}") from None
-    for name in _INT_FIELDS:
-        if type(kwargs[name]) is not int:
-            raise TypeError(f"{name} must be an integer")
-    for name, nullable in _NUMBER_FIELDS:
-        value = kwargs[name]
-        if value is None and nullable:
-            continue
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number"
-                             + (" or null" if nullable else ""))
-    kwargs["status"] = status = Validity(kwargs["status"])
-    if status is Validity.VALID and kwargs["theta"] is None:
+    if len(d) != len(_SAMPLE_SCHEMA):
+        raise _field_set_error(d)
+    # SoilSample has no __post_init__, so each checked value goes straight
+    # into the new sample's __dict__, in field order, as copy and pickle
+    # restore an instance: this skips the frozen __init__'s object.__setattr__
+    # calls, most of its cost, and keeps its key-sharing attribute table
+    sample = object.__new__(SoilSample)
+    attributes = vars(sample)
+    for name, kind in _SAMPLE_SCHEMA:
+        try:
+            value = d[name]
+        except KeyError:
+            raise _field_set_error(d) from None
+        if kind == "int":
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer")
+        elif kind == "status":
+            if type(value) is not str or value not in _STATUSES:
+                raise ValueError(f"status {value!r} is not one of "
+                                 + ", ".join(_STATUSES))
+            value = _STATUSES[value]
+        elif value is None:
+            if kind == "number":
+                raise ValueError(f"{name} must be a finite number")
+        elif type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite {kind}")
+        attributes[name] = value
+    if sample.status is Validity.VALID and sample.theta is None:
         raise ValueError("a valid sample needs a theta")
-    return SoilSample(**kwargs)
+    return sample
 
 
 def dump_sample_log(samples: list[SoilSample]) -> str:
     return "".join(_ENCODER.encode(sample_to_dict(s)) + "\n" for s in samples)
 
 
-def parse_sample_log(lines) -> list[SoilSample]:
+def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
     """Decode an iterable of JSONL lines; blank lines are skipped.
 
-    Raises LogFormatError naming the 1-based offending line.
+    Returns the samples and, beside each, the line it was decoded from,
+    as given.  A checked record's line is ASCII, and ``validate`` copies
+    it instead of encoding the sample again.  Raises LogFormatError
+    naming the 1-based offending line.
     """
-    samples = []
+    samples, records = [], []
+    decode = _DECODER.decode
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            samples.append(sample_from_dict(json.loads(line)))
+            samples.append(sample_from_dict(decode(line)))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
         except RecursionError:
             raise LogFormatError(f"line {line_no}: JSON nested too deeply",
                                  line_no) from None
-    return samples
+        records.append(line)
+    return samples, records
 
 
-def read_sample_log(path) -> list[SoilSample]:
-    """Decode a log file; bytes that are not UTF-8 raise LogFormatError."""
+def read_sample_log(path) -> tuple[list[SoilSample], list[str]]:
+    """Decode a log file into samples and their lines, without line endings.
+
+    Lines end at LF, CRLF or CR, as in a text-mode file.  Bytes that are
+    not UTF-8 raise LogFormatError.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -330,7 +383,9 @@ def read_sample_log(path) -> list[SoilSample]:
     except UnicodeDecodeError as exc:
         line_no = raw.count(b"\n", 0, exc.start) + 1
         raise LogFormatError(f"line {line_no}: not valid UTF-8", line_no) from None
-    return parse_sample_log(io.StringIO(text, newline=None))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_sample_log(text.split("\n"))
 
 
 def summary_to_dict(summary: MissionSummary) -> dict:
@@ -339,9 +394,3 @@ def summary_to_dict(summary: MissionSummary) -> dict:
 
 def dump_summary(summary: MissionSummary) -> str:
     return _ENCODER.encode(summary_to_dict(summary)) + "\n"
-
-
-def read_summary(path) -> MissionSummary:
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    return MissionSummary(**{name: d[name] for name in SUMMARY_FIELDS})

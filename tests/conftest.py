@@ -1,7 +1,8 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
 the naive interpolation oracle, the dense IDW kernel, the per-cell ASCII
 raster writer, the linear waypoint and obstruction references, the
-hand-written SDI-12 parsers and the parse-based virtual sensor."""
+re-encoding ``validate`` reference, the hand-written SDI-12 parsers and
+the parse-based virtual sensor."""
 
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
                                 STALL_DEPTH_M, FieldSpec, VirtualTeros,
                                 sense_raw, sense_raw_air)
 from soilprobe.geomap import NODATA
-from soilprobe.mission import REJECTION_TRIAL_LIMIT, Waypoint
+from soilprobe.mission import (REJECTION_TRIAL_LIMIT, Waypoint, dump_sample_log,
+                               select_valid)
 from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
                              MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
                              Command, DataResponse, MeasureAck, Verb,
@@ -123,6 +125,12 @@ def generate_waypoints_reference(field, count, min_spacing_m, seed,
         ordered.append(nearest)
         cx, cy = nearest
     return [Waypoint(i + 1, x, y) for i, (x, y) in enumerate(ordered)]
+
+
+def validate_reference(samples) -> str:
+    """What ``validate`` wrote before it copied the lines it read: the
+    valid samples, encoded again."""
+    return dump_sample_log(select_valid(samples))
 
 
 def obstruction_at_reference(spec, x, y):

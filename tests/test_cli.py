@@ -1,15 +1,23 @@
 """CLI behaviour: subcommands, exit codes, stdout/stderr discipline."""
 
+import dataclasses
 import json
 import math
 import os
 import stat
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from soilprobe import cli
-from soilprobe.mission import read_sample_log, read_summary
+from soilprobe import cli, geomap
+from soilprobe.calib import Validity
+from soilprobe.fieldsim import Disk
+from soilprobe.mission import (MissionConfig, dump_sample_log,
+                               generate_waypoints, read_sample_log,
+                               run_mission, select_valid)
+
+from conftest import make_field, validate_reference
 
 
 def small_scenario(tmp_path, n_obstructed=1):
@@ -33,9 +41,9 @@ def test_simulate_writes_log_and_summary(tmp_path):
     code = cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
                      "--out-log", str(log), "--out-summary", str(summary)])
     assert code == 0
-    samples = read_sample_log(log)
-    s = read_summary(summary)
-    assert s.points_total == 4 and s.points_valid == 3 and s.points_invalid == 1
+    samples, _ = read_sample_log(log)
+    s = json.loads(summary.read_text())
+    assert s["points_total"] == 4 and s["points_valid"] == 3 and s["points_invalid"] == 1
     assert len(samples) == 4
 
 
@@ -66,8 +74,8 @@ def test_simulate_seed_flag_changes_noise_only(tmp_path):
               "--out-summary", str(tmp_path / "sa.json")])
     cli.main(["simulate", "--config", str(doc_path), "--out-log", str(b),
               "--out-summary", str(tmp_path / "sb.json"), "--seed", "123"])
-    sa = read_sample_log(a)
-    sb = read_sample_log(b)
+    sa, _ = read_sample_log(a)
+    sb, _ = read_sample_log(b)
     assert [s.point_id for s in sa] == [s.point_id for s in sb]
     assert [(s.lat, s.lon) for s in sa] == [(s.lat, s.lon) for s in sb]
 
@@ -81,7 +89,7 @@ def test_validate_counts_and_filters(tmp_path, capsys):
     assert cli.main(["validate", "--log", str(log), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert "3 valid" in err and "1 not_penetrated" in err
-    kept = read_sample_log(out)
+    kept, _ = read_sample_log(out)
     assert len(kept) == 3
     assert all(s.status.value == "valid" for s in kept)
 
@@ -102,6 +110,88 @@ def test_validate_malformed_log_exits_3(tmp_path, capsys):
     assert cli.main(["validate", "--log", str(log)]) == 3
     err = capsys.readouterr().err
     assert "line 1" in err and "UTF-8" in err and len(err.splitlines()) == 1
+
+
+def flagged_mission_log() -> str:
+    """A generated mission's log holding every status: stones stop some
+    probes, and a few samples are turned into sensor errors."""
+    field = make_field(obstructions=[Disk(4.0 + 4.0 * i, 10.0, 1.5) for i in range(4)])
+    cfg = MissionConfig(field=field, waypoints=generate_waypoints(field, 40, 1.0, seed=5))
+    samples, _ = run_mission(cfg)
+    samples[3::7] = [dataclasses.replace(s, raw_counts=None, temp_c=None, ec_us_cm=None,
+                                         theta=None, status=Validity.SENSOR_ERROR)
+                     for s in samples[3::7]]
+    assert {s.status for s in samples} == set(Validity)
+    return dump_sample_log(samples)
+
+
+def test_validate_writes_what_the_reencoding_reference_writes(tmp_path):
+    paper = tmp_path / "paper.jsonl"
+    assert cli.main(["simulate", "--config", "paper_field", "--out-log", str(paper),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text(flagged_mission_log())
+    for log in (paper, generated):
+        out = tmp_path / "valid.jsonl"
+        assert cli.main(["validate", "--log", str(log), "--out", str(out)]) == 0
+        samples, _ = read_sample_log(log)
+        assert 0 < len(select_valid(samples)) < len(samples)
+        assert out.read_bytes() == validate_reference(samples).encode("ascii")
+
+
+RECORD = {"point_id": 1, "timestamp_s": 1.5, "lat": 45.0, "lon": 7.5,
+          "target_depth_m": 0.05, "achieved_depth_m": 0.05, "attempts": 1,
+          "raw_counts": 2400.0, "temp_c": 24.0, "ec_us_cm": 150.0,
+          "theta": 0.25, "status": "valid"}
+FLAGGED = {**RECORD, "point_id": 2, "achieved_depth_m": 0.01, "attempts": 3,
+           "raw_counts": None, "temp_c": None, "ec_us_cm": None, "theta": None,
+           "status": "not_penetrated"}
+OTHER_ORDER = json.dumps(dict(reversed(RECORD.items())))
+SPACED = "  " + json.dumps({**RECORD, "point_id": 3}, separators=(" ,  ", "\t: ")) + " \t"
+
+
+# (log as written, what validate writes): valid records pass through as
+# written, each ending in one LF, and blank lines go
+@pytest.mark.parametrize("text,expected", [
+    (f"{OTHER_ORDER}\n{json.dumps(FLAGGED)}\n", f"{OTHER_ORDER}\n"),
+    (f"{SPACED}\n{json.dumps(FLAGGED)}\n", f"{SPACED}\n"),
+    (f"{OTHER_ORDER}\r\n{json.dumps(FLAGGED)}\r\n{SPACED}\r\n",
+     f"{OTHER_ORDER}\n{SPACED}\n"),
+    (f"{json.dumps(FLAGGED)}\n{OTHER_ORDER}", f"{OTHER_ORDER}\n"),
+    (f"\n{OTHER_ORDER}\n  \n\n{json.dumps(FLAGGED)}\n\t\n{SPACED}\n\n",
+     f"{OTHER_ORDER}\n{SPACED}\n"),
+], ids=["key-order", "spaces", "crlf", "no-final-newline", "blank-lines"])
+def test_validate_passes_other_layouts_through(tmp_path, capsys, text, expected):
+    log, out = tmp_path / "run.jsonl", tmp_path / "valid.jsonl"
+    log.write_bytes(text.encode("ascii"))
+    assert cli.main(["validate", "--log", str(log), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("ascii")
+    assert "1 not_penetrated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,needle", [
+    (json.dumps({**RECORD, "note": "x"}), "unknown fields: 'note'"),
+    (json.dumps({**RECORD, "ключ": 1}, ensure_ascii=False), "unknown fields: 'ключ'"),
+    (json.dumps({**RECORD, "a\nb": 1}), r"unknown fields: 'a\nb'"),
+    (json.dumps({**RECORD, "thetta": RECORD["theta"]}).replace('"theta": 0.25, ', ""),
+     "missing fields: theta; unknown fields: 'thetta'"),
+    # json alone would keep the last status and pass the line through
+    ('{"status": "válido", ' + json.dumps(RECORD)[1:], "field 'status' appears more than once"),
+    ('{"theta": 0.25, ' + json.dumps(RECORD)[1:], "field 'theta' appears more than once"),
+], ids=["unknown", "unknown-non-ascii", "unknown-newline", "misspelt",
+        "repeated-non-ascii", "repeated-same-value"])
+def test_unknown_or_repeated_fields_exit_3_with_one_line(tmp_path, capsys, line, needle):
+    log = tmp_path / "run.jsonl"
+    log.write_text(json.dumps(FLAGGED) + "\n" + line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["validate", "--log", str(log), "--out", str(out / "v.jsonl")],
+                 ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
+                  "--out-grid", str(out / "g.asc")]):
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"{argv[0]}: {log}: line 2: {needle}\n"
+        assert list(out.iterdir()) == []
 
 
 def test_map_outputs(tmp_path):
@@ -150,6 +240,49 @@ def test_map_bad_parameters_exit_2(tmp_path, capsys):
         assert cli.main(["map", "--log", str(log), "--cell-size", bad]) == 2
         assert cli.main(["map", "--log", str(log), "--power", bad]) == 2
     assert "map:" in capsys.readouterr().err
+
+
+def test_map_power_above_the_bound_exits_2(tmp_path, capsys):
+    # such powers used to write -9999 cells with samples in reach, and exit 0
+    log = tmp_path / "run.jsonl"
+    cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+              "--out-summary", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    for power in ("50.000001", "400", "1e308"):
+        assert cli.main(["map", "--log", str(log), "--power", power,
+                         "--out-points", str(out / "p.geojson"),
+                         "--out-grid", str(out / "g.asc")]) == 2
+        assert one_line_error(capsys, f"map: --power {float(power)}: power must be at most 50 ")
+        assert list(out.iterdir()) == []
+
+
+def read_ascii_grid(path):
+    """(cell centres x, y, values) of an ESRI ASCII grid, row 0 southernmost."""
+    lines = path.read_text().splitlines()
+    header = {key: float(value) for key, value in map(str.split, lines[:6])}
+    values = np.array([[float(v) for v in line.split()] for line in lines[6:]])[::-1]
+    cell = header["cellsize"]
+    cx = header["xllcorner"] + (np.arange(values.shape[1]) + 0.5) * cell
+    cy = header["yllcorner"] + (np.arange(values.shape[0]) + 0.5) * cell
+    return cx, cy, values
+
+
+@pytest.mark.parametrize("power", ["2", "50"])  # the default and the bound
+def test_map_under_the_power_bound_has_no_spurious_nodata(tmp_path, power):
+    log, grid = tmp_path / "run.jsonl", tmp_path / "g.asc"
+    cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+              "--out-summary", str(tmp_path / "s.json")])
+    assert cli.main(["map", "--log", str(log), "--power", power,
+                     "--out-points", str(tmp_path / "p.geojson"),
+                     "--out-grid", str(grid)]) == 0
+    cx, cy, values = read_ascii_grid(grid)
+    xy, _ = geomap.samples_to_local(select_valid(read_sample_log(log)[0]))
+    near = np.hypot(cx[None, :, None] - xy[:, 0], cy[:, None, None] - xy[:, 1]).min(axis=2)
+    # every cell has a sample in reach, and so a value
+    assert near.max() < geomap.IdwParams().cutoff_radius_m
+    assert (values != geomap.NODATA).all()
 
 
 def one_line_error(capsys, prefix):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -385,6 +386,37 @@ def test_idw_params_validation():
         build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=0)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (1, 0, 0, 1))
+
+
+# (exact radius, cutoff radius, largest power accepted)
+@pytest.mark.parametrize("exact,cutoff,most", [
+    (1e-6, 10.0, 50.0),      # the defaults: the weight at the exact radius binds
+    (1e-100, 1e100, 3.0),
+    (0.5, 1e30, 10.0),       # only the weight at the cutoff can underflow
+    (1e-30, 0.5, 10.0),      # only the weight at the exact radius can overflow
+    (1e-300, 10.0, 2.0),     # never below the inverse square
+    (5e-324, 1e300, 2.0),
+    (2.0, 1.0, math.inf),    # every sample in reach is an exact hit
+])
+def test_power_bound(exact, cutoff, most):
+    radii = {"exact_radius_m": exact, "cutoff_radius_m": cutoff}
+    assert IdwParams(**radii).max_power == most
+    IdwParams(power=min(most, sys.float_info.max), **radii)
+    if math.isfinite(most):
+        with pytest.raises(ValueError, match=f"power must be at most {most:g} "):
+            IdwParams(power=math.nextafter(most, math.inf), **radii)
+
+
+@pytest.mark.parametrize("exact,cutoff,power", [(1e-6, 10.0, 50.0),
+                                                (1e-100, 1e100, 3.0)])
+def test_weights_at_the_power_bound_stay_in_the_floats(exact, cutoff, power):
+    # a sample just outside the exact radius and one just inside the cutoff
+    # each keep their cell: neither weight overflows nor underflows
+    params = IdwParams(power=power, exact_radius_m=exact, cutoff_radius_m=cutoff)
+    near, far = (1.01 * exact, 0.0), (0.0, 0.99 * cutoff)
+    assert idw_at([near], [0.1], 0.0, 0.0, params) == 0.1
+    assert idw_at([far], [0.3], 0.0, 0.0, params) == 0.3
+    assert idw_at([near, far], [0.1, 0.3], 0.0, 0.0, params) == pytest.approx(0.1)
 
 
 def test_raster_size_cap_rejects_before_allocating():

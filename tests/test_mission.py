@@ -13,11 +13,12 @@ from soilprobe.errors import DegenerateError, InfeasibleError, LogFormatError
 from soilprobe import mission
 from soilprobe.fieldsim import Disk
 from soilprobe.geomap import IdwParams
+from soilprobe.sampler import SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
                                dump_summary, generate_waypoints,
                                parse_sample_log, read_sample_log,
-                               read_summary, run_mission, sample_from_dict,
+                               run_mission, sample_from_dict,
                                sample_to_dict, select_valid)
 
 from conftest import generate_waypoints_reference, make_field
@@ -353,10 +354,10 @@ def test_log_round_trip(tmp_path):
     samples, summary = run_mission(simple_mission(4, obstructed=(2,)))
     path = tmp_path / "run.jsonl"
     path.write_text(dump_sample_log(samples), encoding="ascii")
-    assert read_sample_log(path) == samples
+    assert read_sample_log(path) == (samples, dump_sample_log(samples).splitlines())
     spath = tmp_path / "summary.json"
     spath.write_text(dump_summary(summary), encoding="ascii")
-    assert read_summary(spath) == summary
+    assert json.loads(spath.read_text()) == dataclasses.asdict(summary)
 
 
 def test_log_is_jsonl_with_expected_keys():
@@ -398,12 +399,12 @@ def _valid_record(**changes):
 
 def test_parse_log_keeps_values_unconverted():
     line = _valid_record()
-    (sample,) = parse_sample_log([line])
+    (sample,), _ = parse_sample_log([line])
     assert type(sample.timestamp_s) is int  # an int is a number; kept as is
     assert dump_sample_log([sample]) == line + "\n"
     flagged = _valid_record(raw_counts=None, temp_c=None, ec_us_cm=None,
                             theta=None, status="sensor_error")
-    assert dump_sample_log(parse_sample_log([flagged])) == flagged + "\n"
+    assert dump_sample_log(parse_sample_log([flagged])[0]) == flagged + "\n"
 
 
 @pytest.mark.parametrize("changes,needle", [
@@ -428,8 +429,39 @@ def test_parse_log_rejects_mistyped_fields(changes, needle):
     assert err.value.line_no == 2
 
 
+# a repeated key is refused as json decodes it, before the field set is
+# compared; see tests/test_cli.py for unknown and repeated keys in full records
+@pytest.mark.parametrize("line,needle", [
+    ('{"point_id": 3, "point_id": 3}', "line 2: field 'point_id' appears more than once"),
+    ('{"point_id": 3}', "line 2: missing fields: timestamp_s, lat, lon"),
+])
+def test_parse_log_takes_each_field_once(line, needle):
+    with pytest.raises(LogFormatError, match=needle):
+        parse_sample_log([_valid_record(), line])
+
+
+def test_parse_log_keeps_each_line_beside_its_sample():
+    samples, _ = run_mission(simple_mission(3, obstructed=(1,)))
+    lines = ["", *dump_sample_log(samples).splitlines(), " "]
+    assert parse_sample_log(lines) == (samples, lines[1:-1])
+
+
+def test_decoded_samples_equal_constructed_ones():
+    # sample_from_dict builds a sample without SoilSample's __init__, which
+    # is only sound while that __init__ runs no checks of its own
+    assert not hasattr(SoilSample, "__post_init__")
+    samples, _ = run_mission(simple_mission(3, obstructed=(1,)))
+    for s in samples:
+        d = sample_to_dict(s)
+        decoded = sample_from_dict(d)
+        assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
+        assert d["status"] == s.status.value  # the caller's dict is left alone
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decoded.theta = 0.0
+
+
 def test_writers_refuse_nan():
-    (sample,) = parse_sample_log([_valid_record()])
+    (sample,), _ = parse_sample_log([_valid_record()])
     with pytest.raises(ValueError):
         dump_sample_log([dataclasses.replace(sample, theta=math.nan)])
     with pytest.raises(ValueError):
@@ -437,11 +469,11 @@ def test_writers_refuse_nan():
 
 
 def test_parse_log_empty_and_blank_lines(tmp_path):
-    assert parse_sample_log([]) == []
+    assert parse_sample_log([]) == ([], [])
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_sample_log(path) == []
-    assert parse_sample_log(["", "  "]) == []
+    assert read_sample_log(path) == ([], [])
+    assert parse_sample_log(["", "  "]) == ([], [])
 
 
 def test_summary_serialization_shape():

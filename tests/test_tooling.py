@@ -98,17 +98,19 @@ def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
 
 @pytest.mark.parametrize("name", ["survey_1k", "stony_grid"])
 def test_generated_workloads_map_to_their_golden_bytes(name, tmp_path):
-    # the benchmark's pinned map outputs, checked on every test run too
+    # the benchmark's pinned validate and map outputs, checked on every
+    # test run too
     workloads = load_perfbench("workloads")
     run = workloads.build(name, workloads.DEFAULT_SEED, ROOT, tmp_path)
-    log, points, grid = (tmp_path / f for f in ("run.jsonl", "points.geojson",
-                                               "grid.asc"))
+    log, valid, points, grid = (tmp_path / f for f in (
+        "run.jsonl", "valid.jsonl", "points.geojson", "grid.asc"))
     assert cli.main(["simulate", "--config", run["config"], "--out-log", str(log),
                      "--out-summary", str(tmp_path / "summary.json")]) == 0
+    assert cli.main(["validate", "--log", str(log), "--out", str(valid)]) == 0
     assert cli.main(["map", "--log", str(log), "--out-points", str(points),
                      "--out-grid", str(grid), *run["map_flags"]]) == 0
     golden = run["expect"]["sha256"]
-    for path in (points, grid):
+    for path in (valid, points, grid):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
 
 
