@@ -21,7 +21,9 @@ import stat
 import sys
 from collections import Counter
 
-from . import geomap, mission, scenario, sdi12
+# each command imports the other modules it needs when it runs, so `codec`
+# loads only sdi12 and errors, and `validate` never loads numpy
+from . import sdi12
 from .errors import FrameError, LogFormatError, SoilProbeError
 
 EXIT_OK = 0
@@ -93,6 +95,7 @@ def _diag(message: str):
 
 
 def cmd_simulate(args) -> int:
+    from . import mission, scenario
     try:
         scn = scenario.load_scenario(args.config, seed_override=args.seed)
         samples, summary = mission.run_mission(scn.mission)
@@ -116,6 +119,7 @@ def cmd_simulate(args) -> int:
 def _read_log(command: str, path):
     """(samples, their lines, EXIT_OK), or (None, None, exit code) after a
     one-line diagnostic."""
+    from . import mission
     try:
         return *mission.read_sample_log(path), EXIT_OK
     except OSError as exc:
@@ -127,6 +131,7 @@ def _read_log(command: str, path):
 
 
 def cmd_validate(args) -> int:
+    from . import mission
     samples, lines, code = _read_log("validate", args.log)
     if code:
         return code
@@ -144,6 +149,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_map(args) -> int:
+    from . import geomap, mission
     samples, lines, code = _read_log("map", args.log)
     if code:
         return code

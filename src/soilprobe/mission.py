@@ -22,14 +22,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import fieldsim
 from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
 from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
 from .sampler import SamplerConfig, SoilSample, attempt_point, finalize_sample
+
+if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
+    from . import fieldsim
 
 REJECTION_TRIAL_LIMIT = 100_000
 
@@ -99,6 +100,10 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     1..count in that order; of equally near points the one accepted
     first comes first.
     """
+    import numpy as np
+
+    from . import fieldsim
+
     if type(count) is not int or count < 1:
         raise ValueError("count must be an integer >= 1")
     if type(seed) is not int or seed < 0:
@@ -149,6 +154,7 @@ def _nearest_neighbour_tour(points: list[tuple[float, float]]) -> list[int]:
     bit, so the numpy keys only shortlist the points within a relative
     1e-12 of the least one, and the Python keys decide among those.
     """
+    import numpy as np
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     order: list[int] = []
@@ -172,6 +178,7 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
     Never aborts on per-point trouble: sensor faults and failed
     penetrations surface as flagged samples.
     """
+    from . import fieldsim
     rng = cfg.field.rng()
     sensor = fieldsim.VirtualTeros(cfg.field, rng, address=cfg.sensor_address)
     clock = fieldsim.SimClock()
@@ -381,7 +388,9 @@ def read_sample_log(path) -> tuple[list[SoilSample], list[str]]:
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
+        # lines break where the splitter below breaks them: LF, CRLF or CR
+        head = raw[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise LogFormatError(f"line {line_no}: not valid UTF-8", line_no) from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -20,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import actuator as act
-from . import fieldsim
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
 from .errors import FrameError, RangeError, ShapeError, require_finite
 from .sdi12 import RawReading, run_transaction
+
+if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
+    from . import fieldsim
 
 # most attempts SamplerConfig accepts: from attempt 6 on, attempt k probes
 # where attempt k - 4 did, so more attempts only retry bus faults
@@ -105,6 +108,7 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
     attempt.  Returns every attempt; the first valid attempt ends the
     loop, so the last attempt's verdict is the point's.
     """
+    from . import fieldsim
     clock = clock if clock is not None else fieldsim.SimClock()
     attempts: list[AttemptRecord] = []
     validated_at = clock.now

@@ -388,6 +388,25 @@ def test_parse_log_reports_offending_line():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("endings", [
+    ("\r", "\r", "\r"), ("\r\n", "\r\n", "\r\n"), ("\r", "\r\n", "\n"),
+    ("\n", "\r", "\r\n"), ("\r\n", "\r", ""),
+], ids=["cr", "crlf", "cr-crlf-lf", "lf-cr-crlf", "crlf-cr-none"])
+@pytest.mark.parametrize("bad", [b"\xff", b"{"], ids=["not-utf8", "not-json"])
+def test_read_log_numbers_lines_as_it_splits_them(tmp_path, endings, bad):
+    # a byte that is not UTF-8 is on the line the splitter puts it on, as
+    # a JSON error in the same place is
+    first, second = _valid_record(point_id=1), _valid_record(point_id=2)
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(f"{first}{endings[0]}{second}{endings[1]}".encode()
+                     + bad + endings[2].encode())
+    with pytest.raises(LogFormatError, match="line 3") as err:
+        read_sample_log(path)
+    assert err.value.line_no == 3
+    path.write_bytes(f"{first}{endings[0]}{second}{endings[1]}".encode())
+    assert read_sample_log(path)[1] == [first, second]
+
+
 def _valid_record(**changes):
     rec = {"point_id": 3, "timestamp_s": 12, "lat": 45.0, "lon": 7.5,
            "target_depth_m": 0.05, "achieved_depth_m": 0.05, "attempts": 1,

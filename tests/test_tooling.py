@@ -1,23 +1,28 @@
-"""The benchmark's tracer, its workloads and the demos keep working
-against the package.
+"""The benchmark's tracer, its workloads, the demos and the package's
+lazy imports keep working.
 
 ``perfbench/tracing.py`` looks up package attributes by name and reads
 ``VirtualTeros.trace``; a rename inside the package would only show up
 when ``perfbench/run.py --trace 1`` runs.  These tests load the tracer
 and the workload builder from their files (without editing them), and
-run the demos that write no files.
+run the demos that write no files.  The import tests run each command
+in a fresh interpreter and compare the sets of modules it loaded.
 """
 
 import ast
 import hashlib
 import importlib.util
 import json
+import os
 import runpy
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import soilprobe
 from soilprobe import cli, mission, scenario
 from soilprobe.mission import MissionConfig, Waypoint
 
@@ -124,3 +129,125 @@ def test_generated_workloads_map_to_their_golden_bytes(name, tmp_path):
 def test_demo_runs(script, capsys):
     runpy.run_path(str(ROOT / "demos" / script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+# -- lazy imports ---------------------------------------------------------------
+
+# every public name of the package, under the module that defines it
+EXPORTS = {
+    "actuator": ("ActuatorConfig", "ActuatorState", "lower_to", "motion_duration"),
+    "calib": ("DEFAULT_THRESHOLDS", "Validity", "ValidityThresholds", "classify",
+              "raw_to_vwc", "vwc_to_raw"),
+    "errors": ("DegenerateError", "EmptyInputError", "FrameError",
+               "InfeasibleError", "LogFormatError", "RangeError",
+               "ScenarioError", "ShapeError", "SoilProbeError"),
+    "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
+                 "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
+                 "sense_raw", "sense_raw_air", "theta_true", "wgs84_to_local_at"),
+    "geomap": ("IdwParams", "MoistureGrid", "build_grid", "export_grid_ascii",
+               "export_points_geojson", "idw_at"),
+    "mission": ("MissionConfig", "MissionSummary", "Waypoint", "convex_hull_area",
+                "generate_waypoints", "read_sample_log", "run_mission",
+                "select_valid"),
+    "sampler": ("AttemptRecord", "PointResult", "SamplerConfig", "SoilSample",
+                "attempt_point", "finalize_sample"),
+    "scenario": ("Scenario", "bundled_scenarios", "load_scenario"),
+    "sdi12": ("Command", "DataResponse", "MeasureAck", "RawReading", "Verb",
+              "decode_reading", "encode_command", "parse_command",
+              "parse_data_response", "parse_measure_ack", "run_transaction"),
+}
+
+
+def test_every_export_is_its_home_modules_object():
+    names = [name for names in EXPORTS.values() for name in names]
+    assert len(names) == len(set(names)) == 65
+    assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
+    listed = dir(soilprobe)
+    star: dict = {}
+    exec("from soilprobe import *", star)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"soilprobe.{module}")
+        assert getattr(soilprobe, module) is home
+        assert module in listed and star[module] is home
+        for name in names:
+            assert getattr(soilprobe, name) is getattr(home, name), name
+            assert name in listed and star[name] is getattr(home, name), name
+    assert soilprobe.__version__ == "0.1.0"
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'soilprobe' has no attribute 'nope'"):
+        soilprobe.nope
+    assert not hasattr(soilprobe, "nope")
+    assert not hasattr(soilprobe, "np")  # what a submodule imports is not exported
+    with pytest.raises(ImportError, match="nope"):
+        exec("from soilprobe import nope", {})
+
+
+# imports the package in a fresh interpreter, runs one command, and prints
+# the numpy and soilprobe modules loaded after each step, as JSON
+FOOTPRINT = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules
+                        if m == "numpy" or m.startswith("soilprobe."))
+import soilprobe
+report = {"import": loaded()}
+argv = json.loads(sys.argv[1])
+if argv:
+    from soilprobe import cli
+    report["code"] = cli.main(argv)
+    report["command"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def fresh_footprint(argv: list[str]) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def paper_field_log(tmp_path_factory):
+    log = tmp_path_factory.mktemp("paper_field") / "run.jsonl"
+    assert cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+                     "--out-summary", os.devnull]) == 0
+    return str(log)
+
+
+def test_import_soilprobe_loads_no_submodule_and_no_numpy():
+    assert fresh_footprint([]) == {"import": []}
+
+
+def test_codec_loads_only_the_codec():
+    report = fresh_footprint(["codec", "--encode", "0M"])
+    assert report["code"] == 0
+    assert report["command"] == ["soilprobe.cli", "soilprobe.errors",
+                                 "soilprobe.sdi12"]
+
+
+def test_validate_never_loads_numpy(paper_field_log, tmp_path):
+    report = fresh_footprint(["validate", "--log", paper_field_log,
+                              "--out", str(tmp_path / "valid.jsonl")])
+    assert report["code"] == 0
+    assert report["command"] == [f"soilprobe.{m}" for m in (
+        "actuator", "calib", "cli", "errors", "mission", "sampler", "sdi12")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "map"])
+def test_cold_simulate_and_map_still_run(command, paper_field_log, tmp_path):
+    argv = {
+        "simulate": ["simulate", "--config", "paper_field",
+                     "--out-log", str(tmp_path / "run.jsonl"),
+                     "--out-summary", str(tmp_path / "summary.json")],
+        "map": ["map", "--log", paper_field_log,
+                "--out-points", str(tmp_path / "points.geojson"),
+                "--out-grid", str(tmp_path / "grid.asc")],
+    }[command]
+    report = fresh_footprint(argv)
+    assert report["code"] == 0
+    assert "numpy" in report["command"]
