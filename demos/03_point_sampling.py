@@ -3,8 +3,8 @@
 
 The waypoint sits on a small obstruction, so the first insertion stalls
 at 0.01 m and reads air; the probe retracts, repositions 0.10 m east,
-and the second insertion succeeds.  Both attempt records are printed;
-the last one decides the point.
+and the second insertion succeeds.  Both attempt records are printed,
+then the sample that the last one decided.
 """
 
 from soilprobe.fieldsim import Disk, FieldSpec, SimClock, VirtualTeros
@@ -28,9 +28,11 @@ for a in result.attempts:
           f"depth {a.achieved_depth_m:.3f} m  {reading}  theta {theta}"
           f"  -> {a.validity.value}")
 
-print(f"\nfinal verdict: {result.final.value}, "
-      f"validated at {result.validated_at_s:.1f} s")
-print(f"actuator home: position_steps = {result.actuator.position_steps}")
-print(f"simulated time spent on this point: {clock.now:.1f} s")
+s = result.sample
+print(f"\nsample of point {s.point_id}: {s.status.value} after {s.attempts} "
+      f"attempt(s), theta {s.theta:.4f} at ({s.lat:.7f}, {s.lon:.7f}), "
+      f"validated at {s.timestamp_s:.1f} s")
+print(f"simulated time spent on this point: {clock.now:.1f} s, "
+      "the last retract included")
 print("measure transactions on the bus: "
       f"{sum(1 for f in sensor.trace if f.endswith(b'M!'))}")

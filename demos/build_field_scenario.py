@@ -107,7 +107,6 @@ def main():
         "actuator": {"steps_per_metre": 20000, "max_depth_m": 0.15,
                      "step_rate_hz": 500},
         "calib": {"theta_min": 0.0, "theta_max": 0.70, "depth_tol_m": 0.005},
-        "idw": {"power": 2.0, "cutoff_radius_m": 10.0, "exact_radius_m": 1e-6},
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(doc, indent=2) + "\n", encoding="ascii")

@@ -39,7 +39,7 @@ _EXPORTS = {
                 "generate_waypoints", "read_sample_log", "run_mission",
                 "select_valid"),
     "sampler": ("AttemptRecord", "PointResult", "SamplerConfig", "SoilSample",
-                "attempt_point", "finalize_sample"),
+                "attempt_point"),
     "scenario": ("Scenario", "bundled_scenarios", "load_scenario"),
     "sdi12": ("Command", "DataResponse", "MeasureAck", "RawReading", "Verb",
               "decode_reading", "encode_command", "parse_command",

@@ -32,9 +32,6 @@ class ActuatorState:
     stalled: bool = False
 
 
-RETRACTED = ActuatorState()
-
-
 def lower_to(cfg: ActuatorConfig, target_depth_m: float,
              obstruction_depth_m: float | None = None) -> ActuatorState:
     """Drive the retracted probe down to ``target_depth_m``.

@@ -269,9 +269,9 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
     cell goes through the same kernel as :func:`idw_at`, so values and
-    exact-hit tie-breaks match it everywhere.  A raster of more than
-    ``MAX_GRID_CELLS`` cells raises ValueError before anything is
-    allocated.
+    exact-hit tie-breaks match it everywhere.  An extent that is not
+    finite, or a raster of more than ``MAX_GRID_CELLS`` cells, raises
+    ValueError before anything is allocated.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
@@ -279,9 +279,12 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("bounds must have positive extent")
-    # clamped before ceil, so an infinite extent cannot overflow it
+    width, height = xmax - xmin, ymax - ymin
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"raster extent {width} x {height} m is not finite")
+    # clamped before ceil, so a quotient that overflows to inf cannot overflow it
     nx, ny = (max(1, math.ceil(min(extent / cell_size_m, MAX_GRID_CELLS + 1)))
-              for extent in (xmax - xmin, ymax - ymin))
+              for extent in (width, height))
     if nx * ny > MAX_GRID_CELLS:
         raise ValueError(f"cell size {cell_size_m} m needs more than "
                          f"{MAX_GRID_CELLS} cells")

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
 from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
-from .sampler import SamplerConfig, SoilSample, attempt_point, finalize_sample
+from .sampler import SamplerConfig, SoilSample, attempt_point
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
     from . import fieldsim
@@ -193,8 +193,7 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
                                actuator_cfg=cfg.actuator,
                                thresholds=cfg.thresholds, clock=clock,
                                address=cfg.sensor_address)
-        samples.append(finalize_sample(
-            wp, result, target_depth_m=cfg.sampler.target_depth_m))
+        samples.append(result.sample)
         positions.append((result.attempts[-1].x, result.attempts[-1].y))
 
     valid = sum(1 for s in samples if s.status is Validity.VALID)

@@ -3,7 +3,9 @@
 Each waypoint runs one instance of the per-point loop.  Every attempt
 lowers the probe, settles, measures, validates and retracts; the loop
 stops at the first valid attempt or when no attempts are left, so the
-last attempt in a :class:`PointResult` decides the point.
+last attempt decides the point.  :func:`attempt_point` returns a
+:class:`PointResult`: every attempt, plus the point's one
+:class:`SoilSample`, built from that last attempt.
 
 A failed attempt never retries in place (a rock would just stall the
 probe again): attempt k probes ``reposition_offset_m`` metres from the
@@ -62,25 +64,36 @@ class AttemptRecord:
     attempt_index: int
     x: float
     y: float
-    lat: float
-    lon: float
     achieved_depth_m: float
     reading: RawReading | None
     theta: float | None
     validity: Validity
 
 
+@dataclass(frozen=True)
+class SoilSample:
+    """One persisted, geo-referenced, validity-classified measurement."""
+
+    point_id: int
+    timestamp_s: float
+    lat: float
+    lon: float
+    target_depth_m: float
+    achieved_depth_m: float
+    attempts: int
+    raw_counts: float | None
+    temp_c: float | None
+    ec_us_cm: float | None
+    theta: float | None
+    status: Validity
+
+
 @dataclass
 class PointResult:
-    """Every attempt at one point, in order; the last one decides it."""
+    """Every attempt at one point, in order, and the sample the last one decided."""
 
     attempts: list[AttemptRecord]
-    actuator: act.ActuatorState
-    validated_at_s: float  # clock reading when the last attempt validated
-
-    @property
-    def final(self) -> Validity:
-        return self.attempts[-1].validity
+    sample: SoilSample
 
 
 def attempt_offset(attempt_index: int, offset_m: float) -> tuple[float, float]:
@@ -96,22 +109,23 @@ def attempt_offset(attempt_index: int, offset_m: float) -> tuple[float, float]:
 
 
 def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, *,
+                  clock: fieldsim.SimClock,
                   actuator_cfg: act.ActuatorConfig = act.ActuatorConfig(),
                   thresholds: ValidityThresholds = DEFAULT_THRESHOLDS,
-                  clock: fieldsim.SimClock | None = None,
                   address: str = "0") -> PointResult:
     """Collect one point: probe, validate, and retry until valid or spent.
 
-    ``point`` needs ``x``/``y`` in the field's local frame; ``sensor``
-    needs ``exchange()`` and ``place()`` (see fieldsim.VirtualTeros).
-    The actuator starts retracted and is retracted again after every
-    attempt.  Returns every attempt; the first valid attempt ends the
-    loop, so the last attempt's verdict is the point's.
+    ``point`` needs ``id`` and ``x``/``y`` in the field's local frame;
+    ``sensor`` needs ``exchange()`` and ``place()`` (see
+    fieldsim.VirtualTeros).  Every attempt advances ``clock`` through
+    lower, settle, measure and retract, so the probe is back at position
+    0 when this returns.  The first valid attempt ends the loop, and the
+    last attempt becomes the point's sample: stamped when it validated,
+    before its retract, and kept even when invalid, since downstream
+    consumers filter on ``status``.
     """
     from . import fieldsim
-    clock = clock if clock is not None else fieldsim.SimClock()
     attempts: list[AttemptRecord] = []
-    validated_at = clock.now
 
     for k in range(1, cfg.max_attempts + 1):
         dx, dy = attempt_offset(k, cfg.reposition_offset_m)
@@ -133,12 +147,9 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
             theta = raw_to_vwc(reading.raw_counts)
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
-        lat, lon = fieldsim.local_to_wgs84_at(field.origin_lat, field.origin_lon,
-                                              x, y)
         attempts.append(AttemptRecord(
-            attempt_index=k, x=x, y=y, lat=lat, lon=lon,
-            achieved_depth_m=state.depth_m, reading=reading, theta=theta,
-            validity=validity))
+            attempt_index=k, x=x, y=y, achieved_depth_m=state.depth_m,
+            reading=reading, theta=theta, validity=validity))
         validated_at = clock.now
 
         # retract to position 0
@@ -147,50 +158,19 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
         if validity is Validity.VALID:
             break
 
-    return PointResult(attempts=attempts, actuator=act.RETRACTED,
-                       validated_at_s=validated_at)
-
-
-@dataclass(frozen=True)
-class SoilSample:
-    """One persisted, geo-referenced, validity-classified measurement."""
-
-    point_id: int
-    timestamp_s: float
-    lat: float
-    lon: float
-    target_depth_m: float
-    achieved_depth_m: float
-    attempts: int
-    raw_counts: float | None
-    temp_c: float | None
-    ec_us_cm: float | None
-    theta: float | None
-    status: Validity
-
-
-def finalize_sample(point, result: PointResult, *,
-                    target_depth_m: float) -> SoilSample:
-    """Build the persistent record for one point from its last attempt.
-
-    Invalid points are kept and flagged, never dropped: downstream
-    consumers filter on ``status``.
-    """
-    if not result.attempts:
-        raise ValueError("attempts must be non-empty")
-    src = result.attempts[-1]
-    r = src.reading
-    return SoilSample(
+    # SamplerConfig keeps max_attempts >= 1, so the loop's names hold the last attempt
+    lat, lon = fieldsim.local_to_wgs84_at(field.origin_lat, field.origin_lon, x, y)
+    return PointResult(attempts=attempts, sample=SoilSample(
         point_id=point.id,
-        timestamp_s=result.validated_at_s,
-        lat=src.lat,
-        lon=src.lon,
-        target_depth_m=target_depth_m,
-        achieved_depth_m=src.achieved_depth_m,
-        attempts=len(result.attempts),
-        raw_counts=r.raw_counts if r is not None else None,
-        temp_c=r.temp_c if r is not None else None,
-        ec_us_cm=r.ec_us_cm if r is not None else None,
-        theta=src.theta,
-        status=src.validity,
-    )
+        timestamp_s=validated_at,
+        lat=lat,
+        lon=lon,
+        target_depth_m=cfg.target_depth_m,
+        achieved_depth_m=state.depth_m,
+        attempts=len(attempts),
+        raw_counts=reading.raw_counts if reading is not None else None,
+        temp_c=reading.temp_c if reading is not None else None,
+        ec_us_cm=reading.ec_us_cm if reading is not None else None,
+        theta=theta,
+        status=validity,
+    ))

@@ -2,8 +2,9 @@
 
 A scenario names the field (ground truth, obstructions, noise, seed),
 the mission (speed plus either an explicit waypoint list or a seeded
-generator block), the sampler, actuator, validity thresholds, and the
-mapping parameters.  Unknown keys are rejected so typos fail loudly.
+generator block), the sampler, actuator and validity thresholds.
+Unknown keys are rejected so typos fail loudly; mapping parameters are
+not part of a scenario, since ``map`` reads only the log and its flags.
 
 ``load_scenario`` accepts a filesystem path or the name of a scenario
 bundled with the package (see :func:`bundled_scenarios`); the bundled
@@ -22,7 +23,6 @@ from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
 from .errors import ScenarioError
 from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
-from .geomap import IdwParams
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
 
@@ -31,7 +31,6 @@ from .sampler import SamplerConfig
 class Scenario:
     name: str
     mission: MissionConfig
-    idw: IdwParams
 
 
 def bundled_scenarios() -> list[str]:
@@ -141,7 +140,7 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         raise ScenarioError(f"{name}: invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{name}: top level must be an object")
-    known = {"name", "field", "mission", "sampler", "actuator", "calib", "idw"}
+    known = {"name", "field", "mission", "sampler", "actuator", "calib"}
     unknown = set(doc) - known
     if unknown:
         raise ScenarioError(f"{name}: unknown top-level keys {sorted(unknown)}")
@@ -160,8 +159,7 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
     sampler = _build(SamplerConfig, doc.get("sampler", {}), "sampler")
     actuator = _build(ActuatorConfig, doc.get("actuator", {}), "actuator")
     thresholds = _build(ValidityThresholds, doc.get("calib", {}), "calib")
-    idw = _build(IdwParams, doc.get("idw", {}), "idw")
     mission = _build(MissionConfig, mission_doc, "mission", field=field,
                      waypoints=waypoints, sampler=sampler, actuator=actuator,
                      thresholds=thresholds)
-    return Scenario(name=doc.get("name", name), mission=mission, idw=idw)
+    return Scenario(name=doc.get("name", name), mission=mission)

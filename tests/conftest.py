@@ -13,6 +13,7 @@ import string
 import numpy as np
 import pytest
 
+from soilprobe.actuator import ActuatorConfig, motion_duration
 from soilprobe.errors import FrameError, InfeasibleError
 from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
                                 STALL_DEPTH_M, FieldSpec, VirtualTeros,
@@ -300,6 +301,13 @@ def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,
 
 def make_sensor(spec, **kwargs):
     return VirtualTeros(spec, spec.rng(), **kwargs)
+
+
+def retracted(result, clock, actuator_cfg=ActuatorConfig()) -> bool:
+    """Whether ``clock`` ran on past the point's sample by exactly the
+    retract of its last attempt, from the depth that attempt reached."""
+    steps = round(result.attempts[-1].achieved_depth_m * actuator_cfg.steps_per_metre)
+    return clock.now == result.sample.timestamp_s + motion_duration(0, steps, actuator_cfg)
 
 
 def measure_frames(frames) -> int:

@@ -29,13 +29,13 @@ import pytest
 from soilprobe import cli, sdi12
 from soilprobe.calib import raw_to_vwc
 from soilprobe.errors import FrameError
-from soilprobe.fieldsim import Blob, Disk, FieldSpec, sense_raw, theta_true
+from soilprobe.fieldsim import Blob, Disk, FieldSpec, SimClock, sense_raw, theta_true
 from soilprobe.geomap import build_grid, idw_at
 from soilprobe.mission import (MissionConfig, Waypoint, generate_waypoints,
                                run_mission, select_valid)
 from soilprobe.sampler import SamplerConfig, attempt_point
 
-from conftest import FlakySensor, idw_oracle, make_field, make_sensor
+from conftest import FlakySensor, idw_oracle, make_field, make_sensor, retracted
 
 
 # sha256 of the paper_field artefacts at the default seed; any change to
@@ -162,8 +162,10 @@ def test_criterion_5_fsm_safety_500_scenarios():
                              p_silent=float(rng.uniform(0, 0.3)),
                              p_garbage=float(rng.uniform(0, 0.3)))
         cfg = SamplerConfig(max_attempts=int(rng.integers(1, 5)))
-        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, cfg)
-        assert result.actuator.position_steps == 0
+        clock = SimClock()
+        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, cfg,
+                               clock=clock)
+        assert retracted(result, clock)
         assert 1 <= len(result.attempts) <= cfg.max_attempts
     ok(5, "500 randomized runs ended retracted with attempts within bounds")
 

@@ -504,6 +504,26 @@ def test_map_oversized_raster_exits_2(tmp_path, capsys):
     assert one_line_error(capsys, "map: cell size")
 
 
+def test_map_cell_size_whose_padded_extent_overflows_exits_2(tmp_path, capsys):
+    # the raster is padded by one cell on each side: with 1e308 m cells its
+    # extent overflows to inf, while 1e300 m cells still map onto 2 x 2
+    log = tmp_path / "run.jsonl"
+    cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+              "--out-summary", str(tmp_path / "s.json")])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
+            "--out-grid", str(out / "g.asc"), "--cell-size"]
+    assert cli.main([*argv, "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err == "map: raster extent inf x inf m is not finite\n"
+    assert "cells" not in err
+    assert list(out.iterdir()) == []
+    assert cli.main([*argv, "1e300"]) == 0
+    assert "onto 2 x 2 cells" in capsys.readouterr().err
+
+
 def test_codec_parse_and_encode(capsys):
     assert cli.main(["codec", "--parse", "304d21"]) == 0  # "0M!"
     assert "START_MEASUREMENT" in capsys.readouterr().out

@@ -3,22 +3,21 @@
 import numpy as np
 import pytest
 
-from soilprobe.actuator import ActuatorState
 from soilprobe.calib import Validity
-from soilprobe.fieldsim import Disk, SimClock
+from soilprobe.fieldsim import Disk, SimClock, local_to_wgs84_at
 from soilprobe.mission import Waypoint
-from soilprobe.sampler import (MAX_ATTEMPTS, AttemptRecord, PointResult,
-                               SamplerConfig, attempt_offset, attempt_point,
-                               finalize_sample)
+from soilprobe.sampler import (MAX_ATTEMPTS, SamplerConfig, attempt_offset,
+                               attempt_point)
 
 from conftest import (FlakySensor, ScriptedSensor, make_field, make_sensor,
-                      measure_frames)
+                      measure_frames, retracted)
 
 CFG = SamplerConfig()
 
 
 def run_point(field, wp=Waypoint(1, 10.0, 10.0), sensor=None, cfg=CFG, **kwargs):
     sensor = sensor if sensor is not None else make_sensor(field)
+    kwargs.setdefault("clock", SimClock())
     return attempt_point(wp, sensor, field, cfg, **kwargs), sensor
 
 
@@ -33,28 +32,30 @@ def test_attempt_offsets_walk_the_compass():
 
 
 def test_clean_point_takes_one_attempt():
-    result, sensor = run_point(make_field(theta=0.25))
+    clock = SimClock()
+    result, sensor = run_point(make_field(theta=0.25), clock=clock)
     assert len(result.attempts) == 1
-    assert result.final is Validity.VALID
+    assert result.sample.status is Validity.VALID
     a = result.attempts[0]
     assert a.validity is Validity.VALID
     assert a.theta == pytest.approx(0.25, abs=1e-9)
     assert a.achieved_depth_m == 0.05
     assert (a.x, a.y) == (10.0, 10.0)
-    assert result.actuator.position_steps == 0
+    assert retracted(result, clock)
     assert measure_frames(sensor.trace) == 1
 
 
 def test_fully_obstructed_point_exhausts_attempts():
     field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)])
-    result, sensor = run_point(field)
+    clock = SimClock()
+    result, sensor = run_point(field, clock=clock)
     assert len(result.attempts) == CFG.max_attempts
-    assert result.final is Validity.NOT_PENETRATED
+    assert result.sample.status is Validity.NOT_PENETRATED
     for a in result.attempts:
         assert a.validity is Validity.NOT_PENETRATED
         assert a.achieved_depth_m == pytest.approx(0.01)
         assert a.theta < 0  # air reading
-    assert result.actuator.position_steps == 0
+    assert retracted(result, clock)
     assert measure_frames(sensor.trace) == CFG.max_attempts
 
 
@@ -63,7 +64,7 @@ def test_obstruction_at_first_attempt_only():
     field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)])
     result, _ = run_point(field)
     assert len(result.attempts) == 2
-    assert result.final is Validity.VALID
+    assert result.sample.status is Validity.VALID
     first, second = result.attempts
     assert first.validity is Validity.NOT_PENETRATED
     assert second.validity is Validity.VALID
@@ -72,13 +73,14 @@ def test_obstruction_at_first_attempt_only():
 
 
 def test_silent_sensor_records_sensor_errors():
-    result, _ = run_point(make_field(), sensor=ScriptedSensor([]))
+    clock = SimClock()
+    result, _ = run_point(make_field(), sensor=ScriptedSensor([]), clock=clock)
     assert len(result.attempts) == CFG.max_attempts
-    assert result.final is Validity.SENSOR_ERROR
+    assert result.sample.status is Validity.SENSOR_ERROR
     for a in result.attempts:
         assert a.validity is Validity.SENSOR_ERROR
         assert a.reading is None and a.theta is None
-    assert result.actuator.position_steps == 0
+    assert retracted(result, clock)
 
 
 def test_reply_value_too_large_for_a_float_is_a_sensor_error():
@@ -117,7 +119,7 @@ def test_recovers_after_one_bad_exchange():
     result, _ = run_point(field, sensor=OneShotFault())
     assert [a.validity for a in result.attempts] == [Validity.SENSOR_ERROR,
                                                      Validity.VALID]
-    assert result.final is Validity.VALID
+    assert result.sample.status is Validity.VALID
 
 
 def test_max_attempts_is_bounded():
@@ -131,7 +133,7 @@ def test_clock_accounting_single_attempt():
     clock = SimClock()
     result, _ = run_point(make_field(theta=0.25), clock=clock)
     # lower 1000 steps at 500 Hz = 2 s, settle 1 s -> validated at 3 s
-    assert result.validated_at_s == pytest.approx(3.0)
+    assert result.sample.timestamp_s == pytest.approx(3.0)
     # plus the final retract (2 s)
     assert clock.now == pytest.approx(5.0)
 
@@ -144,7 +146,7 @@ def test_clock_accounting_retry_after_stall():
     result, _ = run_point(field, clock=clock)
     assert [a.validity for a in result.attempts] == [Validity.NOT_PENETRATED,
                                                      Validity.VALID]
-    assert result.validated_at_s == pytest.approx(4.8)
+    assert result.sample.timestamp_s == pytest.approx(4.8)
     # plus the final full retract (2 s)
     assert clock.now == pytest.approx(6.8)
 
@@ -156,7 +158,7 @@ def test_clock_accounting_fully_obstructed():
     field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)])
     result, _ = run_point(field, clock=clock)
     assert len(result.attempts) == CFG.max_attempts
-    assert result.validated_at_s == pytest.approx(5.0)
+    assert result.sample.timestamp_s == pytest.approx(5.0)
     assert clock.now == pytest.approx(5.4)
 
 
@@ -177,7 +179,7 @@ def test_attempt_bound_and_early_exit():
         # the loop stops at the first valid attempt, so the last decides
         assert all(a.validity is not Validity.VALID
                    for a in result.attempts[:-1])
-        assert result.final is result.attempts[-1].validity
+        assert result.sample.status is result.attempts[-1].validity
         for k, a in enumerate(result.attempts, start=1):
             assert a.attempt_index == k
 
@@ -191,8 +193,10 @@ def test_safety_property_with_fault_injection():
                            seed=int(rng.integers(1 << 30)))
         sensor = FlakySensor(make_sensor(field), rng,
                              p_silent=0.15, p_garbage=0.15)
-        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, CFG)
-        assert result.actuator.position_steps == 0
+        clock = SimClock()
+        result = attempt_point(Waypoint(1, 10.0, 10.0), sensor, field, CFG,
+                               clock=clock)
+        assert retracted(result, clock)
         assert 1 <= len(result.attempts) <= CFG.max_attempts
 
 
@@ -217,7 +221,7 @@ def test_transaction_accounting_against_trace_with_drops():
             obstructions=[Disk(10, 10, 0.05)] if rng.random() < 0.5 else [])
         inner = make_sensor(field)
         flaky = FlakySensor(inner, rng, p_silent=0.25)
-        result = attempt_point(Waypoint(1, 10.0, 10.0), flaky, field, CFG)
+        result, _ = run_point(field, sensor=flaky)
         assert measure_frames(inner.trace) + flaky.dropped_measures() \
             == len(result.attempts)
 
@@ -232,63 +236,52 @@ def test_deterministic_with_same_seed():
     assert once() == once()
 
 
-# -- finalize ------------------------------------------------------------------
+# -- the point's sample ----------------------------------------------------------
 
 
-def attempt(k, validity, theta=0.25, x=10.0, y=10.0):
-    from soilprobe.sdi12 import RawReading
-    reading = None
-    if validity is not Validity.SENSOR_ERROR:
-        reading = RawReading(2400.0, 24.0, 150.0)
-    return AttemptRecord(attempt_index=k, x=x, y=y, lat=45.0, lon=7.5,
-                         achieved_depth_m=0.05, reading=reading,
-                         theta=None if reading is None else theta,
-                         validity=validity)
-
-
-def point_result(attempts, validated_at_s=1.0):
-    return PointResult(attempts=attempts, actuator=ActuatorState(),
-                       validated_at_s=validated_at_s)
-
-
-def test_finalize_picks_first_valid():
-    attempts = [attempt(1, Validity.NOT_PENETRATED, x=10.0),
-                attempt(2, Validity.VALID, theta=0.30, x=10.1),
-                ]
-    s = finalize_sample(Waypoint(7, 10.0, 10.0),
-                        point_result(attempts, validated_at_s=12.5),
-                        target_depth_m=0.05)
+def test_sample_comes_from_the_first_valid_attempt():
+    field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)])
+    result, _ = run_point(field, wp=Waypoint(7, 10.0, 10.0))
+    s, last = result.sample, result.attempts[-1]
     assert s.point_id == 7
-    assert s.status is Validity.VALID
-    assert s.theta == 0.30
+    assert s.status is last.validity is Validity.VALID
     assert s.attempts == 2
-    assert s.timestamp_s == 12.5
-    assert s.raw_counts == 2400.0
+    assert s.theta == last.theta
+    assert (s.raw_counts, s.temp_c, s.ec_us_cm) == (
+        last.reading.raw_counts, last.reading.temp_c, last.reading.ec_us_cm)
+    assert s.target_depth_m == CFG.target_depth_m
+    assert s.achieved_depth_m == last.achieved_depth_m == 0.05
+    # geo-referenced where the deciding attempt probed, not at the waypoint
+    assert (s.lat, s.lon) == local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                               last.x, last.y)
+    assert (s.lat, s.lon) != local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                               10.0, 10.0)
 
 
-def test_finalize_falls_back_to_last_attempt():
-    attempts = [attempt(1, Validity.NOT_PENETRATED),
-                attempt(2, Validity.SENSOR_ERROR),
-                attempt(3, Validity.NOT_PENETRATED, theta=-0.6)]
-    s = finalize_sample(Waypoint(9, 10.0, 10.0),
-                        point_result(attempts, validated_at_s=2.0),
-                        target_depth_m=0.05)
+def test_sample_of_a_spent_point_comes_from_its_last_attempt():
+    field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)])
+    clock = SimClock()
+    result, _ = run_point(field, wp=Waypoint(9, 10.0, 10.0), clock=clock)
+    s, last = result.sample, result.attempts[-1]
+    assert s.point_id == 9
     assert s.status is Validity.NOT_PENETRATED
-    assert s.theta == -0.6
     assert s.attempts == 3
-    assert s.timestamp_s == 2.0
+    assert s.theta == last.theta < 0
+    assert s.achieved_depth_m == last.achieved_depth_m == pytest.approx(0.01)
+    # stamped when the last attempt validated, before its retract
+    assert s.timestamp_s == pytest.approx(5.0)
+    assert retracted(result, clock)
 
 
-def test_finalize_sensor_error_has_null_reading_fields():
-    s = finalize_sample(Waypoint(1, 10.0, 10.0),
-                        point_result([attempt(1, Validity.SENSOR_ERROR)]),
-                        target_depth_m=0.05)
-    assert s.status is Validity.SENSOR_ERROR
+def test_sensor_error_sample_has_null_reading_fields():
+    # attempt 1 reads air on the stone; attempts 2 and 3 meet a silent bus
+    field = make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)])
+    result, _ = run_point(field, sensor=ScriptedSensor(
+        [b"00003\r\n", b"0+2000+24+150\r\n"]))
+    assert [a.validity for a in result.attempts] == [Validity.NOT_PENETRATED,
+                                                     Validity.SENSOR_ERROR,
+                                                     Validity.SENSOR_ERROR]
+    s = result.sample
+    assert s.status is Validity.SENSOR_ERROR and s.attempts == 3
     assert s.raw_counts is None and s.temp_c is None and s.ec_us_cm is None
     assert s.theta is None
-
-
-def test_finalize_requires_attempts():
-    with pytest.raises(ValueError):
-        finalize_sample(Waypoint(1, 0, 0), point_result([]),
-                        target_depth_m=0.05)

@@ -36,7 +36,6 @@ def test_bundled_paper_field_loads():
     assert m.field.width_m == 19.0 and m.field.height_m == 20.0
     assert m.sampler.target_depth_m == 0.05
     assert m.sampler.max_attempts == 3
-    assert scn.idw.power == 2.0
     # every obstruction disk sits on a waypoint and swallows the retries
     for d in m.field.obstructions:
         assert d.radius_m >= m.sampler.reposition_offset_m
@@ -48,7 +47,6 @@ def test_load_from_path_and_defaults(tmp_path):
     assert scn.name == "scn"
     assert scn.mission.speed_mps == 0.5          # defaulted
     assert scn.mission.sampler.settle_s == 1.0   # defaulted
-    assert scn.idw.cutoff_radius_m == 10.0       # defaulted
     assert [w.id for w in scn.mission.waypoints] == [1, 2]
 
 
@@ -98,6 +96,8 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
     (lambda d: d["field"].pop("seed"), "seed"),
     (lambda d: d["field"].update(widht_m=3), "unknown"),
     (lambda d: d.update(extra={}), "unknown"),
+    # map parameters are flags of `map`, not scenario keys
+    pytest.param(lambda d: d.update(idw={}), "unknown", id="idw-block"),
     (lambda d: d["mission"].update(generate={"count": 3, "min_spacing_m": 1,
                                              "seed": 1}), "exactly one"),
     (lambda d: d["mission"].pop("waypoints"), "exactly one"),

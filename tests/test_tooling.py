@@ -150,7 +150,7 @@ EXPORTS = {
                 "generate_waypoints", "read_sample_log", "run_mission",
                 "select_valid"),
     "sampler": ("AttemptRecord", "PointResult", "SamplerConfig", "SoilSample",
-                "attempt_point", "finalize_sample"),
+                "attempt_point"),
     "scenario": ("Scenario", "bundled_scenarios", "load_scenario"),
     "sdi12": ("Command", "DataResponse", "MeasureAck", "RawReading", "Verb",
               "decode_reading", "encode_command", "parse_command",
@@ -160,7 +160,7 @@ EXPORTS = {
 
 def test_every_export_is_its_home_modules_object():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 65
+    assert len(names) == len(set(names)) == 64
     assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
     listed = dir(soilprobe)
     star: dict = {}
@@ -251,3 +251,5 @@ def test_cold_simulate_and_map_still_run(command, paper_field_log, tmp_path):
     report = fresh_footprint(argv)
     assert report["code"] == 0
     assert "numpy" in report["command"]
+    # only map interpolates
+    assert ("soilprobe.geomap" in report["command"]) == (command == "map")
