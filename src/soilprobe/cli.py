@@ -164,7 +164,7 @@ def cmd_map(args) -> int:
         _diag(f"map: --power {args.power}: {exc}")
         return EXIT_CONFIG
 
-    xy, _origin = geomap.samples_to_local(valid)
+    xy = geomap.samples_to_local(valid)
     theta = [s.theta for s in valid]
     ids = [s.point_id for s in valid]
     pad = args.cell_size

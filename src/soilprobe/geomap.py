@@ -4,23 +4,23 @@ samples onto a raster, plus GeoJSON and ESRI ASCII exports.
 One IDW kernel serves :func:`idw_at` and :func:`build_grid`.  IDW with
 positive weights is a convex combination, so every interpolated value
 stays inside the sampled range and the surface is exact at the sample
-points.  Cells farther than the cutoff radius from every sample are
-no-data (NaN internally, -9999 in the ASCII export): the map never
+points.  A sample within ``EXACT_RADIUS_M`` of a query is its value;
+cells farther than ``CUTOFF_RADIUS_M`` from every sample are no-data
+(NaN internally, -9999 in the ASCII export): the map never
 extrapolates far beyond the sampled hull.
 
-Only samples within the cutoff (or exact) radius can change a value,
-so the kernel groups its queries into square tiles of that side and
-weighs each tile against the samples near it, never against all of
-them (local Shepard interpolation; Franke & Nielson 1980).  Weights
-come from squared distances; ``hypot`` decides every pair that lies
-within rounding of either radius, so which samples count, and which
-sample wins an exact hit, never depend on the squaring.
+Only samples within the cutoff radius can change a value, so the
+kernel groups its queries into square tiles of that side and weighs
+each tile against the samples near it, never against all of them
+(local Shepard interpolation; Franke & Nielson 1980).  Weights come
+from squared distances; ``hypot`` decides every pair that lies within
+rounding of either radius, so which samples count, and which sample
+wins an exact hit, never depend on the squaring.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -30,6 +30,16 @@ from .errors import EmptyInputError, require_positive
 from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
+
+# a sample within EXACT_RADIUS_M of a query is the query's value; samples
+# farther than CUTOFF_RADIUS_M from it do not count
+CUTOFF_RADIUS_M = 10.0
+EXACT_RADIUS_M = 1e-6
+
+# largest IDW power: a weight d ** -50 of a sample that counts,
+# EXACT_RADIUS_M < d <= CUTOFF_RADIUS_M, stays within about 1e-300..1e300,
+# which leaves room for the sum of the weights
+MAX_POWER = 50.0
 
 # cap on the (tile cells x tile samples) distance block held in memory at once
 _CHUNK_CELLS = 65536
@@ -42,55 +52,22 @@ MAX_GRID_CELLS = 1 << 24
 # round within a few ulps, far inside it
 _SQUARE_BAND = 1e-12
 
-# below the smallest normal float, squares round in absolute steps that
-# no relative band covers
-_NORMAL_MIN = sys.float_info.min
-
-
-# a weight d ** -power of a sample that counts, exact < d <= cutoff, stays
-# within 10 ** +-_WEIGHT_EXPONENT: far from the floats' limits, which leaves
-# room for the sum of the weights
-_WEIGHT_EXPONENT = 300
-
 
 @dataclass(frozen=True)
 class IdwParams:
-    """IDW settings.  A power above ``max_power`` is refused: the weight
-    near the exact radius could overflow, or the one at the cutoff
-    underflow, and cells with samples in reach would turn no-data."""
+    """IDW settings.  A power above ``MAX_POWER`` is refused: the weight
+    near the exact radius could overflow, and cells with samples in
+    reach would turn no-data."""
 
     power: float = 2.0
-    cutoff_radius_m: float = 10.0
-    exact_radius_m: float = 1e-6
 
     def __post_init__(self):
-        require_positive(self, "power", "cutoff_radius_m", "exact_radius_m")
-        if self.power > self.max_power:
+        require_positive(self, "power")
+        if self.power > MAX_POWER:
             raise ValueError(
-                f"power must be at most {self.max_power:.6g} for radii "
-                f"{self.exact_radius_m:g} to {self.cutoff_radius_m:g} m, or an "
-                f"IDW weight leaves 1e-{_WEIGHT_EXPONENT}..1e{_WEIGHT_EXPONENT}")
-
-    @property
-    def max_power(self) -> float:
-        """The largest power these radii accept.
-
-        That is the largest one whose weights stay within 1e-300..1e300
-        at every distance weighed, above the exact radius and up to the
-        cutoff (no limit when the exact radius reaches the cutoff).  It
-        is never less than 2, so inverse-square weighting stays available
-        at every scale; with an exact radius below 1e-150 or a cutoff
-        above 1e150, even those weights leave that range, and cells in
-        reach may still turn no-data.
-        """
-        exact, cutoff = self.exact_radius_m, self.cutoff_radius_m
-        limit = math.inf
-        if exact < cutoff:
-            if exact < 1.0:
-                limit = _WEIGHT_EXPONENT / -math.log10(exact)
-            if cutoff > 1.0:
-                limit = min(limit, _WEIGHT_EXPONENT / math.log10(cutoff))
-        return max(2.0, limit)
+                f"power must be at most {MAX_POWER:g} for radii "
+                f"{EXACT_RADIUS_M:g} to {CUTOFF_RADIUS_M:g} m, or an IDW "
+                f"weight leaves 1e-300..1e300")
 
 
 @dataclass(frozen=True)
@@ -140,30 +117,28 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     """:func:`idw_at` at each (qx[i], qy[i]); exact-hit ties go to the lowest rank.
 
     ``xy`` must be in canonical order, which sorts it by x first.  The
-    finite queries are grouped into square tiles whose side is ``reach``,
-    the larger of the cutoff and exact radii.  Each tile weighs only the
-    samples inside its queries' bounding box grown by ``reach``, which
-    holds every sample the cutoff and exact tests can keep.  Non-finite
-    queries stay NaN.
+    finite queries are grouped into square tiles whose side is the
+    cutoff radius.  Each tile weighs only the samples inside its
+    queries' bounding box grown by that radius, which holds every
+    sample the cutoff and exact tests can keep.  Non-finite queries
+    stay NaN.
 
     Weights are ``d2 ** (-power / 2)`` on squared distances ``d2``,
     computed in reused buffers.  ``np.hypot`` decides and weighs what
     squaring cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of
-    the squared cutoff or below the normal floats, and the exact-hit
-    test of every row holding a ``d2`` within that band of the squared
-    exact radius.  So the kept pairs, the no-data cells and the
-    exact-hit winners are those of distances from ``np.hypot``, at any
-    scale; only the weights differ from ``hypot(...) ** -power``, by a
-    few ulps.
+    the squared cutoff, and the exact-hit test of every row holding a
+    ``d2`` up to that band above the squared exact radius, which every
+    ``d2`` below the normal floats is.  So the kept pairs, the no-data
+    cells and the exact-hit winners are those of distances from
+    ``np.hypot``; only the weights differ from ``hypot(...) ** -power``,
+    by a few ulps.
     """
     out = np.full(qx.size, np.nan)
     live = np.flatnonzero(np.isfinite(qx) & np.isfinite(qy))
     if not live.size:
         return out
-    reach = max(params.cutoff_radius_m, params.exact_radius_m)
-    # a tiny reach may overflow a tile index to inf, which only merges tiles
-    with np.errstate(over="ignore"):
-        tx, ty = np.floor(qx[live] / reach), np.floor(qy[live] / reach)
+    cutoff, exact = CUTOFF_RADIUS_M, EXACT_RADIUS_M
+    tx, ty = np.floor(qx[live] / cutoff), np.floor(qy[live] / cutoff)
     by_tile = np.lexsort((tx, ty))
     live, tx, ty = live[by_tile], tx[by_tile], ty[by_tile]
     starts = np.r_[0, np.flatnonzero((tx[1:] != tx[:-1])
@@ -172,23 +147,23 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     lqx, lqy = qx[live], qy[live]
     x0, x1 = np.minimum.reduceat(lqx, starts), np.maximum.reduceat(lqx, starts)
     y0, y1 = np.minimum.reduceat(lqy, starts), np.maximum.reduceat(lqy, starts)
-    # each tile's query box grown by reach; the pad outweighs every rounding
-    # in the box and in d, so no sample that d <= cutoff or d <= exact would
+    # each tile's query box grown by the cutoff; the pad outweighs every
+    # rounding in the box and in d, so no sample that d <= cutoff would
     # keep is left out
     with np.errstate(over="ignore"):
-        grow = reach + 1e-9 * (reach + np.abs([x0, x1, y0, y1]).max(axis=0))
+        grow = cutoff + 1e-9 * (cutoff + np.abs([x0, x1, y0, y1]).max(axis=0))
         x0, x1, y0, y1 = x0 - grow, x1 + grow, y0 - grow, y1 + grow
     xs, ys = xy[:, 0], xy[:, 1]
     i0, i1 = xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")
     vals = np.full(live.size, np.nan)
 
-    power, cutoff, exact = params.power, params.cutoff_radius_m, params.exact_radius_m
-    # each squared radius widened by the band and by _NORMAL_MIN; products,
-    # not **, so a square beyond the floats is inf rather than an error
+    power = params.power
+    # each squared radius widened by the band; products, not **, which
+    # rounds some squares to a different last bit
     shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
-    cut_lo = (cutoff * shrink) * (cutoff * shrink) - _NORMAL_MIN
-    cut_hi = (cutoff * grow) * (cutoff * grow) + _NORMAL_MIN
-    exact_hi = (exact * grow) * (exact * grow) + _NORMAL_MIN
+    cut_lo = (cutoff * shrink) * (cutoff * shrink)
+    cut_hi = (cutoff * grow) * (cutoff * grow)
+    exact_hi = (exact * grow) * (exact * grow)
     # a chunk holds at most max(_CHUNK_CELLS, samples of one tile) pairs,
     # and never more than every query against those samples
     most = int((i1 - i0).max())
@@ -216,16 +191,13 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
                 np.multiply(d2, d2, out=d2)
                 np.multiply(dy, dy, out=dy)
                 d2 += dy
-            row_min = d2.min(axis=1)
-            may_hit = np.flatnonzero(row_min <= exact_hi)
+            may_hit = np.flatnonzero(d2.min(axis=1) <= exact_hi)
             np.less_equal(d2, cut_hi, out=keep)
             np.less(d2, cut_lo, out=sure)
-            # hypot weighs the pairs whose squares cannot tell in from out,
-            # and those whose squares fell below the normal range
+            # hypot weighs the pairs whose squares cannot tell in from out
             edge = None
-            if (np.count_nonzero(keep) != np.count_nonzero(sure)
-                    or row_min.min() < _NORMAL_MIN):
-                edge = np.flatnonzero((keep ^ sure) | (d2 < _NORMAL_MIN))
+            if np.count_nonzero(keep) != np.count_nonzero(sure):
+                edge = np.flatnonzero(keep ^ sure)
                 r, c = np.divmod(edge, shape[1])
                 d = np.hypot(lqx[q0 + r] - sx[c], lqy[q0 + r] - sy[c])
             # exact hits get 1/0 weights here and are overwritten just below;
@@ -254,9 +226,9 @@ def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
            ids=None) -> float:
     """Interpolated VWC at one query point; NaN when out of reach.
 
-    A sample within ``exact_radius_m`` wins outright (nearest first,
+    A sample within ``EXACT_RADIUS_M`` wins outright (nearest first,
     then lowest id on ties), which also makes the surface exact at the
-    sample locations.  Otherwise the samples inside ``cutoff_radius_m``
+    sample locations.  Otherwise the samples inside ``CUTOFF_RADIUS_M``
     are combined with weights d**-power.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
@@ -302,16 +274,14 @@ def samples_to_local(samples):
     """Project samples onto a local metric frame.
 
     Anchors at (min lat, min lon) over the samples, which is all a bare
-    log file supports.  Returns the (n, 2) coordinate array plus the
-    anchor.
+    log file supports.  Returns the (n, 2) coordinate array.
     """
     if not samples:
         raise EmptyInputError("no samples to project")
     origin_lat = min(s.lat for s in samples)
     origin_lon = min(s.lon for s in samples)
-    xy = np.array([wgs84_to_local_at(origin_lat, origin_lon, s.lat, s.lon)
-                   for s in samples])
-    return xy, (origin_lat, origin_lon)
+    return np.array([wgs84_to_local_at(origin_lat, origin_lon, s.lat, s.lon)
+                     for s in samples])
 
 
 # one GeoJSON Feature as json.dumps(indent=2) lays it out inside the collection

@@ -266,8 +266,6 @@ _KINDS = {"int": "int", "float": "number", "float | None": "number or null",
 _SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type]) for f in fields(SoilSample))
 _STATUSES = {status.value: status for status in Validity}
 
-SUMMARY_FIELDS = tuple(f.name for f in fields(MissionSummary))
-
 # json.dumps's own settings, except that NaN and infinity raise ValueError
 # instead of becoming bare tokens that are not JSON
 _ENCODER = json.JSONEncoder(allow_nan=False)
@@ -291,12 +289,6 @@ def _unique_fields(pairs: list) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
-
-
-def sample_to_dict(sample: SoilSample) -> dict:
-    d = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
-    d["status"] = sample.status.value
-    return d
 
 
 def _field_set_error(d: dict) -> ValueError:
@@ -349,7 +341,9 @@ def sample_from_dict(d: dict) -> SoilSample:
 
 
 def dump_sample_log(samples: list[SoilSample]) -> str:
-    return "".join(_ENCODER.encode(sample_to_dict(s)) + "\n" for s in samples)
+    """One JSON object per line: ``vars`` holds SoilSample's fields in
+    order, and the ``str`` enum ``Validity`` encodes as its value."""
+    return "".join(_ENCODER.encode(vars(s)) + "\n" for s in samples)
 
 
 def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
@@ -396,9 +390,5 @@ def read_sample_log(path) -> tuple[list[SoilSample], list[str]]:
     return parse_sample_log(text.split("\n"))
 
 
-def summary_to_dict(summary: MissionSummary) -> dict:
-    return {name: getattr(summary, name) for name in SUMMARY_FIELDS}
-
-
 def dump_summary(summary: MissionSummary) -> str:
-    return _ENCODER.encode(summary_to_dict(summary)) + "\n"
+    return _ENCODER.encode(vars(summary)) + "\n"

@@ -278,10 +278,10 @@ def test_map_under_the_power_bound_has_no_spurious_nodata(tmp_path, power):
                      "--out-points", str(tmp_path / "p.geojson"),
                      "--out-grid", str(grid)]) == 0
     cx, cy, values = read_ascii_grid(grid)
-    xy, _ = geomap.samples_to_local(select_valid(read_sample_log(log)[0]))
+    xy = geomap.samples_to_local(select_valid(read_sample_log(log)[0]))
     near = np.hypot(cx[None, :, None] - xy[:, 0], cy[:, None, None] - xy[:, 1]).min(axis=2)
     # every cell has a sample in reach, and so a value
-    assert near.max() < geomap.IdwParams().cutoff_radius_m
+    assert near.max() < geomap.CUTOFF_RADIUS_M
     assert (values != geomap.NODATA).all()
 
 

@@ -3,14 +3,14 @@
 import dataclasses
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from soilprobe.calib import Validity
 from soilprobe.errors import EmptyInputError
-from soilprobe.geomap import (IdwParams, MoistureGrid, _as_sample_arrays,
+from soilprobe.geomap import (CUTOFF_RADIUS_M, EXACT_RADIUS_M, MAX_POWER,
+                              IdwParams, MoistureGrid, _as_sample_arrays,
                               build_grid, export_grid_ascii,
                               export_points_geojson, idw_at, samples_to_local)
 from soilprobe.sampler import SoilSample
@@ -126,14 +126,13 @@ def test_grid_matches_naive_oracle():
 
 
 def test_grid_nodata_cells_are_exactly_the_far_ones():
-    xy = [(1.0, 1.0), (18.0, 18.0)]
+    xy = [(3.0, 3.0), (45.0, 45.0)]
     theta = [0.2, 0.3]
-    params = IdwParams(cutoff_radius_m=3.0)
-    grid = build_grid(xy, theta, (0, 0, 20, 20), params, cell_size_m=1.0)
+    grid = build_grid(xy, theta, (0, 0, 50, 50), cell_size_m=1.0)
     gx, gy = grid.cell_centers()
     for iy, y in enumerate(gy):
         for ix, x in enumerate(gx):
-            far = all(math.hypot(x - sx, y - sy) > 3.0 for sx, sy in xy)
+            far = all(math.hypot(x - sx, y - sy) > 10.0 for sx, sy in xy)
             assert math.isnan(grid.values[iy, ix]) == far
 
 
@@ -169,17 +168,17 @@ def exact_hit_cells(grid, xy, exact):
     return hit
 
 
-def assert_grid_matches_dense(xy, theta, ids, bounds, params, cell):
-    grid = build_grid(xy, theta, bounds, params, cell_size_m=cell, ids=ids)
+def assert_grid_matches_dense(xy, theta, ids, bounds, cell, power=2.0):
+    grid = build_grid(xy, theta, bounds, IdwParams(power), cell_size_m=cell,
+                      ids=ids)
     qx, qy = np.meshgrid(*grid.cell_centers())
     want = idw_dense_reference(
         *_as_sample_arrays(xy, theta, ids), qx.ravel(), qy.ravel(),
-        params.power, params.cutoff_radius_m,
-        params.exact_radius_m).reshape(grid.values.shape)
+        power).reshape(grid.values.shape)
     got = grid.values
     nodata = np.isnan(want)
     assert np.array_equal(np.isnan(got), nodata)
-    hit = exact_hit_cells(grid, xy, params.exact_radius_m)
+    hit = exact_hit_cells(grid, xy, 1e-6)
     assert np.array_equal(got[hit], want[hit])
     assert np.abs(got - want)[~nodata].max(initial=0.0) <= 1e-12
     assert export_grid_ascii(grid) == export_grid_ascii(
@@ -187,13 +186,13 @@ def assert_grid_matches_dense(xy, theta, ids, bounds, params, cell):
     return nodata, hit
 
 
-# (width, height, cell, cutoff, exact, origin, samples): binary fractions,
-# so a sample placed ``cutoff`` from a cell centre is exactly that far away
+# (width, height, cell, origin, samples): binary fractions, so a sample
+# placed the 10 m cutoff from a cell centre is exactly that far away
 DYADIC_CASES = [
-    (60.0, 60.0, 0.25, 1.5, 1e-6, (0.0, 0.0), 120),
-    (200.0, 120.0, 2.0, 5.0, 1e-6, (-37.5, 12.25), 400),
-    (100.0, 80.0, 0.5, 2.5, 3.75, (3.5, -20.0), 150),  # exact > cutoff
-    (150.0, 150.0, 1.0, 1.0, 1e-6, (-0.5, -0.5), 300),
+    (400.0, 400.0, 2.0, (0.0, 0.0), 120),
+    (800.0, 480.0, 4.0, (-37.5, 12.25), 400),
+    (300.0, 200.0, 1.0, (1048576.0, -524288.5), 150),
+    (1500.0, 1500.0, 10.0, (-5.0, -5.0), 300),  # cell centres on tile edges
 ]
 
 
@@ -202,21 +201,18 @@ def sweep_cases():
         yield case
     rng = np.random.default_rng(404)
     for _ in range(6):
-        width, height = rng.uniform(60.0, 200.0, size=2)
+        width, height = rng.uniform(250.0, 600.0, size=2)
         # at most 80k cells keeps the dense reference quick
-        cell = max(rng.uniform(0.25, 2.0), math.sqrt(width * height / 80_000))
-        cutoff = rng.uniform(1.0, 5.0)
-        yield (width, height, cell, cutoff, 1e-6,
-               tuple(rng.uniform(-50.0, 50.0, size=2)),
-               int(rng.integers(50, 400)))
+        cell = max(rng.uniform(0.5, 4.0), math.sqrt(width * height / 80_000))
+        yield (width, height, cell, tuple(rng.uniform(-200.0, 200.0, size=2)),
+               int(rng.integers(50, 300)))
 
 
 @pytest.mark.parametrize("case", list(sweep_cases()))
 def test_tiled_kernel_matches_dense_kernel(case):
-    width, height, cell, cutoff, exact, (ox, oy), n = case
+    width, height, cell, (ox, oy), n = case
     rng = np.random.default_rng(int(width * 1000 + n))
-    params = IdwParams(cutoff_radius_m=cutoff, exact_radius_m=exact)
-    reach = max(cutoff, exact)
+    cutoff = 10.0
     bounds = (ox, oy, ox + width, oy + height)
     nx, ny = math.ceil(width / cell), math.ceil(height / cell)
     gx = ox + (np.arange(nx) + 0.5) * cell
@@ -229,11 +225,11 @@ def test_tiled_kernel_matches_dense_kernel(case):
     # exactly cutoff away from a cell centre, along each axis
     at_cutoff = on_centres[: k // 2] + [[cutoff, 0.0]] * (k // 2)
     at_cutoff = np.vstack([at_cutoff, on_centres[k // 2:] - [[0.0, cutoff]]])
-    # on tile edges: multiples of reach in x, in y, and in both
-    ex = reach * rng.integers(math.ceil(ox / reach),
-                              math.floor((ox + width) / reach) + 1, k)
-    ey = reach * rng.integers(math.ceil(oy / reach),
-                              math.floor((oy + height) / reach) + 1, k)
+    # on tile edges: multiples of the cutoff in x, in y, and in both
+    ex = cutoff * rng.integers(math.ceil(ox / cutoff),
+                               math.floor((ox + width) / cutoff) + 1, k)
+    ey = cutoff * rng.integers(math.ceil(oy / cutoff),
+                               math.floor((oy + height) / cutoff) + 1, k)
     on_edges = np.vstack([np.column_stack([ex, rng.choice(gy, k)]),
                           np.column_stack([rng.choice(gx, k), ey]),
                           np.column_stack([ex, ey])])
@@ -246,22 +242,21 @@ def test_tiled_kernel_matches_dense_kernel(case):
     perm = rng.permutation(len(xy))
 
     nodata, hit = assert_grid_matches_dense(xy[perm], theta[perm], ids[perm],
-                                            bounds, params, cell)
+                                            bounds, cell)
     # the cutoff prunes, and the exact-hit rule is exercised
     assert nodata.any() and hit.any()
 
 
 def test_grid_matches_naive_oracle_where_tiles_prune():
     rng = np.random.default_rng(65)
-    xy = rng.uniform(0, 40, size=(50, 2))
+    xy = rng.uniform(0, 120, size=(50, 2))
     theta = rng.uniform(0.05, 0.5, size=50)
-    params = IdwParams(cutoff_radius_m=3.0)
-    grid = build_grid(xy, theta, (0, 0, 40, 40), params, cell_size_m=1.0)
+    grid = build_grid(xy, theta, (0, 0, 120, 120), cell_size_m=3.0)
     gx, gy = grid.cell_centers()
     worst = 0.0
     for iy, y in enumerate(gy):
         for ix, x in enumerate(gx):
-            want = idw_oracle(xy, theta, x, y, cutoff=3.0)
+            want = idw_oracle(xy, theta, x, y)
             got = grid.values[iy, ix]
             assert math.isnan(want) == math.isnan(got)
             if not math.isnan(want):
@@ -297,123 +292,117 @@ def on_circle(rng, centres, radius):
     return np.column_stack([x, y])
 
 
-# (coordinate scale, power): squared distances are normal floats, below
-# them, and above them
-@pytest.mark.parametrize("scale,power", [(1.0, 2.0), (1e-160, 1.0), (1e160, 1.0)])
-def test_kernel_decides_both_circles_as_hypot_does(scale, power):
+def ring_raster(rng, offset, cell, count):
+    """A 40 x 40 raster of ``cell``-sized cells from (offset, offset), and
+    ``count`` random cell centres on it, as (bounds, centres)."""
+    side = 40
+    centres = offset + (rng.integers(0, side, (count, 2)) + 0.5) * cell
+    return (offset, offset, offset + side * cell, offset + side * cell), centres
+
+
+def assert_some_misjudged(ring, centres, radius):
+    """The placements straddle the circle, and squaring misjudges some."""
+    dx, dy = (ring - centres).T
+    inside = np.hypot(dx, dy) <= radius
+    misjudged = (dx * dx + dy * dy <= radius * radius) != inside
+    assert inside.any() and not inside.all() and misjudged.any()
+
+
+# (coordinate offset, power): squaring misjudges points on the circles only
+# where the coordinates resolve the radii to a few ulps of their squares
+@pytest.mark.parametrize("offset,power", [(0.0, 2.0), (1e6, 1.0)])
+def test_kernel_decides_both_circles_as_hypot_does(offset, power):
     # a squared distance within rounding of the squared cutoff or exact
     # radius may fall on the other side of it; hypot's decision must win
     rng = np.random.default_rng(707)
-    cutoff, exact, side = 1.5 * scale, 0.25 * scale, 40
-    params = IdwParams(power=power, cutoff_radius_m=cutoff, exact_radius_m=exact)
-    centres = (rng.integers(0, side, (1100, 2)) + 0.5) * scale
-    at_cutoff = on_circle(rng, centres[:300], cutoff)
-    at_exact = on_circle(rng, centres[300:1000], exact)
+    # the cutoff circle, on a raster where some cells have no sample in reach
+    bounds, centres = ring_raster(rng, offset, 8.0, 300)
+    xy = on_circle(rng, centres, 10.0)
+    theta = rng.uniform(0.05, 0.45, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+    nodata, _ = assert_grid_matches_dense(xy, theta, ids, bounds, 8.0, power)
+    assert nodata.any() and not nodata.all()
+    if offset == 0.0:
+        assert_some_misjudged(xy, centres, 10.0)
+
+    # the exact circle, on a raster fine enough to resolve it
+    bounds, centres = ring_raster(rng, offset, 4e-6, 800)
+    at_exact = on_circle(rng, centres[:700], 1e-6)
     # two points on one exact circle: the nearer one by hypot wins
-    tied = np.vstack([on_circle(rng, centres[1000:], exact),
-                      on_circle(rng, centres[1000:], exact)])
-    xy = np.vstack([at_cutoff, at_exact, tied])
+    tied = np.vstack([on_circle(rng, centres[700:], 1e-6),
+                      on_circle(rng, centres[700:], 1e-6)])
+    xy = np.vstack([at_exact, tied])
     theta = rng.uniform(0.05, 0.45, len(xy))
     ids = rng.permutation(len(xy)) + 1
-
-    nodata, hit = assert_grid_matches_dense(
-        xy, theta, ids, (0, 0, side * scale, side * scale), params, scale)
-    assert nodata.any() and hit.any()
-    # the placements straddle both circles, and squaring misjudges some
-    for ring, centre, radius in ((at_cutoff, centres[:300], cutoff),
-                                 (at_exact, centres[300:1000], exact)):
-        dx, dy = (ring - centre).T
-        inside = np.hypot(dx, dy) <= radius
-        with np.errstate(over="ignore"):
-            misjudged = (dx * dx + dy * dy <= radius * radius) != inside
-        assert inside.any() and not inside.all() and misjudged.any()
+    _, hit = assert_grid_matches_dense(xy, theta, ids, bounds, 4e-6, power)
+    assert hit.any() and not hit.all()
+    if offset == 0.0:
+        assert_some_misjudged(at_exact, centres[:700], 1e-6)
 
 
-def scaled_case(rng, scale):
+def scaled_case(rng, scale, offset=0.0):
     """60 scattered samples and 8 on cell centres of a 16 x 16 raster of
-    ``scale``-sized cells, as (xy, theta, ids, bounds, cell)."""
+    ``scale``-sized cells from (offset, offset), as (xy, theta, ids,
+    bounds, cell)."""
     centres = rng.integers(0, 16, (8, 2)) + 0.5
-    xy = np.vstack([rng.uniform(0.0, 16.0, (60, 2)), centres]) * scale
+    xy = offset + np.vstack([rng.uniform(0.0, 16.0, (60, 2)), centres]) * scale
     theta = rng.uniform(0.05, 0.45, len(xy))
     ids = rng.permutation(len(xy)) + 1
-    return xy, theta, ids, (0.0, 0.0, 16.0 * scale, 16.0 * scale), scale
+    bounds = (offset, offset, offset + 16.0 * scale, offset + 16.0 * scale)
+    return xy, theta, ids, bounds, scale
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1e-20, 1.0, 1e20, 1e100,
-                                   1e150])
+@pytest.mark.parametrize("scale", [1e-160, 1e-150, 1e-100, 1e-20, 1.0, 1e20,
+                                   1e100, 1e150])
 def test_kernel_matches_dense_kernel_across_magnitudes(scale):
+    # below 1e-6 m every cell is an exact hit, and at 1e-160 every square
+    # falls below the normal floats; above 10 m every sample is out of
+    # reach of every cell centre but its own
     rng = np.random.default_rng(int(math.log10(scale)) + 1000)
-    xy, theta, ids, bounds, cell = scaled_case(rng, scale)
-    params = IdwParams(cutoff_radius_m=2.5 * scale, exact_radius_m=0.3 * scale)
-    nodata, hit = assert_grid_matches_dense(xy, theta, ids, bounds, params, cell)
+    nodata, hit = assert_grid_matches_dense(*scaled_case(rng, scale))
+    assert hit.any() and not nodata.all()
+    assert hit.all() == (scale < 1.0) and nodata.any() == (scale > 1.0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e9, 1e12])
+def test_kernel_matches_dense_kernel_across_offsets(offset):
+    rng = np.random.default_rng(int(math.log10(offset + 1.0)) + 3000)
+    nodata, hit = assert_grid_matches_dense(*scaled_case(rng, 8.0, offset))
     assert nodata.any() and hit.any() and not nodata.all()
-
-
-# (coordinate scale, cutoff, exact, power): squared radii or distances
-# overflow to inf or fall below the normal floats, down to 0
-@pytest.mark.parametrize("scale,cutoff,exact,power", [
-    (1.0, 1e200, 1e-200, 2.0),
-    (1.0, 2.5, 1e300, 2.0),
-    (1.0, 5e-324, 5e-324, 2.0),
-    (1e150, 1e300, 1e-300, 2.0),
-    (1e-155, 2.5e-155, 3e-156, 2.0),
-    (1e-160, 2.5e-150, 3e-170, 1.0),
-    (1e-165, 2.5e-165, 3e-166, 1.0),
-    (1e-300, 2.5e-300, 3e-301, 1.0),
-    (1e160, 2.5e160, 3e159, 1.0),
-])
-def test_kernel_matches_dense_kernel_where_squares_leave_the_floats(
-        scale, cutoff, exact, power):
-    rng = np.random.default_rng(int(abs(math.log10(scale))) + 2000)
-    xy, theta, ids, bounds, cell = scaled_case(rng, scale)
-    params = IdwParams(power=power, cutoff_radius_m=cutoff, exact_radius_m=exact)
-    _, hit = assert_grid_matches_dense(xy, theta, ids, bounds, params, cell)
-    assert hit.any()
 
 
 def test_idw_params_validation():
     with pytest.raises(ValueError):
         IdwParams(power=0)
-    with pytest.raises(ValueError):
-        IdwParams(cutoff_radius_m=0)
     for bad in (math.nan, math.inf):
-        for field in ("power", "cutoff_radius_m", "exact_radius_m"):
-            with pytest.raises(ValueError):
-                IdwParams(**{field: bad})
+        with pytest.raises(ValueError):
+            IdwParams(power=bad)
         with pytest.raises(ValueError):
             build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=bad)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=0)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (1, 0, 0, 1))
+    # the radii are constants, not settings
+    with pytest.raises(TypeError):
+        IdwParams(exact_radius_m=1e-200)
 
 
 # (exact radius, cutoff radius, largest power accepted)
-@pytest.mark.parametrize("exact,cutoff,most", [
-    (1e-6, 10.0, 50.0),      # the defaults: the weight at the exact radius binds
-    (1e-100, 1e100, 3.0),
-    (0.5, 1e30, 10.0),       # only the weight at the cutoff can underflow
-    (1e-30, 0.5, 10.0),      # only the weight at the exact radius can overflow
-    (1e-300, 10.0, 2.0),     # never below the inverse square
-    (5e-324, 1e300, 2.0),
-    (2.0, 1.0, math.inf),    # every sample in reach is an exact hit
-])
+@pytest.mark.parametrize("exact,cutoff,most", [(1e-6, 10.0, 50.0)])
 def test_power_bound(exact, cutoff, most):
-    radii = {"exact_radius_m": exact, "cutoff_radius_m": cutoff}
-    assert IdwParams(**radii).max_power == most
-    IdwParams(power=min(most, sys.float_info.max), **radii)
-    if math.isfinite(most):
-        with pytest.raises(ValueError, match=f"power must be at most {most:g} "):
-            IdwParams(power=math.nextafter(most, math.inf), **radii)
+    assert (EXACT_RADIUS_M, CUTOFF_RADIUS_M, MAX_POWER) == (exact, cutoff, most)
+    IdwParams(power=most)
+    with pytest.raises(ValueError, match=f"power must be at most {most:g} "):
+        IdwParams(power=math.nextafter(most, math.inf))
 
 
-@pytest.mark.parametrize("exact,cutoff,power", [(1e-6, 10.0, 50.0),
-                                                (1e-100, 1e100, 3.0)])
+@pytest.mark.parametrize("exact,cutoff,power", [(1e-6, 10.0, 50.0)])
 def test_weights_at_the_power_bound_stay_in_the_floats(exact, cutoff, power):
     # a sample just outside the exact radius and one just inside the cutoff
     # each keep their cell: neither weight overflows nor underflows
-    params = IdwParams(power=power, exact_radius_m=exact, cutoff_radius_m=cutoff)
-    near, far = (1.01 * exact, 0.0), (0.0, 0.99 * cutoff)
+    params = IdwParams(power=power)
+    near, far = (1.01 * exact, 0.0), (0.0, 0.999 * cutoff)
     assert idw_at([near], [0.1], 0.0, 0.0, params) == 0.1
     assert idw_at([far], [0.3], 0.0, 0.0, params) == 0.3
     assert idw_at([near, far], [0.1, 0.3], 0.0, 0.0, params) == pytest.approx(0.1)
@@ -480,8 +469,8 @@ def test_exports_never_write_nan_or_infinity():
 def test_samples_to_local_anchor():
     samples = [make_sample(1, lat=45.0, lon=7.5),
                make_sample(2, lat=45.0001, lon=7.5002)]
-    xy, origin = samples_to_local(samples)
-    assert origin == (45.0, 7.5)
+    xy = samples_to_local(samples)
+    # anchored at the southwest-most sample
     assert xy[0] == pytest.approx([0.0, 0.0])
     assert xy[1][0] > 0 and xy[1][1] > 0
     with pytest.raises(EmptyInputError):

@@ -18,8 +18,7 @@ from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
                                dump_summary, generate_waypoints,
                                parse_sample_log, read_sample_log,
-                               run_mission, sample_from_dict,
-                               sample_to_dict, select_valid)
+                               run_mission, sample_from_dict, select_valid)
 
 from conftest import generate_waypoints_reference, make_field
 
@@ -294,8 +293,6 @@ def test_mission_config_validation():
     (lambda v: ActuatorConfig(max_depth_m=v), "max_depth_m"),
     (lambda v: ActuatorConfig(step_rate_hz=v), "step_rate_hz"),
     (lambda v: IdwParams(power=v), "power"),
-    (lambda v: IdwParams(cutoff_radius_m=v), "cutoff_radius_m"),
-    (lambda v: IdwParams(exact_radius_m=v), "exact_radius_m"),
     (lambda v: MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),),
                              speed_mps=v), "speed_mps"),
 ])
@@ -374,7 +371,7 @@ def test_log_is_jsonl_with_expected_keys():
 def test_sample_dict_round_trip():
     samples, _ = run_mission(simple_mission(3, obstructed=(1,)))
     for s in samples:
-        assert sample_from_dict(sample_to_dict(s)) == s
+        assert sample_from_dict(json.loads(dump_sample_log([s]))) == s
 
 
 def test_parse_log_reports_offending_line():
@@ -471,7 +468,7 @@ def test_decoded_samples_equal_constructed_ones():
     assert not hasattr(SoilSample, "__post_init__")
     samples, _ = run_mission(simple_mission(3, obstructed=(1,)))
     for s in samples:
-        d = sample_to_dict(s)
+        d = json.loads(dump_sample_log([s]))
         decoded = sample_from_dict(d)
         assert decoded == s and hash(decoded) == hash(s) and repr(decoded) == repr(s)
         assert d["status"] == s.status.value  # the caller's dict is left alone

@@ -5,8 +5,9 @@ lazy imports keep working.
 ``VirtualTeros.trace``; a rename inside the package would only show up
 when ``perfbench/run.py --trace 1`` runs.  These tests load the tracer
 and the workload builder from their files (without editing them), and
-run the demos that write no files.  The import tests run each command
-in a fresh interpreter and compare the sets of modules it loaded.
+run each demo from a copy in a temporary directory.  The import tests
+run each command in a fresh interpreter and compare the sets of modules
+it loaded.
 """
 
 import ast
@@ -15,6 +16,7 @@ import importlib.util
 import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -119,16 +121,25 @@ def test_generated_workloads_map_to_their_golden_bytes(name, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == golden[path.name]
 
 
+# what a demo writes into the out/ directory beside it
+DEMO_OUTPUTS = {"05_moisture_mapping.py": ("points.geojson", "grid.asc")}
+
+
 @pytest.mark.parametrize("script", [
     "01_codec_walkthrough.py",
     "02_calibration_curve.py",
     "03_point_sampling.py",
     "04_mission_run.py",
+    "05_moisture_mapping.py",
     "06_fault_injection.py",
 ])
-def test_demo_runs(script, capsys):
-    runpy.run_path(str(ROOT / "demos" / script), run_name="__main__")
+def test_demo_runs(script, tmp_path, capsys):
+    copy = tmp_path / script
+    shutil.copy(ROOT / "demos" / script, copy)
+    runpy.run_path(str(copy), run_name="__main__")
     assert capsys.readouterr().out
+    for name in DEMO_OUTPUTS.get(script, ()):
+        assert (tmp_path / "out" / name).stat().st_size > 0
 
 
 # -- lazy imports ---------------------------------------------------------------
