@@ -27,7 +27,7 @@ _EXPORTS = {
     "actuator": ("ActuatorConfig", "ActuatorState", "lower_to", "motion_duration"),
     "calib": ("DEFAULT_THRESHOLDS", "Validity", "ValidityThresholds", "classify",
               "raw_to_vwc", "vwc_to_raw"),
-    "errors": ("DegenerateError", "EmptyInputError", "FrameError",
+    "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
                "InfeasibleError", "LogFormatError", "RangeError",
                "ScenarioError", "ShapeError", "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",

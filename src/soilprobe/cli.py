@@ -98,11 +98,15 @@ def cmd_simulate(args) -> int:
     from . import mission, scenario
     try:
         scn = scenario.load_scenario(args.config, seed_override=args.seed)
+    except (SoilProbeError, ValueError, OverflowError) as exc:
+        _diag(f"simulate: {exc}")
+        return EXIT_CONFIG
+    # a loaded scenario runs and writes: any other exception is a defect
+    try:
         samples, summary = mission.run_mission(scn.mission)
-        # the writers refuse NaN and infinity, which extreme configs can yield
         log = mission.dump_sample_log(samples)
         summary_text = mission.dump_summary(summary)
-    except (SoilProbeError, ValueError, OverflowError) as exc:
+    except SoilProbeError as exc:
         _diag(f"simulate: {exc}")
         return EXIT_CONFIG
     code = _emit("simulate", (log, args.out_log),

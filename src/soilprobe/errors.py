@@ -43,6 +43,11 @@ class RangeError(SoilProbeError, ValueError):
     """A value violates its documented physical range."""
 
 
+class ConfigError(SoilProbeError, ValueError):
+    """A loaded configuration whose run cannot go on, such as a field
+    whose noise is so wide that a simulated reading overflowed."""
+
+
 class InfeasibleError(SoilProbeError):
     """The requested point layout cannot be satisfied."""
 

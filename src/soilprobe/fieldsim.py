@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib, sdi12
-from .errors import require_finite
+from .errors import ConfigError, require_finite
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -117,18 +117,38 @@ def theta_true(spec: FieldSpec, x, y):
 
     base + sum_i a_i * exp(-((x-cx_i)^2 + (y-cy_i)^2) / (2 sigma_i^2)),
     clamped to [0, THETA_TRUE_MAX].
+
+    There is one formula, on Python floats, which the virtual sensor
+    calls once per reading.  Arrays are broadcast and mapped through it
+    point by point, so a point has the same bits whichever way it is
+    asked for; a 0-d array gives a float.  The squares are ``** 2``,
+    which calls C ``pow``: ``x * x`` (and numpy's array ``** 2``, which
+    multiplies) differs from it in the last bit on some inputs.  The
+    exponential stays ``np.exp``, whose bits ``math.exp`` does not
+    always match.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    theta = np.full(np.broadcast(x, y).shape, spec.base_theta, dtype=float)
-    # a blob centre far out may overflow the squared distance to inf, and
-    # exp(-inf) = 0 is then the right limit
-    with np.errstate(over="ignore"):
-        for b in spec.blobs:
-            theta += b.amplitude * np.exp(
-                -((x - b.cx) ** 2 + (y - b.cy) ** 2) / (2.0 * b.sigma_m ** 2))
-    theta = np.clip(theta, 0.0, THETA_TRUE_MAX)
+    if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+        return _theta_at(spec, float(x), float(y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    theta = np.fromiter(
+        (_theta_at(spec, a, b) for a, b in zip(x.ravel().tolist(), y.ravel().tolist())),
+        dtype=float, count=x.size).reshape(x.shape)
     return float(theta) if theta.ndim == 0 else theta
+
+
+def _theta_at(spec: FieldSpec, x: float, y: float) -> float:
+    theta = float(spec.base_theta)
+    for b in spec.blobs:
+        dx, dy = x - b.cx, y - b.cy
+        try:
+            d2 = dx ** 2 + dy ** 2
+        except OverflowError:
+            # a square beyond the floats is inf, whose exp(-inf) = 0 is the
+            # right limit for a blob centre far out; inf + NaN is still NaN
+            d2 = math.inf if dx == dx and dy == dy else math.nan
+        theta += b.amplitude * np.exp(-d2 / (2.0 * b.sigma_m ** 2))
+    # max and min keep -0.0 and NaN as np.clip does
+    return float(min(max(theta, 0.0), THETA_TRUE_MAX))
 
 
 # -- Cell index ----------------------------------------------------------------
@@ -354,5 +374,10 @@ class VirtualTeros:
         if cmd.index != 0 or self._staged is None:
             return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
         values, self._staged = self._staged, None
-        # DataResponse refuses a RAW that noise wide enough made infinite
-        return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
+        try:
+            response = sdi12.DataResponse(self.address, values)
+        except ValueError as exc:
+            # noise wide enough made RAW infinite: the field's config is at
+            # fault, not the bus, so no sampler retry may absorb it
+            raise ConfigError(str(exc)) from None
+        return sdi12.encode_data_response(response)

@@ -28,6 +28,7 @@ from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
 from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
 from .sampler import SamplerConfig, SoilSample, attempt_point
+from .sdi12 import ADDRESS_CHARS
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
     from . import fieldsim
@@ -69,6 +70,9 @@ class MissionConfig:
                                  "outside the field")
         if self.sampler.target_depth_m > self.actuator.max_depth_m:
             raise ValueError("sampler target depth exceeds actuator max depth")
+        address = self.sensor_address
+        if type(address) is not str or address not in ADDRESS_CHARS:
+            raise ValueError(f"invalid SDI-12 address {address!r}")
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,15 @@ bundled with the package (see :func:`bundled_scenarios`); the bundled
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .actuator import ActuatorConfig
+from .actuator import ActuatorConfig, motion_duration
 from .calib import ValidityThresholds
 from .errors import ScenarioError
-from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
+from .fieldsim import Blob, Disk, FieldSpec, local_to_wgs84_at, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
 
@@ -162,4 +163,50 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
     mission = _build(MissionConfig, mission_doc, "mission", field=field,
                      waypoints=waypoints, sampler=sampler, actuator=actuator,
                      thresholds=thresholds)
+    _check_run_stays_finite(mission)
     return Scenario(name=doc.get("name", name), mission=mission)
+
+
+def _check_run_stays_finite(mission: MissionConfig):
+    """Refuse a mission whose run could write a non-finite number.
+
+    The clock: each leg of travel is at most the field's diagonal, and
+    each attempt at most one lowering, one settle and one retract (the
+    virtual sensor answers at once).  The factor 2 covers the rounding of
+    the clock's running sum.  The positions: every attempt lies within
+    the reposition offset of the field, and its latitude, longitude and
+    the hull's cross products must stay finite; twice that extent covers
+    their rounding.
+    """
+    field, sampler, actuator = mission.field, mission.sampler, mission.actuator
+    n = len(mission.waypoints)
+    reach = abs(sampler.reposition_offset_m)
+    x_max = 2.0 * (field.width_m + reach)
+    y_max = 2.0 * (field.height_m + reach)
+    corners = [local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                 s * x_max, s * y_max) for s in (-1.0, 1.0)]
+    if not (math.isfinite(2.0 * n * x_max * y_max)
+            and all(math.isfinite(v) for corner in corners for v in corner)):
+        raise ScenarioError(
+            f"field: a {field.width_m} x {field.height_m} m field at latitude "
+            f"{field.origin_lat}, with attempts up to sampler.reposition_offset_m "
+            f"{reach} m beyond it, reaches a latitude, longitude or hull area "
+            "that overflows")
+    travel_s = n * (math.hypot(field.width_m, field.height_m) / mission.speed_mps)
+    if not math.isfinite(2.0 * travel_s):
+        raise ScenarioError(
+            f"mission.speed_mps: {mission.speed_mps} m/s is so slow that {n} "
+            f"legs across a {field.width_m} x {field.height_m} m field "
+            "overflow the mission clock")
+    steps = sampler.target_depth_m * actuator.steps_per_metre
+    if not math.isfinite(steps):
+        raise ScenarioError(
+            f"sampler.target_depth_m: {sampler.target_depth_m} m at "
+            f"actuator.steps_per_metre {actuator.steps_per_metre} overflows")
+    attempt_s = sampler.settle_s + 2.0 * motion_duration(0, round(steps), actuator)
+    if not math.isfinite(2.0 * (travel_s + n * sampler.max_attempts * attempt_s)):
+        raise ScenarioError(
+            f"sampler.settle_s: {sampler.settle_s} s, with {round(steps)} steps "
+            f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
+            f"{n} points of up to {sampler.max_attempts} attempts overflow the "
+            "mission clock")

@@ -1,11 +1,13 @@
 """Shared test helpers: deterministic fields, fault-injecting sensors,
 the naive interpolation oracle, the dense IDW kernel, the per-cell ASCII
 raster writer, the linear waypoint and obstruction references, the
-re-encoding ``validate`` reference, the hand-written SDI-12 parsers and
-the parse-based virtual sensor."""
+re-encoding ``validate`` reference, the hand-written SDI-12 parsers, the
+parse-based virtual sensor, the numpy ground truth, and the fixture that
+swaps every optimised layer for its reference."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import re
 import string
@@ -13,19 +15,19 @@ import string
 import numpy as np
 import pytest
 
+from soilprobe import cli, fieldsim, geomap, scenario, sdi12
 from soilprobe.actuator import ActuatorConfig, motion_duration
 from soilprobe.errors import FrameError, InfeasibleError
 from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
-                                STALL_DEPTH_M, FieldSpec, VirtualTeros,
-                                sense_raw, sense_raw_air)
+                                STALL_DEPTH_M, THETA_TRUE_MAX, FieldSpec,
+                                VirtualTeros, sense_raw, sense_raw_air)
 from soilprobe.geomap import NODATA
 from soilprobe.mission import (REJECTION_TRIAL_LIMIT, Waypoint, dump_sample_log,
-                               select_valid)
+                               read_sample_log, select_valid)
 from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
                              MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
                              Command, DataResponse, MeasureAck, Verb,
-                             encode_data_response, encode_measure_ack,
-                             parse_command)
+                             encode_data_response, encode_measure_ack)
 
 
 def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
@@ -140,6 +142,26 @@ def obstruction_at_reference(spec, x, y):
         if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
             return STALL_DEPTH_M
     return None
+
+
+def theta_true_reference(spec, x, y):
+    """The numpy ground truth: 0-d or full arrays under ``np.errstate``,
+    clamped by ``np.clip``.
+
+    On scalars ``fieldsim.theta_true`` must give the same bits.  An array
+    here squares by multiplying, which can differ from a scalar's ``** 2``
+    in the last bit, so an array result of ``theta_true`` is compared with
+    this function called point by point.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    theta = np.full(np.broadcast(x, y).shape, spec.base_theta, dtype=float)
+    with np.errstate(over="ignore"):
+        for b in spec.blobs:
+            theta += b.amplitude * np.exp(
+                -((x - b.cx) ** 2 + (y - b.cy) ** 2) / (2.0 * b.sigma_m ** 2))
+    theta = np.clip(theta, 0.0, THETA_TRUE_MAX)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 # -- SDI-12 parsers, one hand-written scanner per frame kind ------------------
@@ -267,7 +289,7 @@ class ParsingTeros:
     def exchange(self, frame):
         self.trace.append(bytes(frame))
         try:
-            cmd = parse_command(frame)
+            cmd = sdi12.parse_command(frame)
         except FrameError:
             return None
         if cmd.verb is Verb.ADDRESS_QUERY:
@@ -366,3 +388,40 @@ class FlakySensor:
 @pytest.fixture
 def flat_field():
     return make_field()
+
+
+def cmd_validate_reference(args) -> int:
+    """``validate`` writing ``validate_reference``'s text, for a file path."""
+    samples, _ = read_sample_log(args.log)
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(validate_reference(samples))
+    return 0
+
+
+@pytest.fixture
+def reference_layers():
+    """A context manager that swaps each optimised layer for its kept
+    reference, at the attribute its caller looks up.
+
+    Inside it the pipeline runs on the linear obstruction scan, the
+    quadratic waypoint generator, the hand-written frame parsers (the
+    sensor is ``ParsingTeros``, which parses every command), the numpy
+    ground truth, the dense IDW kernel, the per-cell ASCII writer and the
+    re-encoding ``validate``.  Every output byte must stay the same.
+    """
+    @contextlib.contextmanager
+    def swapped():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fieldsim, "obstruction_at", obstruction_at_reference)
+            mp.setattr(fieldsim, "theta_true", theta_true_reference)
+            mp.setattr(fieldsim, "VirtualTeros", ParsingTeros)
+            mp.setattr(scenario, "generate_waypoints", generate_waypoints_reference)
+            mp.setattr(sdi12, "parse_command", parse_command_reference)
+            mp.setattr(sdi12, "parse_measure_ack", parse_measure_ack_reference)
+            mp.setattr(sdi12, "parse_data_response", parse_data_response_reference)
+            mp.setattr(geomap, "_idw", lambda xy, theta, rank, qx, qy, params:
+                       idw_dense_reference(xy, theta, rank, qx, qy, params.power))
+            mp.setattr(geomap, "export_grid_ascii", export_grid_ascii_reference)
+            mp.setattr(cli, "cmd_validate", cmd_validate_reference)
+            yield
+    return swapped

@@ -10,7 +10,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from soilprobe import cli, geomap
+from soilprobe import cli, geomap, mission
 from soilprobe.calib import Validity
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, dump_sample_log,
@@ -348,6 +348,52 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
         assert one_line_error(capsys, prefix)
 
 
+@pytest.mark.parametrize("mutate,line", [
+    (lambda d: d["mission"].update(speed_mps=5e-324),
+     "simulate: mission.speed_mps: 5e-324 m/s is so slow that 4 legs across a "
+     "12.0 x 12.0 m field overflow the mission clock"),
+    (lambda d: d.update(sampler={"settle_s": 1e308}),
+     "simulate: sampler.settle_s: 1e+308 s, with 1000 steps each way at "
+     "actuator.step_rate_hz 500.0, makes 4 points of up to 3 attempts overflow "
+     "the mission clock"),
+    (lambda d: d.update(actuator={"step_rate_hz": 5e-324}),
+     "simulate: sampler.settle_s: 1.0 s, with 1000 steps each way at "
+     "actuator.step_rate_hz 5e-324, makes 4 points of up to 3 attempts overflow "
+     "the mission clock"),
+    (lambda d: d.update(actuator={"steps_per_metre": 1e10, "max_depth_m": 1e300},
+                        sampler={"target_depth_m": 1e300}),
+     "simulate: sampler.target_depth_m: 1e+300 m at actuator.steps_per_metre "
+     "10000000000.0 overflows"),
+    (lambda d: d.update(sampler={"reposition_offset_m": 1e308}),
+     "simulate: field: a 12.0 x 12.0 m field at latitude 45.0, with attempts up "
+     "to sampler.reposition_offset_m 1e+308 m beyond it, reaches a latitude, "
+     "longitude or hull area that overflows"),
+    (lambda d: d["mission"].update(sensor_address="zz"),
+     "simulate: mission: invalid SDI-12 address 'zz'"),
+], ids=["speed", "settle", "step-rate", "steps", "extent", "address"])
+def test_simulate_refuses_a_run_that_cannot_finish_by_name(tmp_path, capsys,
+                                                          mutate, line):
+    # these loaded once and then failed mid-run or in the writers, with a
+    # line that named no field (json's "Out of range float values ...")
+    doc = json.loads(small_scenario(tmp_path).read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
+def test_simulate_lets_a_defect_in_the_run_raise(tmp_path, monkeypatch):
+    # only SoilProbeError is a config error once the scenario has loaded
+    def broken(cfg):
+        raise ValueError("a defect")
+    monkeypatch.setattr(mission, "run_mission", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["simulate", "--config", str(small_scenario(tmp_path))])
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulate_far_blob_prints_only_the_summary(tmp_path, capsys):
     doc = json.loads(small_scenario(tmp_path).read_text())
@@ -574,6 +620,58 @@ def test_pipeline_composes(tmp_path):
                      "--out-points", str(tmp_path / "p.geojson"),
                      "--out-grid", str(tmp_path / "g.asc")]) == 0
     assert (tmp_path / "g.asc").exists() and (tmp_path / "p.geojson").exists()
+
+
+PIPELINE_OUTPUTS = ("run.jsonl", "summary.json", "valid.jsonl", "points.geojson",
+                    "grid.asc")
+
+
+def run_pipeline(config, out):
+    """simulate -> validate -> map into ``out``; the five outputs' bytes."""
+    out.mkdir()
+    assert cli.main(["simulate", "--config", str(config),
+                     "--out-log", str(out / "run.jsonl"),
+                     "--out-summary", str(out / "summary.json")]) == 0
+    assert cli.main(["validate", "--log", str(out / "run.jsonl"),
+                     "--out", str(out / "valid.jsonl")]) == 0
+    assert cli.main(["map", "--log", str(out / "run.jsonl"),
+                     "--out-points", str(out / "points.geojson"),
+                     "--out-grid", str(out / "grid.asc")]) == 0
+    return {name: (out / name).read_bytes() for name in PIPELINE_OUTPUTS}
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_pipeline_matches_the_reference_layers(tmp_path, reference_layers, seed):
+    # the goldens pin seed 0 only: at other seeds, every optimised layer
+    # must still write what its kept reference writes
+    rng = np.random.default_rng(seed)
+    side = 30.0
+    doc = {
+        "field": {
+            "origin_lat": 45.0, "origin_lon": 7.5, "width_m": side,
+            "height_m": side, "base_theta": float(rng.uniform(0.15, 0.3)),
+            "seed": seed, "noise_sigma_raw": 20.0,
+            "blobs": [{"cx": float(rng.uniform(0, side)),
+                       "cy": float(rng.uniform(0, side)),
+                       "sigma_m": float(rng.uniform(2.0, 8.0)),
+                       "amplitude": float(rng.uniform(-0.15, 0.2))}
+                      for _ in range(3)],
+            "obstructions": [{"cx": float(rng.uniform(0, side)),
+                              "cy": float(rng.uniform(0, side)),
+                              "radius_m": float(rng.uniform(0.1, 0.4))}
+                             for _ in range(150)]},
+        "mission": {"generate": {"count": 200, "min_spacing_m": 1.0,
+                                 "seed": seed}},
+    }
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc))
+    optimised = run_pipeline(config, tmp_path / "optimised")
+    with reference_layers():
+        reference = run_pipeline(config, tmp_path / "reference")
+    for name in PIPELINE_OUTPUTS:
+        assert optimised[name] == reference[name], name
+    statuses = {s.status for s in read_sample_log(tmp_path / "optimised" / "run.jsonl")[0]}
+    assert {Validity.VALID, Validity.NOT_PENETRATED} <= statuses
 
 
 def test_usage_errors_exit_2():

@@ -3,6 +3,7 @@ virtual sensor behaviour."""
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
 from soilprobe.mission import generate_waypoints
 
 from conftest import (make_field, make_sensor, measure_frames,
-                      obstruction_at_reference)
+                      obstruction_at_reference, theta_true_reference)
 
 CROSSOVER_RAW = 0.6956 / 3.879e-4
 
@@ -68,6 +69,107 @@ def test_theta_true_extreme_blobs_print_no_warning():
     narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, 1e-160, 0.1)])
     assert theta_true(narrow, 5.0, 5.0) == pytest.approx(0.3, abs=1e-12)
     assert theta_true(narrow, 6.0, 5.0) == 0.2
+
+
+def same_bits(a, b) -> bool:
+    """Equal floats with equal signs of zero, or both NaN."""
+    if a != a or b != b:
+        return a != a and b != b
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def smallest_sigma() -> float:
+    """The least sigma_m that Blob accepts: 2 * sigma ** 2 is not 0."""
+    def value(bits):  # positive floats are ordered as their bit patterns
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+    lo, hi = 1, struct.unpack("<q", struct.pack("<d", 1.0))[0]  # refused, accepted
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            Blob(0.0, 0.0, value(mid), 0.1)
+            hi = mid
+        except ValueError:
+            lo = mid
+    return value(hi)
+
+
+def test_theta_true_has_the_reference_bits():
+    # theta_true's one scalar formula against the numpy one it replaced,
+    # called on scalars: the same bits, including the sign of a zero
+    rng = np.random.default_rng(16)
+    cases = []  # (spec, xs, ys)
+
+    # random points on a 200 x 200 m field, the largest the benchmarks aim at
+    side = 200.0
+    blobs = [Blob(float(rng.uniform(0, side)), float(rng.uniform(0, side)),
+                  float(rng.uniform(2.0, 40.0)), float(rng.uniform(-0.3, 0.3)))
+             for _ in range(3)]
+    spec = make_field(theta=0.25, blobs=blobs, width=side, height=side)
+    cases.append((spec, rng.uniform(-10, side + 10, 90_000).tolist(),
+                  rng.uniform(-10, side + 10, 90_000).tolist()))
+    # exactly at each blob centre, and on a centre's row and column
+    centres = [(b.cx, b.cy) for b in blobs]
+    cases.append((spec, [x for x, _ in centres] + [blobs[0].cx] * 500
+                  + rng.uniform(0, side, 500).tolist(),
+                  [y for _, y in centres] + rng.uniform(0, side, 500).tolist()
+                  + [blobs[1].cy] * 500))
+
+    # far points and far centres, whose squares overflow
+    far = [1e154, 1.4e154, 1e200, 1e300, 1.7976931348623157e308]
+    far_values = far + [-v for v in far] + [math.inf, -math.inf, math.nan]
+    far_spec = make_field(theta=0.2, blobs=blobs[:2] + [
+        Blob(1e308, 5.0, 3.0, 0.1), Blob(-1.7976931348623157e308, -1e200, 1e150, 0.2)])
+    coords = far_values + [0.0, 5.0, 150.0]
+    pairs = [(x, y) for x in coords for y in coords]
+    cases.append((far_spec, [x for x, _ in pairs], [y for _, y in pairs]))
+
+    # the narrowest blob Blob accepts: its spread 2 * sigma_m ** 2 is subnormal
+    sigma = smallest_sigma()
+    with pytest.raises(ValueError, match="so small"):
+        Blob(0.0, 0.0, math.nextafter(sigma, 0.0), 0.1)
+    narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, sigma, 0.1),
+                                          Blob(7.0, 5.0, 1e-150, -0.05)])
+    offsets = (rng.standard_normal(3000) * sigma * 4).tolist()
+    cases.append((narrow, [5.0 + d for d in offsets] + [7.0] * 1000,
+                  [5.0 - d for d in offsets[::-1]]
+                  + (5.0 + rng.standard_normal(1000) * 1e-150).tolist()))
+
+    # clamped at 0 (with either sign of zero) and at THETA_TRUE_MAX
+    xs = rng.uniform(0, 20, 1000).tolist()
+    ys = rng.uniform(0, 20, 1000).tolist()
+    for base, amplitude in [(-0.0, -0.1), (-0.0, 0.1), (0.0, -0.1), (0.1, -0.1),
+                            (-0.2, 0.1), (0.55, 0.1), (0.6, 0.0), (0.7, -0.05)]:
+        clamp = make_field(theta=base, blobs=[Blob(10.0, 10.0, 3.0, amplitude),
+                                              Blob(1e300, 0.0, 1.0, amplitude)])
+        cases.append((clamp, xs + [10.0, 1e300, -500.0, 1e200],
+                      ys + [10.0, 0.0, -500.0, 1e200]))
+
+    points, signed_zeros, maxed, mismatches = 0, 0, 0, []
+    for spec, xs, ys in cases:
+        for x, y in zip(xs, ys):
+            got, want = theta_true(spec, x, y), theta_true_reference(spec, x, y)
+            points += 1
+            signed_zeros += want == 0.0 and math.copysign(1.0, want) < 0
+            maxed += want == THETA_TRUE_MAX
+            if type(got) is not float or not same_bits(got, want):
+                mismatches.append((x, y, got, want))
+    assert points >= 100_000
+    assert signed_zeros and maxed  # both clamps and -0.0 were exercised
+    assert mismatches[:5] == []
+
+    # arrays broadcast and map point by point; a 0-d array gives a float
+    grid_x = rng.uniform(-10, side + 10, (40, 1))
+    grid_y = rng.uniform(-10, side + 10, 30)
+    for x, y in [(grid_x, grid_y), (grid_x[:, 0], 50.0), (7.5, grid_y),
+                 (np.array(grid_x[0, 0]), grid_y[0]), (grid_x[:0, 0], 1.0)]:
+        got = theta_true(spec, x, y)
+        bx, by = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        if bx.ndim == 0:
+            assert type(got) is float
+            got = np.array(got)
+        assert got.shape == bx.shape and got.dtype == float
+        assert all(same_bits(g, theta_true_reference(spec, a, b)) for g, a, b
+                   in zip(got.ravel().tolist(), bx.ravel().tolist(), by.ravel().tolist()))
 
 
 # -- obstructions -------------------------------------------------------------

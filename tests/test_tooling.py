@@ -142,6 +142,20 @@ def test_demo_runs(script, tmp_path, capsys):
         assert (tmp_path / "out" / name).stat().st_size > 0
 
 
+def test_field_scenario_builder_regenerates_paper_field(tmp_path, monkeypatch, capsys):
+    # the builder checks its margins with theta_true and runs the mission
+    # before it writes; what it writes is the bundled file, byte for byte
+    spec = importlib.util.spec_from_file_location(
+        "build_field_scenario", ROOT / "demos" / "build_field_scenario.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    monkeypatch.setattr(builder, "OUT", tmp_path / "paper_field.json")
+    builder.main()
+    bundled = ROOT / "src" / "soilprobe" / "scenarios" / "paper_field.json"
+    assert (tmp_path / "paper_field.json").read_bytes() == bundled.read_bytes()
+    assert "theta margin to the validity gates" in capsys.readouterr().out
+
+
 # -- lazy imports ---------------------------------------------------------------
 
 # every public name of the package, under the module that defines it
@@ -149,7 +163,7 @@ EXPORTS = {
     "actuator": ("ActuatorConfig", "ActuatorState", "lower_to", "motion_duration"),
     "calib": ("DEFAULT_THRESHOLDS", "Validity", "ValidityThresholds", "classify",
               "raw_to_vwc", "vwc_to_raw"),
-    "errors": ("DegenerateError", "EmptyInputError", "FrameError",
+    "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
                "InfeasibleError", "LogFormatError", "RangeError",
                "ScenarioError", "ShapeError", "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
@@ -171,7 +185,7 @@ EXPORTS = {
 
 def test_every_export_is_its_home_modules_object():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 64
+    assert len(names) == len(set(names)) == 65
     assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
     listed = dir(soilprobe)
     star: dict = {}
