@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import require_finite
+from .errors import ConfigError, require_finite
 
 # theta [m3/m3] = VWC_PER_COUNT * RAW + VWC_AT_ZERO_COUNTS
 VWC_PER_COUNT = 3.879e-4
@@ -44,9 +44,9 @@ class ValidityThresholds:
     def __post_init__(self):
         require_finite(self, "theta_min", "theta_max", "depth_tol_m")
         if self.theta_min > self.theta_max:
-            raise ValueError("theta_min must not exceed theta_max")
+            raise ConfigError("theta_min must not exceed theta_max")
         if self.depth_tol_m < 0:
-            raise ValueError("depth_tol_m must be >= 0")
+            raise ConfigError("depth_tol_m must be >= 0")
 
 
 DEFAULT_THRESHOLDS = ValidityThresholds()

@@ -96,13 +96,9 @@ def _diag(message: str):
 
 def cmd_simulate(args) -> int:
     from . import mission, scenario
+    # only the package's own errors are config errors: any other is a defect
     try:
         scn = scenario.load_scenario(args.config, seed_override=args.seed)
-    except (SoilProbeError, ValueError, OverflowError) as exc:
-        _diag(f"simulate: {exc}")
-        return EXIT_CONFIG
-    # a loaded scenario runs and writes: any other exception is a defect
-    try:
         samples, summary = mission.run_mission(scn.mission)
         log = mission.dump_sample_log(samples)
         summary_text = mission.dump_summary(summary)
@@ -164,7 +160,7 @@ def cmd_map(args) -> int:
         return EXIT_NO_VALID
     try:
         params = geomap.IdwParams(power=args.power)
-    except ValueError as exc:
+    except SoilProbeError as exc:
         _diag(f"map: --power {args.power}: {exc}")
         return EXIT_CONFIG
 
@@ -177,7 +173,7 @@ def cmd_map(args) -> int:
     try:
         grid = geomap.build_grid(xy, theta, bounds, params,
                                  cell_size_m=args.cell_size, ids=ids)
-    except ValueError as exc:
+    except SoilProbeError as exc:
         _diag(f"map: {exc}")
         return EXIT_CONFIG
     code = _emit("map",

@@ -1,22 +1,32 @@
-"""Exception types shared across the package, and the finite-number
-checks every config dataclass runs on its float fields."""
+"""Exception types shared across the package, and the number checks of
+every config dataclass.  Every error raised on purpose is a
+``SoilProbeError``, and the CLI turns only those into exit codes; a
+refused configuration raises ``ConfigError``, which names its key."""
 
 import math
 
 
+def is_finite(value) -> bool:
+    """False for NaN, an infinity, an int beyond float range or a non-number."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def require_finite(obj, *names):
-    """Raise ValueError naming the first attribute that is NaN or infinite."""
+    """Raise ConfigError naming the first attribute that is not a finite number."""
     for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
+        if not is_finite(getattr(obj, name)):
+            raise ConfigError(f"{name} must be finite")
 
 
 def require_positive(obj, *names):
-    """Raise ValueError naming the first attribute not both finite and > 0."""
+    """Raise ConfigError naming the first attribute not both finite and > 0."""
     for name in names:
         value = getattr(obj, name)
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0")
+        if not (is_finite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and > 0")
 
 
 class SoilProbeError(Exception):
@@ -44,8 +54,8 @@ class RangeError(SoilProbeError, ValueError):
 
 
 class ConfigError(SoilProbeError, ValueError):
-    """A loaded configuration whose run cannot go on, such as a field
-    whose noise is so wide that a simulated reading overflowed."""
+    """A configuration refused by name: a field, argument or flag out of
+    its domain, or a loaded one whose run cannot go on."""
 
 
 class InfeasibleError(SoilProbeError):

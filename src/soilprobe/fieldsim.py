@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib, sdi12
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_finite, require_positive
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -42,9 +42,8 @@ class Blob:
     amplitude: float
 
     def __post_init__(self):
-        require_finite(self, "cx", "cy", "sigma_m", "amplitude")
-        if self.sigma_m <= 0:
-            raise ValueError("sigma_m must be > 0")
+        require_finite(self, "cx", "cy", "amplitude")
+        require_positive(self, "sigma_m")
         # theta_true divides by 2 * sigma_m ** 2, which must neither
         # underflow to 0 nor overflow
         try:
@@ -52,9 +51,9 @@ class Blob:
         except OverflowError:
             spread = math.inf
         if spread == 0:
-            raise ValueError("sigma_m is so small that 2 * sigma_m ** 2 is 0")
+            raise ConfigError("sigma_m is so small that 2 * sigma_m ** 2 is 0")
         if spread == math.inf:
-            raise ValueError("sigma_m is so large that 2 * sigma_m ** 2 overflows")
+            raise ConfigError("sigma_m is so large that 2 * sigma_m ** 2 overflows")
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,13 @@ class Disk:
     radius_m: float
 
     def __post_init__(self):
-        require_finite(self, "cx", "cy", "radius_m")
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be > 0")
+        require_finite(self, "cx", "cy")
+        require_positive(self, "radius_m")
         try:
             self.radius_m ** 2
         except OverflowError:
-            raise ValueError("radius_m is so large that radius_m ** 2 "
-                             "overflows") from None
+            raise ConfigError("radius_m is so large that radius_m ** 2 "
+                              "overflows") from None
 
 
 @dataclass(frozen=True)
@@ -91,14 +89,12 @@ class FieldSpec:
     noise_sigma_raw: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "origin_lat", "origin_lon", "width_m", "height_m",
-                        "base_theta", "noise_sigma_raw")
+        require_finite(self, "origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")
+        require_positive(self, "width_m", "height_m")
         if type(self.seed) is not int or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError("field width and height must be > 0")
+            raise ConfigError("seed must be a non-negative integer")
         if self.noise_sigma_raw < 0:
-            raise ValueError("noise_sigma_raw must be >= 0")
+            raise ConfigError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(self, "obstructions", tuple(self.obstructions))
         # float() first: int sides too big for a float quotient give an
@@ -374,10 +370,9 @@ class VirtualTeros:
         if cmd.index != 0 or self._staged is None:
             return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
         values, self._staged = self._staged, None
-        try:
-            response = sdi12.DataResponse(self.address, values)
-        except ValueError as exc:
+        raw = float(values[0])
+        if not math.isfinite(raw):
             # noise wide enough made RAW infinite: the field's config is at
             # fault, not the bus, so no sampler retry may absorb it
-            raise ConfigError(str(exc)) from None
-        return sdi12.encode_data_response(response)
+            raise ConfigError(f"non-finite value {raw!r} cannot go on the wire")
+        return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))

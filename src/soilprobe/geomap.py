@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import EmptyInputError, require_positive
+from .errors import ConfigError, EmptyInputError, require_positive
 from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
@@ -64,7 +64,7 @@ class IdwParams:
     def __post_init__(self):
         require_positive(self, "power")
         if self.power > MAX_POWER:
-            raise ValueError(
+            raise ConfigError(
                 f"power must be at most {MAX_POWER:g} for radii "
                 f"{EXACT_RADIUS_M:g} to {CUTOFF_RADIUS_M:g} m, or an IDW "
                 f"weight leaves 1e-300..1e300")
@@ -243,23 +243,23 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
     cell goes through the same kernel as :func:`idw_at`, so values and
     exact-hit tie-breaks match it everywhere.  An extent that is not
     finite, or a raster of more than ``MAX_GRID_CELLS`` cells, raises
-    ValueError before anything is allocated.
+    ConfigError before anything is allocated.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
-        raise ValueError("cell_size_m must be finite and > 0")
+        raise ConfigError("cell_size_m must be finite and > 0")
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if not (xmax > xmin and ymax > ymin):
-        raise ValueError("bounds must have positive extent")
+        raise ConfigError("bounds must have positive extent")
     width, height = xmax - xmin, ymax - ymin
     if not (math.isfinite(width) and math.isfinite(height)):
-        raise ValueError(f"raster extent {width} x {height} m is not finite")
+        raise ConfigError(f"raster extent {width} x {height} m is not finite")
     # clamped before ceil, so a quotient that overflows to inf cannot overflow it
     nx, ny = (max(1, math.ceil(min(extent / cell_size_m, MAX_GRID_CELLS + 1)))
               for extent in (width, height))
     if nx * ny > MAX_GRID_CELLS:
-        raise ValueError(f"cell size {cell_size_m} m needs more than "
-                         f"{MAX_GRID_CELLS} cells")
+        raise ConfigError(f"cell size {cell_size_m} m needs more than "
+                          f"{MAX_GRID_CELLS} cells")
 
     grid = MoistureGrid(xmin, ymin, cell_size_m, values=np.empty((ny, nx)))
     qx, qy = np.meshgrid(*grid.cell_centers())

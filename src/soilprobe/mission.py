@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING
 
 from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
-from .errors import DegenerateError, InfeasibleError, LogFormatError, require_positive
+from .errors import (ConfigError, DegenerateError, InfeasibleError, LogFormatError,
+                     is_finite, require_positive)
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import ADDRESS_CHARS
 
@@ -56,23 +57,24 @@ class MissionConfig:
     def __post_init__(self):
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if not self.waypoints:
-            raise ValueError("waypoint list must be non-empty")
+            raise ConfigError("waypoint list must be non-empty")
         require_positive(self, "speed_mps")
-        ids = [w.id for w in self.waypoints]
-        if len(set(ids)) != len(ids):
-            raise ValueError("waypoint ids must be unique")
         for w in self.waypoints:
             if type(w.id) is not int:
-                raise ValueError(f"waypoint id {w.id!r} is not an integer")
+                raise ConfigError(f"waypoint id {w.id!r} is not an integer")
+            if not (is_finite(w.x) and is_finite(w.y)):
+                raise ConfigError(f"waypoint {w.id}: x and y must be finite")
             if not (0.0 <= w.x <= self.field.width_m
                     and 0.0 <= w.y <= self.field.height_m):
-                raise ValueError(f"waypoint {w.id} at ({w.x}, {w.y}) is "
-                                 "outside the field")
+                raise ConfigError(f"waypoint {w.id} at ({w.x}, {w.y}) is "
+                                  "outside the field")
+        if len({w.id for w in self.waypoints}) != len(self.waypoints):
+            raise ConfigError("waypoint ids must be unique")
         if self.sampler.target_depth_m > self.actuator.max_depth_m:
-            raise ValueError("sampler target depth exceeds actuator max depth")
+            raise ConfigError("sampler target depth exceeds actuator max depth")
         address = self.sensor_address
         if type(address) is not str or address not in ADDRESS_CHARS:
-            raise ValueError(f"invalid SDI-12 address {address!r}")
+            raise ConfigError(f"invalid SDI-12 address {address!r}")
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,19 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     from . import fieldsim
 
     if type(count) is not int or count < 1:
-        raise ValueError("count must be an integer >= 1")
+        raise ConfigError("count must be an integer >= 1")
     if type(seed) is not int or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    try:
-        # an int beyond float range would overflow the float arithmetic below
-        finite = (type(min_spacing_m) in (int, float)
-                  and 0 <= float(min_spacing_m) < math.inf)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise ValueError("min_spacing_m must be finite and >= 0")
+        raise ConfigError("seed must be a non-negative integer")
+    # an int beyond float range would overflow the float arithmetic below
+    if not (type(min_spacing_m) in (int, float) and is_finite(min_spacing_m)
+            and min_spacing_m >= 0):
+        raise ConfigError("min_spacing_m must be finite and >= 0")
     width, height = field.width_m, field.height_m
-    # no squared distance between two points of the field exceeds this
-    if not math.isfinite(width * width + height * height):
-        raise ValueError(f"a field of {width} x {height} m is so large that "
-                         f"squared distances across it overflow")
+    # no squared distance between two points of the field exceeds this;
+    # float() first, as an int side squared can leave float range
+    if not math.isfinite(float(width) * width + float(height) * height):
+        raise ConfigError(f"a field of {width} x {height} m is so large that "
+                          f"squared distances across it overflow")
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
     # cells no smaller than the spacing, and at most 1024 per axis

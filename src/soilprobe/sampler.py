@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from . import actuator as act
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import FrameError, RangeError, ShapeError, require_finite
+from .errors import ConfigError, FrameError, RangeError, ShapeError, require_finite
 from .sdi12 import RawReading, run_transaction
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
@@ -49,12 +49,12 @@ class SamplerConfig:
         require_finite(self, "target_depth_m", "settle_s", "reposition_offset_m")
         if (type(self.max_attempts) is not int
                 or not 1 <= self.max_attempts <= MAX_ATTEMPTS):
-            raise ValueError(
+            raise ConfigError(
                 f"max_attempts must be an integer in [1, {MAX_ATTEMPTS}]")
         if self.target_depth_m < 0:
-            raise ValueError("target_depth_m must be >= 0")
+            raise ConfigError("target_depth_m must be >= 0")
         if self.settle_s < 0:
-            raise ValueError("settle_s must be >= 0")
+            raise ConfigError("settle_s must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .actuator import ActuatorConfig, motion_duration
 from .calib import ValidityThresholds
-from .errors import ScenarioError
+from .errors import ConfigError, ScenarioError, is_finite
 from .fieldsim import Blob, Disk, FieldSpec, local_to_wgs84_at, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
@@ -49,15 +50,33 @@ def _expect(value, kind: type, context: str):
     return value
 
 
-def _build(cls, doc: dict, context: str, **extra):
+def _keys(doc, context: str, required, optional=()):
+    """Raise ScenarioError unless ``doc`` is an object with every key of
+    ``required`` and no key outside ``required`` and ``optional``."""
     _expect(doc, dict, context)
-    names = {f for f in cls.__dataclass_fields__}
-    unknown = set(doc) - names
+    unknown = set(doc).difference(required, optional)
     if unknown:
         raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ScenarioError(f"{context}: missing required keys {missing}")
+
+
+@cache
+def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
+    """The keys a ``cls`` document must and may hold when the fields
+    ``given`` come from elsewhere: it must hold those with no default."""
+    own = [f for f in fields(cls) if f.name not in given]
+    return (tuple(f.name for f in own if f.default is MISSING),
+            tuple(f.name for f in own if f.default is not MISSING))
+
+
+def _build(cls, doc: dict, context: str, **extra):
+    """``cls(**doc, **extra)``; ``doc`` gives the fields ``extra`` does not."""
+    _keys(doc, context, *_doc_keys(cls, *extra))
     try:
         return cls(**doc, **extra)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ConfigError as exc:
         raise ScenarioError(f"{context}: {exc}") from None
 
 
@@ -73,24 +92,16 @@ def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
     return _build(FieldSpec, doc, "field", blobs=blobs, obstructions=disks)
 
 
-def _waypoints(doc: dict, field: FieldSpec) -> tuple[Waypoint, ...]:
-    explicit = doc.get("waypoints")
-    generate = doc.get("generate")
+def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
     if (explicit is None) == (generate is None):
         raise ScenarioError("mission: give exactly one of 'waypoints' or 'generate'")
     if generate is not None:
-        _expect(generate, dict, "mission.generate")
-        for key in ("count", "min_spacing_m", "seed"):
-            if key not in generate:
-                raise ScenarioError(f"mission.generate: missing '{key}'")
-        unknown = set(generate) - {"count", "min_spacing_m", "seed"}
-        if unknown:
-            raise ScenarioError(f"mission.generate: unknown keys {sorted(unknown)}")
+        _keys(generate, "mission.generate", ("count", "min_spacing_m", "seed"))
         try:
             return tuple(generate_waypoints(field, generate["count"],
                                             generate["min_spacing_m"],
                                             generate["seed"]))
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ScenarioError(f"mission.generate: {exc}") from None
     points = []
     for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
@@ -99,11 +110,10 @@ def _waypoints(doc: dict, field: FieldSpec) -> tuple[Waypoint, ...]:
         if "x" in entry and "y" in entry:
             points.append(Waypoint(entry["id"], entry["x"], entry["y"]))
         elif "lat" in entry and "lon" in entry:
-            try:
-                x, y = wgs84_to_local_at(field.origin_lat, field.origin_lon,
-                                         entry["lat"], entry["lon"])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ScenarioError(f"mission.waypoints[{i}]: {exc}") from None
+            if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
+                raise ScenarioError(f"mission.waypoints[{i}]: lat and lon must be finite")
+            x, y = wgs84_to_local_at(field.origin_lat, field.origin_lon,
+                                     entry["lat"], entry["lon"])
             points.append(Waypoint(entry["id"], x, y))
         else:
             raise ScenarioError(f"mission.waypoints[{i}]: need x/y or lat/lon")
@@ -134,28 +144,18 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         text = resource.read_text(encoding="utf-8")
 
     try:
+        # a JSONDecodeError, or an int of more digits than int() converts
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ScenarioError(f"{name}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ScenarioError(f"{name}: invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{name}: top level must be an object")
-    known = {"name", "field", "mission", "sampler", "actuator", "calib"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ScenarioError(f"{name}: unknown top-level keys {sorted(unknown)}")
-    if "field" not in doc or "mission" not in doc:
-        raise ScenarioError(f"{name}: 'field' and 'mission' are required")
+    _keys(doc, name, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
 
     field = _field_spec(doc["field"], seed_override)
     mission_doc = dict(_expect(doc["mission"], dict, "mission"))
-    waypoints = _waypoints(mission_doc, field)
-    mission_doc.pop("waypoints", None)
-    mission_doc.pop("generate", None)
-    unknown = set(mission_doc) - {"speed_mps", "sensor_address"}
-    if unknown:
-        raise ScenarioError(f"mission: unknown keys {sorted(unknown)}")
+    waypoints = _waypoints(mission_doc.pop("waypoints", None),
+                           mission_doc.pop("generate", None), field)
 
     sampler = _build(SamplerConfig, doc.get("sampler", {}), "sampler")
     actuator = _build(ActuatorConfig, doc.get("actuator", {}), "actuator")
@@ -199,7 +199,7 @@ def _check_run_stays_finite(mission: MissionConfig):
             f"legs across a {field.width_m} x {field.height_m} m field "
             "overflow the mission clock")
     steps = sampler.target_depth_m * actuator.steps_per_metre
-    if not math.isfinite(steps):
+    if not is_finite(steps):
         raise ScenarioError(
             f"sampler.target_depth_m: {sampler.target_depth_m} m at "
             f"actuator.steps_per_metre {actuator.steps_per_metre} overflows")

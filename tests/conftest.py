@@ -1,9 +1,10 @@
-"""Shared test helpers: deterministic fields, fault-injecting sensors,
-the naive interpolation oracle, the dense IDW kernel, the per-cell ASCII
-raster writer, the linear waypoint and obstruction references, the
-re-encoding ``validate`` reference, the hand-written SDI-12 parsers, the
-parse-based virtual sensor, the numpy ground truth, and the fixture that
-swaps every optimised layer for its reference."""
+"""Shared test helpers: deterministic fields, a scenario document that
+sets every key, fault-injecting sensors, the naive interpolation oracle,
+the dense IDW kernel, the per-cell ASCII raster writer, the linear
+waypoint and obstruction references, the re-encoding ``validate``
+reference, the hand-written SDI-12 parsers, the parse-based virtual
+sensor, the numpy ground truth, and the fixture that swaps every
+optimised layer for its reference."""
 
 from __future__ import annotations
 
@@ -319,6 +320,32 @@ def make_field(theta=0.25, blobs=(), obstructions=(), noise=0.0, seed=1234,
                      height_m=height, base_theta=theta, blobs=tuple(blobs),
                      obstructions=tuple(obstructions),
                      noise_sigma_raw=noise, seed=seed)
+
+
+def scenario_doc(generate=False) -> dict:
+    """A small scenario document that sets every key a scenario can hold:
+    one blob, one obstruction, an x/y and a lat/lon waypoint (or, with
+    ``generate``, a generator block), and every sampler, actuator and
+    calib key."""
+    mission = ({"generate": {"count": 3, "min_spacing_m": 1.0, "seed": 2}}
+               if generate else
+               {"waypoints": [{"id": 1, "x": 2.0, "y": 2.0},
+                              {"id": 2, "lat": 45.00003, "lon": 7.50004}]})
+    return {
+        "name": "small",
+        "field": {"origin_lat": 45.0, "origin_lon": 7.5, "width_m": 12.0,
+                  "height_m": 12.0, "base_theta": 0.25, "seed": 9,
+                  "noise_sigma_raw": 1.0,
+                  "blobs": [{"cx": 3.0, "cy": 3.0, "sigma_m": 2.0,
+                             "amplitude": 0.1}],
+                  "obstructions": [{"cx": 2.0, "cy": 2.0, "radius_m": 0.12}]},
+        "mission": {"speed_mps": 0.5, "sensor_address": "0", **mission},
+        "sampler": {"target_depth_m": 0.05, "settle_s": 1.0, "max_attempts": 3,
+                    "reposition_offset_m": 0.1},
+        "actuator": {"steps_per_metre": 20000.0, "max_depth_m": 0.15,
+                     "step_rate_hz": 500.0},
+        "calib": {"theta_min": 0.0, "theta_max": 0.7, "depth_tol_m": 0.005},
+    }
 
 
 def make_sensor(spec, **kwargs):

@@ -4,20 +4,21 @@ import dataclasses
 import json
 import math
 import os
+import random
 import stat
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from soilprobe import cli, geomap, mission
+from soilprobe import cli, geomap, mission, scenario
 from soilprobe.calib import Validity
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, dump_sample_log,
                                generate_waypoints, read_sample_log,
                                run_mission, select_valid)
 
-from conftest import make_field, validate_reference
+from conftest import make_field, scenario_doc, validate_reference
 
 
 def small_scenario(tmp_path, n_obstructed=1):
@@ -392,6 +393,122 @@ def test_simulate_lets_a_defect_in_the_run_raise(tmp_path, monkeypatch):
     monkeypatch.setattr(mission, "run_mission", broken)
     with pytest.raises(ValueError, match="a defect"):
         cli.main(["simulate", "--config", str(small_scenario(tmp_path))])
+
+
+def test_simulate_lets_a_defect_in_loading_raise(tmp_path, monkeypatch):
+    # loading is no catch-all either: only SoilProbeError is a config error
+    def broken(ref, seed_override=None):
+        raise ValueError("a defect")
+    monkeypatch.setattr(scenario, "load_scenario", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["simulate", "--config", str(small_scenario(tmp_path))])
+
+
+def test_map_lets_a_defect_in_the_raster_raise(tmp_path, monkeypatch):
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
+                     "--out-log", str(log),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    def broken(*args, **kwargs):
+        raise ValueError("a defect")
+    monkeypatch.setattr(geomap, "build_grid", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["map", "--log", str(log)])
+
+
+def test_simulate_an_int_of_too_many_digits_exits_2(tmp_path, capsys):
+    # once a bare ValueError from load_scenario, caught only by a catch-all
+    path = tmp_path / "digits.json"
+    path.write_text(small_scenario(tmp_path).read_text().replace(
+        '"seed": 9', '"seed": ' + "1" * 5000))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
+    assert one_line_error(capsys, "simulate: digits: invalid JSON: ")
+    assert not out.exists()
+
+
+# text of Python's own errors, which names no key or flag
+BUILTIN_TEXT = ("not supported between", "must be real number", "unsupported operand",
+                "unhashable", "positional argument")
+FUZZ_VALUES = ("a", [1], {}, None, 10 ** 400, math.nan, math.inf, -math.inf, 0, -1,
+               5e-324, 1e300, 1.7e308, True, 1.5)
+
+
+def _key_paths(node, path=()):
+    """The path of every object member and list item under ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield (*path, key)
+        yield from _key_paths(child, (*path, key))
+
+
+def _fuzz_failure(code, err, out_dir, outputs):
+    """What is wrong with one fuzzed run, or None."""
+    if code not in (0, 2):
+        return f"exit {code}"
+    if len(err.splitlines()) != 1:
+        return f"{len(err.splitlines())} stderr lines"
+    if any(text in err for text in BUILTIN_TEXT):
+        return "builtin text"
+    written = sorted(p.name for p in out_dir.iterdir())
+    if written != (sorted(outputs) if code == 0 else []):
+        return f"wrote {written}"
+    return None
+
+
+def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
+        tmp_path, capsys, monkeypatch):
+    # a seeded 300 of the 780 documents that set one key of a scenario
+    # holding every key to one bad value: a run that refuses its config
+    # names it on one line and writes nothing
+
+    # an infeasible layout is refused after 1,000 draws, not 100,000: the
+    # same refusal, in milliseconds
+    generate = scenario.generate_waypoints
+    monkeypatch.setattr(scenario, "generate_waypoints",
+                        lambda *args: generate(*args, max_trials=1000))
+    cases = [(gen, path, value) for gen in (False, True)
+             for path in _key_paths(scenario_doc(gen))
+             if not gen or path[0] == "mission" for value in FUZZ_VALUES]
+    failures = []
+    out = tmp_path / "out"
+    out.mkdir()
+    for gen, path, value in random.Random(17).sample(cases, 300):
+        doc = scenario_doc(gen)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        config = tmp_path / "fuzz.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main(["simulate", "--config", str(config),
+                         "--out-log", str(out / "run.jsonl"),
+                         "--out-summary", str(out / "s.json")])
+        failure = _fuzz_failure(code, capsys.readouterr().err, out,
+                                ["run.jsonl", "s.json"])
+        if failure:
+            failures.append((path, value, failure))
+        for p in out.iterdir():
+            p.unlink()
+    # `--cell-size -inf` would read as a flag: the `=` form passes the value
+    log = tmp_path / "run.jsonl"
+    config.write_text(json.dumps(scenario_doc()))
+    assert cli.main(["simulate", "--config", str(config), "--out-log", str(log),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    for flag in ("--cell-size", "--power"):
+        for value in ("nan", "inf", "-inf", "0", "5e-324", "1e300", "1.7e308"):
+            capsys.readouterr()
+            code = cli.main(["map", "--log", str(log), f"{flag}={value}",
+                             "--out-points", str(out / "p.geojson"),
+                             "--out-grid", str(out / "g.asc")])
+            failure = _fuzz_failure(code, capsys.readouterr().err, out,
+                                    ["g.asc", "p.geojson"])
+            if failure:
+                failures.append((flag, value, failure))
+            for p in out.iterdir():
+                p.unlink()
+    assert failures == []
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,6 +8,8 @@ import pytest
 from soilprobe.errors import ScenarioError
 from soilprobe.scenario import bundled_scenarios, load_scenario
 
+from conftest import scenario_doc
+
 
 def minimal_doc(**overrides):
     doc = {
@@ -130,6 +132,11 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
                  r"waypoints\[0\]", id="waypoint-lat-string"),
     pytest.param(_set(("mission", "waypoints"), [{"id": 1.5, "x": 1, "y": 1}]),
                  "integer", id="waypoint-id-float"),
+    pytest.param(_set(("mission", "waypoints"), [{"id": [1], "x": 1, "y": 1}]),
+                 r"waypoint id \[1\] is not an integer", id="waypoint-id-list"),
+    pytest.param(_set(("field", "blobs"), [{}]),
+                 r"^field\.blobs: missing required keys \['cx', 'cy', 'sigma_m', "
+                 r"'amplitude'\]$", id="blob-empty"),
     pytest.param(_set(("mission", "speed_mps"), math.nan), "speed_mps",
                  id="speed-nan"),
     pytest.param(_set(("sampler",), {"target_depth_m": math.nan}),
@@ -190,3 +197,67 @@ def test_unreadable_references(tmp_path):
     top_list.write_text("[1, 2]")
     with pytest.raises(ScenarioError, match="object"):
         load_scenario(top_list)
+
+
+def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
+    # int() refuses more than 4,300 digits with a ValueError that is not a
+    # JSONDecodeError; it once escaped load_scenario as it was
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(minimal_doc()).replace('"seed": 5',
+                                                      '"seed": ' + "1" * 5000))
+    with pytest.raises(ScenarioError, match=r"^digits: invalid JSON: .*4300 digits"):
+        load_scenario(path)
+
+
+FLOATS = ("a", [1], {}, None, 10 ** 400)
+# an int key takes an int of any size: 10 ** 400 is a valid seed, and a
+# count that cannot be placed (InfeasibleError), not a mistyped one
+INTS = FLOATS[:-1]
+
+
+KEY_CASES = [
+    *((f"field.{key}", FLOATS, f"field: {key} must be finite")
+      for key in ("origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")),
+    *((f"field.{key}", FLOATS, f"field: {key} must be finite and > 0")
+      for key in ("width_m", "height_m")),
+    ("field.seed", INTS, "field: seed must be a non-negative integer"),
+    *((f"field.blobs.0.{key}", FLOATS, f"field.blobs: {key} must be finite")
+      for key in ("cx", "cy", "amplitude")),
+    ("field.blobs.0.sigma_m", FLOATS, "field.blobs: sigma_m must be finite and > 0"),
+    *((f"field.obstructions.0.{key}", FLOATS, f"field.obstructions: {key} must be finite")
+      for key in ("cx", "cy")),
+    ("field.obstructions.0.radius_m", FLOATS,
+     "field.obstructions: radius_m must be finite and > 0"),
+    *((f"sampler.{key}", FLOATS, f"sampler: {key} must be finite")
+      for key in ("target_depth_m", "settle_s", "reposition_offset_m")),
+    ("sampler.max_attempts", FLOATS,
+     "sampler: max_attempts must be an integer in [1, 100]"),
+    *((f"actuator.{key}", FLOATS, f"actuator: {key} must be finite and > 0")
+      for key in ("steps_per_metre", "max_depth_m", "step_rate_hz")),
+    *((f"calib.{key}", FLOATS, f"calib: {key} must be finite")
+      for key in ("theta_min", "theta_max", "depth_tol_m")),
+    ("mission.speed_mps", FLOATS, "mission: speed_mps must be finite and > 0"),
+    *((f"mission.waypoints.0.{key}", FLOATS,
+       "mission: waypoint 1: x and y must be finite") for key in ("x", "y")),
+    *((f"mission.waypoints.1.{key}", FLOATS,
+       "mission.waypoints[1]: lat and lon must be finite") for key in ("lat", "lon")),
+    ("mission.generate.count", INTS, "mission.generate: count must be an integer >= 1"),
+    ("mission.generate.min_spacing_m", FLOATS,
+     "mission.generate: min_spacing_m must be finite and >= 0"),
+    ("mission.generate.seed", INTS,
+     "mission.generate: seed must be a non-negative integer"),
+]
+
+
+@pytest.mark.parametrize("path,values,line", KEY_CASES, ids=[c[0] for c in KEY_CASES])
+def test_a_non_number_is_refused_by_its_key(tmp_path, path, values, line):
+    # these once met a builtin operator or float() and reported its text,
+    # such as "field: must be real number, not str", naming no key
+    keys = tuple(int(k) if k.isdigit() else k for k in path.split("."))
+    for value in values:
+        doc = scenario_doc(generate="generate" in keys)
+        _set(keys, value)(doc)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(write_doc(tmp_path, doc))
+        assert str(exc.value) == line, value
+
