@@ -372,7 +372,7 @@ class VirtualTeros:
         values, self._staged = self._staged, None
         raw = float(values[0])
         if not math.isfinite(raw):
-            # noise wide enough made RAW infinite: the field's config is at
-            # fault, not the bus, so no sampler retry may absorb it
+            # noise made RAW infinite: the field's config is at fault, which no
+            # retry may absorb, so refused before DataResponse's wire ValueError
             raise ConfigError(f"non-finite value {raw!r} cannot go on the wire")
         return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))

@@ -54,18 +54,18 @@ def _keys(doc, context: str, required, optional=()):
     """Raise ScenarioError unless ``doc`` is an object with every key of
     ``required`` and no key outside ``required`` and ``optional``."""
     _expect(doc, dict, context)
-    unknown = set(doc).difference(required, optional)
-    if unknown:
-        raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
     missing = [key for key in required if key not in doc]
+    if len(doc) > len(required) - len(missing):  # a key beyond ``required``
+        unknown = set(doc).difference(required, optional)
+        if unknown:
+            raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
     if missing:
         raise ScenarioError(f"{context}: missing required keys {missing}")
 
 
 @cache
 def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
-    """The keys a ``cls`` document must and may hold when the fields
-    ``given`` come from elsewhere: it must hold those with no default."""
+    """A ``cls`` document's required (no default) and optional keys, less ``given``."""
     own = [f for f in fields(cls) if f.name not in given]
     return (tuple(f.name for f in own if f.default is MISSING),
             tuple(f.name for f in own if f.default is not MISSING))
@@ -84,9 +84,8 @@ def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
     doc = dict(_expect(doc, dict, "field"))
     blobs = tuple(_build(Blob, b, "field.blobs")
                   for b in _expect(doc.pop("blobs", []), list, "field.blobs"))
-    disks = tuple(_build(Disk, d, "field.obstructions")
-                  for d in _expect(doc.pop("obstructions", []), list,
-                                   "field.obstructions"))
+    disks = tuple(_build(Disk, d, "field.obstructions") for d in
+                  _expect(doc.pop("obstructions", []), list, "field.obstructions"))
     if seed_override is not None:
         doc["seed"] = seed_override
     return _build(FieldSpec, doc, "field", blobs=blobs, obstructions=disks)
@@ -105,18 +104,19 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
             raise ScenarioError(f"mission.generate: {exc}") from None
     points = []
     for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ScenarioError(f"mission.waypoints[{i}]: need an object with 'id'")
-        if "x" in entry and "y" in entry:
+        shape = entry.keys() if isinstance(entry, dict) else None
+        if shape == {"id", "x", "y"}:
             points.append(Waypoint(entry["id"], entry["x"], entry["y"]))
-        elif "lat" in entry and "lon" in entry:
-            if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
-                raise ScenarioError(f"mission.waypoints[{i}]: lat and lon must be finite")
-            x, y = wgs84_to_local_at(field.origin_lat, field.origin_lon,
-                                     entry["lat"], entry["lon"])
-            points.append(Waypoint(entry["id"], x, y))
-        else:
-            raise ScenarioError(f"mission.waypoints[{i}]: need x/y or lat/lon")
+            continue
+        context = f"mission.waypoints[{i}]"
+        if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
+            _keys(entry, context, ("id",), ("x", "y", "lat", "lon"))
+            raise ScenarioError(f"{context}: need exactly one of x/y or lat/lon")
+        if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
+            raise ScenarioError(f"{context}: lat and lon must be finite")
+        lat, lon = float(entry["lat"]), float(entry["lon"])  # no int difference overflows
+        points.append(Waypoint(entry["id"], *wgs84_to_local_at(
+            field.origin_lat, field.origin_lon, lat, lon)))
     return tuple(points)
 
 
@@ -180,7 +180,7 @@ def _check_run_stays_finite(mission: MissionConfig):
     """
     field, sampler, actuator = mission.field, mission.sampler, mission.actuator
     n = len(mission.waypoints)
-    reach = abs(sampler.reposition_offset_m)
+    reach = abs(float(sampler.reposition_offset_m))  # so no int sum overflows
     x_max = 2.0 * (field.width_m + reach)
     y_max = 2.0 * (field.height_m + reach)
     corners = [local_to_wgs84_at(field.origin_lat, field.origin_lon,

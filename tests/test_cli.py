@@ -427,6 +427,19 @@ def test_simulate_an_int_of_too_many_digits_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_int_sizes_whose_sum_leaves_float_range_exit_2(tmp_path, capsys):
+    # once an OverflowError from load_scenario, caught only by a catch-all
+    doc = json.loads(small_scenario(tmp_path).read_text())
+    doc["field"].update(width_m=10 ** 308, height_m=10 ** 308)
+    doc["sampler"] = {"reposition_offset_m": 8 * 10 ** 307}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
+    assert one_line_error(capsys, "simulate: field: ")
+    assert not out.exists()
+
+
 # text of Python's own errors, which names no key or flag
 BUILTIN_TEXT = ("not supported between", "must be real number", "unsupported operand",
                 "unhashable", "positional argument")

@@ -134,6 +134,31 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
                  "integer", id="waypoint-id-float"),
     pytest.param(_set(("mission", "waypoints"), [{"id": [1], "x": 1, "y": 1}]),
                  r"waypoint id \[1\] is not an integer", id="waypoint-id-list"),
+    pytest.param(_set(("mission", "waypoints"), [{"id": 1, "x": 1, "y": 1, "z": 5}]),
+                 r"^mission\.waypoints\[0\]: unknown keys \['z'\]$",
+                 id="waypoint-unknown-key"),
+    pytest.param(_set(("mission", "waypoints"), [{"id": 1, "x": 1, "y": 1,
+                                                  "lat": "a"}]),
+                 r"^mission\.waypoints\[0\]: need exactly one of x/y or lat/lon$",
+                 id="waypoint-xy-and-lat"),
+    pytest.param(_set(("mission", "waypoints"), [{"x": 1, "y": 1}]),
+                 r"^mission\.waypoints\[0\]: missing required keys \['id'\]$",
+                 id="waypoint-no-id"),
+    pytest.param(_set(("mission", "waypoints"), [5]),
+                 r"^mission\.waypoints\[0\]: expected an object, got int$",
+                 id="waypoint-number"),
+    # JSON ints that each fit a float but whose int sum or difference
+    # does not once raised OverflowError
+    *(pytest.param(lambda d, side=side: (
+        d["field"].update({side: 10 ** 308}),
+        d.update(sampler={"reposition_offset_m": 8 * 10 ** 307})),
+        r"^field: .* overflows$", id=f"{side}-plus-offset-int")
+      for side in ("width_m", "height_m")),
+    *(pytest.param(lambda d, key=key: (
+        d["field"].update({"origin_" + key: 10 ** 308}),
+        d["mission"].update(waypoints=[{"id": 1, "lat": 45, "lon": 7, key: -10 ** 308}])),
+        r"^mission: waypoint 1: x and y must be finite$", id=f"{key}-less-origin-int")
+      for key in ("lat", "lon")),
     pytest.param(_set(("field", "blobs"), [{}]),
                  r"^field\.blobs: missing required keys \['cx', 'cy', 'sigma_m', "
                  r"'amplitude'\]$", id="blob-empty"),
