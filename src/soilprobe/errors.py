@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the number checks of
 every config dataclass.  Every error raised on purpose is a
-``SoilProbeError``, and the CLI turns only those into exit codes; a
-refused configuration raises ``ConfigError``, which names its key."""
+``SoilProbeError``, and the CLI turns only those into exit codes.  A
+refused configuration, SDI-12 field or mission that cannot finish
+raises ``ConfigError``, which names its key."""
 
 import math
 
@@ -55,7 +56,7 @@ class RangeError(SoilProbeError, ValueError):
 
 class ConfigError(SoilProbeError, ValueError):
     """A configuration refused by name: a field, argument or flag out of
-    its domain, or a loaded one whose run cannot go on."""
+    its domain, or a mission whose run cannot finish with finite numbers."""
 
 
 class InfeasibleError(SoilProbeError):

@@ -142,7 +142,7 @@ def _theta_at(spec: FieldSpec, x: float, y: float) -> float:
             # a square beyond the floats is inf, whose exp(-inf) = 0 is the
             # right limit for a blob centre far out; inf + NaN is still NaN
             d2 = math.inf if dx == dx and dy == dy else math.nan
-        theta += b.amplitude * np.exp(-d2 / (2.0 * b.sigma_m ** 2))
+        theta += b.amplitude * float(np.exp(-d2 / (2.0 * b.sigma_m ** 2)))
     # max and min keep -0.0 and NaN as np.clip does
     return float(min(max(theta, 0.0), THETA_TRUE_MAX))
 
@@ -312,7 +312,7 @@ class VirtualTeros:
     When built, the sensor tables the 14 frames it answers, each
     encoded by :func:`sdi12.encode_command`, against their commands:
     ``?!`` and, for its own address ``a``, ``a!``, ``aI!``, ``aM!`` and
-    ``aD0!`` to ``aD9!``.  A bad address raises ValueError then.  Every
+    ``aD0!`` to ``aD9!``.  A bad address raises ConfigError then.  Every
     other frame, garbage or another sensor's, gets silence.
 
     The sampler positions the probe before each measurement via
@@ -370,9 +370,4 @@ class VirtualTeros:
         if cmd.index != 0 or self._staged is None:
             return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
         values, self._staged = self._staged, None
-        raw = float(values[0])
-        if not math.isfinite(raw):
-            # noise made RAW infinite: the field's config is at fault, which no
-            # retry may absorb, so refused before DataResponse's wire ValueError
-            raise ConfigError(f"non-finite value {raw!r} cannot go on the wire")
         return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))

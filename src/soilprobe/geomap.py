@@ -105,7 +105,7 @@ def _as_sample_arrays(xy, theta, ids):
     if xy.size == 0 or theta.size == 0:
         raise EmptyInputError("need at least one sample to interpolate")
     if xy.shape[1] != 2 or xy.shape[0] != theta.shape[0]:
-        raise ValueError("xy must be (n, 2) matching n theta values")
+        raise ConfigError("xy must be (n, 2) matching n theta values")
     ids = np.arange(theta.size) if ids is None else np.asarray(ids)
     # canonical sample order so results never depend on input order
     order = np.lexsort((ids, theta, xy[:, 1], xy[:, 0]))

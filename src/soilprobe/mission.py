@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .actuator import ActuatorConfig
+from .actuator import ActuatorConfig, motion_duration
 from .calib import Validity, ValidityThresholds
 from .errors import (ConfigError, DegenerateError, InfeasibleError, LogFormatError,
                      is_finite, require_positive)
 from .sampler import SamplerConfig, SoilSample, attempt_point
-from .sdi12 import ADDRESS_CHARS
+from .sdi12 import check_address
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
     from . import fieldsim
@@ -46,6 +46,18 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class MissionConfig:
+    """A mission, refused with a ConfigError naming the attribute at fault
+    unless its run can finish with finite numbers.
+
+    After each attribute's own checks, the run's bounds: each leg of
+    travel is at most the field's diagonal, and each attempt at most one
+    lowering, one settle and one retract (the virtual sensor answers at
+    once); the factor 2 covers the rounding of the clock's running sum.
+    Every attempt lies within the reposition offset of the field, and its
+    latitude, longitude and the hull's cross products must stay finite;
+    twice that extent covers their rounding.
+    """
+
     field: fieldsim.FieldSpec
     waypoints: tuple[Waypoint, ...]
     sampler: SamplerConfig = SamplerConfig()
@@ -72,9 +84,41 @@ class MissionConfig:
             raise ConfigError("waypoint ids must be unique")
         if self.sampler.target_depth_m > self.actuator.max_depth_m:
             raise ConfigError("sampler target depth exceeds actuator max depth")
-        address = self.sensor_address
-        if type(address) is not str or address not in ADDRESS_CHARS:
-            raise ConfigError(f"invalid SDI-12 address {address!r}")
+        check_address(self.sensor_address)
+
+        from .fieldsim import local_to_wgs84_at
+        field, sampler, actuator = self.field, self.sampler, self.actuator
+        n = len(self.waypoints)
+        reach = abs(float(sampler.reposition_offset_m))  # so no int sum overflows
+        x_max = 2.0 * (field.width_m + reach)
+        y_max = 2.0 * (field.height_m + reach)
+        corners = [local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                     s * x_max, s * y_max) for s in (-1.0, 1.0)]
+        if not (math.isfinite(2.0 * n * x_max * y_max)
+                and all(math.isfinite(v) for corner in corners for v in corner)):
+            raise ConfigError(
+                f"field: a {field.width_m} x {field.height_m} m field at latitude "
+                f"{field.origin_lat}, with attempts up to sampler.reposition_offset_m "
+                f"{reach} m beyond it, reaches a latitude, longitude or hull area "
+                "that overflows")
+        travel_s = n * (math.hypot(field.width_m, field.height_m) / self.speed_mps)
+        if not math.isfinite(2.0 * travel_s):
+            raise ConfigError(
+                f"speed_mps: {self.speed_mps} m/s is so slow that {n} legs across "
+                f"a {field.width_m} x {field.height_m} m field overflow the "
+                "mission clock")
+        steps = sampler.target_depth_m * actuator.steps_per_metre
+        if not is_finite(steps):
+            raise ConfigError(
+                f"sampler.target_depth_m: {sampler.target_depth_m} m at "
+                f"actuator.steps_per_metre {actuator.steps_per_metre} overflows")
+        attempt_s = sampler.settle_s + 2.0 * motion_duration(0, round(steps), actuator)
+        if not math.isfinite(2.0 * (travel_s + n * sampler.max_attempts * attempt_s)):
+            raise ConfigError(
+                f"sampler.settle_s: {sampler.settle_s} s, with {round(steps)} steps "
+                f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
+                f"{n} points of up to {sampler.max_attempts} attempts overflow the "
+                "mission clock")
 
 
 @dataclass(frozen=True)

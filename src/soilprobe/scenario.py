@@ -5,6 +5,9 @@ the mission (speed plus either an explicit waypoint list or a seeded
 generator block), the sampler, actuator and validity thresholds.
 Unknown keys are rejected so typos fail loudly; mapping parameters are
 not part of a scenario, since ``map`` reads only the log and its flags.
+This module only decodes: each dataclass checks its own values, and
+MissionConfig decides which runs can finish; their refusals come out
+as ScenarioError prefixed with the block they were built from.
 
 ``load_scenario`` accepts a filesystem path or the name of a scenario
 bundled with the package (see :func:`bundled_scenarios`); the bundled
@@ -15,16 +18,15 @@ bundled with the package (see :func:`bundled_scenarios`); the bundled
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .actuator import ActuatorConfig, motion_duration
+from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
-from .errors import ConfigError, ScenarioError, is_finite
-from .fieldsim import Blob, Disk, FieldSpec, local_to_wgs84_at, wgs84_to_local_at
+from .errors import ConfigError, ScenarioError, SoilProbeError, is_finite
+from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
 
@@ -100,7 +102,7 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
             return tuple(generate_waypoints(field, generate["count"],
                                             generate["min_spacing_m"],
                                             generate["seed"]))
-        except ConfigError as exc:
+        except SoilProbeError as exc:  # a refused argument or an infeasible layout
             raise ScenarioError(f"mission.generate: {exc}") from None
     points = []
     for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
@@ -163,50 +165,5 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
     mission = _build(MissionConfig, mission_doc, "mission", field=field,
                      waypoints=waypoints, sampler=sampler, actuator=actuator,
                      thresholds=thresholds)
-    _check_run_stays_finite(mission)
     return Scenario(name=doc.get("name", name), mission=mission)
 
-
-def _check_run_stays_finite(mission: MissionConfig):
-    """Refuse a mission whose run could write a non-finite number.
-
-    The clock: each leg of travel is at most the field's diagonal, and
-    each attempt at most one lowering, one settle and one retract (the
-    virtual sensor answers at once).  The factor 2 covers the rounding of
-    the clock's running sum.  The positions: every attempt lies within
-    the reposition offset of the field, and its latitude, longitude and
-    the hull's cross products must stay finite; twice that extent covers
-    their rounding.
-    """
-    field, sampler, actuator = mission.field, mission.sampler, mission.actuator
-    n = len(mission.waypoints)
-    reach = abs(float(sampler.reposition_offset_m))  # so no int sum overflows
-    x_max = 2.0 * (field.width_m + reach)
-    y_max = 2.0 * (field.height_m + reach)
-    corners = [local_to_wgs84_at(field.origin_lat, field.origin_lon,
-                                 s * x_max, s * y_max) for s in (-1.0, 1.0)]
-    if not (math.isfinite(2.0 * n * x_max * y_max)
-            and all(math.isfinite(v) for corner in corners for v in corner)):
-        raise ScenarioError(
-            f"field: a {field.width_m} x {field.height_m} m field at latitude "
-            f"{field.origin_lat}, with attempts up to sampler.reposition_offset_m "
-            f"{reach} m beyond it, reaches a latitude, longitude or hull area "
-            "that overflows")
-    travel_s = n * (math.hypot(field.width_m, field.height_m) / mission.speed_mps)
-    if not math.isfinite(2.0 * travel_s):
-        raise ScenarioError(
-            f"mission.speed_mps: {mission.speed_mps} m/s is so slow that {n} "
-            f"legs across a {field.width_m} x {field.height_m} m field "
-            "overflow the mission clock")
-    steps = sampler.target_depth_m * actuator.steps_per_metre
-    if not is_finite(steps):
-        raise ScenarioError(
-            f"sampler.target_depth_m: {sampler.target_depth_m} m at "
-            f"actuator.steps_per_metre {actuator.steps_per_metre} overflows")
-    attempt_s = sampler.settle_s + 2.0 * motion_duration(0, round(steps), actuator)
-    if not math.isfinite(2.0 * (travel_s + n * sampler.max_attempts * attempt_s)):
-        raise ScenarioError(
-            f"sampler.settle_s: {sampler.settle_s} s, with {round(steps)} steps "
-            f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
-            f"{n} points of up to {sampler.max_attempts} attempts overflow the "
-            "mission clock")

@@ -60,7 +60,7 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import FrameError, RangeError, ShapeError
+from .errors import ConfigError, FrameError, RangeError, ShapeError
 
 COMMAND_TERMINATOR = b"!"
 RESPONSE_TERMINATOR = b"\r\n"
@@ -109,9 +109,10 @@ def _match(grammar: re.Pattern, frame: bytes, terminator: bytes,
     return match
 
 
-def _check_address(address: str) -> str:
+def check_address(address: str) -> str:
+    """``address`` itself when it is one address character, else ConfigError."""
     if not (isinstance(address, str) and len(address) == 1 and address in ADDRESS_CHARS):
-        raise ValueError(f"invalid SDI-12 address {address!r}")
+        raise ConfigError(f"invalid SDI-12 address {address!r}")
     return address
 
 
@@ -147,10 +148,10 @@ class Command:
         if self.verb is Verb.ADDRESS_QUERY:
             object.__setattr__(self, "address", "?")
         else:
-            _check_address(self.address)
+            check_address(self.address)
         if self.verb is Verb.SEND_DATA:
             if not (isinstance(self.index, int) and 0 <= self.index <= 9):
-                raise ValueError(f"SEND_DATA index must be 0..9, got {self.index!r}")
+                raise ConfigError(f"SEND_DATA index must be 0..9, got {self.index!r}")
         else:
             object.__setattr__(self, "index", 0)
 
@@ -194,11 +195,11 @@ class MeasureAck:
     value_count: int
 
     def __post_init__(self):
-        _check_address(self.address)
+        check_address(self.address)
         if not (isinstance(self.delay_s, int) and 0 <= self.delay_s <= 999):
-            raise ValueError(f"delay_s must be 0..999, got {self.delay_s!r}")
+            raise ConfigError(f"delay_s must be 0..999, got {self.delay_s!r}")
         if not (isinstance(self.value_count, int) and 0 <= self.value_count <= 9):
-            raise ValueError(f"value_count must be 0..9, got {self.value_count!r}")
+            raise ConfigError(f"value_count must be 0..9, got {self.value_count!r}")
 
 
 def encode_measure_ack(ack: MeasureAck) -> bytes:
@@ -228,13 +229,13 @@ class DataResponse:
     values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        _check_address(self.address)
+        check_address(self.address)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.values) > MAX_VALUES_PER_FRAME:
-            raise ValueError(f"at most {MAX_VALUES_PER_FRAME} values per frame")
+            raise ConfigError(f"at most {MAX_VALUES_PER_FRAME} values per frame")
         for v in self.values:
             if not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r} cannot go on the wire")
+                raise ConfigError(f"non-finite value {v!r} cannot go on the wire")
 
 
 def _data_response(address: str, values: tuple[float, ...]) -> DataResponse:
@@ -340,11 +341,11 @@ def run_transaction(sensor, address: str = "0", *, clock) -> RawReading:
     deadline, so simulated missions account for sensor time without
     sleeping.
 
-    Raises ValueError for a bad address, before any frame is sent,
+    Raises ConfigError for a bad address, before any frame is sent,
     FrameError/ShapeError/RangeError on malformed replies and
     TimeoutError on silence.
     """
-    measure, send_data = _transaction_frames(_check_address(address))
+    measure, send_data = _transaction_frames(check_address(address))
     reply = sensor.exchange(measure)
     if reply is None:
         clock.advance(BASE_TIMEOUT_S)

@@ -351,22 +351,22 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("mutate,line", [
     (lambda d: d["mission"].update(speed_mps=5e-324),
-     "simulate: mission.speed_mps: 5e-324 m/s is so slow that 4 legs across a "
+     "simulate: mission: speed_mps: 5e-324 m/s is so slow that 4 legs across a "
      "12.0 x 12.0 m field overflow the mission clock"),
     (lambda d: d.update(sampler={"settle_s": 1e308}),
-     "simulate: sampler.settle_s: 1e+308 s, with 1000 steps each way at "
+     "simulate: mission: sampler.settle_s: 1e+308 s, with 1000 steps each way at "
      "actuator.step_rate_hz 500.0, makes 4 points of up to 3 attempts overflow "
      "the mission clock"),
     (lambda d: d.update(actuator={"step_rate_hz": 5e-324}),
-     "simulate: sampler.settle_s: 1.0 s, with 1000 steps each way at "
+     "simulate: mission: sampler.settle_s: 1.0 s, with 1000 steps each way at "
      "actuator.step_rate_hz 5e-324, makes 4 points of up to 3 attempts overflow "
      "the mission clock"),
     (lambda d: d.update(actuator={"steps_per_metre": 1e10, "max_depth_m": 1e300},
                         sampler={"target_depth_m": 1e300}),
-     "simulate: sampler.target_depth_m: 1e+300 m at actuator.steps_per_metre "
+     "simulate: mission: sampler.target_depth_m: 1e+300 m at actuator.steps_per_metre "
      "10000000000.0 overflows"),
     (lambda d: d.update(sampler={"reposition_offset_m": 1e308}),
-     "simulate: field: a 12.0 x 12.0 m field at latitude 45.0, with attempts up "
+     "simulate: mission: field: a 12.0 x 12.0 m field at latitude 45.0, with attempts up "
      "to sampler.reposition_offset_m 1e+308 m beyond it, reaches a latitude, "
      "longitude or hull area that overflows"),
     (lambda d: d["mission"].update(sensor_address="zz"),
@@ -436,7 +436,7 @@ def test_simulate_int_sizes_whose_sum_leaves_float_range_exit_2(tmp_path, capsys
     path.write_text(json.dumps(doc))
     out = tmp_path / "out.jsonl"
     assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
-    assert one_line_error(capsys, "simulate: field: ")
+    assert one_line_error(capsys, "simulate: mission: field: ")
     assert not out.exists()
 
 
@@ -473,7 +473,8 @@ def _fuzz_failure(code, err, out_dir, outputs):
 def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
         tmp_path, capsys, monkeypatch):
     # a seeded 300 of the 780 documents that set one key of a scenario
-    # holding every key to one bad value: a run that refuses its config
+    # holding every key to one bad value, then `simulate --seed` and the
+    # map flags at their extremes: a run that refuses its config or flag
     # names it on one line and writes nothing
 
     # an infeasible layout is refused after 1,000 draws, not 100,000: the
@@ -507,6 +508,16 @@ def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
     # `--cell-size -inf` would read as a flag: the `=` form passes the value
     log = tmp_path / "run.jsonl"
     config.write_text(json.dumps(scenario_doc()))
+    for seed in ("-1", "0", str(2 ** 64), "9" * 4000):
+        code = cli.main(["simulate", "--config", str(config), f"--seed={seed}",
+                         "--out-log", str(out / "run.jsonl"),
+                         "--out-summary", str(out / "s.json")])
+        failure = _fuzz_failure(code, capsys.readouterr().err, out,
+                                ["run.jsonl", "s.json"])
+        if failure:
+            failures.append(("--seed", seed[:20], failure))
+        for p in out.iterdir():
+            p.unlink()
     assert cli.main(["simulate", "--config", str(config), "--out-log", str(log),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
     for flag in ("--cell-size", "--power"):

@@ -172,6 +172,14 @@ def test_theta_true_has_the_reference_bits():
                    in zip(got.ravel().tolist(), bx.ravel().tolist(), by.ravel().tolist()))
 
 
+@pytest.mark.filterwarnings("error")
+def test_theta_true_sum_beyond_the_floats_clamps_without_a_warning():
+    # numpy scalar arithmetic once warned "overflow encountered in scalar
+    # add" on stderr; a Python float sum overflows to inf without a word
+    spec = make_field(theta=10 ** 308, blobs=[Blob(1.0, 1.0, 1.0, 10 ** 308)])
+    assert theta_true(spec, 1.0, 1.0) == THETA_TRUE_MAX
+
+
 # -- obstructions -------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from soilprobe.calib import Validity
-from soilprobe.errors import EmptyInputError
+from soilprobe.errors import ConfigError, EmptyInputError
 from soilprobe.geomap import (CUTOFF_RADIUS_M, EXACT_RADIUS_M, MAX_POWER,
                               IdwParams, MoistureGrid, _as_sample_arrays,
                               build_grid, export_grid_ascii,
@@ -51,6 +51,13 @@ def test_empty_input_raises():
         idw_at(np.empty((0, 2)), [], 0.0, 0.0)
     with pytest.raises(EmptyInputError):
         build_grid(np.empty((0, 2)), [], (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("xy,theta", [([(0.0, 0.0, 0.0)], [0.2]),
+                                      ([(0.0, 0.0)], [0.2, 0.3])])
+def test_mismatched_sample_arrays_raise_config_error(xy, theta):
+    with pytest.raises(ConfigError, match=r"^xy must be \(n, 2\) matching n theta"):
+        idw_at(xy, theta, 0.0, 0.0)
 
 
 def test_nodata_beyond_cutoff():

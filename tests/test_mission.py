@@ -9,11 +9,11 @@ import pytest
 
 from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
-from soilprobe.errors import DegenerateError, InfeasibleError, LogFormatError
+from soilprobe.errors import ConfigError, DegenerateError, InfeasibleError, LogFormatError
 from soilprobe import mission
 from soilprobe.fieldsim import Disk
 from soilprobe.geomap import IdwParams
-from soilprobe.sampler import SoilSample
+from soilprobe.sampler import SamplerConfig, SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
                                dump_summary, generate_waypoints,
@@ -301,7 +301,29 @@ def test_positive_fields_name_themselves(build, name):
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == f"{name} must be finite and > 0"
-    build(5e-324)
+    if name == "speed_mps":  # too slow to cross the field in finite time
+        with pytest.raises(ConfigError, match=r"^speed_mps: 5e-324 m/s is so slow"):
+            build(5e-324)
+    else:
+        build(5e-324)
+
+
+@pytest.mark.parametrize("kwargs,line", [
+    ({"speed_mps": 5e-324}, r"^speed_mps: 5e-324 m/s is so slow"),
+    ({"sampler": SamplerConfig(settle_s=1e308)}, r"^sampler\.settle_s: 1e\+308 s"),
+    ({"actuator": ActuatorConfig(step_rate_hz=5e-324)},
+     r"^sampler\.settle_s: .* actuator\.step_rate_hz 5e-324,"),
+    ({"sampler": SamplerConfig(target_depth_m=1e300),
+      "actuator": ActuatorConfig(steps_per_metre=1e10, max_depth_m=1e300)},
+     r"^sampler\.target_depth_m: 1e\+300 m at actuator\.steps_per_metre"),
+    ({"sampler": SamplerConfig(reposition_offset_m=1e308)},
+     r"^field: .* sampler\.reposition_offset_m 1e\+308 m beyond it"),
+], ids=["speed", "settle", "step-rate", "steps", "extent"])
+def test_mission_config_refuses_a_run_that_cannot_finish(kwargs, line):
+    # these once built through the API, and run_mission returned an
+    # infinite duration_s that dump_summary refused with json's ValueError
+    with pytest.raises(ConfigError, match=line):
+        MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),), **kwargs)
 
 
 def test_randomized_missions_hold_invariants():

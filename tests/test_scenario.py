@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from soilprobe import scenario
 from soilprobe.errors import ScenarioError
 from soilprobe.scenario import bundled_scenarios, load_scenario
 
@@ -152,7 +153,7 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
     *(pytest.param(lambda d, side=side: (
         d["field"].update({side: 10 ** 308}),
         d.update(sampler={"reposition_offset_m": 8 * 10 ** 307})),
-        r"^field: .* overflows$", id=f"{side}-plus-offset-int")
+        r"^mission: field: .* overflows$", id=f"{side}-plus-offset-int")
       for side in ("width_m", "height_m")),
     *(pytest.param(lambda d, key=key: (
         d["field"].update({"origin_" + key: 10 ** 308}),
@@ -197,6 +198,19 @@ def test_bad_documents_raise_scenario_error(tmp_path, mutate, needle):
     doc = minimal_doc()
     mutate(doc)
     with pytest.raises(ScenarioError, match=needle):
+        load_scenario(write_doc(tmp_path, doc))
+
+
+def test_an_infeasible_layout_names_the_generate_block(tmp_path, monkeypatch):
+    # the InfeasibleError once left load_scenario as it was, naming no key;
+    # 20 draws reach the same refusal as 100,000
+    generate = scenario.generate_waypoints
+    monkeypatch.setattr(scenario, "generate_waypoints",
+                        lambda *args: generate(*args, max_trials=20))
+    doc = minimal_doc()
+    doc["mission"] = {"generate": {"count": 2, "min_spacing_m": 100.0, "seed": 1}}
+    with pytest.raises(ScenarioError, match=r"^mission\.generate: placed 1 of 2 "
+                       r"points after 20 draws; spacing 100\.0 m does not fit"):
         load_scenario(write_doc(tmp_path, doc))
 
 

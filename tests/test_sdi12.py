@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from soilprobe import fieldsim, sdi12
-from soilprobe.errors import FrameError, RangeError, ShapeError
+from soilprobe.errors import ConfigError, FrameError, RangeError, ShapeError
 from soilprobe.fieldsim import SimClock
 from soilprobe.sdi12 import (Command, DataResponse, MeasureAck, RawReading,
                              Verb, decode_reading, encode_command,
                              encode_data_response, encode_measure_ack,
-                             format_value, parse_command, parse_data_response,
-                             parse_measure_ack, run_transaction)
+                             check_address, format_value, parse_command,
+                             parse_data_response, parse_measure_ack,
+                             run_transaction)
 
 from conftest import (ParsingTeros, ScriptedSensor, make_field, make_sensor,
                       parse_command_reference,
@@ -282,6 +283,20 @@ def test_frame_errors_are_raised_afresh():
         raised.append(info.value)
     assert len({id(exc) for exc in raised}) == 4
     assert [exc.position for exc in raised] == [1, 1, 4, 4]
+
+
+@pytest.mark.parametrize("build,line", [
+    (lambda: check_address("zz"), "invalid SDI-12 address 'zz'"),
+    (lambda: Command(Verb.SEND_DATA, "0", index=10), "SEND_DATA index must be 0..9"),
+    (lambda: MeasureAck("0", 1000, 3), "delay_s must be 0..999"),
+    (lambda: MeasureAck("0", 1, 10), "value_count must be 0..9"),
+    (lambda: DataResponse("0", (1.0,) * 10), "at most 9 values per frame"),
+    (lambda: DataResponse("0", (math.inf,)), "non-finite value inf cannot go"),
+], ids=["address", "index", "delay", "count", "values", "inf"])
+def test_field_checks_raise_config_error(build, line):
+    # a refused field is the package's own error, which the CLI reports
+    with pytest.raises(ConfigError, match=line):
+        build()
 
 
 @pytest.mark.parametrize("address", [["0"], "00", None, "", "!", 0])
