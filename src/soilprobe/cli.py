@@ -6,15 +6,25 @@
     soilprobe codec --parse 304d21
     soilprobe codec --encode 0D0
 
-Exit codes: 0 success, 2 scenario/config error or an output path that
-cannot be written, 3 malformed sample log, 4 no valid samples to map,
-5 frame decode error.  Diagnostics go to stderr; data goes to stdout
-only when its --out flag is omitted.
+Exit codes: 0 on success.  A refusal writes one "<command>: <message>"
+line on stderr, and `main`, the one place that catches it, exits with
+the code of its type (EXIT_CODES):
+
+    LogFormatError       3  a malformed sample log
+    EmptyInputError      4  no valid samples to map
+    FrameError           5  a frame that does not decode, "at byte N"
+    other SoilProbeError 2  a refused scenario or flag, a log or output
+                            path that cannot be read or written
+
+A flag's refusal names the flag and its value ("--seed -1: ...").  Any
+other exception is a defect and raises.  Diagnostics go to stderr; data
+goes to stdout only when its --out flag is omitted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import stat
@@ -24,16 +34,14 @@ from collections import Counter
 # each command imports the other modules it needs when it runs, so `codec`
 # loads only sdi12 and errors, and `validate` never loads numpy
 from . import sdi12
-from .errors import FrameError, LogFormatError, SoilProbeError
+from .errors import (ConfigError, EmptyInputError, FrameError, LogFormatError,
+                     SoilProbeError, require_seed)
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_BAD_LOG = 3
-EXIT_NO_VALID = 4
-EXIT_FRAME = 5
+# the exit code of each refusal type, looked up along the raised type's MRO
+EXIT_CODES = {LogFormatError: 3, EmptyInputError: 4, FrameError: 5, SoilProbeError: 2}
 
 
-def _emit(command: str, *outputs) -> int:
+def _emit(*outputs):
     """Write each (text, path) pair, to stdout when path is None.
 
     All or nothing for files.  A path that is absent or leads, through
@@ -41,10 +49,9 @@ def _emit(command: str, *outputs) -> int:
     beside that file, which keeps the file's mode.  Any other existing
     path, a device such as /dev/null or a FIFO, is written through once
     the temporary files are written.  Only when every output is written
-    do the temporary files replace their files.  Returns EXIT_OK, or
-    EXIT_CONFIG after a one-line diagnostic when a path cannot be
-    written; the temporary files are then removed, so no regular file
-    has changed.
+    do the temporary files replace their files.  A path that cannot be
+    written raises ConfigError naming it, once the temporary files are
+    removed, so no regular file has changed.
     """
     staged, through = [], []
     path = None
@@ -82,87 +89,74 @@ def _emit(command: str, *outputs) -> int:
                 os.remove(tmp)
             except OSError:
                 pass  # already moved into place
-        _diag(f"{command}: {path}: {exc.strerror or exc}")
-        return EXIT_CONFIG
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     for text, path in outputs:
         if path is None:
             sys.stdout.write(text)
-    return EXIT_OK
 
 
 def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
-    from . import mission, scenario
-    # only the package's own errors are config errors: any other is a defect
+@contextlib.contextmanager
+def _flag(name: str, value):
+    """Name the flag and its value in a ConfigError raised inside."""
     try:
-        scn = scenario.load_scenario(args.config, seed_override=args.seed)
-        samples, summary = mission.run_mission(scn.mission)
-        log = mission.dump_sample_log(samples)
-        summary_text = mission.dump_summary(summary)
-    except SoilProbeError as exc:
-        _diag(f"simulate: {exc}")
-        return EXIT_CONFIG
-    code = _emit("simulate", (log, args.out_log),
-                 (summary_text, args.out_summary))
-    if code:
-        return code
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{name} {value}: {exc}") from None
+
+
+def cmd_simulate(args):
+    from . import mission, scenario
+    if args.seed is not None:
+        with _flag("--seed", args.seed):
+            require_seed(args.seed)
+    scn = scenario.load_scenario(args.config, seed_override=args.seed)
+    samples, summary = mission.run_mission(scn.mission)
+    _emit((mission.dump_sample_log(samples), args.out_log),
+          (mission.dump_summary(summary), args.out_summary))
     _diag(f"simulate: scenario '{scn.name}': {summary.points_total} points, "
           f"{summary.points_valid} valid, {summary.points_invalid} invalid, "
           f"{summary.duration_s:.1f} s simulated, "
           f"hull {summary.area_convex_hull_m2:.1f} m2")
-    return EXIT_OK
 
 
-def _read_log(command: str, path):
-    """(samples, their lines, EXIT_OK), or (None, None, exit code) after a
-    one-line diagnostic."""
+def _read_log(path):
+    """The samples of the log at ``path`` and their lines.  An unreadable
+    log raises ConfigError, a malformed one LogFormatError naming it."""
     from . import mission
     try:
-        return *mission.read_sample_log(path), EXIT_OK
+        return mission.read_sample_log(path)
     except OSError as exc:
-        _diag(f"{command}: {exc}")
-        return None, None, EXIT_CONFIG
+        raise ConfigError(str(exc)) from None
     except LogFormatError as exc:
-        _diag(f"{command}: {path}: {exc}")
-        return None, None, EXIT_BAD_LOG
+        raise LogFormatError(f"{path}: {exc}", exc.line_no) from None
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     from . import mission
-    samples, lines, code = _read_log("validate", args.log)
-    if code:
-        return code
+    samples, lines = _read_log(args.log)
     # each valid record's line, copied as read: a checked line is ASCII
     valid = "".join(f"{line}\n" for sample, line in zip(samples, lines)
                     if sample.status is mission.Validity.VALID)
-    code = _emit("validate", (valid, args.out))
-    if code:
-        return code
+    _emit((valid, args.out))
     counts = Counter(s.status.value for s in samples)
     _diag(f"validate: {len(samples)} samples: " + ", ".join(
         f"{counts.get(status.value, 0)} {status.value}"
         for status in mission.Validity))
-    return EXIT_OK
 
 
-def cmd_map(args) -> int:
+def cmd_map(args):
     from . import geomap, mission
-    samples, lines, code = _read_log("map", args.log)
-    if code:
-        return code
-    del lines  # only validate copies them; held here, they add to map's peak memory
+    # only validate copies the lines; held here, they add to map's peak memory
+    samples = _read_log(args.log)[0]
     valid = mission.select_valid(samples)
     if not valid:
-        _diag("map: no valid samples to interpolate")
-        return EXIT_NO_VALID
-    try:
+        raise EmptyInputError("no valid samples to interpolate")
+    with _flag("--power", args.power):
         params = geomap.IdwParams(power=args.power)
-    except SoilProbeError as exc:
-        _diag(f"map: --power {args.power}: {exc}")
-        return EXIT_CONFIG
 
     xy = geomap.samples_to_local(valid)
     theta = [s.theta for s in valid]
@@ -170,42 +164,27 @@ def cmd_map(args) -> int:
     pad = args.cell_size
     bounds = (xy[:, 0].min() - pad, xy[:, 1].min() - pad,
               xy[:, 0].max() + pad, xy[:, 1].max() + pad)
-    try:
+    with _flag("--cell-size", args.cell_size):
         grid = geomap.build_grid(xy, theta, bounds, params,
                                  cell_size_m=args.cell_size, ids=ids)
-    except SoilProbeError as exc:
-        _diag(f"map: {exc}")
-        return EXIT_CONFIG
-    code = _emit("map",
-                 (geomap.export_points_geojson(samples), args.out_points),
-                 (geomap.export_grid_ascii(grid), args.out_grid))
-    if code:
-        return code
+    _emit((geomap.export_points_geojson(samples), args.out_points),
+          (geomap.export_grid_ascii(grid), args.out_grid))
     _diag(f"map: {len(valid)} valid samples onto {grid.nx} x {grid.ny} cells "
           f"of {grid.cell_size_m} m")
-    return EXIT_OK
 
 
-def cmd_codec(args) -> int:
+def cmd_codec(args):
     if args.parse is not None:
         try:
             frame = bytes.fromhex(args.parse)
         except ValueError as exc:
-            _diag(f"codec: not a hex string: {exc}")
-            return EXIT_CONFIG
-    try:
-        if args.parse is not None:
-            print(_parse_any(frame))
-        else:
-            spec = args.encode if args.encode.endswith("!") else args.encode + "!"
-            wire = sdi12.encode_command(
-                sdi12.parse_command(spec.encode("ascii", errors="replace")))
-            print(f"{wire.hex()}  {wire.decode('ascii')}")
-    except FrameError as exc:
-        where = "" if exc.position is None else f" at byte {exc.position}"
-        _diag(f"codec: {exc}{where}")
-        return EXIT_FRAME
-    return EXIT_OK
+            raise ConfigError(f"not a hex string: {exc}") from None
+        print(_parse_any(frame))
+    else:
+        spec = args.encode if args.encode.endswith("!") else args.encode + "!"
+        wire = sdi12.encode_command(
+            sdi12.parse_command(spec.encode("ascii", errors="replace")))
+        print(f"{wire.hex()}  {wire.decode('ascii')}")
 
 
 def _parse_any(frame: bytes):
@@ -266,8 +245,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code: 0, or on a refusal the
+    code of its type in EXIT_CODES, after one "<command>: <message>"
+    line on stderr.  Any other exception is a defect, and raises."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except SoilProbeError as exc:
+        at = (f" at byte {exc.position}"
+              if isinstance(exc, FrameError) and exc.position is not None else "")
+        _diag(f"{args.command}: {exc}{at}")
+        return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
+    return 0
 
 
 if __name__ == "__main__":

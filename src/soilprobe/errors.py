@@ -30,6 +30,12 @@ def require_positive(obj, *names):
             raise ConfigError(f"{name} must be finite and > 0")
 
 
+def require_seed(seed):
+    """Raise ConfigError unless ``seed`` is a non-negative int (not a bool)."""
+    if type(seed) is not int or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+
+
 class SoilProbeError(Exception):
     """Base class for every error this package raises on purpose."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib, sdi12
-from .errors import ConfigError, require_finite, require_positive
+from .errors import ConfigError, require_finite, require_positive, require_seed
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -91,8 +91,7 @@ class FieldSpec:
     def __post_init__(self):
         require_finite(self, "origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")
         require_positive(self, "width_m", "height_m")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+        require_seed(self.seed)
         if self.noise_sigma_raw < 0:
             raise ConfigError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from .actuator import ActuatorConfig, motion_duration
 from .calib import Validity, ValidityThresholds
 from .errors import (ConfigError, DegenerateError, InfeasibleError, LogFormatError,
-                     is_finite, require_positive)
+                     is_finite, require_positive, require_seed)
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import check_address
 
@@ -156,8 +156,7 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
 
     if type(count) is not int or count < 1:
         raise ConfigError("count must be an integer >= 1")
-    if type(seed) is not int or seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
+    require_seed(seed)
     # an int beyond float range would overflow the float arithmetic below
     if not (type(min_spacing_m) in (int, float) and is_finite(min_spacing_m)
             and min_spacing_m >= 0):

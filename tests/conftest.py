@@ -417,12 +417,11 @@ def flat_field():
     return make_field()
 
 
-def cmd_validate_reference(args) -> int:
+def cmd_validate_reference(args):
     """``validate`` writing ``validate_reference``'s text, for a file path."""
     samples, _ = read_sample_log(args.log)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(validate_reference(samples))
-    return 0
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ import pytest
 
 from soilprobe import cli, geomap, mission, scenario
 from soilprobe.calib import Validity
+from soilprobe.errors import (ConfigError, EmptyInputError, FrameError, InfeasibleError,
+                              LogFormatError, ScenarioError)
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, dump_sample_log,
                                generate_waypoints, read_sample_log,
@@ -294,8 +296,18 @@ def one_line_error(capsys, prefix):
 def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
     scn = small_scenario(tmp_path)
     assert cli.main(["simulate", "--config", str(scn), "--seed", "-1"]) == 2
-    assert one_line_error(capsys, "simulate: field: seed")
+    assert one_line_error(capsys, "simulate: --seed -1: seed must be a non-negative integer")
     doc = json.loads(scn.read_text())
+    # a document's own bad seed is refused by its key, unless --seed replaces it
+    bad = json.loads(json.dumps(doc))
+    bad["field"]["seed"] = -1
+    path = tmp_path / "bad_seed.json"
+    path.write_text(json.dumps(bad))
+    assert cli.main(["simulate", "--config", str(path)]) == 2
+    assert one_line_error(capsys, "simulate: field: seed must be a non-negative integer")
+    assert cli.main(["simulate", "--config", str(path), "--seed", "3",
+                     "--out-log", os.devnull, "--out-summary", os.devnull]) == 0
+    assert one_line_error(capsys, "simulate: scenario")
     for mutate in (lambda d: d["field"].update(seed="abc"),
                    lambda d: d.update(sampler={"target_depth_m": math.nan}),
                    lambda d: d["mission"].update(speed_mps=math.nan),
@@ -688,7 +700,7 @@ def test_map_oversized_raster_exits_2(tmp_path, capsys):
     log.write_text(json.dumps(rec) + "\n" + json.dumps(
         {**rec, "point_id": 2, "lat": 45.0001, "lon": 7.5001}) + "\n")
     assert cli.main(["map", "--log", str(log), "--cell-size", "1e-5"]) == 2
-    assert one_line_error(capsys, "map: cell size")
+    assert one_line_error(capsys, "map: --cell-size 1e-05: cell size 1e-05 m needs more than")
 
 
 def test_map_cell_size_whose_padded_extent_overflows_exits_2(tmp_path, capsys):
@@ -704,7 +716,7 @@ def test_map_cell_size_whose_padded_extent_overflows_exits_2(tmp_path, capsys):
             "--out-grid", str(out / "g.asc"), "--cell-size"]
     assert cli.main([*argv, "1e308"]) == 2
     err = capsys.readouterr().err
-    assert err == "map: raster extent inf x inf m is not finite\n"
+    assert err == "map: --cell-size 1e+308: raster extent inf x inf m is not finite\n"
     assert "cells" not in err
     assert list(out.iterdir()) == []
     assert cli.main([*argv, "1e300"]) == 0
@@ -747,6 +759,27 @@ def test_codec_names_the_parser_that_got_furthest(capsys):
 def test_codec_bad_hex_exits_2(capsys):
     assert cli.main(["codec", "--parse", "zz"]) == 2
     assert "hex" in capsys.readouterr().err
+
+
+def test_main_gives_each_refusal_type_its_exit_code(capsys, monkeypatch):
+    # commands raise; main alone writes the one stderr line and picks the code
+    for error, code in ((ConfigError("refused"), 2), (ScenarioError("refused"), 2),
+                        (InfeasibleError("refused"), 2), (LogFormatError("refused", 1), 3),
+                        (EmptyInputError("refused"), 4),
+                        (FrameError("refused", position=3), 5)):
+        def refuse(args, error=error):
+            raise error
+        monkeypatch.setattr(cli, "cmd_codec", refuse)
+        assert cli.main(["codec", "--encode", "0M"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "codec: refused" + (" at byte 3" if code == 5 else "") + "\n"
+
+    def broken(args):
+        raise ValueError("a defect")
+    monkeypatch.setattr(cli, "cmd_codec", broken)
+    with pytest.raises(ValueError, match="a defect"):
+        cli.main(["codec", "--encode", "0M"])
 
 
 def test_pipeline_composes(tmp_path):

@@ -89,6 +89,26 @@ def test_no_module_reads_a_private_name_of_another():
     assert hits == []
 
 
+def test_only_cli_main_catches_a_refusal():
+    # each command raises; only main turns a SoilProbeError (or anything
+    # broader) into a stderr line and an exit code, and no command returns one
+    tree = ast.parse((ROOT / "src" / "soilprobe" / "cli.py").read_text(encoding="utf-8"))
+    broad = {"SoilProbeError", "Exception", "BaseException"}
+    catchers, returns = [], []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and (node.type is None or broad & {
+                    getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}):
+                catchers.append(name)
+            if (name.startswith("cmd_") and isinstance(node, ast.Return)
+                    and node.value is not None):
+                returns.append(f"{name}:{node.lineno}")
+    assert catchers == ["main"]
+    assert returns == []
+    assert sum(getattr(top, "name", "").startswith("cmd_") for top in tree.body) == 4
+
+
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
     # ties the benchmark's generated layout, pinned by its golden hashes,
     # to the reference generator
