@@ -29,7 +29,8 @@ _EXPORTS = {
               "raw_to_vwc", "vwc_to_raw"),
     "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
                "InfeasibleError", "LogFormatError", "RangeError",
-               "ScenarioError", "ShapeError", "SoilProbeError"),
+               "ScenarioError", "SensorFault", "ShapeError", "SilenceError",
+               "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
                  "sense_raw", "sense_raw_air", "theta_true", "wgs84_to_local_at"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RangeError, require_positive
+from .errors import ConfigError, require_positive
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,13 @@ def lower_to(cfg: ActuatorConfig, target_depth_m: float,
     there instead.  The stall flag is set exactly when the final
     position falls short of the target by more than one step, so
     sub-step quantization never reads as a stall.
+
+    A target outside [0, ``cfg.max_depth_m``] is the caller's argument,
+    not a reading, so it raises ConfigError.
     """
     if not 0.0 <= target_depth_m <= cfg.max_depth_m:
-        raise RangeError(f"target depth {target_depth_m} m outside "
-                         f"[0, {cfg.max_depth_m}] m")
+        raise ConfigError(f"target depth {target_depth_m} m outside "
+                          f"[0, {cfg.max_depth_m}] m")
     target_steps = round(target_depth_m * cfg.steps_per_metre)
     if obstruction_depth_m is not None and obstruction_depth_m < target_depth_m:
         final_steps = min(target_steps, round(obstruction_depth_m * cfg.steps_per_metre))

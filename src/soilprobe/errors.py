@@ -1,8 +1,13 @@
 """Exception types shared across the package, and the number checks of
 every config dataclass.  Every error raised on purpose is a
 ``SoilProbeError``, and the CLI turns only those into exit codes.  A
-refused configuration, SDI-12 field or mission that cannot finish
-raises ``ConfigError``, which names its key."""
+refused configuration, SDI-12 field, argument or mission that cannot
+finish raises ``ConfigError``, which names its key.  What a sensor does
+wrong on the wire is a ``SensorFault``: a frame that does not decode
+(``FrameError``), a reply with the wrong number of values
+(``ShapeError``), a reading outside its physical range (``RangeError``)
+or silence past the deadline (``SilenceError``).  The sampler catches
+that one type and records the fault on the attempt."""
 
 import math
 
@@ -40,7 +45,12 @@ class SoilProbeError(Exception):
     """Base class for every error this package raises on purpose."""
 
 
-class FrameError(SoilProbeError, ValueError):
+class SensorFault(SoilProbeError):
+    """What a sensor sent, or failed to send: the one type a sampled
+    attempt catches, recording it as a SENSOR_ERROR."""
+
+
+class FrameError(SensorFault, ValueError):
     """A wire frame could not be parsed.
 
     ``position`` is the 0-based byte offset where parsing gave up,
@@ -52,12 +62,16 @@ class FrameError(SoilProbeError, ValueError):
         self.position = position
 
 
-class ShapeError(SoilProbeError, ValueError):
+class ShapeError(SensorFault, ValueError):
     """A decoded payload carries the wrong number of values."""
 
 
-class RangeError(SoilProbeError, ValueError):
-    """A value violates its documented physical range."""
+class RangeError(SensorFault, ValueError):
+    """A reading violates its documented physical range."""
+
+
+class SilenceError(SensorFault, TimeoutError):
+    """A sensor stayed silent past its reply deadline."""
 
 
 class ConfigError(SoilProbeError, ValueError):

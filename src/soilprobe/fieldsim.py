@@ -92,6 +92,10 @@ class FieldSpec:
         require_finite(self, "origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")
         require_positive(self, "width_m", "height_m")
         require_seed(self.seed)
+        if not -90.0 <= self.origin_lat <= 90.0:
+            raise ConfigError("origin_lat must be within [-90, 90]")
+        if not -180.0 <= self.origin_lon <= 180.0:
+            raise ConfigError("origin_lon must be within [-180, 180]")
         if self.noise_sigma_raw < 0:
             raise ConfigError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))
@@ -298,7 +302,7 @@ class SimClock:
 
     def advance(self, seconds: float):
         if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
+            raise ConfigError("cannot advance the clock backwards")
         self.now += seconds
 
 

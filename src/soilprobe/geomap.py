@@ -158,6 +158,12 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     vals = np.full(live.size, np.nan)
 
     power = params.power
+    # thetas beyond 1 in size are weighed scaled by a power of two into
+    # [-1, 1], exactly, so no weighted sum overflows; the scale is undone
+    # on each result
+    top = float(np.abs(theta).max())
+    scale = math.frexp(top)[1] if top > 1.0 else 0
+    weighed = np.ldexp(theta, -scale) if scale else theta
     # each squared radius widened by the band; products, not **, which
     # rounds some squares to a different last bit
     shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
@@ -178,6 +184,7 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
         if not near.size:
             continue
         sx, sy, sth, srank = xs[near], ys[near], theta[near], rank[near]
+        sweighed = weighed[near]
         step = max(1, _CHUNK_CELLS // near.size)
         for q0 in range(starts[t], ends[t], step):
             q1 = min(ends[t], q0 + step)
@@ -200,16 +207,17 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
                 edge = np.flatnonzero(keep ^ sure)
                 r, c = np.divmod(edge, shape[1])
                 d = np.hypot(lqx[q0 + r] - sx[c], lqy[q0 + r] - sy[c])
-            # exact hits get 1/0 weights here and are overwritten just below;
-            # absurdly large thetas may overflow, written as no-data on export
+            # exact hits get 1/0 weights here and are overwritten just below
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 w = np.power(d2, -0.5 * power, out=d2)
                 w *= keep
                 if edge is not None:
                     w.flat[edge] = np.where(d <= cutoff, d ** -power, 0.0)
                 wsum = w.sum(axis=1)
-                w *= sth
+                w *= sweighed
                 np.divide(w.sum(axis=1), wsum, out=vals[q0:q1], where=wsum > 0)
+            if scale:
+                np.ldexp(vals[q0:q1], scale, out=vals[q0:q1])
             if may_hit.size:
                 d = np.hypot(lqx[q0 + may_hit, None] - sx,
                              lqy[q0 + may_hit, None] - sy)

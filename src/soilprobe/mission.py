@@ -55,7 +55,9 @@ class MissionConfig:
     once); the factor 2 covers the rounding of the clock's running sum.
     Every attempt lies within the reposition offset of the field, and its
     latitude, longitude and the hull's cross products must stay finite;
-    twice that extent covers their rounding.
+    twice that extent covers their rounding.  Last, every attempt in that
+    extent, undoubled, must lie within latitude [-90, 90] and longitude
+    [-180, 180], which the log reader requires of each record.
     """
 
     field: fieldsim.FieldSpec
@@ -119,6 +121,18 @@ class MissionConfig:
                 f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
                 f"{n} points of up to {sampler.max_attempts} attempts overflow the "
                 "mission clock")
+        # latitude and longitude grow with y and x, so two corners bound them
+        lat_lo, lon_lo = local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                           -reach, -reach)
+        lat_hi, lon_hi = local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                           field.width_m + reach, field.height_m + reach)
+        if not (-90.0 <= lat_lo and lat_hi <= 90.0
+                and -180.0 <= lon_lo and lon_hi <= 180.0):
+            raise ConfigError(
+                f"field: a {field.width_m} x {field.height_m} m field at latitude "
+                f"{field.origin_lat}, longitude {field.origin_lon}, with attempts up "
+                f"to sampler.reposition_offset_m {reach} m beyond it, reaches past "
+                "latitude [-90, 90] or longitude [-180, 180]")
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,9 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     cell; the results are those of comparing it with every accepted
     point.
     Deterministic under ``seed``, a non-negative int.  Raises
-    InfeasibleError once ``max_trials`` draws fail to place all points.
+    InfeasibleError once ``max_trials`` draws fail to place all points,
+    and ConfigError, before the first draw, for a count above both
+    ``max_trials`` and the most points that fit at that spacing.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
@@ -167,6 +183,18 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     if not math.isfinite(float(width) * width + float(height) * height):
         raise ConfigError(f"a field of {width} x {height} m is so large that "
                           f"squared distances across it overflow")
+    # Oler's bound (Acta Math. 105, 1961) on points at pairwise distance
+    # >= s > 0 in a W x H rectangle: (2/sqrt 3) W H / s^2 + (W + H) / s + 1;
+    # a spacing whose square is 0 has none
+    spacing = float(min_spacing_m)  # an int spacing squared can leave float range
+    if count > max_trials and spacing * spacing > 0:
+        fit = (2.0 / math.sqrt(3.0) * (float(width) * height / (spacing * spacing))
+               + (width + height) / spacing + 1.0)
+        if count > fit:
+            raise ConfigError(
+                f"count {count} exceeds both the {max_trials} draws allowed and "
+                f"the {int(fit)} points {min_spacing_m} m apart that fit "
+                f"{width} x {height} m")
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
     # cells no smaller than the spacing, and at most 1024 per axis
@@ -350,7 +378,8 @@ def sample_from_dict(d: dict) -> SoilSample:
 
     The record holds exactly SoilSample's fields.  Integers must be
     ints, other numbers finite ints or floats, and only the ``float |
-    None`` fields may be null; a valid record needs a theta.  Values are
+    None`` fields may be null; a valid record needs a theta, and ``lat``
+    and ``lon`` lie within [-90, 90] and [-180, 180].  Values are
     checked, never converted, so the record dumps back to the same
     bytes.
     """
@@ -383,6 +412,10 @@ def sample_from_dict(d: dict) -> SoilSample:
         attributes[name] = value
     if sample.status is Validity.VALID and sample.theta is None:
         raise ValueError("a valid sample needs a theta")
+    if not -90.0 <= sample.lat <= 90.0:
+        raise ValueError(f"lat {sample.lat!r} is outside [-90, 90]")
+    if not -180.0 <= sample.lon <= 180.0:
+        raise ValueError(f"lon {sample.lon!r} is outside [-180, 180]")
     return sample
 
 

@@ -13,9 +13,10 @@ waypoint along compass bearing 90 * (k - 1) degrees from north, so the
 retry pattern is deterministic.  The probe is always fully retracted
 before the loop returns, valid or not.
 
-Sensor faults (frame garbage, wrong shape, out-of-range values, bus
-silence) are recorded as SENSOR_ERROR attempts and consume a retry;
-they never abort the mission.
+A sensor fault, any :class:`~soilprobe.errors.SensorFault` (frame
+garbage, wrong shape, out-of-range values, bus silence), is recorded as
+a SENSOR_ERROR attempt whose ``fault`` names it, and consumes a retry;
+it never aborts the mission.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 from . import actuator as act
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import ConfigError, FrameError, RangeError, ShapeError, require_finite
+from .errors import ConfigError, SensorFault, require_finite
 from .sdi12 import RawReading, run_transaction
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
@@ -59,7 +60,11 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    """One probe insertion: where, how deep, what was read, verdict."""
+    """One probe insertion: where, how deep, what was read, verdict.
+
+    ``fault`` is ``"<class name>: <message>"`` of the SensorFault that
+    made a SENSOR_ERROR attempt, and None on every other attempt.
+    """
 
     attempt_index: int
     x: float
@@ -68,6 +73,7 @@ class AttemptRecord:
     reading: RawReading | None
     theta: float | None
     validity: Validity
+    fault: str | None = None
 
 
 @dataclass(frozen=True)
@@ -139,17 +145,19 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
         sensor.place(x, y, in_soil=not state.stalled)
         reading: RawReading | None = None
         theta: float | None = None
+        fault: str | None = None
         try:
             reading = run_transaction(sensor, address, clock=clock)
-        except (FrameError, ShapeError, RangeError, TimeoutError):
+        except SensorFault as exc:
             validity = Validity.SENSOR_ERROR
+            fault = f"{type(exc).__name__}: {exc}"
         else:
             theta = raw_to_vwc(reading.raw_counts)
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
         attempts.append(AttemptRecord(
             attempt_index=k, x=x, y=y, achieved_depth_m=state.depth_m,
-            reading=reading, theta=theta, validity=validity))
+            reading=reading, theta=theta, validity=validity, fault=fault))
         validated_at = clock.now
 
         # retract to position 0

@@ -29,8 +29,10 @@ Example:
 
 Parsing is total: any byte sequence either decodes to a typed value or
 raises :class:`~soilprobe.errors.FrameError` (or ShapeError/RangeError
-at the reading-decode stage); nothing else escapes.  Every FrameError
-names a byte: its ``position`` is where the match of the grammar stops,
+at the reading-decode stage); nothing else escapes.  These three and
+the SilenceError of a transaction are each a
+:class:`~soilprobe.errors.SensorFault`.  Every FrameError names a
+byte: its ``position`` is where the match of the grammar stops,
 the offset of the first element (address, verb, field, value or
 terminator) that the frame gets wrong, or the frame's length when the
 frame ends early.  A value too large for a float is rejected at its
@@ -60,7 +62,7 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, FrameError, RangeError, ShapeError
+from .errors import ConfigError, FrameError, RangeError, ShapeError, SilenceError
 
 COMMAND_TERMINATOR = b"!"
 RESPONSE_TERMINATOR = b"\r\n"
@@ -341,15 +343,16 @@ def run_transaction(sensor, address: str = "0", *, clock) -> RawReading:
     deadline, so simulated missions account for sensor time without
     sleeping.
 
-    Raises ConfigError for a bad address, before any frame is sent,
-    FrameError/ShapeError/RangeError on malformed replies and
-    TimeoutError on silence.
+    Raises ConfigError for a bad address, before any frame is sent, and
+    a SensorFault for what the sensor does wrong: FrameError/ShapeError/
+    RangeError on malformed replies and SilenceError on silence.
+    SilenceError is also a TimeoutError.
     """
     measure, send_data = _transaction_frames(check_address(address))
     reply = sensor.exchange(measure)
     if reply is None:
         clock.advance(BASE_TIMEOUT_S)
-        raise TimeoutError(f"sensor {address!r} silent on measure command "
+        raise SilenceError(f"sensor {address!r} silent on measure command "
                            f"for {BASE_TIMEOUT_S} s")
     ack = parse_measure_ack(reply)
     if ack.address != address:
@@ -361,7 +364,7 @@ def run_transaction(sensor, address: str = "0", *, clock) -> RawReading:
     reply = sensor.exchange(send_data)
     if reply is None:
         clock.advance(deadline)
-        raise TimeoutError(f"sensor {address!r} silent on data command "
+        raise SilenceError(f"sensor {address!r} silent on data command "
                            f"for {deadline} s")
     resp = parse_data_response(reply)
     if resp.address != address:

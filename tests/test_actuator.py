@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soilprobe.actuator import ActuatorConfig, lower_to, motion_duration
-from soilprobe.errors import RangeError
+from soilprobe.errors import ConfigError, SensorFault
 
 CFG = ActuatorConfig()  # 20000 steps/m, 0.15 m max, 500 Hz
 
@@ -35,10 +35,13 @@ def test_lower_to_obstruction_below_target_is_clean():
 
 
 def test_lower_to_rejects_out_of_range():
-    with pytest.raises(RangeError):
+    # a target is the caller's argument, not a reading: no sensor fault
+    with pytest.raises(ConfigError) as info:
         lower_to(CFG, 0.151)
-    with pytest.raises(RangeError):
+    assert not isinstance(info.value, SensorFault)
+    with pytest.raises(ConfigError) as info:
         lower_to(CFG, -0.01)
+    assert not isinstance(info.value, SensorFault)
 
 
 @pytest.mark.parametrize("frm,to,rate,expected", [

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 from importlib import resources
 
@@ -468,9 +469,9 @@ def _key_paths(node, path=()):
         yield from _key_paths(child, (*path, key))
 
 
-def _fuzz_failure(code, err, out_dir, outputs):
+def _fuzz_failure(code, err, out_dir, outputs, codes=(0, 2)):
     """What is wrong with one fuzzed run, or None."""
-    if code not in (0, 2):
+    if code not in codes:
         return f"exit {code}"
     if len(err.splitlines()) != 1:
         return f"{len(err.splitlines())} stderr lines"
@@ -544,6 +545,94 @@ def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
                 failures.append((flag, value, failure))
             for p in out.iterdir():
                 p.unlink()
+    assert failures == []
+
+
+# what a log field is set to: each scenario fuzz value, latitudes and
+# longitudes just out of range and on their edges, and each status
+LOG_FUZZ_VALUES = (*FUZZ_VALUES, 91.0, -90.5, 180.5, -500.0, 90, -180,
+                   *(status.value for status in Validity))
+DROP = object()  # the mutation that removes the field
+FRAME_BYTES = b"0aZ?!MDI+-.5\r\n\xff "
+
+
+def _log_fuzz_cases(records):
+    """Each (record, field, value) that sets one field of one record of a
+    log to one fuzz value, or drops it."""
+    return [(i, name, value) for i, record in enumerate(records) for name in record
+            for value in (*LOG_FUZZ_VALUES, DROP)]
+
+
+def _fuzzed_log(records, i, name, value) -> str:
+    record = dict(records[i])
+    if value is DROP:
+        del record[name]
+    else:
+        record[name] = value
+    return "".join(json.dumps(record if k == i else r) + "\n"
+                   for k, r in enumerate(records))
+
+
+def _fuzz_frames(rng, n):
+    """``n`` frames of 0 to 13 bytes, drawn mostly from SDI-12's alphabet."""
+    return [bytes(rng.choice(FRAME_BYTES) for _ in range(rng.randrange(14)))
+            for _ in range(n)]
+
+
+def _nodata_in_reach(log, grid) -> bool:
+    """Whether a no-data cell of ``grid`` has a valid sample of ``log`` within
+    the cutoff; the header's 6 decimals may move a cell centre by 1e-6 m."""
+    cx, cy, values = read_ascii_grid(grid)
+    xy = geomap.samples_to_local(select_valid(read_sample_log(log)[0]))
+    near = np.hypot(cx[None, :, None] - xy[:, 0], cy[:, None, None] - xy[:, 1]).min(axis=2)
+    return bool(((values == geomap.NODATA) & (near < geomap.CUTOFF_RADIUS_M - 1e-5)).any())
+
+
+def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, capsys):
+    # a seeded 120 of the 1,200 logs that set or drop one field of one
+    # record of a small flagged log, through validate and map, then 300
+    # seeded frames through codec --parse: each ends in a documented exit
+    # code and one stderr line, a refusal writes nothing, and a map that
+    # succeeds leaves no cell without a value that has a sample in reach
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
+                     "--out-log", str(log), "--out-summary", os.devnull]) == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    fuzzed = tmp_path / "fuzz.jsonl"
+    out = tmp_path / "out"
+    out.mkdir()
+    commands = ((["validate", "--log", str(fuzzed), "--out", str(out / "v.jsonl")],
+                 ["v.jsonl"]),
+                # 1 m cells: a longitude moved to 1.5 still maps, onto 471,770 x 2
+                (["map", "--log", str(fuzzed), "--out-points", str(out / "p.geojson"),
+                  "--out-grid", str(out / "g.asc"), "--cell-size", "1"],
+                 ["g.asc", "p.geojson"]))
+    cases = _log_fuzz_cases(records)
+    assert len(cases) == 1200
+    failures = []
+    for i, name, value in random.Random(23).sample(cases, 120):
+        fuzzed.write_text(_fuzzed_log(records, i, name, value))
+        for argv, outputs in commands:
+            capsys.readouterr()
+            code = cli.main(argv)
+            failure = _fuzz_failure(code, capsys.readouterr().err, out, outputs,
+                                    codes=(0, 2, 3, 4, 5))
+            if (failure is None and code == 0 and argv[0] == "map"
+                    and _nodata_in_reach(fuzzed, out / "g.asc")):
+                failure = "a no-data cell with a sample in reach"
+            if failure:
+                failures.append((i, name, repr(value)[:20], argv[0], failure))
+            for p in out.iterdir():
+                p.unlink()
+    for frame in _fuzz_frames(random.Random(29), 300):
+        capsys.readouterr()
+        code = cli.main(["codec", "--parse", frame.hex()])
+        captured = capsys.readouterr()
+        lines = (captured.err if code else captured.out).splitlines()
+        if code not in (0, 2, 5) or len(lines) != 1 or (captured.out and captured.err):
+            failures.append((frame, code, captured))
+        elif code == 5 and not re.search(r" at byte \d+$", lines[0]):
+            failures.append((frame, code, "names no byte"))
     assert failures == []
 
 
@@ -688,6 +777,46 @@ def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys):
                      "--out-summary", str(out / "s.json")]) == 2
     assert one_line_error(capsys, "simulate: deep: invalid JSON: ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("coordinates,needle", [
+    # two valid records whose latitudes project onto an infinite y span
+    ([(1.7e308, 7.5), (-1.7e308, 7.5)], "line 1: lat 1.7e+308 is outside [-90, 90]"),
+    # one record off the globe, which once needed more cells than allowed
+    ([(91.0, 500.0)], "line 1: lat 91.0 is outside [-90, 90]"),
+    ([(45.0, 500.0)], "line 1: lon 500.0 is outside [-180, 180]"),
+], ids=["lat-near-float-limit", "lat-91-lon-500", "lon-500"])
+def test_log_coordinates_off_the_globe_exit_3_with_one_line(tmp_path, capsys,
+                                                            coordinates, needle):
+    # these passed validate and made map blame its default --cell-size
+    log = tmp_path / "run.jsonl"
+    log.write_text("".join(json.dumps({**RECORD, "point_id": i, "lat": lat, "lon": lon})
+                           + "\n" for i, (lat, lon) in enumerate(coordinates)))
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["validate", "--log", str(log), "--out", str(out / "v.jsonl")],
+                 ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
+                  "--out-grid", str(out / "g.asc")]):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"{argv[0]}: {log}: {needle}\n"
+        assert list(out.iterdir()) == []
+
+
+def test_simulate_refuses_a_field_whose_attempts_leave_the_globe(tmp_path, capsys):
+    # 20 m north of latitude 89.99999 is past the pole: such a run once
+    # wrote a log that validate refuses
+    doc = json.loads(resources.files("soilprobe").joinpath(
+        "scenarios", "paper_field.json").read_text())
+    doc["field"]["origin_lat"] = 89.99999
+    path = tmp_path / "polar.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.jsonl"
+    assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "simulate: mission: field: a 19.0 x 20.0 m field at latitude 89.99999, "
+        "longitude 7.5, with attempts up to sampler.reposition_offset_m 0.1 m "
+        "beyond it, reaches past latitude [-90, 90] or longitude [-180, 180]\n")
+    assert not out.exists()
 
 
 def test_map_oversized_raster_exits_2(tmp_path, capsys):

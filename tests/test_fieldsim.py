@@ -1,6 +1,7 @@
 """Synthetic field: ground truth, inverse sensor model, projection,
 virtual sensor behaviour."""
 
+import decimal
 import itertools
 import math
 import struct
@@ -10,6 +11,7 @@ import pytest
 
 from soilprobe import sdi12
 from soilprobe.calib import raw_to_vwc
+from soilprobe.errors import ConfigError
 from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 THETA_TRUE_MAX, Blob, Disk, FieldSpec,
                                 CellIndex, SimClock, VirtualTeros,
@@ -170,6 +172,38 @@ def test_theta_true_has_the_reference_bits():
         assert got.shape == bx.shape and got.dtype == float
         assert all(same_bits(g, theta_true_reference(spec, a, b)) for g, a, b
                    in zip(got.ravel().tolist(), bx.ravel().tolist(), by.ravel().tolist()))
+
+
+# arguments in theta_true's range where np.exp, as the goldens were pinned
+# with it, is not the correctly rounded exp, and by how many ulps it is off;
+# numpy picks its float64 exp loop at run time from the CPU's features
+# (NumPy NEP 38), and another loop may give other bits here
+NP_EXP_ULPS_OFF = [
+    (-13.803625, -1), (-18.999995, -1), (-1.428417, -1), (-4.877726, -1),
+    (-7.538521, -1), (-3.40314, -1), (-8.712146, -1), (-3.950137, -1),
+    (-10.051652, -1), (-18.5516, -1), (-5.91654, -1), (-10.578675, -1),
+    (-6.960933, -1), (-5.098288, -1), (-5.863163, 1), (-14.988114, -1),
+    (-11.117065, -1), (-12.584069, -1), (-3.474732, -1), (-0.731851, -1),
+    (-14.370442, -1), (-18.115124, -1), (-10.120932, -1), (-18.180534, -1),
+    (-15.377229, -1), (-12.48224, -1), (-17.930667, -1), (-8.359202, -1),
+    (-19.93389, -1), (-16.016975, -1), (-19.521498, -1), (-14.423374, -1),
+]
+
+
+def test_np_exp_is_the_one_the_goldens_were_pinned_with():
+    # the golden hashes pin theta_true's bits, and theta_true calls np.exp
+    # on a Python float; a 40-digit decimal exp, rounded once, is exact here
+    context = decimal.Context(prec=40)
+    off = []
+    for x, ulps in NP_EXP_ULPS_OFF:
+        correct = float(context.exp(decimal.Decimal(x)))
+        pinned = math.nextafter(correct, math.copysign(math.inf, ulps))
+        if float(np.exp(x)) != pinned:
+            off.append(x)
+    assert not off, (
+        f"this CPU's np.exp is not the one the goldens were pinned with: it "
+        f"differs on {len(off)} of {len(NP_EXP_ULPS_OFF)} pinned arguments, "
+        f"so theta_true's bits and every golden hash may differ too")
 
 
 @pytest.mark.filterwarnings("error")
@@ -480,6 +514,15 @@ def test_field_spec_validation():
     for seed in (-1, 1.0, "7", True, None):
         with pytest.raises(ValueError, match="seed"):
             make_field(seed=seed)
+    for lat, lon, name in ((90.5, 0, "origin_lat"), (-91, 0, "origin_lat"),
+                           (1e300, 0, "origin_lat"), (0, 180.5, "origin_lon"),
+                           (0, -10 ** 308, "origin_lon")):
+        with pytest.raises(ConfigError, match=rf"^{name} must be within"):
+            FieldSpec(origin_lat=lat, origin_lon=lon, width_m=1, height_m=1,
+                      base_theta=0.2, seed=1)
+    for lat, lon in ((90, 180), (-90, -180)):  # the edges are in range
+        FieldSpec(origin_lat=lat, origin_lon=lon, width_m=1, height_m=1,
+                  base_theta=0.2, seed=1)
     # int sides whose int area over the disk count no float can hold make
     # an infinite area, hence one index cell
     vast = make_field(width=10 ** 200, height=10 ** 200,

@@ -143,6 +143,21 @@ def test_grid_nodata_cells_are_exactly_the_far_ones():
             assert math.isnan(grid.values[iy, ix]) == far
 
 
+def test_thetas_near_the_float_limit_stay_in_range():
+    # their weighted sums once overflowed, and cells with samples in reach
+    # became no-data; they are weighed scaled by a power of two, exactly,
+    # so the grid is that of the scaled thetas, scaled back
+    rng = np.random.default_rng(63)
+    xy = np.vstack([[(0.25, 0.25)], rng.uniform(0, 10, size=(24, 2))])  # one exact hit
+    theta = rng.uniform(-1, 1, size=25) * 1.7e308
+    grid = build_grid(xy, theta, (0, 0, 10, 10), cell_size_m=0.5).values
+    scaled = build_grid(xy, np.ldexp(theta, -1024), (0, 0, 10, 10), cell_size_m=0.5).values
+    assert not np.isnan(grid).any()
+    assert np.array_equal(grid, np.ldexp(scaled, 1024))
+    assert grid[0, 0] == theta[0]
+    assert theta.min() <= grid.min() and grid.max() <= theta.max()
+
+
 def test_grid_cell_containing_sample_echoes_it():
     # query the cell centre placed exactly on a sample
     xy = [(2.5, 2.5), (7.5, 7.5)]

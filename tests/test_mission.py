@@ -11,7 +11,7 @@ from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
 from soilprobe.errors import ConfigError, DegenerateError, InfeasibleError, LogFormatError
 from soilprobe import mission
-from soilprobe.fieldsim import Disk
+from soilprobe.fieldsim import EARTH_RADIUS_M, Disk
 from soilprobe.geomap import IdwParams
 from soilprobe.sampler import SamplerConfig, SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
@@ -326,6 +326,37 @@ def test_mission_config_refuses_a_run_that_cannot_finish(kwargs, line):
         MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),), **kwargs)
 
 
+def test_mission_config_keeps_every_attempt_on_the_globe():
+    # the attempts' extent is the field plus the reposition offset on each
+    # side: a margin of a millionth of it decides, where a check on the
+    # doubled extent of the overflow checks would refuse all four fields
+    field = make_field(width=19.0, height=20.0)
+    reach = SamplerConfig().reposition_offset_m
+    metres_per_degree = math.radians(EARTH_RADIUS_M)
+    north = (field.height_m + reach) / metres_per_degree
+    south = reach / metres_per_degree
+    metres_per_degree *= math.cos(math.radians(field.origin_lat))  # of longitude
+    east = (field.width_m + reach) / metres_per_degree
+    west = reach / metres_per_degree
+    for edges, fits in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        # so near the south pole a degree of longitude is about 1.7 mm wide
+        for origin in ({"origin_lat": 90.0 - north * edges},
+                       {"origin_lat": -90.0 + south * edges, "width_m": 0.01},
+                       {"origin_lon": 180.0 - east * edges},
+                       {"origin_lon": -180.0 + west * edges}):
+            _check_on_globe(dataclasses.replace(field, **origin), fits)
+
+
+def _check_on_globe(field, fits):
+    build = lambda: MissionConfig(field=field, waypoints=(Waypoint(1, 0.0, 0.0),))
+    if fits:
+        build()
+    else:
+        with pytest.raises(ConfigError, match=r"^field: .* reaches past latitude "
+                                              r"\[-90, 90\] or longitude \[-180, 180\]$"):
+            build()
+
+
 def test_randomized_missions_hold_invariants():
     # counts conserve, clocks stay monotone, valid rows pass the gates,
     # whatever the layout, obstruction cover, or noise level
@@ -459,6 +490,9 @@ def test_parse_log_keeps_values_unconverted():
     ({"theta": None}, "theta"),
     ({"theta": math.nan}, "theta"),
     ({"status": "great"}, "great"),
+    ({"lat": 90.5}, r"lat 90\.5 is outside \[-90, 90\]"),
+    ({"lat": -1.7e308}, r"lat -1\.7e\+308 is outside \[-90, 90\]"),
+    ({"lon": -180.5}, r"lon -180\.5 is outside \[-180, 180\]"),
 ])
 def test_parse_log_rejects_mistyped_fields(changes, needle):
     lines = [_valid_record(), _valid_record(**changes)]

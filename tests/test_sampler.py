@@ -83,6 +83,37 @@ def test_silent_sensor_records_sensor_errors():
     assert retracted(result, clock)
 
 
+GOOD_REPLIES = [b"00003\r\n", b"0+2000+24+150\r\n"]
+
+
+@pytest.mark.parametrize("replies,fault", [
+    ([b"garbage"], "FrameError: measure ack: unexpected b'a'"),
+    ([b"00002\r\n", b"0+2000+24\r\n"],
+     "ShapeError: expected 3 values (RAW, temp, EC), got 2"),
+    ([b"00003\r\n", b"0+2000+99+150\r\n"],
+     "RangeError: temp_c must be within [-40, 60] C, got 99.0"),
+], ids=["frame", "shape", "range"])
+def test_each_sensor_fault_is_named_on_its_attempt(replies, fault):
+    result, _ = run_point(make_field(), sensor=ScriptedSensor(replies + GOOD_REPLIES))
+    bad, good = result.attempts
+    assert (bad.validity, bad.fault) == (Validity.SENSOR_ERROR, fault)
+    assert (good.validity, good.fault) == (Validity.VALID, None)
+
+
+def test_silence_is_named_on_every_attempt():
+    field = make_field()
+    sensor = FlakySensor(make_sensor(field), np.random.default_rng(0), p_silent=1.0)
+    result, _ = run_point(field, sensor=sensor)
+    assert [(a.validity, a.fault) for a in result.attempts] == [
+        (Validity.SENSOR_ERROR,
+         "SilenceError: sensor '0' silent on measure command for 1.0 s")] * CFG.max_attempts
+    # a stalled attempt is flagged, but no sensor fault
+    stony = make_field(obstructions=[Disk(10.0, 10.0, 0.05)])
+    first, second = run_point(stony)[0].attempts
+    assert (first.validity, first.fault) == (Validity.NOT_PENETRATED, None)
+    assert second.fault is None
+
+
 def test_reply_value_too_large_for_a_float_is_a_sensor_error():
     overflow = b"0+1" + b"0" * 400 + b"\r\n"
     result, _ = run_point(make_field(), sensor=ScriptedSensor(

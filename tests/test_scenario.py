@@ -2,11 +2,14 @@
 
 import json
 import math
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from soilprobe import scenario
-from soilprobe.errors import ScenarioError
+from soilprobe.errors import InfeasibleError, ScenarioError
+from soilprobe.mission import generate_waypoints
 from soilprobe.scenario import bundled_scenarios, load_scenario
 
 from conftest import scenario_doc
@@ -155,11 +158,13 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
         d.update(sampler={"reposition_offset_m": 8 * 10 ** 307})),
         r"^mission: field: .* overflows$", id=f"{side}-plus-offset-int")
       for side in ("width_m", "height_m")),
+    # an origin that far out is now refused by its key, before any waypoint
     *(pytest.param(lambda d, key=key: (
         d["field"].update({"origin_" + key: 10 ** 308}),
         d["mission"].update(waypoints=[{"id": 1, "lat": 45, "lon": 7, key: -10 ** 308}])),
-        r"^mission: waypoint 1: x and y must be finite$", id=f"{key}-less-origin-int")
-      for key in ("lat", "lon")),
+        rf"^field: origin_{key} must be within \[-{bound}, {bound}\]$",
+        id=f"{key}-less-origin-int")
+      for key, bound in (("lat", 90), ("lon", 180))),
     pytest.param(_set(("field", "blobs"), [{}]),
                  r"^field\.blobs: missing required keys \['cx', 'cy', 'sigma_m', "
                  r"'amplitude'\]$", id="blob-empty"),
@@ -246,6 +251,30 @@ def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
                                                       '"seed": ' + "1" * 5000))
     with pytest.raises(ScenarioError, match=r"^digits: invalid JSON: .*4300 digits"):
         load_scenario(path)
+
+
+def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch):
+    # 10 ** 30 points once spent all 100,000 draws before the refusal;
+    # Oler's bound fits at most 478 points 1 m apart on paper_field
+    doc = json.loads(resources.files("soilprobe").joinpath(
+        "scenarios", "paper_field.json").read_text())
+    doc["mission"] = {"generate": {"count": 10 ** 30, "min_spacing_m": 1.0, "seed": 1}}
+    path = write_doc(tmp_path, doc)
+
+    def no_draws(seed):
+        raise AssertionError("a generator was created")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+    assert str(info.value) == (
+        f"mission.generate: count {10 ** 30} exceeds both the 100000 draws "
+        "allowed and the 478 points 1.0 m apart that fit 19.0 x 20.0 m")
+    # a spacing whose square is 0 has no bound, and spends its draws
+    field = load_scenario("paper_field").mission.field
+    for spacing in (0.0, 5e-324):
+        with pytest.raises(InfeasibleError, match=r"^placed 50 of 10{30} points after 50 draws"):
+            generate_waypoints(field, 10 ** 30, spacing, 1, max_trials=50)
 
 
 FLOATS = ("a", [1], {}, None, 10 ** 400)

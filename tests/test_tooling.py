@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import soilprobe
-from soilprobe import cli, mission, scenario
+from soilprobe import cli, errors, mission, scenario
 from soilprobe.mission import MissionConfig, Waypoint
 
 from conftest import generate_waypoints_reference, make_field
@@ -109,6 +109,37 @@ def test_only_cli_main_catches_a_refusal():
     assert sum(getattr(top, "name", "").startswith("cmd_") for top in tree.body) == 4
 
 
+def _names(node) -> set:
+    """Every name and attribute name under ``node``."""
+    return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} - {None}
+
+
+def test_sensor_faults_are_caught_as_one_type():
+    # which failures are sensor faults is decided by SensorFault alone: no
+    # except lists its subclasses one by one, and silence is not a builtin
+    faults = {name for name, value in vars(errors).items()
+              if isinstance(value, type) and issubclass(value, errors.SensorFault)
+              and value is not errors.SensorFault}
+    assert faults == {"FrameError", "ShapeError", "RangeError", "SilenceError"}
+    hits = []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = _names(node.type)
+                if "TimeoutError" in names or len(names & faults) > 1:
+                    hits.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                if "TimeoutError" in _names(node.exc):
+                    hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+    tree = ast.parse((ROOT / "src" / "soilprobe" / "sampler.py").read_text(encoding="utf-8"))
+    attempt_point = next(node for node in tree.body
+                         if getattr(node, "name", None) == "attempt_point")
+    assert [_names(node.type) for node in ast.walk(attempt_point)
+            if isinstance(node, ast.ExceptHandler)] == [{"SensorFault"}]
+
+
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
     # ties the benchmark's generated layout, pinned by its golden hashes,
     # to the reference generator
@@ -185,7 +216,8 @@ EXPORTS = {
               "raw_to_vwc", "vwc_to_raw"),
     "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
                "InfeasibleError", "LogFormatError", "RangeError",
-               "ScenarioError", "ShapeError", "SoilProbeError"),
+               "ScenarioError", "SensorFault", "ShapeError", "SilenceError",
+               "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
                  "sense_raw", "sense_raw_air", "theta_true", "wgs84_to_local_at"),
@@ -205,7 +237,7 @@ EXPORTS = {
 
 def test_every_export_is_its_home_modules_object():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 65
+    assert len(names) == len(set(names)) == 67
     assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
     listed = dir(soilprobe)
     star: dict = {}
