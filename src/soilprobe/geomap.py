@@ -9,13 +9,21 @@ cells farther than ``CUTOFF_RADIUS_M`` from every sample are no-data
 (NaN internally, -9999 in the ASCII export): the map never
 extrapolates far beyond the sampled hull.
 
+The kernel works on the cell lattice: a raster's cell centres are
+the nodes (x[ix], y[iy]), and a query point is a lattice of one node.
 Only samples within the cutoff radius can change a value, so the
-kernel groups its queries into square tiles of that side and weighs
+kernel groups the nodes into square tiles of that side and weighs
 each tile against the samples near it, never against all of them
-(local Shepard interpolation; Franke & Nielson 1980).  Weights come
-from squared distances; ``hypot`` decides every pair that lies within
-rounding of either radius, so which samples count, and which sample
-wins an exact hit, never depend on the squaring.
+(local Shepard interpolation; Franke & Nielson 1980).  On a lattice a
+squared distance is a row term plus a column term (Felzenszwalb &
+Huttenlocher 2012), so each tile squares its offsets once per row and
+once per column.  Weights come from squared distances; ``hypot``
+decides every pair that lies within rounding of either radius, so
+which samples count, which cells are no-data, and which sample wins an
+exact hit are bit-exact, never depending on the squaring or the
+sums.  Each node's weight sum and weighted sum come from one matrix
+product, whose BLAS summation order may move a value in its last
+bits.
 """
 
 from __future__ import annotations
@@ -113,49 +121,65 @@ def _as_sample_arrays(xy, theta, ids):
     return xy[order], theta[order], rank
 
 
-def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
-    """:func:`idw_at` at each (qx[i], qy[i]); exact-hit ties go to the lowest rank.
+def _tile_runs(g):
+    """Runs of the axis ``g`` that fall in one tile, ``floor(g / cutoff)``,
+    as (starts, ends, lowest, highest); ascending axes, as cell centres
+    are, give one run per tile."""
+    t = np.floor(g / CUTOFF_RADIUS_M)
+    starts = np.r_[0, np.flatnonzero(t[1:] != t[:-1]) + 1]
+    ends = np.r_[starts[1:], g.size]
+    return starts, ends, np.minimum.reduceat(g, starts), np.maximum.reduceat(g, starts)
 
-    ``xy`` must be in canonical order, which sorts it by x first.  The
-    finite queries are grouped into square tiles whose side is the
-    cutoff radius.  Each tile weighs only the samples inside its
-    queries' bounding box grown by that radius, which holds every
-    sample the cutoff and exact tests can keep.  Non-finite queries
-    stay NaN.
 
-    Weights are ``d2 ** (-power / 2)`` on squared distances ``d2``,
-    computed in reused buffers.  ``np.hypot`` decides and weighs what
-    squaring cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of
-    the squared cutoff, and the exact-hit test of every row holding a
+def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
+    """:func:`idw_at` at every node (gx[ix], gy[iy]) of a lattice, as a
+    (gy.size, gx.size) array; exact-hit ties go to the lowest rank.
+
+    ``xy`` must be in canonical order, which sorts it by x first.  Rows
+    and columns at a non-finite coordinate stay NaN.  The others are
+    grouped into square tiles whose side is the cutoff radius.  Each
+    tile weighs only the samples inside its nodes' bounding box grown by
+    that radius, which holds every sample the cutoff and exact tests can
+    keep.
+
+    On a lattice, ``(x - sx)**2`` depends only on the column and
+    ``(y - sy)**2`` only on the row, so each tile squares its columns'
+    and its rows' offsets once per sample, and each pair's squared
+    distance ``d2`` is one sum of the two: the same rounded sum that
+    squaring each pair's offsets gives.  Weights are ``d2 ** (-power /
+    2)``, computed in reused buffers of at most ``max(_CHUNK_CELLS,
+    samples of one tile)`` pairs; a tile row holding more is split
+    across its columns.  ``np.hypot`` decides and weighs what squaring
+    cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of the
+    squared cutoff, and the exact-hit test of every node holding a
     ``d2`` up to that band above the squared exact radius, which every
     ``d2`` below the normal floats is.  So the kept pairs, the no-data
     cells and the exact-hit winners are those of distances from
-    ``np.hypot``; only the weights differ from ``hypot(...) ** -power``,
-    by a few ulps.
+    ``np.hypot``, bit for bit.  Each node's weight sum and weighted sum
+    come from one matrix product of its weights with [1, theta], whose
+    summation order is the BLAS kernel's: the values differ from
+    ``hypot(...) ** -power`` weights summed in order by a few ulps.
     """
-    out = np.full(qx.size, np.nan)
-    live = np.flatnonzero(np.isfinite(qx) & np.isfinite(qy))
-    if not live.size:
+    out = np.full((gy.size, gx.size), np.nan)
+    ylive, xlive = np.flatnonzero(np.isfinite(gy)), np.flatnonzero(np.isfinite(gx))
+    if not (ylive.size and xlive.size):
         return out
+    gx, gy = gx[xlive], gy[ylive]
     cutoff, exact = CUTOFF_RADIUS_M, EXACT_RADIUS_M
-    tx, ty = np.floor(qx[live] / cutoff), np.floor(qy[live] / cutoff)
-    by_tile = np.lexsort((tx, ty))
-    live, tx, ty = live[by_tile], tx[by_tile], ty[by_tile]
-    starts = np.r_[0, np.flatnonzero((tx[1:] != tx[:-1])
-                                     | (ty[1:] != ty[:-1])) + 1]
-    ends = np.r_[starts[1:], live.size]
-    lqx, lqy = qx[live], qy[live]
-    x0, x1 = np.minimum.reduceat(lqx, starts), np.maximum.reduceat(lqx, starts)
-    y0, y1 = np.minimum.reduceat(lqy, starts), np.maximum.reduceat(lqy, starts)
-    # each tile's query box grown by the cutoff; the pad outweighs every
-    # rounding in the box and in d, so no sample that d <= cutoff would
-    # keep is left out
+    col0, col1, x0, x1 = _tile_runs(gx)
+    row0, row1, y0, y1 = _tile_runs(gy)
+    # each tile's node box grown by the cutoff, tiles indexed [row run,
+    # column run]; the pad outweighs every rounding in the box and in d,
+    # so no sample that d <= cutoff would keep is left out
     with np.errstate(over="ignore"):
-        grow = cutoff + 1e-9 * (cutoff + np.abs([x0, x1, y0, y1]).max(axis=0))
-        x0, x1, y0, y1 = x0 - grow, x1 + grow, y0 - grow, y1 + grow
+        reach = np.maximum(np.abs(y0), np.abs(y1))[:, None]
+        reach = np.maximum(reach, np.maximum(np.abs(x0), np.abs(x1)))
+        grow = cutoff + 1e-9 * (cutoff + reach)
+        x0, x1 = x0 - grow, x1 + grow
+        y0, y1 = y0[:, None] - grow, y1[:, None] + grow
     xs, ys = xy[:, 0], xy[:, 1]
     i0, i1 = xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")
-    vals = np.full(live.size, np.nan)
+    vals = np.full((gy.size, gx.size), np.nan)
 
     power = params.power
     # thetas beyond 1 in size are weighed scaled by a power of two into
@@ -163,7 +187,9 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     # on each result
     top = float(np.abs(theta).max())
     scale = math.frexp(top)[1] if top > 1.0 else 0
-    weighed = np.ldexp(theta, -scale) if scale else theta
+    # the right-hand side of each tile's matrix product: a weight sum and
+    # a weighted sum per node
+    ones_theta = np.column_stack([np.ones(theta.size), np.ldexp(theta, -scale)])
     # each squared radius widened by the band; products, not **, which
     # rounds some squares to a different last bit
     shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
@@ -171,62 +197,71 @@ def _idw(xy, theta, rank, qx, qy, params: IdwParams) -> np.ndarray:
     cut_hi = (cutoff * grow) * (cutoff * grow)
     exact_hi = (exact * grow) * (exact * grow)
     # a chunk holds at most max(_CHUNK_CELLS, samples of one tile) pairs,
-    # and never more than every query against those samples
+    # and never more than every node against those samples
     most = int((i1 - i0).max())
-    size = min(max(_CHUNK_CELLS, most), live.size * most)
-    d2_buf, dy_buf = np.empty(size), np.empty(size)
+    size = min(max(_CHUNK_CELLS, most), vals.size * most)
+    d2_buf = np.empty(size)
     keep_buf, sure_buf = np.empty(size, bool), np.empty(size, bool)
 
-    for t in np.flatnonzero(i1 > i0):
-        # ascending indices keep canonical order within the tile
-        near = i0[t] + np.flatnonzero((ys[i0[t]:i1[t]] >= y0[t])
-                                      & (ys[i0[t]:i1[t]] <= y1[t]))
-        if not near.size:
-            continue
-        sx, sy, sth, srank = xs[near], ys[near], theta[near], rank[near]
-        sweighed = weighed[near]
-        step = max(1, _CHUNK_CELLS // near.size)
-        for q0 in range(starts[t], ends[t], step):
-            q1 = min(ends[t], q0 + step)
-            shape = (q1 - q0, near.size)
-            d2, dy, keep, sure = (buf[:shape[0] * shape[1]].reshape(shape)
-                                  for buf in (d2_buf, dy_buf, keep_buf, sure_buf))
-            # far pairs may overflow to inf, which every test drops
-            with np.errstate(over="ignore"):
-                np.subtract(lqx[q0:q1, None], sx, out=d2)
-                np.subtract(lqy[q0:q1, None], sy, out=dy)
-                np.multiply(d2, d2, out=d2)
-                np.multiply(dy, dy, out=dy)
-                d2 += dy
-            may_hit = np.flatnonzero(d2.min(axis=1) <= exact_hi)
-            np.less_equal(d2, cut_hi, out=keep)
-            np.less(d2, cut_lo, out=sure)
-            # hypot weighs the pairs whose squares cannot tell in from out
-            edge = None
-            if np.count_nonzero(keep) != np.count_nonzero(sure):
-                edge = np.flatnonzero(keep ^ sure)
-                r, c = np.divmod(edge, shape[1])
-                d = np.hypot(lqx[q0 + r] - sx[c], lqy[q0 + r] - sy[c])
-            # exact hits get 1/0 weights here and are overwritten just below
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                w = np.power(d2, -0.5 * power, out=d2)
-                w *= keep
-                if edge is not None:
-                    w.flat[edge] = np.where(d <= cutoff, d ** -power, 0.0)
-                wsum = w.sum(axis=1)
-                w *= sweighed
-                np.divide(w.sum(axis=1), wsum, out=vals[q0:q1], where=wsum > 0)
-            if scale:
-                np.ldexp(vals[q0:q1], scale, out=vals[q0:q1])
-            if may_hit.size:
-                d = np.hypot(lqx[q0 + may_hit, None] - sx,
-                             lqy[q0 + may_hit, None] - sy)
-                hit = (d <= exact).any(axis=1)
-                d = d[hit]
-                tied = d == d.min(axis=1, keepdims=True)
-                vals[q0 + may_hit[hit]] = sth[
-                    np.where(tied, srank, rank.size).argmin(axis=1)]
-    out[live] = vals
+    # far pairs may overflow their squares to inf, which every test drops;
+    # exact hits get 1/0 weights, and are overwritten; a node with no
+    # weight divides 0 by 0 into NaN, no-data; matmul checks the flags too
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for r, c in zip(*np.nonzero(i1 > i0)):
+            # ascending indices keep canonical order within the tile
+            lo, hi = i0[r, c], i1[r, c]
+            near = lo + np.flatnonzero((ys[lo:hi] >= y0[r, c])
+                                       & (ys[lo:hi] <= y1[r, c]))
+            if not near.size:
+                continue
+            sx, sy, rhs, n = xs[near], ys[near], ones_theta[near], near.size
+            # whole tile rows per chunk while one fits, else part of one row
+            cstep = min(col1[c] - col0[c], max(_CHUNK_CELLS, n) // n)
+            rstep = max(1, max(_CHUNK_CELLS, n) // (cstep * n))
+            for ca in range(col0[c], col1[c], cstep):
+                cb = min(col1[c], ca + cstep)
+                dx2 = np.square(gx[ca:cb, None] - sx)
+                dx2_min = dx2.min(axis=0)
+                for ra in range(row0[r], row1[r], rstep):
+                    rb = min(row1[r], ra + rstep)
+                    shape = (rb - ra, cb - ca, n)
+                    d2, keep, sure = (buf[:shape[0] * shape[1] * n].reshape(shape)
+                                      for buf in (d2_buf, keep_buf, sure_buf))
+                    dy2 = np.square(gy[ra:rb, None] - sy)
+                    np.add(dy2[:, None, :], dx2, out=d2)
+                    # rounding is monotone, so no node is within the exact
+                    # band of a sample that fails this
+                    close = np.flatnonzero(dx2_min + dy2.min(axis=0) <= exact_hi)
+                    may_hit = (np.flatnonzero(d2[:, :, close].min(axis=2) <= exact_hi)
+                               if close.size else close)
+                    np.less_equal(d2, cut_hi, out=keep)
+                    np.less(d2, cut_lo, out=sure)
+                    # hypot weighs the pairs whose squares cannot tell in from out
+                    edge = None
+                    if np.count_nonzero(keep) != np.count_nonzero(sure):
+                        edge = np.flatnonzero(keep ^ sure)
+                        er, ec, es = np.unravel_index(edge, shape)
+                        d = np.hypot(gx[ca + ec] - sx[es], gy[ra + er] - sy[es])
+                    w = np.power(d2, -0.5 * power, out=d2)
+                    w *= keep
+                    if edge is not None:
+                        w.flat[edge] = np.where(d <= cutoff, d ** -power, 0.0)
+                    sums = (w.reshape(-1, n) @ rhs).reshape(shape[0], shape[1], 2)
+                    block = vals[ra:rb, ca:cb]
+                    np.divide(sums[..., 1], sums[..., 0], out=block)
+                    if scale:
+                        np.ldexp(block, scale, out=block)
+                    if may_hit.size:
+                        hr, hc = np.divmod(may_hit, shape[1])
+                        cand = near[close]
+                        d = np.hypot(gx[ca + hc, None] - xs[cand],
+                                     gy[ra + hr, None] - ys[cand])
+                        hit = (d <= exact).any(axis=1)
+                        d = d[hit]
+                        tied = d == d.min(axis=1, keepdims=True)
+                        block[hr[hit], hc[hit]] = theta[cand][
+                            np.where(tied, rank[cand], rank.size).argmin(axis=1)]
+    out[np.ix_(ylive, xlive)] = vals
     return out
 
 
@@ -237,10 +272,11 @@ def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
     A sample within ``EXACT_RADIUS_M`` wins outright (nearest first,
     then lowest id on ties), which also makes the surface exact at the
     sample locations.  Otherwise the samples inside ``CUTOFF_RADIUS_M``
-    are combined with weights d**-power.
+    are combined with weights d**-power.  The point is a lattice of one
+    node.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
-    return float(_idw(xy, theta, rank, *np.array([[x], [y]], float), params)[0])
+    return float(_idw(xy, theta, rank, *np.array([[x], [y]], float), params)[0, 0])
 
 
 def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
@@ -270,8 +306,7 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
                           f"{MAX_GRID_CELLS} cells")
 
     grid = MoistureGrid(xmin, ymin, cell_size_m, values=np.empty((ny, nx)))
-    qx, qy = np.meshgrid(*grid.cell_centers())
-    grid.values.flat = _idw(xy, theta, rank, qx.ravel(), qy.ravel(), params)
+    grid.values[...] = _idw(xy, theta, rank, *grid.cell_centers(), params)
     return grid
 
 
@@ -292,34 +327,43 @@ def samples_to_local(samples):
                      for s in samples])
 
 
-# one GeoJSON Feature as json.dumps(indent=2) lays it out inside the collection
+# one GeoJSON Feature as json.dumps(indent=2) lays it out inside the
+# collection; the values are lon, lat, point_id, theta, status, attempts
 _FEATURE = """\
-    {{
+    {
       "type": "Feature",
-      "geometry": {{
+      "geometry": {
         "type": "Point",
         "coordinates": [
-          {lon},
-          {lat}
+          %s,
+          %s
         ]
-      }},
-      "properties": {{
-        "point_id": {point_id},
-        "theta": {theta},
-        "status": {status},
-        "attempts": {attempts}
-      }}
-    }}"""
+      },
+      "properties": {
+        "point_id": %s,
+        "theta": %s,
+        "status": %s,
+        "attempts": %s
+      }
+    }"""
 
 
 def _json_number(value) -> str:
     """``value`` as :func:`json.dumps` writes a number or null.
 
-    Ints and floats (subclasses too, such as ``np.float64``) take the
-    ``int`` and ``float`` reprs that ``json`` uses; NaN and infinity
-    raise ValueError, as ``allow_nan=False`` does.  Anything else,
-    bools and strings included, raises TypeError.
+    A finite ``float`` and an ``int`` take their reprs, tested by exact
+    type first as most values are.  Other ints and floats (subclasses
+    too, such as ``np.float64``) take the ``int`` and ``float`` reprs
+    that ``json`` uses; NaN and infinity raise ValueError, as
+    ``allow_nan=False`` does.  Anything else, bools and strings
+    included, raises TypeError.
     """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return repr(value)
+    elif kind is int:
+        return repr(value)
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"out of range float value {value!r} is not "
@@ -338,13 +382,13 @@ def export_points_geojson(samples) -> str:
     Coordinates are [longitude, latitude] per RFC 7946; ``status`` in
     the properties tells the two classes apart.  The text is what
     ``json.dumps(..., indent=2, allow_nan=False)`` gives, written from
-    one template per Feature.
+    one ``%`` template per Feature.
     """
     num = _json_number
-    features = [_FEATURE.format(
-        lon=num(s.lon), lat=num(s.lat), point_id=num(s.point_id),
-        theta=num(s.theta), status=encode_basestring_ascii(s.status.value),
-        attempts=num(s.attempts)) for s in samples]
+    features = [_FEATURE % (
+        num(s.lon), num(s.lat), num(s.point_id), num(s.theta),
+        encode_basestring_ascii(s.status.value), num(s.attempts))
+        for s in samples]
     if not features:
         return '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
     return ('{\n  "type": "FeatureCollection",\n  "features": [\n'
@@ -365,10 +409,11 @@ def export_grid_ascii(grid: MoistureGrid) -> str:
         f"NODATA_value {NODATA}",
     ]
     fmt, nodata = "{:.6f}".format, str(NODATA)
+    row_fmt = " ".join(["%.6f"] * grid.nx)
     rows = grid.values[::-1]
     for finite, row in zip(np.isfinite(rows).all(axis=1).tolist(), rows):
         if finite:
-            lines.append(" ".join(map(fmt, row.tolist())))
+            lines.append(row_fmt % tuple(row.tolist()))
         else:
             lines.append(" ".join(fmt(v) if math.isfinite(v) else nodata
                                   for v in row.tolist()))

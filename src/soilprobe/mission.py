@@ -391,25 +391,28 @@ def sample_from_dict(d: dict) -> SoilSample:
     # calls, most of its cost, and keeps its key-sharing attribute table
     sample = object.__new__(SoilSample)
     attributes = vars(sample)
-    for name, kind in _SAMPLE_SCHEMA:
-        try:
-            value = d[name]
-        except KeyError:
-            raise _field_set_error(d) from None
-        if kind == "int":
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer")
-        elif kind == "status":
-            if type(value) is not str or value not in _STATUSES:
-                raise ValueError(f"status {value!r} is not one of "
-                                 + ", ".join(_STATUSES))
-            value = _STATUSES[value]
-        elif value is None:
-            if kind == "number":
-                raise ValueError(f"{name} must be a finite number")
-        elif type(value) not in (int, float) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite {kind}")
-        attributes[name] = value
+    try:
+        for name, kind in _SAMPLE_SCHEMA:
+            try:
+                value = d[name]
+            except KeyError:
+                raise _field_set_error(d) from None
+            if kind == "int":
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an integer")
+            elif kind == "status":
+                if type(value) is not str or value not in _STATUSES:
+                    raise ValueError(f"status {value!r} is not one of "
+                                     + ", ".join(_STATUSES))
+                value = _STATUSES[value]
+            elif value is None:
+                if kind == "number":
+                    raise ValueError(f"{name} must be a finite number")
+            elif type(value) not in (int, float) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite {kind}")
+            attributes[name] = value
+    except OverflowError:  # math.isfinite of an int beyond the floats
+        raise ValueError(f"{name} must be a finite {kind}") from None
     if sample.status is Validity.VALID and sample.theta is None:
         raise ValueError("a valid sample needs a theta")
     if not -90.0 <= sample.lat <= 90.0:

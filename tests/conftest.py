@@ -50,14 +50,18 @@ def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
     return num / den if den > 0 else float("nan")
 
 
-def idw_dense_reference(xy, theta, rank, qx, qy, power=2.0, cutoff=10.0,
+def idw_dense_reference(xy, theta, rank, gx, gy, power=2.0, cutoff=10.0,
                         exact=1e-6):
-    """The dense IDW kernel: every query weighs every sample.
+    """The dense IDW kernel: every node of the lattice weighs every sample.
 
     Same arguments as ``geomap._idw`` (samples in canonical order, ranks
-    by id, 1-D queries), with the parameters spelt out.  The library's
-    kernel must agree with it to rounding, and exactly on exact hits.
+    by id, the lattice's x and y axes), with the parameters spelt out;
+    it returns a (gy.size, gx.size) array.  The nodes are meshgridded
+    and flattened, each weight comes from ``np.hypot`` and each sum is
+    numpy's, so the library's kernel must agree with it to rounding, and
+    exactly on exact hits.
     """
+    qx, qy = (q.ravel() for q in np.meshgrid(gx, gy))
     out = np.full(qx.size, np.nan)
     step = max(1, 65536 // theta.size)
     for q0 in range(0, qx.size, step):
@@ -72,7 +76,7 @@ def idw_dense_reference(xy, theta, rank, qx, qy, power=2.0, cutoff=10.0,
         if hits.size:
             tied = d[hits] == d[hits].min(axis=1, keepdims=True)
             out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
-    return out
+    return out.reshape(gy.size, gx.size)
 
 
 def export_grid_ascii_reference(grid) -> str:
@@ -445,8 +449,8 @@ def reference_layers():
             mp.setattr(sdi12, "parse_command", parse_command_reference)
             mp.setattr(sdi12, "parse_measure_ack", parse_measure_ack_reference)
             mp.setattr(sdi12, "parse_data_response", parse_data_response_reference)
-            mp.setattr(geomap, "_idw", lambda xy, theta, rank, qx, qy, params:
-                       idw_dense_reference(xy, theta, rank, qx, qy, params.power))
+            mp.setattr(geomap, "_idw", lambda xy, theta, rank, gx, gy, params:
+                       idw_dense_reference(xy, theta, rank, gx, gy, params.power))
             mp.setattr(geomap, "export_grid_ascii", export_grid_ascii_reference)
             mp.setattr(cli, "cmd_validate", cmd_validate_reference)
             yield

@@ -21,7 +21,11 @@ Criteria:
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,32 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             for name, data in outputs[0].items()} == PAPER_FIELD_SHA256
     ok(8, "two seeded runs produced byte-identical logs, summaries, and "
           "exports, matching the pinned sha256")
+
+
+# runs map in a fresh interpreter, after the BLAS thread variables are set
+MAP_IN_FRESH_PROCESS = """
+import sys
+from soilprobe import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_blas_thread_count_leaves_the_grid_bytes_alone(tmp_path):
+    # the IDW sums come from a BLAS matrix product, which may split its
+    # work across threads; the raster must not depend on how many
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+                     "--out-summary", str(tmp_path / "summary.json")]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"),
+         *filter(None, [env.get("PYTHONPATH")])])
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = threads
+        grid = tmp_path / f"grid_{threads}.asc"
+        done = subprocess.run(
+            [sys.executable, "-c", MAP_IN_FRESH_PROCESS, "map", "--log", str(log),
+             "--out-points", str(tmp_path / "points.geojson"), "--out-grid", str(grid)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(grid.read_bytes()).hexdigest() == PAPER_FIELD_SHA256["grid.asc"]

@@ -802,6 +802,25 @@ def test_log_coordinates_off_the_globe_exit_3_with_one_line(tmp_path, capsys,
         assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("field", [name for name, value in RECORD.items()
+                                   if type(value) is float])
+def test_log_ints_beyond_the_floats_exit_3_naming_the_field(tmp_path, capsys, field):
+    # these once read "int too large to convert to float", which names
+    # neither the field nor the value
+    log = tmp_path / "run.jsonl"
+    log.write_text(json.dumps({**RECORD, field: 10**400}) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["validate", "--log", str(log), "--out", str(out / "v.jsonl")],
+                 ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
+                  "--out-grid", str(out / "g.asc")]):
+        assert cli.main(argv) == 3
+        assert re.fullmatch(rf"{argv[0]}: {re.escape(str(log))}: line 1: {field} "
+                            r"must be a finite number( or null)?\n",
+                            capsys.readouterr().err)
+        assert list(out.iterdir()) == []
+
+
 def test_simulate_refuses_a_field_whose_attempts_leave_the_globe(tmp_path, capsys):
     # 20 m north of latitude 89.99999 is past the pole: such a run once
     # wrote a log that validate refuses

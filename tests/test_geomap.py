@@ -3,16 +3,18 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from soilprobe.calib import Validity
 from soilprobe.errors import ConfigError, EmptyInputError
-from soilprobe.geomap import (CUTOFF_RADIUS_M, EXACT_RADIUS_M, MAX_POWER,
-                              IdwParams, MoistureGrid, _as_sample_arrays,
-                              build_grid, export_grid_ascii,
-                              export_points_geojson, idw_at, samples_to_local)
+from soilprobe.geomap import (_CHUNK_CELLS, CUTOFF_RADIUS_M, EXACT_RADIUS_M,
+                              MAX_POWER, IdwParams, MoistureGrid,
+                              _as_sample_arrays, _idw, build_grid,
+                              export_grid_ascii, export_points_geojson, idw_at,
+                              samples_to_local)
 from soilprobe.sampler import SoilSample
 
 from conftest import (export_grid_ascii_reference, idw_dense_reference,
@@ -193,10 +195,8 @@ def exact_hit_cells(grid, xy, exact):
 def assert_grid_matches_dense(xy, theta, ids, bounds, cell, power=2.0):
     grid = build_grid(xy, theta, bounds, IdwParams(power), cell_size_m=cell,
                       ids=ids)
-    qx, qy = np.meshgrid(*grid.cell_centers())
-    want = idw_dense_reference(
-        *_as_sample_arrays(xy, theta, ids), qx.ravel(), qy.ravel(),
-        power).reshape(grid.values.shape)
+    want = idw_dense_reference(*_as_sample_arrays(xy, theta, ids),
+                               *grid.cell_centers(), power)
     got = grid.values
     nodata = np.isnan(want)
     assert np.array_equal(np.isnan(got), nodata)
@@ -267,6 +267,81 @@ def test_tiled_kernel_matches_dense_kernel(case):
                                             bounds, cell)
     # the cutoff prunes, and the exact-hit rule is exercised
     assert nodata.any() and hit.any()
+
+
+# (width, height, cell, samples, theta range): a raster one cell wide and
+# one one cell tall; cells of 2**-6 m, so that a tile row of 640 cells
+# holds more than _CHUNK_CELLS pairs and is split across its columns; and
+# thetas beyond 1 in size, which the matrix product weighs scaled by a
+# power of two
+LATTICE_EDGE_CASES = [
+    (2.0, 300.0, 2.0, 40, (0.05, 0.45)),
+    (300.0, 2.0, 2.0, 40, (0.05, 0.45)),
+    (12.0, 0.25, 2.0**-6, 200, (0.05, 0.45)),
+    (80.0, 60.0, 0.5, 150, (-3.0, 5.0)),
+]
+
+
+@pytest.mark.parametrize("case", LATTICE_EDGE_CASES)
+def test_lattice_edges_match_dense_kernel(case):
+    width, height, cell, n, (lo, hi) = case
+    rng = np.random.default_rng(int(width + 1000 * height + n))
+    nx, ny = math.ceil(width / cell), math.ceil(height / cell)
+    gx, gy = (np.arange(nx) + 0.5) * cell, (np.arange(ny) + 0.5) * cell
+    k = n // 10
+    on_centres = np.column_stack([rng.choice(gx, k), rng.choice(gy, k)])
+    xy = np.vstack([np.column_stack([rng.uniform(0.0, width, n),
+                                     rng.uniform(0.0, height, n)]), on_centres])
+    # coincident pairs with their own theta, on cell centres and elsewhere
+    xy = np.vstack([xy, on_centres, xy[rng.choice(n, k, replace=False)]])
+    theta = rng.uniform(lo, hi, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+    _, hit = assert_grid_matches_dense(xy, theta, ids, (0.0, 0.0, width, height),
+                                       cell)
+    assert hit.any()
+    if cell < 0.1:
+        # every sample is near the first tile, whose rows are 640 cells long
+        assert (CUTOFF_RADIUS_M / cell) * len(xy) > _CHUNK_CELLS
+
+
+def test_idw_at_matches_dense_kernel_at_random_points():
+    rng = np.random.default_rng(505)
+    xy = rng.uniform(0.0, 40.0, (60, 2))
+    xy = np.vstack([xy, xy[:5]])  # coincident pairs
+    theta = rng.uniform(0.05, 0.45, len(xy))
+    ids = rng.permutation(len(xy)) + 1
+    points = np.vstack([rng.uniform(-15.0, 55.0, (300, 2)), xy[:10],
+                        xy[10:20] + rng.uniform(-1e-6, 1e-6, (10, 2))])
+    canonical = _as_sample_arrays(xy, theta, ids)
+    for x, y in points:
+        want = idw_dense_reference(*canonical, np.array([x]), np.array([y]))[0, 0]
+        got = idw_at(xy, theta, x, y, ids=ids)
+        if np.hypot(xy[:, 0] - x, xy[:, 1] - y).min() <= EXACT_RADIUS_M:
+            assert got == want
+        elif math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert abs(got - want) <= 1e-12
+
+
+def test_kernel_buffers_stay_within_the_chunk_bound():
+    # one tile of 640 x 32 cells against 300 samples is 6.1M pairs, 49 MB
+    # of float64 held at once; the kernel holds a few buffers of
+    # max(_CHUNK_CELLS, samples) pairs, plus two rasters: its output and
+    # the values of the nodes at finite coordinates
+    rng = np.random.default_rng(606)
+    n, cell = 300, 2.0**-6
+    xy, theta, rank = _as_sample_arrays(rng.uniform(0.0, 10.0, (n, 2)) * [1.0, 0.05],
+                                        rng.uniform(0.05, 0.45, n), None)
+    gx, gy = (np.arange(640) + 0.5) * cell, (np.arange(32) + 0.5) * cell
+    tracemalloc.start()
+    try:
+        out = _idw(xy, theta, rank, gx, gy, IdwParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not np.isnan(out).any()
+    assert peak - 2 * out.nbytes <= 6 * 8 * max(_CHUNK_CELLS, n)
 
 
 def test_grid_matches_naive_oracle_where_tiles_prune():
