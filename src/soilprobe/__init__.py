@@ -27,9 +27,8 @@ _EXPORTS = {
     "actuator": ("ActuatorConfig", "ActuatorState", "lower_to", "motion_duration"),
     "calib": ("DEFAULT_THRESHOLDS", "Validity", "ValidityThresholds", "classify",
               "raw_to_vwc", "vwc_to_raw"),
-    "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
-               "InfeasibleError", "LogFormatError", "RangeError",
-               "ScenarioError", "SensorFault", "ShapeError", "SilenceError",
+    "errors": ("ConfigError", "EmptyInputError", "FrameError", "LogFormatError",
+               "RangeError", "SensorFault", "ShapeError", "SilenceError",
                "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",

@@ -13,10 +13,10 @@ the code of its type (EXIT_CODES):
     LogFormatError       3  a malformed sample log
     EmptyInputError      4  no valid samples to map
     FrameError           5  a frame that does not decode, "at byte N"
-    other SoilProbeError 2  a refused scenario or flag, a log or output
-                            path that cannot be read or written
+    ConfigError          2  a refused scenario, layout or flag, a log or
+                            output path that cannot be read or written
 
-A flag's refusal names the flag and its value ("--seed -1: ...").  Any
+Any other SoilProbeError exits 2 too.  A flag's refusal names the flag and its value ("--seed -1: ...").  Any
 other exception is a defect and raises.  Diagnostics go to stderr; data
 goes to stdout only when its --out flag is omitted.
 """
@@ -24,7 +24,6 @@ goes to stdout only when its --out flag is omitted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import os
 import stat
@@ -35,7 +34,7 @@ from collections import Counter
 # loads only sdi12 and errors, and `validate` never loads numpy
 from . import sdi12
 from .errors import (ConfigError, EmptyInputError, FrameError, LogFormatError,
-                     SoilProbeError, require_seed)
+                     SoilProbeError, prefixed, require_seed)
 
 # the exit code of each refusal type, looked up along the raised type's MRO
 EXIT_CODES = {LogFormatError: 3, EmptyInputError: 4, FrameError: 5, SoilProbeError: 2}
@@ -99,19 +98,10 @@ def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-@contextlib.contextmanager
-def _flag(name: str, value):
-    """Name the flag and its value in a ConfigError raised inside."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{name} {value}: {exc}") from None
-
-
 def cmd_simulate(args):
     from . import mission, scenario
     if args.seed is not None:
-        with _flag("--seed", args.seed):
+        with prefixed(f"--seed {args.seed}"):
             require_seed(args.seed)
     scn = scenario.load_scenario(args.config, seed_override=args.seed)
     samples, summary = mission.run_mission(scn.mission)
@@ -155,7 +145,7 @@ def cmd_map(args):
     valid = mission.select_valid(samples)
     if not valid:
         raise EmptyInputError("no valid samples to interpolate")
-    with _flag("--power", args.power):
+    with prefixed(f"--power {args.power}"):
         params = geomap.IdwParams(power=args.power)
 
     xy = geomap.samples_to_local(valid)
@@ -164,7 +154,7 @@ def cmd_map(args):
     pad = args.cell_size
     bounds = (xy[:, 0].min() - pad, xy[:, 1].min() - pad,
               xy[:, 0].max() + pad, xy[:, 1].max() + pad)
-    with _flag("--cell-size", args.cell_size):
+    with prefixed(f"--cell-size {args.cell_size}"):
         grid = geomap.build_grid(xy, theta, bounds, params,
                                  cell_size_m=args.cell_size, ids=ids)
     _emit((geomap.export_points_geojson(samples), args.out_points),
@@ -182,8 +172,11 @@ def cmd_codec(args):
         print(_parse_any(frame))
     else:
         spec = args.encode if args.encode.endswith("!") else args.encode + "!"
-        wire = sdi12.encode_command(
-            sdi12.parse_command(spec.encode("ascii", errors="replace")))
+        try:
+            frame = os.fsencode(spec)  # the bytes the command line held
+        except UnicodeEncodeError as exc:  # a surrogate no command line holds
+            raise ConfigError(f"not encodable: {exc}") from None
+        wire = sdi12.encode_command(sdi12.parse_command(frame))
         print(f"{wire.hex()}  {wire.decode('ascii')}")
 
 

@@ -1,14 +1,17 @@
 """Exception types shared across the package, and the number checks of
 every config dataclass.  Every error raised on purpose is a
 ``SoilProbeError``, and the CLI turns only those into exit codes.  A
-refused configuration, SDI-12 field, argument or mission that cannot
-finish raises ``ConfigError``, which names its key.  What a sensor does
+refused scenario document, configuration, SDI-12 field, argument or
+flag, a mission that cannot finish and a point layout that cannot be
+placed all raise ``ConfigError``, which names its key; ``prefixed``
+names where it came from.  What a sensor does
 wrong on the wire is a ``SensorFault``: a frame that does not decode
 (``FrameError``), a reply with the wrong number of values
 (``ShapeError``), a reading outside its physical range (``RangeError``)
 or silence past the deadline (``SilenceError``).  The sampler catches
 that one type and records the fault on the attempt."""
 
+import contextlib
 import math
 
 
@@ -39,6 +42,15 @@ def require_seed(seed):
     """Raise ConfigError unless ``seed`` is a non-negative int (not a bool)."""
     if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
+
+
+@contextlib.contextmanager
+def prefixed(context: str):
+    """Re-raise a ConfigError raised inside as one that starts with ``context``."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 class SoilProbeError(Exception):
@@ -75,24 +87,14 @@ class SilenceError(SensorFault, TimeoutError):
 
 
 class ConfigError(SoilProbeError, ValueError):
-    """A configuration refused by name: a field, argument or flag out of
-    its domain, or a mission whose run cannot finish with finite numbers."""
-
-
-class InfeasibleError(SoilProbeError):
-    """The requested point layout cannot be satisfied."""
-
-
-class DegenerateError(SoilProbeError):
-    """Geometry input has no well-defined result."""
+    """A configuration refused by name: a scenario document that does not
+    decode, a field, argument or flag out of its domain, a mission whose
+    run cannot finish with finite numbers, or a layout that cannot be
+    placed."""
 
 
 class EmptyInputError(SoilProbeError):
     """An operation that needs at least one sample received none."""
-
-
-class ScenarioError(SoilProbeError):
-    """A scenario document is missing, malformed, or inconsistent."""
 
 
 class LogFormatError(SoilProbeError):

@@ -101,9 +101,13 @@ class MoistureGrid:
         return self.values.shape[0]
 
     def cell_centers(self) -> tuple[np.ndarray, np.ndarray]:
-        gx = self.origin_x + (np.arange(self.nx) + 0.5) * self.cell_size_m
-        gy = self.origin_y + (np.arange(self.ny) + 0.5) * self.cell_size_m
-        return gx, gy
+        return (_centres(self.origin_x, self.cell_size_m, self.nx),
+                _centres(self.origin_y, self.cell_size_m, self.ny))
+
+
+def _centres(origin: float, cell_size_m: float, n: int) -> np.ndarray:
+    """The ``n`` cell centres of a raster axis, origin + (i + 0.5) * cell."""
+    return origin + (np.arange(n) + 0.5) * cell_size_m
 
 
 def _as_sample_arrays(xy, theta, ids):
@@ -135,9 +139,9 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     """:func:`idw_at` at every node (gx[ix], gy[iy]) of a lattice, as a
     (gy.size, gx.size) array; exact-hit ties go to the lowest rank.
 
-    ``xy`` must be in canonical order, which sorts it by x first.  Rows
-    and columns at a non-finite coordinate stay NaN.  The others are
-    grouped into square tiles whose side is the cutoff radius.  Each
+    ``xy`` must be in canonical order, which sorts it by x first, and
+    both axes must be non-empty and finite.  The nodes are grouped into
+    square tiles whose side is the cutoff radius.  Each
     tile weighs only the samples inside its nodes' bounding box grown by
     that radius, which holds every sample the cutoff and exact tests can
     keep.
@@ -160,11 +164,6 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     summation order is the BLAS kernel's: the values differ from
     ``hypot(...) ** -power`` weights summed in order by a few ulps.
     """
-    out = np.full((gy.size, gx.size), np.nan)
-    ylive, xlive = np.flatnonzero(np.isfinite(gy)), np.flatnonzero(np.isfinite(gx))
-    if not (ylive.size and xlive.size):
-        return out
-    gx, gy = gx[xlive], gy[ylive]
     cutoff, exact = CUTOFF_RADIUS_M, EXACT_RADIUS_M
     col0, col1, x0, x1 = _tile_runs(gx)
     row0, row1, y0, y1 = _tile_runs(gy)
@@ -261,8 +260,7 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
                         tied = d == d.min(axis=1, keepdims=True)
                         block[hr[hit], hc[hit]] = theta[cand][
                             np.where(tied, rank[cand], rank.size).argmin(axis=1)]
-    out[np.ix_(ylive, xlive)] = vals
-    return out
+    return vals
 
 
 def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
@@ -273,10 +271,13 @@ def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
     then lowest id on ties), which also makes the surface exact at the
     sample locations.  Otherwise the samples inside ``CUTOFF_RADIUS_M``
     are combined with weights d**-power.  The point is a lattice of one
-    node.
+    node; a point at a non-finite coordinate is NaN.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
-    return float(_idw(xy, theta, rank, *np.array([[x], [y]], float), params)[0, 0])
+    query = np.array([[x], [y]], float)
+    if not np.isfinite(query).all():
+        return math.nan
+    return float(_idw(xy, theta, rank, *query, params)[0, 0])
 
 
 def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
@@ -286,8 +287,9 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
     ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
     cell goes through the same kernel as :func:`idw_at`, so values and
     exact-hit tie-breaks match it everywhere.  An extent that is not
-    finite, or a raster of more than ``MAX_GRID_CELLS`` cells, raises
-    ConfigError before anything is allocated.
+    finite, a raster of more than ``MAX_GRID_CELLS`` cells, or one whose
+    last cell centre leaves the floats, raises ConfigError before
+    anything is allocated.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
     if not (math.isfinite(cell_size_m) and cell_size_m > 0):
@@ -304,10 +306,14 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
     if nx * ny > MAX_GRID_CELLS:
         raise ConfigError(f"cell size {cell_size_m} m needs more than "
                           f"{MAX_GRID_CELLS} cells")
-
-    grid = MoistureGrid(xmin, ymin, cell_size_m, values=np.empty((ny, nx)))
-    grid.values[...] = _idw(xy, theta, rank, *grid.cell_centers(), params)
-    return grid
+    # the last centre as _centres computes it, in the same float operations
+    if not (math.isfinite(xmin + (nx - 0.5) * cell_size_m)
+            and math.isfinite(ymin + (ny - 0.5) * cell_size_m)):
+        raise ConfigError(f"cell centres of {cell_size_m} m cells over "
+                          f"{width} x {height} m leave the floats")
+    values = _idw(xy, theta, rank, _centres(xmin, cell_size_m, nx),
+                  _centres(ymin, cell_size_m, ny), params)
+    return MoistureGrid(xmin, ymin, cell_size_m, values)
 
 
 # -- Exports -----------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING
 
 from .actuator import ActuatorConfig, motion_duration
 from .calib import Validity, ValidityThresholds
-from .errors import (ConfigError, DegenerateError, InfeasibleError, LogFormatError,
-                     is_finite, require_positive, require_seed)
+from .errors import (ConfigError, LogFormatError, is_finite, require_positive,
+                     require_seed)
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import check_address
 
@@ -157,9 +157,9 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     cell; the results are those of comparing it with every accepted
     point.
     Deterministic under ``seed``, a non-negative int.  Raises
-    InfeasibleError once ``max_trials`` draws fail to place all points,
-    and ConfigError, before the first draw, for a count above both
-    ``max_trials`` and the most points that fit at that spacing.
+    ConfigError once ``max_trials`` draws fail to place all points, and
+    before the first draw for a count above both ``max_trials`` and the
+    most points that fit at that spacing.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
@@ -204,7 +204,7 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     trials = 0
     while len(accepted) < count:
         if trials >= max_trials:
-            raise InfeasibleError(
+            raise ConfigError(
                 f"placed {len(accepted)} of {count} points after {trials} "
                 f"draws; spacing {min_spacing_m} m does not fit "
                 f"{width} x {height} m")
@@ -271,16 +271,12 @@ def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:
         positions.append((result.attempts[-1].x, result.attempts[-1].y))
 
     valid = sum(1 for s in samples if s.status is Validity.VALID)
-    try:
-        area = convex_hull_area(positions)
-    except DegenerateError:
-        area = 0.0
     summary = MissionSummary(
         points_total=len(samples),
         points_valid=valid,
         points_invalid=len(samples) - valid,
         duration_s=clock.now,
-        area_convex_hull_m2=area,
+        area_convex_hull_m2=convex_hull_area(positions),
     )
     return samples, summary
 
@@ -296,12 +292,10 @@ def select_valid(samples: list[SoilSample]) -> list[SoilSample]:
 def convex_hull(points) -> list[tuple[float, float]]:
     """Convex hull vertices in counter-clockwise order.
 
-    Raises DegenerateError for fewer than 3 distinct points or a fully
-    collinear set.
+    Fewer than 3 distinct points, or a collinear set, leave at most the
+    two extreme points, and no vertex for a single point.
     """
     pts = sorted({(float(x), float(y)) for x, y in points})
-    if len(pts) < 3:
-        raise DegenerateError(f"need >= 3 distinct points, got {len(pts)}")
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -316,14 +310,12 @@ def convex_hull(points) -> list[tuple[float, float]]:
         while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateError("points are collinear")
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def convex_hull_area(points) -> float:
-    """Area of the convex hull of 2-D points, in square metres."""
+    """Area of the convex hull of 2-D points, in square metres: 0.0 when
+    the hull has fewer than 3 vertices, whose two shoelace terms cancel."""
     hull = convex_hull(points)
     acc = 0.0
     for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):

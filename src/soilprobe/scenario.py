@@ -6,8 +6,9 @@ generator block), the sampler, actuator and validity thresholds.
 Unknown keys are rejected so typos fail loudly; mapping parameters are
 not part of a scenario, since ``map`` reads only the log and its flags.
 This module only decodes: each dataclass checks its own values, and
-MissionConfig decides which runs can finish; their refusals come out
-as ScenarioError prefixed with the block they were built from.
+MissionConfig decides which runs can finish.  Every refusal is a
+ConfigError; one raised while building a block is prefixed with that
+block's name.
 
 ``load_scenario`` accepts a filesystem path or the name of a scenario
 bundled with the package (see :func:`bundled_scenarios`); the bundled
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
-from .errors import ConfigError, ScenarioError, SoilProbeError, is_finite
+from .errors import ConfigError, is_finite, prefixed
 from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
@@ -45,24 +46,24 @@ def bundled_scenarios() -> list[str]:
 
 
 def _expect(value, kind: type, context: str):
-    """``value`` itself when it is a ``kind`` (dict or list), else ScenarioError."""
+    """``value`` itself when it is a ``kind`` (dict or list), else ConfigError."""
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
-        raise ScenarioError(f"{context}: expected {expected}, got {type(value).__name__}")
+        raise ConfigError(f"{context}: expected {expected}, got {type(value).__name__}")
     return value
 
 
 def _keys(doc, context: str, required, optional=()):
-    """Raise ScenarioError unless ``doc`` is an object with every key of
+    """Raise ConfigError unless ``doc`` is an object with every key of
     ``required`` and no key outside ``required`` and ``optional``."""
     _expect(doc, dict, context)
     missing = [key for key in required if key not in doc]
     if len(doc) > len(required) - len(missing):  # a key beyond ``required``
         unknown = set(doc).difference(required, optional)
         if unknown:
-            raise ScenarioError(f"{context}: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     if missing:
-        raise ScenarioError(f"{context}: missing required keys {missing}")
+        raise ConfigError(f"{context}: missing required keys {missing}")
 
 
 @cache
@@ -76,10 +77,8 @@ def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
 def _build(cls, doc: dict, context: str, **extra):
     """``cls(**doc, **extra)``; ``doc`` gives the fields ``extra`` does not."""
     _keys(doc, context, *_doc_keys(cls, *extra))
-    try:
+    with prefixed(context):
         return cls(**doc, **extra)
-    except ConfigError as exc:
-        raise ScenarioError(f"{context}: {exc}") from None
 
 
 def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
@@ -95,15 +94,13 @@ def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
 
 def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
     if (explicit is None) == (generate is None):
-        raise ScenarioError("mission: give exactly one of 'waypoints' or 'generate'")
+        raise ConfigError("mission: give exactly one of 'waypoints' or 'generate'")
     if generate is not None:
         _keys(generate, "mission.generate", ("count", "min_spacing_m", "seed"))
-        try:
+        with prefixed("mission.generate"):
             return tuple(generate_waypoints(field, generate["count"],
                                             generate["min_spacing_m"],
                                             generate["seed"]))
-        except SoilProbeError as exc:  # a refused argument or an infeasible layout
-            raise ScenarioError(f"mission.generate: {exc}") from None
     points = []
     for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
         shape = entry.keys() if isinstance(entry, dict) else None
@@ -113,9 +110,9 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
         context = f"mission.waypoints[{i}]"
         if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
             _keys(entry, context, ("id",), ("x", "y", "lat", "lon"))
-            raise ScenarioError(f"{context}: need exactly one of x/y or lat/lon")
+            raise ConfigError(f"{context}: need exactly one of x/y or lat/lon")
         if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
-            raise ScenarioError(f"{context}: lat and lon must be finite")
+            raise ConfigError(f"{context}: lat and lon must be finite")
         lat, lon = float(entry["lat"]), float(entry["lon"])  # no int difference overflows
         points.append(Waypoint(entry["id"], *wgs84_to_local_at(
             field.origin_lat, field.origin_lon, lat, lon)))
@@ -135,12 +132,12 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            raise ScenarioError(f"cannot read {path}: {exc}") from None
+            raise ConfigError(f"cannot read {path}: {exc}") from None
     else:
         name = str(ref)
         resource = resources.files("soilprobe") / "scenarios" / f"{name}.json"
         if not resource.is_file():
-            raise ScenarioError(
+            raise ConfigError(
                 f"{ref!r} is neither a file nor a bundled scenario "
                 f"(bundled: {', '.join(bundled_scenarios())})")
         text = resource.read_text(encoding="utf-8")
@@ -149,9 +146,9 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         # a JSONDecodeError, or an int of more digits than int() converts
         doc = json.loads(text)
     except ValueError as exc:
-        raise ScenarioError(f"{name}: invalid JSON: {exc}") from None
+        raise ConfigError(f"{name}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise ScenarioError(f"{name}: invalid JSON: nested too deeply") from None
+        raise ConfigError(f"{name}: invalid JSON: nested too deeply") from None
     _keys(doc, name, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
 
     field = _field_spec(doc["field"], seed_override)

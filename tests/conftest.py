@@ -18,7 +18,7 @@ import pytest
 
 from soilprobe import cli, fieldsim, geomap, scenario, sdi12
 from soilprobe.actuator import ActuatorConfig, motion_duration
-from soilprobe.errors import FrameError, InfeasibleError
+from soilprobe.errors import ConfigError, FrameError
 from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
                                 STALL_DEPTH_M, THETA_TRUE_MAX, FieldSpec,
                                 VirtualTeros, sense_raw, sense_raw_air)
@@ -106,7 +106,8 @@ def generate_waypoints_reference(field, count, min_spacing_m, seed,
     accepted point, and each tour step scans every remaining point.
 
     ``mission.generate_waypoints`` must return the same waypoints and
-    raise the same InfeasibleError message (argument checks aside).
+    raise the same infeasible-layout ConfigError message (argument checks
+    aside).
     """
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
@@ -114,7 +115,7 @@ def generate_waypoints_reference(field, count, min_spacing_m, seed,
     trials = 0
     while len(accepted) < count:
         if trials >= max_trials:
-            raise InfeasibleError(
+            raise ConfigError(
                 f"placed {len(accepted)} of {count} points after {trials} "
                 f"draws; spacing {min_spacing_m} m does not fit "
                 f"{field.width_m} x {field.height_m} m")

@@ -14,8 +14,8 @@ import pytest
 
 from soilprobe import cli, geomap, mission, scenario
 from soilprobe.calib import Validity
-from soilprobe.errors import (ConfigError, EmptyInputError, FrameError, InfeasibleError,
-                              LogFormatError, ScenarioError)
+from soilprobe.errors import (ConfigError, EmptyInputError, FrameError, LogFormatError,
+                              SilenceError)
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, dump_sample_log,
                                generate_waypoints, read_sample_log,
@@ -554,6 +554,10 @@ LOG_FUZZ_VALUES = (*FUZZ_VALUES, 91.0, -90.5, 180.5, -500.0, 90, -180,
                    *(status.value for status in Validity))
 DROP = object()  # the mutation that removes the field
 FRAME_BYTES = b"0aZ?!MDI+-.5\r\n\xff "
+# what a codec --encode spec is drawn from: ASCII, SDI-12's letters and
+# digits, non-ASCII, and the lone surrogates that stand in a POSIX argv
+# for bytes that do not decode
+SPEC_CHARS = "0019aZMDI?!!+ é€\udc80\udcff"
 
 
 def _log_fuzz_cases(records):
@@ -576,6 +580,12 @@ def _fuzzed_log(records, i, name, value) -> str:
 def _fuzz_frames(rng, n):
     """``n`` frames of 0 to 13 bytes, drawn mostly from SDI-12's alphabet."""
     return [bytes(rng.choice(FRAME_BYTES) for _ in range(rng.randrange(14)))
+            for _ in range(n)]
+
+
+def _fuzz_specs(rng, n):
+    """``n`` codec --encode specs of 0 to 6 characters."""
+    return ["".join(rng.choice(SPEC_CHARS) for _ in range(rng.randrange(7)))
             for _ in range(n)]
 
 
@@ -633,7 +643,27 @@ def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, caps
             failures.append((frame, code, captured))
         elif code == 5 and not re.search(r" at byte \d+$", lines[0]):
             failures.append((frame, code, "names no byte"))
+    # 300 seeded specs through codec --encode: each is sent as its own
+    # bytes, so an encoded frame is those bytes and a refusal names one
+    encoded = 0
+    for spec in _fuzz_specs(random.Random(31), 300):
+        capsys.readouterr()
+        code = cli.main(["codec", f"--encode={spec}"])
+        captured = capsys.readouterr()
+        lines = (captured.err if code else captured.out).splitlines()
+        sent = os.fsencode(spec if spec.endswith("!") else spec + "!")
+        named = re.search(r"unexpected (b'.*') at byte (\d+)$", captured.err)
+        if code not in (0, 5) or len(lines) != 1 or (captured.out and captured.err):
+            failures.append((spec, code, captured))
+        elif code == 5 and not re.search(r" at byte \d+$", lines[0]):
+            failures.append((spec, code, "names no byte"))
+        elif named and named[1] != repr(sent[int(named[2]):][:1]):
+            failures.append((spec, code, "names a byte not sent"))
+        elif code == 0 and bytes.fromhex(lines[0].split()[0]) != sent:
+            failures.append((spec, code, "encodes other bytes"))
+        encoded += code == 0
     assert failures == []
+    assert encoded > 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -904,6 +934,25 @@ def test_codec_names_the_parser_that_got_furthest(capsys):
     assert capsys.readouterr().err == "codec: data frame: unexpected b'.' at byte 3\n"
 
 
+@pytest.mark.parametrize("spec,at", [("é", 0), ("0é", 1), ("\udcff", 0)],
+                         ids=["non-ascii", "non-ascii-after-address", "undecoded-argv-byte"])
+def test_codec_encode_refuses_the_bytes_it_was_given(capsys, spec, at):
+    # each character was once replaced by "?": "é" encoded the address
+    # query, and "0é" was refused at a byte never typed; an argv byte that
+    # does not decode arrives as a lone surrogate, and is sent as that byte
+    assert cli.main(["codec", "--encode", spec]) == 5
+    byte = os.fsencode(spec)[at:at + 1]
+    assert capsys.readouterr() == (
+        "", f"codec: command frame: unexpected {byte!r} at byte {at}\n")
+
+
+def test_codec_encode_spec_without_bytes_exits_2(capsys):
+    # a surrogate outside U+DC80..U+DCFF stands for no byte a command line
+    # holds: main, called in process, refuses it as a flag value
+    assert cli.main(["codec", "--encode", "0\ud800"]) == 2
+    assert one_line_error(capsys, "codec: not encodable: ")
+
+
 def test_codec_bad_hex_exits_2(capsys):
     assert cli.main(["codec", "--parse", "zz"]) == 2
     assert "hex" in capsys.readouterr().err
@@ -911,8 +960,8 @@ def test_codec_bad_hex_exits_2(capsys):
 
 def test_main_gives_each_refusal_type_its_exit_code(capsys, monkeypatch):
     # commands raise; main alone writes the one stderr line and picks the code
-    for error, code in ((ConfigError("refused"), 2), (ScenarioError("refused"), 2),
-                        (InfeasibleError("refused"), 2), (LogFormatError("refused", 1), 3),
+    for error, code in ((ConfigError("refused"), 2), (SilenceError("refused"), 2),
+                        (LogFormatError("refused", 1), 3),
                         (EmptyInputError("refused"), 4),
                         (FrameError("refused", position=3), 5)):
         def refuse(args, error=error):

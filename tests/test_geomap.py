@@ -327,8 +327,7 @@ def test_idw_at_matches_dense_kernel_at_random_points():
 def test_kernel_buffers_stay_within_the_chunk_bound():
     # one tile of 640 x 32 cells against 300 samples is 6.1M pairs, 49 MB
     # of float64 held at once; the kernel holds a few buffers of
-    # max(_CHUNK_CELLS, samples) pairs, plus two rasters: its output and
-    # the values of the nodes at finite coordinates
+    # max(_CHUNK_CELLS, samples) pairs, plus one raster, its output
     rng = np.random.default_rng(606)
     n, cell = 300, 2.0**-6
     xy, theta, rank = _as_sample_arrays(rng.uniform(0.0, 10.0, (n, 2)) * [1.0, 0.05],
@@ -341,7 +340,23 @@ def test_kernel_buffers_stay_within_the_chunk_bound():
     finally:
         tracemalloc.stop()
     assert not np.isnan(out).any()
-    assert peak - 2 * out.nbytes <= 6 * 8 * max(_CHUNK_CELLS, n)
+    assert peak - out.nbytes <= 6 * 8 * max(_CHUNK_CELLS, n)
+
+
+def test_build_grid_holds_one_raster():
+    # the grid wraps the kernel's own array: one raster of 800 x 800 cells,
+    # 5.1 MB, beside the kernel's chunk buffers, and no copy of it
+    rng = np.random.default_rng(607)
+    n = 12
+    xy, theta = rng.uniform(0.0, 40.0, (n, 2)), rng.uniform(0.05, 0.45, n)
+    tracemalloc.start()
+    try:
+        grid = build_grid(xy, theta, (0.0, 0.0, 40.0, 40.0), cell_size_m=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.values.shape == (800, 800)
+    assert peak - grid.values.nbytes <= 6 * 8 * max(_CHUNK_CELLS, n)
 
 
 def test_grid_matches_naive_oracle_where_tiles_prune():
@@ -515,6 +530,19 @@ def test_raster_size_cap_rejects_before_allocating():
         build_grid([(0, 0)], [0.1], (0, 0, math.inf, 1.0), cell_size_m=1.0)
     with pytest.raises(ValueError, match=r"^raster extent inf x inf m is not finite$"):
         build_grid([(0, 0)], [0.1], (-1e308, -1e308, 1e308, 1e308))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cell_centres_beyond_the_floats_are_refused():
+    # a finite extent whose last cell centre overflows: once NaN cells and
+    # an overflow warning, now refused before the kernel sees an infinite axis
+    with pytest.raises(ConfigError, match=r"^cell centres of 1e\+308 m cells over "):
+        build_grid([(0, 0)], [0.1], (1.7e308, 0.0, 1.75e308, 1.0), cell_size_m=1e308)
+    with pytest.raises(ConfigError, match="leave the floats$"):
+        build_grid([(0, 0)], [0.1], (0.0, -0.9e308, 1.0, 0.85e308), cell_size_m=0.8e308)
+    # centres just inside the floats still map
+    grid = build_grid([(0, 0)], [0.1], (-0.9e308, 0.0, 0.85e308, 1.0), cell_size_m=0.9e308)
+    assert grid.values.shape == (1, 2) and np.isnan(grid.values).all()
 
 
 # -- exports ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
-from soilprobe.errors import ConfigError, DegenerateError, InfeasibleError, LogFormatError
+from soilprobe.errors import ConfigError, LogFormatError
 from soilprobe import mission
 from soilprobe.fieldsim import EARTH_RADIUS_M, Disk
 from soilprobe.geomap import IdwParams
@@ -49,7 +49,7 @@ def test_generate_waypoints_single_point():
 
 def test_generate_waypoints_infeasible():
     field = make_field(width=2.0, height=2.0)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(ConfigError):
         generate_waypoints(field, 1000, 1.0, seed=3)
 
 
@@ -108,9 +108,9 @@ INFEASIBLE_SWEEP = [
 def test_generate_waypoints_infeasible_matches_reference(width, height, count,
                                                          spacing, seed, max_trials):
     field = make_field(width=width, height=height)
-    with pytest.raises(InfeasibleError) as expected:
+    with pytest.raises(ConfigError) as expected:
         generate_waypoints_reference(field, count, spacing, seed, max_trials)
-    with pytest.raises(InfeasibleError) as got:
+    with pytest.raises(ConfigError) as got:
         generate_waypoints(field, count, spacing, seed, max_trials)
     assert str(got.value) == str(expected.value)
 
@@ -178,12 +178,15 @@ def test_hull_area_unit_square():
 
 
 def test_hull_degenerate_inputs():
-    with pytest.raises(DegenerateError):
-        convex_hull_area([(0, 0), (1, 1)])
-    with pytest.raises(DegenerateError):
-        convex_hull_area([(0, 0), (1, 1), (2, 2), (3, 3)])
-    with pytest.raises(DegenerateError):
-        convex_hull_area([(1, 1), (1, 1), (1, 1)])
+    # the monotone chain leaves the extreme points of a line, and no
+    # vertex for a single point; the shoelace terms of two points cancel
+    assert convex_hull([(0, 0), (1, 1)]) == [(0.0, 0.0), (1.0, 1.0)]
+    assert convex_hull_area([(0, 0), (1, 1)]) == 0.0
+    assert convex_hull([(0, 0), (1, 1), (2, 2), (3, 3)]) == [(0.0, 0.0), (3.0, 3.0)]
+    assert convex_hull_area([(0, 0), (1, 1), (2, 2), (3, 3)]) == 0.0
+    assert convex_hull([(1, 1), (1, 1), (1, 1)]) == []
+    assert convex_hull_area([(1, 1), (1, 1), (1, 1)]) == 0.0
+    assert convex_hull_area([]) == 0.0
 
 
 def test_hull_matches_brute_force_oracle():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from soilprobe import scenario
-from soilprobe.errors import InfeasibleError, ScenarioError
+from soilprobe.errors import ConfigError
 from soilprobe.mission import generate_waypoints
 from soilprobe.scenario import bundled_scenarios, load_scenario
 
@@ -63,7 +63,7 @@ def test_seed_override_touches_only_the_field(tmp_path):
     assert bumped.mission.field.seed == 99
     assert base.mission.field.seed == 5
     assert bumped.mission.waypoints == base.mission.waypoints
-    with pytest.raises(ScenarioError, match="seed"):
+    with pytest.raises(ConfigError, match="seed"):
         load_scenario(path, seed_override=-1)
 
 
@@ -202,19 +202,19 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
 def test_bad_documents_raise_scenario_error(tmp_path, mutate, needle):
     doc = minimal_doc()
     mutate(doc)
-    with pytest.raises(ScenarioError, match=needle):
+    with pytest.raises(ConfigError, match=needle):
         load_scenario(write_doc(tmp_path, doc))
 
 
 def test_an_infeasible_layout_names_the_generate_block(tmp_path, monkeypatch):
-    # the InfeasibleError once left load_scenario as it was, naming no key;
+    # an infeasible layout once left load_scenario as it was, naming no key;
     # 20 draws reach the same refusal as 100,000
     generate = scenario.generate_waypoints
     monkeypatch.setattr(scenario, "generate_waypoints",
                         lambda *args: generate(*args, max_trials=20))
     doc = minimal_doc()
     doc["mission"] = {"generate": {"count": 2, "min_spacing_m": 100.0, "seed": 1}}
-    with pytest.raises(ScenarioError, match=r"^mission\.generate: placed 1 of 2 "
+    with pytest.raises(ConfigError, match=r"^mission\.generate: placed 1 of 2 "
                        r"points after 20 draws; spacing 100\.0 m does not fit"):
         load_scenario(write_doc(tmp_path, doc))
 
@@ -222,24 +222,24 @@ def test_an_infeasible_layout_names_the_generate_block(tmp_path, monkeypatch):
 def test_generate_block_key_errors(tmp_path):
     doc = minimal_doc()
     doc["mission"] = {"generate": {"count": 3, "seed": 1}}
-    with pytest.raises(ScenarioError, match="min_spacing_m"):
+    with pytest.raises(ConfigError, match="min_spacing_m"):
         load_scenario(write_doc(tmp_path, doc))
     doc["mission"] = {"generate": {"count": 3, "min_spacing_m": 1.0, "seed": 1,
                                    "shape": "ring"}}
-    with pytest.raises(ScenarioError, match="unknown"):
+    with pytest.raises(ConfigError, match="unknown"):
         load_scenario(write_doc(tmp_path, doc))
 
 
 def test_unreadable_references(tmp_path):
-    with pytest.raises(ScenarioError, match="bundled"):
+    with pytest.raises(ConfigError, match="bundled"):
         load_scenario("no_such_scenario")
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    with pytest.raises(ScenarioError, match="JSON"):
+    with pytest.raises(ConfigError, match="JSON"):
         load_scenario(bad)
     top_list = tmp_path / "list.json"
     top_list.write_text("[1, 2]")
-    with pytest.raises(ScenarioError, match="object"):
+    with pytest.raises(ConfigError, match="object"):
         load_scenario(top_list)
 
 
@@ -249,7 +249,7 @@ def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
     path = tmp_path / "digits.json"
     path.write_text(json.dumps(minimal_doc()).replace('"seed": 5',
                                                       '"seed": ' + "1" * 5000))
-    with pytest.raises(ScenarioError, match=r"^digits: invalid JSON: .*4300 digits"):
+    with pytest.raises(ConfigError, match=r"^digits: invalid JSON: .*4300 digits"):
         load_scenario(path)
 
 
@@ -265,7 +265,7 @@ def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch
         raise AssertionError("a generator was created")
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", no_draws)
-        with pytest.raises(ScenarioError) as info:
+        with pytest.raises(ConfigError) as info:
             load_scenario(path)
     assert str(info.value) == (
         f"mission.generate: count {10 ** 30} exceeds both the 100000 draws "
@@ -273,13 +273,13 @@ def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch
     # a spacing whose square is 0 has no bound, and spends its draws
     field = load_scenario("paper_field").mission.field
     for spacing in (0.0, 5e-324):
-        with pytest.raises(InfeasibleError, match=r"^placed 50 of 10{30} points after 50 draws"):
+        with pytest.raises(ConfigError, match=r"^placed 50 of 10{30} points after 50 draws"):
             generate_waypoints(field, 10 ** 30, spacing, 1, max_trials=50)
 
 
 FLOATS = ("a", [1], {}, None, 10 ** 400)
 # an int key takes an int of any size: 10 ** 400 is a valid seed, and a
-# count that cannot be placed (InfeasibleError), not a mistyped one
+# count that cannot be placed, not a mistyped one
 INTS = FLOATS[:-1]
 
 
@@ -325,7 +325,7 @@ def test_a_non_number_is_refused_by_its_key(tmp_path, path, values, line):
     for value in values:
         doc = scenario_doc(generate="generate" in keys)
         _set(keys, value)(doc)
-        with pytest.raises(ScenarioError) as exc:
+        with pytest.raises(ConfigError) as exc:
             load_scenario(write_doc(tmp_path, doc))
         assert str(exc.value) == line, value
 

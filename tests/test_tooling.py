@@ -140,6 +140,31 @@ def test_sensor_faults_are_caught_as_one_type():
             if isinstance(node, ast.ExceptHandler)] == [{"SensorFault"}]
 
 
+def test_every_error_type_is_raised_or_a_base_of_one_that_is():
+    # a type nothing raises is a refusal the package only pretends to
+    # have; and only errors.prefixed catches a ConfigError to reword it
+    defined = {node.name for node in ast.parse(
+        (ROOT / "src" / "soilprobe" / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)}
+    raised, rewording = set(), []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised |= _names(exc) & defined
+                elif (isinstance(node, ast.ExceptHandler) and node.type is not None
+                        and "ConfigError" in _names(node.type)):
+                    rewording.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    dead = {name for name in defined
+            if not any(issubclass(getattr(errors, r), getattr(errors, name))
+                       for r in raised)}
+    assert dead == set()
+    assert sorted(soilprobe._EXPORTS["errors"]) == sorted(defined)
+    assert rewording == ["errors.prefixed"]
+
+
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
     # ties the benchmark's generated layout, pinned by its golden hashes,
     # to the reference generator
@@ -214,9 +239,8 @@ EXPORTS = {
     "actuator": ("ActuatorConfig", "ActuatorState", "lower_to", "motion_duration"),
     "calib": ("DEFAULT_THRESHOLDS", "Validity", "ValidityThresholds", "classify",
               "raw_to_vwc", "vwc_to_raw"),
-    "errors": ("ConfigError", "DegenerateError", "EmptyInputError", "FrameError",
-               "InfeasibleError", "LogFormatError", "RangeError",
-               "ScenarioError", "SensorFault", "ShapeError", "SilenceError",
+    "errors": ("ConfigError", "EmptyInputError", "FrameError", "LogFormatError",
+               "RangeError", "SensorFault", "ShapeError", "SilenceError",
                "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
@@ -237,7 +261,7 @@ EXPORTS = {
 
 def test_every_export_is_its_home_modules_object():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 67
+    assert len(names) == len(set(names)) == 64
     assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
     listed = dir(soilprobe)
     star: dict = {}
