@@ -32,7 +32,7 @@ _EXPORTS = {
                "SoilProbeError"),
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
-                 "sense_raw", "sense_raw_air", "theta_true", "wgs84_to_local_at"),
+                 "sense_raw", "theta_true", "wgs84_to_local_at"),
     "geomap": ("IdwParams", "MoistureGrid", "build_grid", "export_grid_ascii",
                "export_points_geojson", "idw_at"),
     "mission": ("MissionConfig", "MissionSummary", "Waypoint", "convex_hull_area",

@@ -16,9 +16,10 @@ the code of its type (EXIT_CODES):
     ConfigError          2  a refused scenario, layout or flag, a log or
                             output path that cannot be read or written
 
-Any other SoilProbeError exits 2 too.  A flag's refusal names the flag and its value ("--seed -1: ...").  Any
-other exception is a defect and raises.  Diagnostics go to stderr; data
-goes to stdout only when its --out flag is omitted.
+Any other SoilProbeError exits 2 too.  A flag's refusal names the flag
+and its value ("--seed -1: ...").  Any other exception is a defect and
+raises.  Diagnostics go to stderr; data goes to stdout only when its
+--out flag is omitted.
 """
 
 from __future__ import annotations

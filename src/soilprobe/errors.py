@@ -1,15 +1,17 @@
 """Exception types shared across the package, and the number checks of
-every config dataclass.  Every error raised on purpose is a
-``SoilProbeError``, and the CLI turns only those into exit codes.  A
-refused scenario document, configuration, SDI-12 field, argument or
-flag, a mission that cannot finish and a point layout that cannot be
-placed all raise ``ConfigError``, which names its key; ``prefixed``
-names where it came from.  What a sensor does
-wrong on the wire is a ``SensorFault``: a frame that does not decode
-(``FrameError``), a reply with the wrong number of values
-(``ShapeError``), a reading outside its physical range (``RangeError``)
-or silence past the deadline (``SilenceError``).  The sampler catches
-that one type and records the fault on the attempt."""
+every config dataclass.
+
+Every error raised on purpose is a ``SoilProbeError``, and the CLI
+turns only those into exit codes.  A refused scenario document,
+configuration, SDI-12 field, argument or flag, a mission that cannot
+finish and a point layout that cannot be placed all raise
+``ConfigError``, which names its key; ``prefixed`` names where it came
+from.  What a sensor does wrong on the wire is a ``SensorFault``: a
+frame that does not decode (``FrameError``), a reply with the wrong
+number of values (``ShapeError``), a reading outside its physical range
+(``RangeError``) or silence past the deadline (``SilenceError``).  The
+sampler catches that one type and records the fault on the attempt.
+"""
 
 import contextlib
 import math

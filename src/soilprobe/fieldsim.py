@@ -245,26 +245,18 @@ def obstruction_at(spec: FieldSpec, x: float, y: float) -> float | None:
     return None
 
 
-def sense_raw(spec: FieldSpec, x: float, y: float, rng: np.random.Generator) -> float:
-    """RAW counts for a fully inserted probe at (x, y).
+def sense_raw(spec: FieldSpec, x: float, y: float, rng: np.random.Generator,
+              in_soil: bool = True) -> float:
+    """RAW counts for the probe at (x, y), fully inserted or, when not
+    ``in_soil``, left in air.
 
-    Inverse of the linear calibration, plus Normal(0, noise_sigma_raw)
-    noise when configured; clamped at 0.  Zero-noise fields consume no
-    random draws, so the recovery is exact.
+    In soil, the inverse of the linear calibration of the ground truth;
+    in air, AIR_RAW_MEAN, far below the theta=0 crossover near RAW 1793,
+    so default thresholds always flag it.  Either gets Normal(0,
+    noise_sigma_raw) noise when configured, and is clamped at 0.
+    Zero-noise fields consume no random draws, so the recovery is exact.
     """
-    raw = calib.vwc_to_raw(theta_true(spec, x, y))
-    if spec.noise_sigma_raw > 0:
-        raw += rng.normal(0.0, spec.noise_sigma_raw)
-    return max(raw, 0.0)
-
-
-def sense_raw_air(spec: FieldSpec, rng: np.random.Generator) -> float:
-    """RAW counts for a probe that failed to enter the soil.
-
-    Normal(AIR_RAW_MEAN, noise_sigma_raw) clamped at 0 -- far below the
-    theta=0 crossover near RAW 1793, so default thresholds always flag it.
-    """
-    raw = AIR_RAW_MEAN
+    raw = calib.vwc_to_raw(theta_true(spec, x, y)) if in_soil else AIR_RAW_MEAN
     if spec.noise_sigma_raw > 0:
         raw += rng.normal(0.0, spec.noise_sigma_raw)
     return max(raw, 0.0)
@@ -312,11 +304,13 @@ class SimClock:
 class VirtualTeros:
     """SDI-12 endpoint backed by the synthetic field.
 
-    When built, the sensor tables the 14 frames it answers, each
-    encoded by :func:`sdi12.encode_command`, against their commands:
-    ``?!`` and, for its own address ``a``, ``a!``, ``aI!``, ``aM!`` and
-    ``aD0!`` to ``aD9!``.  A bad address raises ConfigError then.  Every
-    other frame, garbage or another sensor's, gets silence.
+    When built, the sensor tables the reply to each of the frames it
+    answers, each frame encoded by :func:`sdi12.encode_command`: ``?!``
+    and, for its own address ``a``, ``a!``, ``aI!`` and ``aD0!`` to
+    ``aD9!``, the last ten with an empty data frame.  A bad address
+    raises ConfigError then.  Two frames carry state: ``aM!`` takes a
+    reading and stages it, and the next ``aD0!`` returns and clears it.
+    Every other frame, garbage or another sensor's, gets silence.
 
     The sampler positions the probe before each measurement via
     :meth:`place`; a probe that is not in soil returns air readings.
@@ -328,12 +322,19 @@ class VirtualTeros:
 
     def __init__(self, spec: FieldSpec, rng: np.random.Generator,
                  address: str = "0"):
-        Verb = sdi12.Verb
-        commands = [sdi12.Command(Verb.ADDRESS_QUERY)]
-        commands += [sdi12.Command(verb, address) for verb in
-                     (Verb.ACKNOWLEDGE, Verb.IDENTIFY, Verb.START_MEASUREMENT)]
-        commands += [sdi12.Command(Verb.SEND_DATA, address, index=i) for i in range(10)]
-        self._commands = {sdi12.encode_command(cmd): cmd for cmd in commands}
+        Verb, Command = sdi12.Verb, sdi12.Command
+        query, acknowledge, identify, self._measure, *data = [
+            sdi12.encode_command(cmd) for cmd in (
+                Command(Verb.ADDRESS_QUERY), Command(Verb.ACKNOWLEDGE, address),
+                Command(Verb.IDENTIFY, address),
+                Command(Verb.START_MEASUREMENT, address),
+                *(Command(Verb.SEND_DATA, address, index=i) for i in range(10)))]
+        self._data0 = data[0]
+        self._replies = dict.fromkeys(
+            data, sdi12.encode_data_response(sdi12.DataResponse(address, ())))
+        self._replies[query] = self._replies[acknowledge] = (
+            f"{address}\r\n".encode("ascii"))
+        self._replies[identify] = f"{address}13SIMSOIL TER12 001\r\n".encode("ascii")
         # the reply to aM!: RAW, temperature and EC after MEASURE_DELAY_S
         self._measure_ack = sdi12.encode_measure_ack(
             sdi12.MeasureAck(address, MEASURE_DELAY_S, 3))
@@ -355,22 +356,13 @@ class VirtualTeros:
         """Answer one command frame; None models bus silence."""
         frame = sdi12.frame_bytes(frame)
         self.trace.append(frame)
-        cmd = self._commands.get(frame)
-        if cmd is None:
-            return None  # garbage, or not our address: a real sensor stays quiet
-        if cmd.verb in (sdi12.Verb.ADDRESS_QUERY, sdi12.Verb.ACKNOWLEDGE):
-            return f"{self.address}\r\n".encode("ascii")
-        if cmd.verb is sdi12.Verb.IDENTIFY:
-            return f"{self.address}13SIMSOIL TER12 001\r\n".encode("ascii")
-        if cmd.verb is sdi12.Verb.START_MEASUREMENT:
-            if self._in_soil:
-                raw = sense_raw(self.spec, self._x, self._y, self.rng)
-            else:
-                raw = sense_raw_air(self.spec, self.rng)
+        if frame == self._measure:
+            raw = sense_raw(self.spec, self._x, self._y, self.rng, self._in_soil)
             self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
             return self._measure_ack
-        # SEND_DATA: only index 0 carries values, and only once per M
-        if cmd.index != 0 or self._staged is None:
-            return sdi12.encode_data_response(sdi12.DataResponse(self.address, ()))
-        values, self._staged = self._staged, None
-        return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
+        if frame == self._data0 and self._staged is not None:
+            values, self._staged = self._staged, None
+            return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
+        # a frame not in the table, garbage or another sensor's, gets
+        # None: a real sensor stays quiet
+        return self._replies.get(frame)

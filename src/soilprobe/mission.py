@@ -49,15 +49,15 @@ class MissionConfig:
     """A mission, refused with a ConfigError naming the attribute at fault
     unless its run can finish with finite numbers.
 
-    After each attribute's own checks, the run's bounds: each leg of
-    travel is at most the field's diagonal, and each attempt at most one
-    lowering, one settle and one retract (the virtual sensor answers at
-    once); the factor 2 covers the rounding of the clock's running sum.
-    Every attempt lies within the reposition offset of the field, and its
-    latitude, longitude and the hull's cross products must stay finite;
-    twice that extent covers their rounding.  Last, every attempt in that
-    extent, undoubled, must lie within latitude [-90, 90] and longitude
-    [-180, 180], which the log reader requires of each record.
+    After each attribute's own checks, the run's bounds.  Every attempt
+    lies within the reposition offset of the field, and every attempt in
+    that extent must lie within latitude [-90, 90] and longitude [-180,
+    180], which the log reader requires of each record; on the globe, its
+    coordinates and the hull's cross products are far from overflowing.
+    Then each leg of travel is at most the field's diagonal, and each
+    attempt at most one lowering, one settle and one retract (the virtual
+    sensor answers at once); the factor 2 covers the rounding of the
+    clock's running sum.
     """
 
     field: fieldsim.FieldSpec
@@ -92,17 +92,18 @@ class MissionConfig:
         field, sampler, actuator = self.field, self.sampler, self.actuator
         n = len(self.waypoints)
         reach = abs(float(sampler.reposition_offset_m))  # so no int sum overflows
-        x_max = 2.0 * (field.width_m + reach)
-        y_max = 2.0 * (field.height_m + reach)
-        corners = [local_to_wgs84_at(field.origin_lat, field.origin_lon,
-                                     s * x_max, s * y_max) for s in (-1.0, 1.0)]
-        if not (math.isfinite(2.0 * n * x_max * y_max)
-                and all(math.isfinite(v) for corner in corners for v in corner)):
+        # latitude and longitude grow with y and x, so two corners bound them
+        lat_lo, lon_lo = local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                           -reach, -reach)
+        lat_hi, lon_hi = local_to_wgs84_at(field.origin_lat, field.origin_lon,
+                                           field.width_m + reach, field.height_m + reach)
+        if not (-90.0 <= lat_lo and lat_hi <= 90.0
+                and -180.0 <= lon_lo and lon_hi <= 180.0):
             raise ConfigError(
                 f"field: a {field.width_m} x {field.height_m} m field at latitude "
-                f"{field.origin_lat}, with attempts up to sampler.reposition_offset_m "
-                f"{reach} m beyond it, reaches a latitude, longitude or hull area "
-                "that overflows")
+                f"{field.origin_lat}, longitude {field.origin_lon}, with attempts up "
+                f"to sampler.reposition_offset_m {reach} m beyond it, reaches past "
+                "latitude [-90, 90] or longitude [-180, 180]")
         travel_s = n * (math.hypot(field.width_m, field.height_m) / self.speed_mps)
         if not math.isfinite(2.0 * travel_s):
             raise ConfigError(
@@ -121,18 +122,6 @@ class MissionConfig:
                 f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
                 f"{n} points of up to {sampler.max_attempts} attempts overflow the "
                 "mission clock")
-        # latitude and longitude grow with y and x, so two corners bound them
-        lat_lo, lon_lo = local_to_wgs84_at(field.origin_lat, field.origin_lon,
-                                           -reach, -reach)
-        lat_hi, lon_hi = local_to_wgs84_at(field.origin_lat, field.origin_lon,
-                                           field.width_m + reach, field.height_m + reach)
-        if not (-90.0 <= lat_lo and lat_hi <= 90.0
-                and -180.0 <= lon_lo and lon_hi <= 180.0):
-            raise ConfigError(
-                f"field: a {field.width_m} x {field.height_m} m field at latitude "
-                f"{field.origin_lat}, longitude {field.origin_lon}, with attempts up "
-                f"to sampler.reposition_offset_m {reach} m beyond it, reaches past "
-                "latitude [-90, 90] or longitude [-180, 180]")
 
 
 @dataclass(frozen=True)
@@ -435,7 +424,7 @@ def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
             continue
         try:
             samples.append(sample_from_dict(decode(line)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
         except RecursionError:
             raise LogFormatError(f"line {line_no}: JSON nested too deeply",

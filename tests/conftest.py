@@ -19,9 +19,9 @@ import pytest
 from soilprobe import cli, fieldsim, geomap, scenario, sdi12
 from soilprobe.actuator import ActuatorConfig, motion_duration
 from soilprobe.errors import ConfigError, FrameError
-from soilprobe.fieldsim import (MEASURE_DELAY_S, SOIL_EC_US_CM, SOIL_TEMP_C,
-                                STALL_DEPTH_M, THETA_TRUE_MAX, FieldSpec,
-                                VirtualTeros, sense_raw, sense_raw_air)
+from soilprobe.fieldsim import (AIR_RAW_MEAN, MEASURE_DELAY_S, SOIL_EC_US_CM,
+                                SOIL_TEMP_C, STALL_DEPTH_M, THETA_TRUE_MAX,
+                                FieldSpec, VirtualTeros, sense_raw)
 from soilprobe.geomap import NODATA
 from soilprobe.mission import (REJECTION_TRIAL_LIMIT, Waypoint, dump_sample_log,
                                read_sample_log, select_valid)
@@ -275,9 +275,10 @@ class ParsingTeros:
     """The virtual sensor that parses every frame it receives.
 
     ``VirtualTeros`` must answer every frame as this one does, draw the
-    same random numbers and keep the same trace: it looks its 14 frames
-    up in a table, where this sensor decodes each frame with
-    ``parse_command`` and compares the address.
+    same random numbers and keep the same trace: it answers from a table
+    of replies, where this sensor decodes each frame with
+    ``parse_command`` and compares the address.  Its air reading is
+    written out here rather than taken from ``sense_raw``.
     """
 
     def __init__(self, spec, rng, address="0"):
@@ -310,7 +311,10 @@ class ParsingTeros:
             if self._in_soil:
                 raw = sense_raw(self.spec, self._x, self._y, self.rng)
             else:
-                raw = sense_raw_air(self.spec, self.rng)
+                raw = AIR_RAW_MEAN
+                if self.spec.noise_sigma_raw > 0:
+                    raw += self.rng.normal(0.0, self.spec.noise_sigma_raw)
+                raw = max(raw, 0.0)
             self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
             return encode_measure_ack(MeasureAck(self.address, MEASURE_DELAY_S, 3))
         if cmd.index != 0 or self._staged is None:

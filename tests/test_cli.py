@@ -379,9 +379,9 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
      "simulate: mission: sampler.target_depth_m: 1e+300 m at actuator.steps_per_metre "
      "10000000000.0 overflows"),
     (lambda d: d.update(sampler={"reposition_offset_m": 1e308}),
-     "simulate: mission: field: a 12.0 x 12.0 m field at latitude 45.0, with attempts up "
-     "to sampler.reposition_offset_m 1e+308 m beyond it, reaches a latitude, "
-     "longitude or hull area that overflows"),
+     "simulate: mission: field: a 12.0 x 12.0 m field at latitude 45.0, longitude 7.5, "
+     "with attempts up to sampler.reposition_offset_m 1e+308 m beyond it, reaches past "
+     "latitude [-90, 90] or longitude [-180, 180]"),
     (lambda d: d["mission"].update(sensor_address="zz"),
      "simulate: mission: invalid SDI-12 address 'zz'"),
 ], ids=["speed", "settle", "step-rate", "steps", "extent", "address"])

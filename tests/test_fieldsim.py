@@ -9,14 +9,14 @@ import struct
 import numpy as np
 import pytest
 
-from soilprobe import sdi12
+from soilprobe import fieldsim, sdi12
 from soilprobe.calib import raw_to_vwc
 from soilprobe.errors import ConfigError
 from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 THETA_TRUE_MAX, Blob, Disk, FieldSpec,
                                 CellIndex, SimClock, VirtualTeros,
                                 local_to_wgs84_at, obstruction_at, sense_raw,
-                                sense_raw_air, theta_true, wgs84_to_local_at)
+                                theta_true, wgs84_to_local_at)
 
 from soilprobe.mission import generate_waypoints
 
@@ -435,10 +435,10 @@ def test_zero_noise_recovery_over_random_points():
 
 def test_air_reading_mean_and_floor():
     spec = make_field(noise=0.0)
-    assert sense_raw_air(spec, spec.rng()) == AIR_RAW_MEAN
+    assert sense_raw(spec, 3.0, 4.0, spec.rng(), in_soil=False) == AIR_RAW_MEAN
     noisy = make_field(noise=500.0, seed=8)
     rng = noisy.rng()
-    draws = [sense_raw_air(noisy, rng) for _ in range(500)]
+    draws = [sense_raw(noisy, 3.0, 4.0, rng, in_soil=False) for _ in range(500)]
     assert min(draws) >= 0.0
 
 
@@ -446,9 +446,25 @@ def test_air_soil_separability_100k_draws():
     # sigma 50: the crossover sits ~31.9 sigma above the air mean
     spec = make_field(noise=50.0, seed=12345)
     rng = spec.rng()
-    crossings = sum(sense_raw_air(spec, rng) >= CROSSOVER_RAW for _ in range(100_000))
+    crossings = sum(sense_raw(spec, 3.0, 4.0, rng, in_soil=False) >= CROSSOVER_RAW
+                    for _ in range(100_000))
     assert crossings == 0
     assert (CROSSOVER_RAW - AIR_RAW_MEAN) / 50.0 >= 31.0
+
+
+def test_an_air_reading_never_asks_the_ground_truth(monkeypatch):
+    def unreachable(spec, x, y):
+        raise AssertionError("theta_true evaluated for a probe in air")
+
+    monkeypatch.setattr(fieldsim, "theta_true", unreachable)
+    spec = make_field(noise=40.0, seed=3)
+    rng, twin = spec.rng(), spec.rng()
+    raw = sense_raw(spec, 3.0, 4.0, rng, in_soil=False)
+    # one draw, as a reading in soil makes
+    assert raw == max(AIR_RAW_MEAN + twin.normal(0.0, 40.0), 0.0)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    with pytest.raises(AssertionError, match="in air"):
+        sense_raw(spec, 3.0, 4.0, rng)
 
 
 # -- projection ---------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
 from soilprobe.errors import ConfigError, LogFormatError
 from soilprobe import mission
-from soilprobe.fieldsim import EARTH_RADIUS_M, Disk
+from soilprobe.fieldsim import EARTH_RADIUS_M, Disk, local_to_wgs84_at
 from soilprobe.geomap import IdwParams
 from soilprobe.sampler import SamplerConfig, SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
@@ -331,8 +332,7 @@ def test_mission_config_refuses_a_run_that_cannot_finish(kwargs, line):
 
 def test_mission_config_keeps_every_attempt_on_the_globe():
     # the attempts' extent is the field plus the reposition offset on each
-    # side: a margin of a millionth of it decides, where a check on the
-    # doubled extent of the overflow checks would refuse all four fields
+    # side, undoubled: a margin of a millionth of it decides
     field = make_field(width=19.0, height=20.0)
     reach = SamplerConfig().reposition_offset_m
     metres_per_degree = math.radians(EARTH_RADIUS_M)
@@ -358,6 +358,48 @@ def _check_on_globe(field, fits):
         with pytest.raises(ConfigError, match=r"^field: .* reaches past latitude "
                                               r"\[-90, 90\] or longitude \[-180, 180\]$"):
             build()
+
+
+
+def test_every_field_on_the_globe_keeps_its_numbers_finite():
+    # the globe bound is the only extent check: each mission it accepts has
+    # finite latitudes and longitudes at twice its attempts' extent, and a
+    # finite 2 * n * x_max * y_max for up to n = 10**9 points, as the
+    # overflow check it replaced required.  Odd draws span the floats, even
+    # ones a globe's width around its edge; half the origins' latitudes lie
+    # on a pole and half their longitudes on the antimeridian
+    rng = np.random.default_rng(2525)
+    accepted, extremes = 0, {}
+    for i in range(2_000):
+        low, high = (-320.0, 308.25) if i % 2 else (4.0, 7.5)
+        width, height, reach = map(float, 10.0 ** rng.uniform(low, high, size=3))
+        lat = float(rng.choice((*rng.uniform(-90.0, 90.0, size=2), -90.0, 90.0)))
+        lon = float(rng.choice((*rng.uniform(-180.0, 180.0, size=2), -180.0, 180.0)))
+        field = dataclasses.replace(make_field(), origin_lat=lat, origin_lon=lon,
+                                    width_m=width, height_m=height)
+        sampler = SamplerConfig(reposition_offset_m=float(rng.choice((-reach, reach))))
+        try:
+            cfg = MissionConfig(field=field, waypoints=(Waypoint(1, 0.0, 0.0),),
+                                sampler=sampler)
+        except ConfigError as exc:
+            assert re.fullmatch(r"field: .* reaches past latitude \[-90, 90\] or "
+                                r"longitude \[-180, 180\]", str(exc))
+            continue
+        accepted += 1
+        x_max, y_max = 2.0 * (width + reach), 2.0 * (height + reach)
+        for s in (-1.0, 1.0):
+            corner = local_to_wgs84_at(lat, lon, s * x_max, s * y_max)
+            assert all(math.isfinite(v) for v in corner), cfg
+        assert math.isfinite(2.0 * 10 ** 9 * x_max * y_max), cfg
+        for name, size in (("width", width), ("height", height), ("reach", reach)):
+            if size > extremes.get(name, (0.0,))[0]:
+                extremes[name] = (size, cfg)
+    assert accepted >= 150  # of 2,000; the globe bound refuses the rest
+    # a one-point mission at each accepted extreme runs and writes its records
+    for _, cfg in extremes.values():
+        samples, summary = run_mission(cfg)
+        assert json.loads(dump_summary(summary))["points_total"] == 1
+        assert parse_sample_log(dump_sample_log(samples).splitlines())[0] == samples
 
 
 def test_randomized_missions_hold_invariants():

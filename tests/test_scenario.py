@@ -156,7 +156,8 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
     *(pytest.param(lambda d, side=side: (
         d["field"].update({side: 10 ** 308}),
         d.update(sampler={"reposition_offset_m": 8 * 10 ** 307})),
-        r"^mission: field: .* overflows$", id=f"{side}-plus-offset-int")
+        r"^mission: field: .* reaches past latitude \[-90, 90\] or longitude "
+        r"\[-180, 180\]$", id=f"{side}-plus-offset-int")
       for side in ("width_m", "height_m")),
     # an origin that far out is now refused by its key, before any waypoint
     *(pytest.param(lambda d, key=key: (
