@@ -52,10 +52,14 @@ def lower_to(cfg: ActuatorConfig, target_depth_m: float,
         final_steps = min(target_steps, round(obstruction_depth_m * cfg.steps_per_metre))
     else:
         final_steps = target_steps
-    stalled = (target_steps - final_steps) > 1
-    return ActuatorState(position_steps=final_steps,
-                         depth_m=final_steps / cfg.steps_per_metre,
-                         stalled=stalled)
+    # ActuatorState has no __post_init__: fill its __dict__ in field
+    # order, skipping the frozen __init__'s object.__setattr__ calls
+    state = object.__new__(ActuatorState)
+    fields = vars(state)
+    fields["position_steps"] = final_steps
+    fields["depth_m"] = final_steps / cfg.steps_per_metre
+    fields["stalled"] = (target_steps - final_steps) > 1
+    return state
 
 
 def motion_duration(from_steps: int, to_steps: int, cfg: ActuatorConfig) -> float:

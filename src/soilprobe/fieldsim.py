@@ -309,8 +309,14 @@ class VirtualTeros:
     and, for its own address ``a``, ``a!``, ``aI!`` and ``aD0!`` to
     ``aD9!``, the last ten with an empty data frame.  A bad address
     raises ConfigError then.  Two frames carry state: ``aM!`` takes a
-    reading and stages it, and the next ``aD0!`` returns and clears it.
-    Every other frame, garbage or another sensor's, gets silence.
+    RAW reading and stages it, and the next ``aD0!`` returns and clears
+    it.  Temperature and EC are constants, so the tail of that data
+    frame, ``+24+150\r\n``, is encoded once, by
+    :func:`sdi12.encode_data_response`, when the sensor is built; each
+    reply is the address, the reading through :func:`sdi12.format_value`,
+    and that tail.  A reading with no wire text, an infinity or NaN,
+    raises format_value's ConfigError.  Every other frame, garbage or
+    another sensor's, gets silence.
 
     The sampler positions the probe before each measurement via
     :meth:`place`; a probe that is not in soil returns air readings.
@@ -332,6 +338,9 @@ class VirtualTeros:
         self._data0 = data[0]
         self._replies = dict.fromkeys(
             data, sdi12.encode_data_response(sdi12.DataResponse(address, ())))
+        # what follows RAW in every data frame: "+24+150\r\n" after the address
+        self._data_tail = sdi12.encode_data_response(sdi12.DataResponse(
+            address, (SOIL_TEMP_C, SOIL_EC_US_CM)))[len(address):]
         self._replies[query] = self._replies[acknowledge] = (
             f"{address}\r\n".encode("ascii"))
         self._replies[identify] = f"{address}13SIMSOIL TER12 001\r\n".encode("ascii")
@@ -342,7 +351,7 @@ class VirtualTeros:
         self.rng = rng
         self.address = address
         self.trace: list[bytes] = []
-        self._staged: tuple[float, float, float] | None = None
+        self._staged: float | None = None  # RAW counts awaiting aD0!
         self._x = 0.0
         self._y = 0.0
         self._in_soil = False
@@ -357,12 +366,13 @@ class VirtualTeros:
         frame = sdi12.frame_bytes(frame)
         self.trace.append(frame)
         if frame == self._measure:
-            raw = sense_raw(self.spec, self._x, self._y, self.rng, self._in_soil)
-            self._staged = (raw, SOIL_TEMP_C, SOIL_EC_US_CM)
+            self._staged = sense_raw(self.spec, self._x, self._y, self.rng,
+                                     self._in_soil)
             return self._measure_ack
         if frame == self._data0 and self._staged is not None:
-            values, self._staged = self._staged, None
-            return sdi12.encode_data_response(sdi12.DataResponse(self.address, values))
+            raw, self._staged = self._staged, None
+            return ((self.address + sdi12.format_value(raw)).encode("ascii")
+                    + self._data_tail)
         # a frame not in the table, garbage or another sensor's, gets
         # None: a real sensor stays quiet
         return self._replies.get(frame)

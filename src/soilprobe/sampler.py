@@ -139,7 +139,9 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
 
         state = act.lower_to(actuator_cfg, cfg.target_depth_m,
                              fieldsim.obstruction_at(field, x, y))
-        clock.advance(act.motion_duration(0, state.position_steps, actuator_cfg))
+        # the retract below travels the same steps back to position 0
+        travel_s = act.motion_duration(0, state.position_steps, actuator_cfg)
+        clock.advance(travel_s)
         clock.advance(cfg.settle_s)
 
         sensor.place(x, y, in_soil=not state.stalled)
@@ -155,30 +157,43 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
             theta = raw_to_vwc(reading.raw_counts)
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
-        attempts.append(AttemptRecord(
-            attempt_index=k, x=x, y=y, achieved_depth_m=state.depth_m,
-            reading=reading, theta=theta, validity=validity, fault=fault))
+        # no record type has a __post_init__, so each value goes straight
+        # into the new record's __dict__, in field order, as in
+        # mission.sample_from_dict: this skips the frozen __init__'s
+        # object.__setattr__ calls, most of its cost
+        record = object.__new__(AttemptRecord)
+        fields = vars(record)
+        fields["attempt_index"] = k
+        fields["x"] = x
+        fields["y"] = y
+        fields["achieved_depth_m"] = state.depth_m
+        fields["reading"] = reading
+        fields["theta"] = theta
+        fields["validity"] = validity
+        fields["fault"] = fault
+        attempts.append(record)
         validated_at = clock.now
 
         # retract to position 0
-        clock.advance(act.motion_duration(0, state.position_steps, actuator_cfg))
+        clock.advance(travel_s)
 
         if validity is Validity.VALID:
             break
 
     # SamplerConfig keeps max_attempts >= 1, so the loop's names hold the last attempt
     lat, lon = fieldsim.local_to_wgs84_at(field.origin_lat, field.origin_lon, x, y)
-    return PointResult(attempts=attempts, sample=SoilSample(
-        point_id=point.id,
-        timestamp_s=validated_at,
-        lat=lat,
-        lon=lon,
-        target_depth_m=cfg.target_depth_m,
-        achieved_depth_m=state.depth_m,
-        attempts=len(attempts),
-        raw_counts=reading.raw_counts if reading is not None else None,
-        temp_c=reading.temp_c if reading is not None else None,
-        ec_us_cm=reading.ec_us_cm if reading is not None else None,
-        theta=theta,
-        status=validity,
-    ))
+    sample = object.__new__(SoilSample)
+    fields = vars(sample)  # filled in field order: the log dumps it as is
+    fields["point_id"] = point.id
+    fields["timestamp_s"] = validated_at
+    fields["lat"] = lat
+    fields["lon"] = lon
+    fields["target_depth_m"] = cfg.target_depth_m
+    fields["achieved_depth_m"] = state.depth_m
+    fields["attempts"] = len(attempts)
+    fields["raw_counts"] = reading.raw_counts if reading is not None else None
+    fields["temp_c"] = reading.temp_c if reading is not None else None
+    fields["ec_us_cm"] = reading.ec_us_cm if reading is not None else None
+    fields["theta"] = theta
+    fields["status"] = validity
+    return PointResult(attempts=attempts, sample=sample)

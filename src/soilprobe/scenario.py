@@ -45,25 +45,29 @@ def bundled_scenarios() -> list[str]:
                   for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _expect(value, kind: type, context: str):
+# The checks below raise ConfigErrors that name no context: each caller
+# runs them under errors.prefixed, which names the block they came from.
+
+
+def _expect(value, kind: type):
     """``value`` itself when it is a ``kind`` (dict or list), else ConfigError."""
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "a list"
-        raise ConfigError(f"{context}: expected {expected}, got {type(value).__name__}")
+        raise ConfigError(f"expected {expected}, got {type(value).__name__}")
     return value
 
 
-def _keys(doc, context: str, required, optional=()):
+def _keys(doc, required, optional=()):
     """Raise ConfigError unless ``doc`` is an object with every key of
     ``required`` and no key outside ``required`` and ``optional``."""
-    _expect(doc, dict, context)
+    _expect(doc, dict)
     missing = [key for key in required if key not in doc]
     if len(doc) > len(required) - len(missing):  # a key beyond ``required``
         unknown = set(doc).difference(required, optional)
         if unknown:
-            raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+            raise ConfigError(f"unknown keys {sorted(unknown)}")
     if missing:
-        raise ConfigError(f"{context}: missing required keys {missing}")
+        raise ConfigError(f"missing required keys {missing}")
 
 
 @cache
@@ -74,19 +78,30 @@ def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
             tuple(f.name for f in own if f.default is not MISSING))
 
 
-def _build(cls, doc: dict, context: str, **extra):
+def _make(cls, doc: dict, **extra):
     """``cls(**doc, **extra)``; ``doc`` gives the fields ``extra`` does not."""
-    _keys(doc, context, *_doc_keys(cls, *extra))
+    _keys(doc, *_doc_keys(cls, *extra))
+    return cls(**doc, **extra)
+
+
+def _build(cls, doc: dict, context: str, **extra):
+    """``_make(cls, doc, **extra)``, its refusal prefixed with ``context``."""
     with prefixed(context):
-        return cls(**doc, **extra)
+        return _make(cls, doc, **extra)
+
+
+def _build_each(cls, docs: list, context: str) -> tuple:
+    """``_make(cls, doc)`` of each document in the list ``docs``, in order,
+    a refusal prefixed with ``context``."""
+    with prefixed(context):
+        return tuple(_make(cls, doc) for doc in _expect(docs, list))
 
 
 def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
-    doc = dict(_expect(doc, dict, "field"))
-    blobs = tuple(_build(Blob, b, "field.blobs")
-                  for b in _expect(doc.pop("blobs", []), list, "field.blobs"))
-    disks = tuple(_build(Disk, d, "field.obstructions") for d in
-                  _expect(doc.pop("obstructions", []), list, "field.obstructions"))
+    with prefixed("field"):
+        doc = dict(_expect(doc, dict))
+    blobs = _build_each(Blob, doc.pop("blobs", []), "field.blobs")
+    disks = _build_each(Disk, doc.pop("obstructions", []), "field.obstructions")
     if seed_override is not None:
         doc["seed"] = seed_override
     return _build(FieldSpec, doc, "field", blobs=blobs, obstructions=disks)
@@ -96,21 +111,24 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
     if (explicit is None) == (generate is None):
         raise ConfigError("mission: give exactly one of 'waypoints' or 'generate'")
     if generate is not None:
-        _keys(generate, "mission.generate", ("count", "min_spacing_m", "seed"))
         with prefixed("mission.generate"):
+            _keys(generate, ("count", "min_spacing_m", "seed"))
             return tuple(generate_waypoints(field, generate["count"],
                                             generate["min_spacing_m"],
                                             generate["seed"]))
+    with prefixed("mission.waypoints"):
+        _expect(explicit, list)
     points = []
-    for i, entry in enumerate(_expect(explicit, list, "mission.waypoints")):
+    for i, entry in enumerate(explicit):
         shape = entry.keys() if isinstance(entry, dict) else None
         if shape == {"id", "x", "y"}:
             points.append(Waypoint(entry["id"], entry["x"], entry["y"]))
             continue
         context = f"mission.waypoints[{i}]"
         if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
-            _keys(entry, context, ("id",), ("x", "y", "lat", "lon"))
-            raise ConfigError(f"{context}: need exactly one of x/y or lat/lon")
+            with prefixed(context):
+                _keys(entry, ("id",), ("x", "y", "lat", "lon"))
+                raise ConfigError("need exactly one of x/y or lat/lon")
         if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
             raise ConfigError(f"{context}: lat and lon must be finite")
         lat, lon = float(entry["lat"]), float(entry["lon"])  # no int difference overflows
@@ -149,10 +167,12 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
         raise ConfigError(f"{name}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{name}: invalid JSON: nested too deeply") from None
-    _keys(doc, name, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
+    with prefixed(name):
+        _keys(doc, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
 
     field = _field_spec(doc["field"], seed_override)
-    mission_doc = dict(_expect(doc["mission"], dict, "mission"))
+    with prefixed("mission"):
+        mission_doc = dict(_expect(doc["mission"], dict))
     waypoints = _waypoints(mission_doc.pop("waypoints", None),
                            mission_doc.pop("generate", None), field)
 

@@ -51,6 +51,8 @@ constructors of :class:`Command`, :class:`MeasureAck` and
 :class:`DataResponse` check every field; ``parse_data_response`` builds
 its result through a private constructor that skips those checks,
 because the grammar and its overflow test have already made them.
+The grammar has no text for an infinity or NaN, so ``format_value``
+refuses one with the ConfigError that ``DataResponse`` raises for it.
 """
 
 from __future__ import annotations
@@ -236,8 +238,7 @@ class DataResponse:
         if len(self.values) > MAX_VALUES_PER_FRAME:
             raise ConfigError(f"at most {MAX_VALUES_PER_FRAME} values per frame")
         for v in self.values:
-            if not math.isfinite(v):
-                raise ConfigError(f"non-finite value {v!r} cannot go on the wire")
+            _check_wire_value(v)
 
 
 def _data_response(address: str, values: tuple[float, ...]) -> DataResponse:
@@ -247,9 +248,16 @@ def _data_response(address: str, values: tuple[float, ...]) -> DataResponse:
     at most MAX_VALUES_PER_FRAME finite floats.
     """
     resp = object.__new__(DataResponse)
-    object.__setattr__(resp, "address", address)
-    object.__setattr__(resp, "values", values)
+    fields = vars(resp)  # in field order, as __init__ sets them
+    fields["address"] = address
+    fields["values"] = values
     return resp
+
+
+def _check_wire_value(value: float):
+    """Raise ConfigError unless ``value`` is finite, as the grammar requires."""
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite value {value!r} cannot go on the wire")
 
 
 def format_value(value: float) -> str:
@@ -257,8 +265,10 @@ def format_value(value: float) -> str:
 
     Fixed-point with up to 6 decimals, trailing zeros stripped:
     2450.5 -> "+2450.5", -0.5 -> "-0.5", 0.0 -> "+0".  Canonical form
-    keeps encode(parse(encode(x))) byte-identical to encode(x).
+    keeps encode(parse(encode(x))) byte-identical to encode(x).  An
+    infinity or NaN has no wire text and raises ConfigError.
     """
+    _check_wire_value(value)
     sign = "-" if value < 0 else "+"
     text = f"{abs(value):.6f}".rstrip("0").rstrip(".")
     return sign + text
@@ -277,14 +287,16 @@ def parse_data_response(frame: bytes) -> DataResponse:
     """
     match = _match(_DATA_RESPONSE, frame, RESPONSE_TERMINATOR, "data frame")
     start, end = match.span("values")
-    values = []
-    for value in _VALUE.findall(match.string, start, end):
-        number = float(value)
-        if math.isinf(number):
-            raise FrameError("data frame: value too large for a float", position=start)
-        values.append(number)
-        start += len(value)
-    return _data_response(match["address"].decode("ascii"), tuple(values))
+    texts = _VALUE.findall(match.string, start, end)
+    values = tuple(map(float, texts))
+    if not all(map(math.isfinite, values)):
+        # the grammar admits no NaN: name the sign of the first infinity
+        for text in texts:
+            if math.isinf(float(text)):
+                raise FrameError("data frame: value too large for a float",
+                                 position=start)
+            start += len(text)
+    return _data_response(match["address"].decode("ascii"), values)
 
 
 # -- Sensor reading ----------------------------------------------------------

@@ -3,13 +3,16 @@ sets every key, fault-injecting sensors, the naive interpolation oracle,
 the dense IDW kernel, the per-cell ASCII raster writer, the linear
 waypoint and obstruction references, the re-encoding ``validate``
 reference, the hand-written SDI-12 parsers, the parse-based virtual
-sensor, the numpy ground truth, and the fixture that swaps every
-optimised layer for its reference."""
+sensor, the numpy ground truth, the check that a record is what its
+public constructor builds, and the fixture that swaps every optimised
+layer for its reference."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
+import pickle
 import re
 import string
 
@@ -366,6 +369,24 @@ def retracted(result, clock, actuator_cfg=ActuatorConfig()) -> bool:
     retract of its last attempt, from the depth that attempt reached."""
     steps = round(result.attempts[-1].achieved_depth_m * actuator_cfg.steps_per_metre)
     return clock.now == result.sample.timestamp_s + motion_duration(0, steps, actuator_cfg)
+
+
+def assert_as_constructed(record):
+    """``record``, an instance of a frozen dataclass, is what its public
+    constructor builds from the same fields: equal, with the same hash,
+    repr and ``vars()`` in field order, through ``dataclasses.replace``
+    and a pickle round trip, and frozen."""
+    names = [f.name for f in dataclasses.fields(record)]
+    public = type(record)(**vars(record))
+    assert record == public and hash(record) == hash(public)
+    assert repr(record) == repr(public)
+    assert list(vars(record)) == list(vars(public)) == names
+    assert vars(record) == vars(public)
+    for copy in (dataclasses.replace(record), pickle.loads(pickle.dumps(record))):
+        assert copy == public and list(vars(copy)) == names
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
 
 
 def measure_frames(frames) -> int:

@@ -16,12 +16,17 @@ Criteria:
   7. field recovery: IDW grid vs analytic ground truth, MAE <= 0.05
   8. identical seeds give byte-identical logs, summaries, and exports,
      and the paper_field artefacts keep their pinned sha256
+  9. the validity filter: on an obstructed field the map of valid
+     samples has MAE <= 0.015 and at least 5x less error than the map of
+     every sample with a theta; with no obstructions the two maps are
+     equal; either gate of classify alone flags the same samples
 """
 
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -31,9 +36,10 @@ import numpy as np
 import pytest
 
 from soilprobe import cli, sdi12
-from soilprobe.calib import raw_to_vwc
+from soilprobe.calib import Validity, ValidityThresholds, classify, raw_to_vwc
 from soilprobe.errors import FrameError
-from soilprobe.fieldsim import Blob, Disk, FieldSpec, SimClock, sense_raw, theta_true
+from soilprobe.fieldsim import (Blob, Disk, FieldSpec, SimClock, sense_raw,
+                                theta_true, wgs84_to_local_at)
 from soilprobe.geomap import build_grid, idw_at
 from soilprobe.mission import (MissionConfig, Waypoint, generate_waypoints,
                                run_mission, select_valid)
@@ -243,6 +249,67 @@ def test_criterion_8_pipeline_determinism(tmp_path):
             for name, data in outputs[0].items()} == PAPER_FIELD_SHA256
     ok(8, "two seeded runs produced byte-identical logs, summaries, and "
           "exports, matching the pinned sha256")
+
+
+def _stony_field(stones: int, seed: int = 0) -> FieldSpec:
+    """Criterion 7's field with sensor noise and ``stones`` seeded disks
+    of 1 m radius; 25 of them cover about a fifth of it."""
+    rng = random.Random(f"criterion 9:{seed}")
+    return FieldSpec(origin_lat=45.0, origin_lon=7.5, width_m=20.0,
+                     height_m=20.0, base_theta=0.22,
+                     blobs=(Blob(5.0, 14.0, 6.0, 0.14),
+                            Blob(14.5, 5.0, 5.0, -0.10)),
+                     obstructions=tuple(Disk(rng.uniform(0, 20), rng.uniform(0, 20), 1.0)
+                                        for _ in range(stones)),
+                     noise_sigma_raw=25.0, seed=seed)
+
+
+def _mapped(field, samples):
+    """The 0.5 m IDW grid of ``samples``' thetas over ``field``."""
+    xy = np.array([wgs84_to_local_at(field.origin_lat, field.origin_lon, s.lat, s.lon)
+                   for s in samples])
+    return build_grid(xy, np.array([s.theta for s in samples]),
+                      (0, 0, field.width_m, field.height_m), cell_size_m=0.5)
+
+
+def test_criterion_9_the_validity_filter_keeps_the_map_true():
+    # AgriOne's claim: dropping the insertions that did not reach the soil
+    # makes the map reliable.  Map the valid samples, and every sample
+    # with a theta as if it were valid, from one seeded obstructed mission.
+    # Over seeds 0-14 of this field, 78-91 samples were valid, the filtered
+    # MAE read 0.0075-0.0118 and the ratio 7.1-20.1; the bounds sit
+    # outside those ranges.
+    field = _stony_field(25)
+    wps = tuple(generate_waypoints(field, 100, 1.0, seed=0))
+    samples, _ = run_mission(MissionConfig(field=field, waypoints=wps))
+    valid = select_valid(samples)
+    every = [s for s in samples if s.theta is not None]
+    assert len(every) == 100 and 70 <= len(valid) <= 95
+    filtered, unfiltered = _mapped(field, valid), _mapped(field, every)
+    gx, gy = filtered.cell_centers()
+    truth = theta_true(field, gx[None, :], gy[:, None])
+    assert not np.isnan(filtered.values).any()
+    mae = float(np.abs(filtered.values - truth).mean())
+    mae_all = float(np.abs(unfiltered.values - truth).mean())
+    assert mae <= 0.015
+    assert mae_all >= 5.0 * mae
+    # each gate alone: here every stall is also an air reading, far below
+    # theta_min, so the depth gate and the theta window each flag exactly
+    # the samples both together flag
+    depth_only = ValidityThresholds(theta_min=-1e9, theta_max=1e9)
+    window_only = ValidityThresholds(depth_tol_m=1.0)
+    for thresholds in (depth_only, window_only):
+        assert [classify(s.theta, s.achieved_depth_m, s.target_depth_m, thresholds)
+                for s in samples] == [s.status for s in samples]
+    # control: the same mission on no stones; the filter removes nothing
+    # and the two maps are one
+    clear = _stony_field(0)
+    samples, _ = run_mission(MissionConfig(field=clear, waypoints=wps))
+    assert all(s.status is Validity.VALID for s in samples)
+    assert np.array_equal(_mapped(clear, select_valid(samples)).values,
+                          _mapped(clear, [s for s in samples if s.theta is not None]).values)
+    ok(9, f"{len(valid)} of 100 samples valid: map MAE {mae:.4f} <= 0.015, "
+          f"{mae_all:.4f} ({mae_all / mae:.1f}x) unfiltered; equal maps with no stones")
 
 
 # runs map in a fresh interpreter, after the BLAS thread variables are set

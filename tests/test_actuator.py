@@ -6,6 +6,8 @@ import pytest
 from soilprobe.actuator import ActuatorConfig, lower_to, motion_duration
 from soilprobe.errors import ConfigError, SensorFault
 
+from conftest import assert_as_constructed
+
 CFG = ActuatorConfig()  # 20000 steps/m, 0.15 m max, 500 Hz
 
 
@@ -70,6 +72,12 @@ def test_stall_iff_shortfall_beyond_one_step():
     # two steps short: stall
     shy = lower_to(CFG, 0.05, obstruction_depth_m=0.05 - 2 * step)
     assert shy.position_steps == 998 and shy.stalled
+
+
+def test_states_are_what_their_constructor_builds():
+    for state in (lower_to(CFG, 0.05), lower_to(CFG, 0.05, obstruction_depth_m=0.02),
+                  lower_to(CFG, 0.0)):
+        assert_as_constructed(state)
 
 
 def test_config_validation():

@@ -567,12 +567,26 @@ def _log_fuzz_cases(records):
             for value in (*LOG_FUZZ_VALUES, DROP)]
 
 
-def _fuzzed_log(records, i, name, value) -> str:
+def _multi_field_cases(records, rng, n):
+    """``n`` seeded (record, changes) that each set two or three fields of
+    one record of a log to fuzz values, or drop them."""
+    cases = []
+    for _ in range(n):
+        i = rng.randrange(len(records))
+        names = rng.sample(list(records[i]), rng.choice((2, 3)))
+        cases.append((i, {name: rng.choice((*LOG_FUZZ_VALUES, DROP)) for name in names}))
+    return cases
+
+
+def _fuzzed_log(records, i, changes) -> str:
+    """The log with each field of record ``i`` that ``changes`` names set
+    to its value, or dropped."""
     record = dict(records[i])
-    if value is DROP:
-        del record[name]
-    else:
-        record[name] = value
+    for name, value in changes.items():
+        if value is DROP:
+            del record[name]
+        else:
+            record[name] = value
     return "".join(json.dumps(record if k == i else r) + "\n"
                    for k, r in enumerate(records))
 
@@ -600,7 +614,8 @@ def _nodata_in_reach(log, grid) -> bool:
 
 def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, capsys):
     # a seeded 120 of the 1,200 logs that set or drop one field of one
-    # record of a small flagged log, through validate and map, then 300
+    # record of a small flagged log, and 40 seeded logs that set or drop
+    # two or three fields of one record, through validate and map, then 300
     # seeded frames through codec --parse: each ends in a documented exit
     # code and one stderr line, a refusal writes nothing, and a map that
     # succeeds leaves no cell without a value that has a sample in reach
@@ -620,8 +635,10 @@ def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, caps
     cases = _log_fuzz_cases(records)
     assert len(cases) == 1200
     failures = []
-    for i, name, value in random.Random(23).sample(cases, 120):
-        fuzzed.write_text(_fuzzed_log(records, i, name, value))
+    for i, changes in ([(i, {name: value}) for i, name, value
+                        in random.Random(23).sample(cases, 120)]
+                       + _multi_field_cases(records, random.Random(37), 40)):
+        fuzzed.write_text(_fuzzed_log(records, i, changes))
         for argv, outputs in commands:
             capsys.readouterr()
             code = cli.main(argv)
@@ -631,7 +648,7 @@ def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, caps
                     and _nodata_in_reach(fuzzed, out / "g.asc")):
                 failure = "a no-data cell with a sample in reach"
             if failure:
-                failures.append((i, name, repr(value)[:20], argv[0], failure))
+                failures.append((i, repr(changes)[:60], argv[0], failure))
             for p in out.iterdir():
                 p.unlink()
     for frame in _fuzz_frames(random.Random(29), 300):

@@ -5,11 +5,12 @@ import decimal
 import itertools
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from soilprobe import fieldsim, sdi12
+from soilprobe import fieldsim, sampler, sdi12
 from soilprobe.calib import raw_to_vwc
 from soilprobe.errors import ConfigError
 from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
@@ -18,7 +19,8 @@ from soilprobe.fieldsim import (AIR_RAW_MEAN, EARTH_RADIUS_M, STALL_DEPTH_M,
                                 local_to_wgs84_at, obstruction_at, sense_raw,
                                 theta_true, wgs84_to_local_at)
 
-from soilprobe.mission import generate_waypoints
+from soilprobe.mission import generate_waypoints, run_mission
+from soilprobe.scenario import load_scenario
 
 from conftest import (make_field, make_sensor, measure_frames,
                       obstruction_at_reference, theta_true_reference)
@@ -602,8 +604,14 @@ def test_virtual_sensor_transaction_counter():
     assert sensor.trace == [b"0M!", b"0D0!"] * 3
 
 
+# RAW readings at the edges of format_value: zeros of both signs, the
+# least subnormal, a value just under half of the 6th decimal, which
+# rounds to "+0", and large ones
+EDGE_RAWS = (0.0, -0.0, 5e-324, 4.9999995e-7, 1e15, 1e300)
+
+
 @pytest.mark.parametrize("address", ["0", "z", "Q"])
-def test_virtual_sensor_replies_match_the_public_encoders(address):
+def test_virtual_sensor_replies_match_the_public_encoders(address, monkeypatch):
     sensor = make_sensor(make_field(noise=50.0), address=address)
     sensor.place(2.0, 2.0, in_soil=True)
     for _ in range(3):
@@ -617,6 +625,49 @@ def test_virtual_sensor_replies_match_the_public_encoders(address):
         assert sdi12.encode_data_response(resp) == sdi12.encode_data_response(public)
     empty = sensor.exchange(f"{address}D1!".encode())
     assert empty == sdi12.encode_data_response(sdi12.DataResponse(address, ()))
+    # the sensor encodes only the reading of each data frame: whatever
+    # RAW it stages, the frame is the one the checking constructor encodes
+    rng = np.random.default_rng(4242)
+    raws = [*rng.uniform(0.0, 5000.0, 5_000).tolist(),
+            *(10.0 ** rng.uniform(-9.0, 18.0, 5_000)).tolist(), *EDGE_RAWS]
+    staged = iter(raws)
+    monkeypatch.setattr(fieldsim, "sense_raw", lambda *args: next(staged))
+    for raw in raws:
+        sensor.exchange(f"{address}M!".encode())
+        assert sensor.exchange(f"{address}D0!".encode()) == sdi12.encode_data_response(
+            sdi12.DataResponse(address, (raw, 24.0, 150.0))), raw
+
+
+def test_a_mission_encodes_only_the_reading_of_each_data_frame(monkeypatch):
+    # counted from outside, at the attributes the callers look up: once
+    # the sensor is built, each transaction formats one value, its RAW,
+    # and no data frame is checked or encoded whole
+    calls = Counter()
+    sensors = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += bool(sensors)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((sdi12, "format_value"), (sdi12, "encode_data_response"),
+                        (sdi12.DataResponse, "__post_init__"),
+                        (sampler, "run_transaction")):
+        count(owner, name)
+    build = VirtualTeros.__init__
+
+    def built(sensor, *args, **kwargs):
+        build(sensor, *args, **kwargs)
+        sensors.append(sensor)
+    monkeypatch.setattr(VirtualTeros, "__init__", built)
+    samples, _ = run_mission(load_scenario("paper_field").mission)
+    assert len(sensors) == 1
+    assert calls["run_transaction"] == sum(s.attempts for s in samples) > len(samples)
+    assert calls["format_value"] == calls["run_transaction"]
+    assert calls["encode_data_response"] == calls["__post_init__"] == 0
 
 
 def test_virtual_sensor_refuses_a_non_finite_reading():

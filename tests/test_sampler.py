@@ -9,8 +9,8 @@ from soilprobe.mission import Waypoint
 from soilprobe.sampler import (MAX_ATTEMPTS, SamplerConfig, attempt_offset,
                                attempt_point)
 
-from conftest import (FlakySensor, ScriptedSensor, make_field, make_sensor,
-                      measure_frames, retracted)
+from conftest import (FlakySensor, ScriptedSensor, assert_as_constructed,
+                      make_field, make_sensor, measure_frames, retracted)
 
 CFG = SamplerConfig()
 
@@ -316,3 +316,21 @@ def test_sensor_error_sample_has_null_reading_fields():
     assert s.status is Validity.SENSOR_ERROR and s.attempts == 3
     assert s.raw_counts is None and s.temp_c is None and s.ec_us_cm is None
     assert s.theta is None
+
+
+def test_records_are_what_their_constructors_build():
+    # a stall then a valid retry, a point spent on a stone, and bus
+    # faults: every kind of attempt record and sample attempt_point fills
+    results = [
+        run_point(make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.05)]))[0],
+        run_point(make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)]))[0],
+        run_point(make_field(theta=0.25, obstructions=[Disk(10.0, 10.0, 0.5)]),
+                  sensor=ScriptedSensor([b"00003\r\n", b"0+2000+24+150\r\n"]))[0],
+    ]
+    kinds = set()
+    for result in results:
+        for record in [*result.attempts, result.sample]:
+            assert_as_constructed(record)
+        kinds.update(a.validity for a in result.attempts)
+    assert kinds == set(Validity)
+    assert results[2].attempts[-1].fault.startswith("SilenceError: ")

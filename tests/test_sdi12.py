@@ -176,6 +176,8 @@ def test_parse_data_response_rejects(frame):
     (parse_data_response, b"0+1+2+3+4+5+6+7+8+9+10\r\n", 19),
     (parse_data_response, b"0+1", 3),
     pytest.param(parse_data_response, OVERFLOW, 1, id="overflow"),
+    pytest.param(parse_data_response, b"0+2.5-1" + b"0" * 400 + b"+3\r\n", 5,
+                 id="overflow-second"),
 ])
 def test_frame_error_names_the_rejected_byte(parser, frame, position):
     with pytest.raises(FrameError) as info:
@@ -439,6 +441,15 @@ def test_public_constructors_keep_their_checks(build):
 ])
 def test_format_value_canonical(value, text):
     assert format_value(value) == text
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_format_value_refuses_what_has_no_wire_text(value):
+    # the grammar has no infinity or NaN: the refusal is DataResponse's
+    with pytest.raises(ConfigError, match=f"^non-finite value {value!r} cannot go on the wire$"):
+        format_value(value)
+    with pytest.raises(ConfigError, match=f"^non-finite value {value!r} cannot go on the wire$"):
+        DataResponse("0", (value,))
 
 
 # -- reading decode ----------------------------------------------------------
