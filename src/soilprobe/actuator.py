@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, require_positive
+from .errors import ConfigError, require_within
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ActuatorConfig:
     step_rate_hz: float = 500.0
 
     def __post_init__(self):
-        require_positive(self, "steps_per_metre", "max_depth_m", "step_rate_hz")
+        require_within(self, "actuator")
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,8 @@ from collections import Counter
 # each command imports the other modules it needs when it runs, so `codec`
 # loads only sdi12 and errors, and `validate` never loads numpy
 from . import sdi12
-from .errors import (ConfigError, EmptyInputError, FrameError, LogFormatError,
-                     SoilProbeError, prefixed, require_seed)
+from .errors import (RANGES, ConfigError, EmptyInputError, FrameError,
+                     LogFormatError, SoilProbeError, prefixed, require_seed)
 
 # the exit code of each refusal type, looked up along the raised type's MRO
 EXIT_CODES = {LogFormatError: 3, EmptyInputError: 4, FrameError: 5, SoilProbeError: 2}
@@ -224,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-points", help="GeoJSON path (default: stdout)")
     p.add_argument("--out-grid", help="ESRI ASCII grid path (default: stdout)")
     p.add_argument("--cell-size", type=float, default=0.5,
-                   help="grid cell size in metres (default 0.5)")
+                   help="grid cell size in metres, {:g} to {:g} (default 0.5)".format(
+                       *RANGES["map"]["cell_size_m"][:2]))
     p.add_argument("--power", type=float, default=2.0,
                    help="IDW power, at most 50 (default 2.0)")
     p.set_defaults(func=cmd_map)

@@ -1,43 +1,128 @@
-"""Exception types shared across the package, and the number checks of
-every config dataclass.
+"""Exception types shared across the package, and the one table of
+physical ranges that every number is checked against where it enters.
 
 Every error raised on purpose is a ``SoilProbeError``, and the CLI
 turns only those into exit codes.  A refused scenario document,
 configuration, SDI-12 field, argument or flag, a mission that cannot
-finish and a point layout that cannot be placed all raise
+be run and a point layout that cannot be placed all raise
 ``ConfigError``, which names its key; ``prefixed`` names where it came
 from.  What a sensor does wrong on the wire is a ``SensorFault``: a
 frame that does not decode (``FrameError``), a reply with the wrong
 number of values (``ShapeError``), a reading outside its physical range
 (``RangeError``) or silence past the deadline (``SilenceError``).  The
 sampler catches that one type and records the fault on the attempt.
+
+``RANGES`` holds the closed interval of each scenario key, sample-log
+field and ``map`` flag; a value outside it is refused where it enters
+("width_m must be a number within [0.001, 100000] m"), so no layer
+behind that point meets a number no field, probe or reading can have.
 """
 
 import contextlib
-import math
 
 
-def is_finite(value) -> bool:
-    """False for NaN, an infinity, an int beyond float range or a non-number."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
+# The physical range of every number a scenario, a sample log or a flag
+# holds: by block, then by key, (lowest, highest, unit), both ends
+# included.  A block is a scenario block ("field.blobs" for each item of
+# field.blobs), "log" for a sample-log record, or "map" for the map flags
+# (cell_size_m is --cell-size).  Bounds that are ints take ints only.
+RANGES = {
+    "field": {
+        "origin_lat": (-90.0, 90.0, "deg"),
+        "origin_lon": (-180.0, 180.0, "deg"),
+        "width_m": (1e-3, 1e5, "m"),
+        "height_m": (1e-3, 1e5, "m"),
+        "base_theta": (-1.0, 1.0, "m3/m3"),
+        "noise_sigma_raw": (0.0, 1e3, "counts"),
+    },
+    "field.blobs": {
+        "cx": (-1e6, 1e6, "m"),
+        "cy": (-1e6, 1e6, "m"),
+        "sigma_m": (1e-3, 1e5, "m"),
+        "amplitude": (-1.0, 1.0, "m3/m3"),
+    },
+    "field.obstructions": {
+        "cx": (-1e6, 1e6, "m"),
+        "cy": (-1e6, 1e6, "m"),
+        "radius_m": (1e-3, 1e3, "m"),
+    },
+    "mission": {
+        "speed_mps": (1e-3, 1e2, "m/s"),
+    },
+    "mission.waypoints": {
+        "x": (0.0, 1e5, "m"),
+        "y": (0.0, 1e5, "m"),
+        "lat": (-90.0, 90.0, "deg"),
+        "lon": (-180.0, 180.0, "deg"),
+    },
+    "mission.generate": {
+        "min_spacing_m": (0.0, 1e5, "m"),
+    },
+    "sampler": {
+        "target_depth_m": (0.0, 5.0, "m"),
+        "settle_s": (0.0, 3600.0, "s"),
+        # from attempt 6 on, attempt k probes where attempt k - 4 did, so
+        # more attempts only retry bus faults
+        "max_attempts": (1, 100, ""),
+        "reposition_offset_m": (0.0, 1e3, "m"),
+    },
+    "actuator": {
+        "steps_per_metre": (1.0, 1e6, "steps/m"),
+        "max_depth_m": (1e-3, 5.0, "m"),
+        "step_rate_hz": (1.0, 1e6, "Hz"),
+    },
+    "calib": {
+        "theta_min": (-1.0, 1.0, "m3/m3"),
+        "theta_max": (-1.0, 1.0, "m3/m3"),
+        "depth_tol_m": (0.0, 5.0, "m"),
+    },
+    # room for what simulate writes: a run of 1e8 points at the slowest
+    # settings ends near 1.2e17 s, a depth reached is at most a 5 m target
+    # plus half a 1 m step, and RAW counts calibrate to [-0.70, 0.97] m3/m3
+    "log": {
+        "timestamp_s": (0.0, 1e18, "s"),
+        "lat": (-90.0, 90.0, "deg"),
+        "lon": (-180.0, 180.0, "deg"),
+        "target_depth_m": (0.0, 10.0, "m"),
+        "achieved_depth_m": (0.0, 10.0, "m"),
+        "attempts": (1, 100, ""),
+        "raw_counts": (0.0, 4300.0, "counts"),
+        "temp_c": (-40.0, 60.0, "C"),
+        "ec_us_cm": (0.0, 2e4, "uS/cm"),
+        "theta": (-1.0, 1.0, "m3/m3"),
+    },
+    "map": {
+        "cell_size_m": (1e-3, 1e3, "m"),
+    },
+}
 
 
-def require_finite(obj, *names):
-    """Raise ConfigError naming the first attribute that is not a finite number."""
-    for name in names:
-        if not is_finite(getattr(obj, name)):
-            raise ConfigError(f"{name} must be finite")
+def range_text(lo, hi, unit: str) -> str:
+    """``[lo, hi] unit``, as every range refusal writes it."""
+    return f"[{lo:g}, {hi:g}]" + (f" {unit}" if unit else "")
 
 
-def require_positive(obj, *names):
-    """Raise ConfigError naming the first attribute not both finite and > 0."""
-    for name in names:
-        value = getattr(obj, name)
-        if not (is_finite(value) and value > 0):
-            raise ConfigError(f"{name} must be finite and > 0")
+def within(block: str, name: str, value):
+    """``value`` itself when it lies in its range, ``RANGES[block][name]``,
+    else ConfigError naming ``name`` and the range.
+
+    The value's type must be exactly int or float (int alone where the
+    bounds are ints), so a bool is refused.  The comparison is exact for
+    an int of any size, and false for NaN.
+    """
+    lo, hi, unit = RANGES[block][name]
+    kinds = (int,) if type(lo) is int else (int, float)
+    if type(value) not in kinds or not lo <= value <= hi:
+        kind = "an integer" if type(lo) is int else "a number"
+        raise ConfigError(f"{name} must be {kind} within {range_text(lo, hi, unit)}")
+    return value
+
+
+def require_within(obj, block: str):
+    """Raise ConfigError naming the first attribute of ``obj`` that is
+    outside its range; ``RANGES[block]`` names the attributes, in order."""
+    for name in RANGES[block]:
+        within(block, name, getattr(obj, name))
 
 
 def require_seed(seed):
@@ -47,12 +132,15 @@ def require_seed(seed):
 
 
 @contextlib.contextmanager
-def prefixed(context: str):
-    """Re-raise a ConfigError raised inside as one that starts with ``context``."""
+def prefixed(context):
+    """Re-raise a ConfigError raised inside as one that starts with
+    ``context``: a string, or a function that returns one when called at
+    the refusal, so a loop can name the item it stopped at."""
     try:
         yield
     except ConfigError as exc:
-        raise ConfigError(f"{context}: {exc}") from None
+        raise ConfigError(f"{context() if callable(context) else context}: "
+                          f"{exc}") from None
 
 
 class SoilProbeError(Exception):
@@ -90,9 +178,8 @@ class SilenceError(SensorFault, TimeoutError):
 
 class ConfigError(SoilProbeError, ValueError):
     """A configuration refused by name: a scenario document that does not
-    decode, a field, argument or flag out of its domain, a mission whose
-    run cannot finish with finite numbers, or a layout that cannot be
-    placed."""
+    decode, a field, argument or flag out of its range or domain, a
+    mission that cannot be run, or a layout that cannot be placed."""
 
 
 class EmptyInputError(SoilProbeError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calib, sdi12
-from .errors import ConfigError, require_finite, require_positive, require_seed
+from .errors import ConfigError, require_seed, require_within
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -42,18 +42,7 @@ class Blob:
     amplitude: float
 
     def __post_init__(self):
-        require_finite(self, "cx", "cy", "amplitude")
-        require_positive(self, "sigma_m")
-        # theta_true divides by 2 * sigma_m ** 2, which must neither
-        # underflow to 0 nor overflow
-        try:
-            spread = 2.0 * self.sigma_m ** 2
-        except OverflowError:
-            spread = math.inf
-        if spread == 0:
-            raise ConfigError("sigma_m is so small that 2 * sigma_m ** 2 is 0")
-        if spread == math.inf:
-            raise ConfigError("sigma_m is so large that 2 * sigma_m ** 2 overflows")
+        require_within(self, "field.blobs")
 
 
 @dataclass(frozen=True)
@@ -65,13 +54,7 @@ class Disk:
     radius_m: float
 
     def __post_init__(self):
-        require_finite(self, "cx", "cy")
-        require_positive(self, "radius_m")
-        try:
-            self.radius_m ** 2
-        except OverflowError:
-            raise ConfigError("radius_m is so large that radius_m ** 2 "
-                              "overflows") from None
+        require_within(self, "field.obstructions")
 
 
 @dataclass(frozen=True)
@@ -89,22 +72,12 @@ class FieldSpec:
     noise_sigma_raw: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")
-        require_positive(self, "width_m", "height_m")
+        require_within(self, "field")
         require_seed(self.seed)
-        if not -90.0 <= self.origin_lat <= 90.0:
-            raise ConfigError("origin_lat must be within [-90, 90]")
-        if not -180.0 <= self.origin_lon <= 180.0:
-            raise ConfigError("origin_lon must be within [-180, 180]")
-        if self.noise_sigma_raw < 0:
-            raise ConfigError("noise_sigma_raw must be >= 0")
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(self, "obstructions", tuple(self.obstructions))
-        # float() first: int sides too big for a float quotient give an
-        # infinite area, hence one cell, where int division would raise
-        area_m2 = float(self.width_m) * float(self.height_m)
-        object.__setattr__(self, "_obstruction_index",
-                           _index_disks(self.obstructions, area_m2))
+        object.__setattr__(self, "_obstruction_index", _index_disks(
+            self.obstructions, self.width_m * self.height_m))
 
     def rng(self) -> np.random.Generator:
         """Fresh generator for one mission execution."""
@@ -124,7 +97,8 @@ def theta_true(spec: FieldSpec, x, y):
     which calls C ``pow``: ``x * x`` (and numpy's array ``** 2``, which
     multiplies) differs from it in the last bit on some inputs.  The
     exponential stays ``np.exp``, whose bits ``math.exp`` does not
-    always match.
+    always match.  Blob centres lie within 1e6 m of the origin, so no
+    square overflows for a query on or near the field.
     """
     if isinstance(x, (int, float)) and isinstance(y, (int, float)):
         return _theta_at(spec, float(x), float(y))
@@ -138,13 +112,7 @@ def theta_true(spec: FieldSpec, x, y):
 def _theta_at(spec: FieldSpec, x: float, y: float) -> float:
     theta = float(spec.base_theta)
     for b in spec.blobs:
-        dx, dy = x - b.cx, y - b.cy
-        try:
-            d2 = dx ** 2 + dy ** 2
-        except OverflowError:
-            # a square beyond the floats is inf, whose exp(-inf) = 0 is the
-            # right limit for a blob centre far out; inf + NaN is still NaN
-            d2 = math.inf if dx == dx and dy == dy else math.nan
+        d2 = (x - b.cx) ** 2 + (y - b.cy) ** 2
         theta += b.amplitude * float(np.exp(-d2 / (2.0 * b.sigma_m ** 2)))
     # max and min keep -0.0 and NaN as np.clip does
     return float(min(max(theta, 0.0), THETA_TRUE_MAX))
@@ -158,20 +126,11 @@ def _theta_at(spec: FieldSpec, x: float, y: float) -> float:
 # every cell that its square of side 2 * reach, grown by a rounding pad,
 # overlaps, so a query reads only its own cell.  An item that would
 # cover more than MAX_CELLS cells goes on a list every query reads
-# instead, which bounds the index at MAX_CELLS entries per item.
-
-_CELL_LIMIT = 2 ** 40    # far and non-finite coordinates share the edge cells
-
-
-def _cell(q: float) -> int:
-    """floor(q), clamped to +-_CELL_LIMIT; NaN maps to -_CELL_LIMIT.
-
-    Monotone in q, so a point inside an item's square always falls in
-    one of the cells the square was listed in.
-    """
-    if -_CELL_LIMIT < q < _CELL_LIMIT:
-        return math.floor(q)
-    return _CELL_LIMIT if q > 0 else -_CELL_LIMIT
+# instead, which bounds the index at MAX_CELLS entries per item.  A cell
+# is floor(coordinate / size), which is monotone, so a point inside an
+# item's square always falls in one of the cells the square was listed
+# in; every coordinate and size the program indexes is finite and in
+# range, so every quotient is finite.
 
 
 class CellIndex:
@@ -195,8 +154,8 @@ class CellIndex:
         # which pass points up to 5e-162 beyond reach
         reach = reach * (1.0 + 1e-9) + 1e-160
         size = self.size
-        i0, i1 = _cell((cx - reach) / size), _cell((cx + reach) / size)
-        j0, j1 = _cell((cy - reach) / size), _cell((cy + reach) / size)
+        i0, i1 = math.floor((cx - reach) / size), math.floor((cx + reach) / size)
+        j0, j1 = math.floor((cy - reach) / size), math.floor((cy + reach) / size)
         if (i1 - i0 + 1) * (j1 - j0 + 1) > self.MAX_CELLS:
             self.scanned.append(item)
             return
@@ -206,7 +165,8 @@ class CellIndex:
 
     def near(self, x: float, y: float) -> list:
         """The items listed in the cell of (x, y), then the scanned ones."""
-        items = self.cells.get((_cell(x / self.size), _cell(y / self.size)), [])
+        items = self.cells.get((math.floor(x / self.size),
+                                math.floor(y / self.size)), [])
         return items + self.scanned if self.scanned else items
 
 
@@ -232,16 +192,12 @@ def obstruction_at(spec: FieldSpec, x: float, y: float) -> float | None:
     A point is obstructed when ``(x - cx) ** 2 + (y - cy) ** 2 <=
     radius_m ** 2`` for some disk.  Only the disks the spec's obstruction
     index holds near the query are tested, which gives the same answer as
-    testing every disk.  A squared distance that overflows is a miss, so
-    a disk far out never obstructs, and NaN or infinite queries are never
-    obstructed.
+    testing every disk.  The query is a probe position: finite, and on or
+    near the field.
     """
     for d in spec._obstruction_index.near(x, y):
-        try:
-            if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
-                return STALL_DEPTH_M
-        except OverflowError:
-            pass  # beyond the largest float, so beyond radius_m ** 2
+        if (x - d.cx) ** 2 + (y - d.cy) ** 2 <= d.radius_m ** 2:
+            return STALL_DEPTH_M
     return None
 
 

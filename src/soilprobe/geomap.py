@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, require_positive
+from .errors import RANGES, ConfigError, EmptyInputError, range_text, within
 from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
@@ -70,7 +70,8 @@ class IdwParams:
     power: float = 2.0
 
     def __post_init__(self):
-        require_positive(self, "power")
+        if not (type(self.power) in (int, float) and 0 < self.power < math.inf):
+            raise ConfigError("power must be finite and > 0")
         if self.power > MAX_POWER:
             raise ConfigError(
                 f"power must be at most {MAX_POWER:g} for radii "
@@ -111,13 +112,17 @@ def _centres(origin: float, cell_size_m: float, n: int) -> np.ndarray:
 
 
 def _as_sample_arrays(xy, theta, ids):
-    """Samples in canonical order, plus each sample's rank by id."""
+    """Samples in canonical order, plus each sample's rank by id.  Each
+    theta lies in a log record's range, so no IDW sum overflows."""
     xy = np.atleast_2d(np.asarray(xy, dtype=float))
     theta = np.asarray(theta, dtype=float).ravel()
     if xy.size == 0 or theta.size == 0:
         raise EmptyInputError("need at least one sample to interpolate")
     if xy.shape[1] != 2 or xy.shape[0] != theta.shape[0]:
         raise ConfigError("xy must be (n, 2) matching n theta values")
+    lo, hi, unit = RANGES["log"]["theta"]
+    if not (lo <= theta.min() and theta.max() <= hi):  # NaN fails both tests
+        raise ConfigError(f"theta must be a number within {range_text(lo, hi, unit)}")
     ids = np.arange(theta.size) if ids is None else np.asarray(ids)
     # canonical sample order so results never depend on input order
     order = np.lexsort((ids, theta, xy[:, 1], xy[:, 0]))
@@ -181,14 +186,9 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     vals = np.full((gy.size, gx.size), np.nan)
 
     power = params.power
-    # thetas beyond 1 in size are weighed scaled by a power of two into
-    # [-1, 1], exactly, so no weighted sum overflows; the scale is undone
-    # on each result
-    top = float(np.abs(theta).max())
-    scale = math.frexp(top)[1] if top > 1.0 else 0
     # the right-hand side of each tile's matrix product: a weight sum and
     # a weighted sum per node
-    ones_theta = np.column_stack([np.ones(theta.size), np.ldexp(theta, -scale)])
+    ones_theta = np.column_stack([np.ones(theta.size), theta])
     # each squared radius widened by the band; products, not **, which
     # rounds some squares to a different last bit
     shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
@@ -248,8 +248,6 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
                     sums = (w.reshape(-1, n) @ rhs).reshape(shape[0], shape[1], 2)
                     block = vals[ra:rb, ca:cb]
                     np.divide(sums[..., 1], sums[..., 0], out=block)
-                    if scale:
-                        np.ldexp(block, scale, out=block)
                     if may_hit.size:
                         hr, hc = np.divmod(may_hit, shape[1])
                         cand = near[close]
@@ -286,14 +284,13 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
     cell goes through the same kernel as :func:`idw_at`, so values and
-    exact-hit tie-breaks match it everywhere.  An extent that is not
-    finite, a raster of more than ``MAX_GRID_CELLS`` cells, or one whose
-    last cell centre leaves the floats, raises ConfigError before
-    anything is allocated.
+    exact-hit tie-breaks match it everywhere.  A cell size outside its
+    range in ``errors.RANGES["map"]``, an extent that is not finite, or a
+    raster of more than ``MAX_GRID_CELLS`` cells raises ConfigError
+    before anything is allocated.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
-    if not (math.isfinite(cell_size_m) and cell_size_m > 0):
-        raise ConfigError("cell_size_m must be finite and > 0")
+    within("map", "cell_size_m", cell_size_m)
     xmin, ymin, xmax, ymax = (float(v) for v in bounds)
     if not (xmax > xmin and ymax > ymin):
         raise ConfigError("bounds must have positive extent")
@@ -306,11 +303,6 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
     if nx * ny > MAX_GRID_CELLS:
         raise ConfigError(f"cell size {cell_size_m} m needs more than "
                           f"{MAX_GRID_CELLS} cells")
-    # the last centre as _centres computes it, in the same float operations
-    if not (math.isfinite(xmin + (nx - 0.5) * cell_size_m)
-            and math.isfinite(ymin + (ny - 0.5) * cell_size_m)):
-        raise ConfigError(f"cell centres of {cell_size_m} m cells over "
-                          f"{width} x {height} m leave the floats")
     values = _idw(xy, theta, rank, _centres(xmin, cell_size_m, nx),
                   _centres(ymin, cell_size_m, ny), params)
     return MoistureGrid(xmin, ymin, cell_size_m, values)

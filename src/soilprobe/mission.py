@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
-from .actuator import ActuatorConfig, motion_duration
+from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
-from .errors import (ConfigError, LogFormatError, is_finite, require_positive,
-                     require_seed)
+from .errors import (RANGES, ConfigError, LogFormatError, require_seed,
+                     require_within, within)
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import check_address
 
@@ -46,18 +46,12 @@ class Waypoint:
 
 @dataclass(frozen=True)
 class MissionConfig:
-    """A mission, refused with a ConfigError naming the attribute at fault
-    unless its run can finish with finite numbers.
+    """A mission, refused with a ConfigError naming the attribute at fault.
 
-    After each attribute's own checks, the run's bounds.  Every attempt
-    lies within the reposition offset of the field, and every attempt in
-    that extent must lie within latitude [-90, 90] and longitude [-180,
-    180], which the log reader requires of each record; on the globe, its
-    coordinates and the hull's cross products are far from overflowing.
-    Then each leg of travel is at most the field's diagonal, and each
-    attempt at most one lowering, one settle and one retract (the virtual
-    sensor answers at once); the factor 2 covers the rounding of the
-    clock's running sum.
+    Each waypoint lies in the field, and every attempt, within the
+    reposition offset of the field, lies within latitude [-90, 90] and
+    longitude [-180, 180], which the log reader requires of each record.
+    Every other bound of the run follows from the ranges of its blocks.
     """
 
     field: fieldsim.FieldSpec
@@ -72,12 +66,10 @@ class MissionConfig:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if not self.waypoints:
             raise ConfigError("waypoint list must be non-empty")
-        require_positive(self, "speed_mps")
+        require_within(self, "mission")
         for w in self.waypoints:
             if type(w.id) is not int:
                 raise ConfigError(f"waypoint id {w.id!r} is not an integer")
-            if not (is_finite(w.x) and is_finite(w.y)):
-                raise ConfigError(f"waypoint {w.id}: x and y must be finite")
             if not (0.0 <= w.x <= self.field.width_m
                     and 0.0 <= w.y <= self.field.height_m):
                 raise ConfigError(f"waypoint {w.id} at ({w.x}, {w.y}) is "
@@ -89,9 +81,8 @@ class MissionConfig:
         check_address(self.sensor_address)
 
         from .fieldsim import local_to_wgs84_at
-        field, sampler, actuator = self.field, self.sampler, self.actuator
-        n = len(self.waypoints)
-        reach = abs(float(sampler.reposition_offset_m))  # so no int sum overflows
+        field = self.field
+        reach = self.sampler.reposition_offset_m
         # latitude and longitude grow with y and x, so two corners bound them
         lat_lo, lon_lo = local_to_wgs84_at(field.origin_lat, field.origin_lon,
                                            -reach, -reach)
@@ -104,24 +95,6 @@ class MissionConfig:
                 f"{field.origin_lat}, longitude {field.origin_lon}, with attempts up "
                 f"to sampler.reposition_offset_m {reach} m beyond it, reaches past "
                 "latitude [-90, 90] or longitude [-180, 180]")
-        travel_s = n * (math.hypot(field.width_m, field.height_m) / self.speed_mps)
-        if not math.isfinite(2.0 * travel_s):
-            raise ConfigError(
-                f"speed_mps: {self.speed_mps} m/s is so slow that {n} legs across "
-                f"a {field.width_m} x {field.height_m} m field overflow the "
-                "mission clock")
-        steps = sampler.target_depth_m * actuator.steps_per_metre
-        if not is_finite(steps):
-            raise ConfigError(
-                f"sampler.target_depth_m: {sampler.target_depth_m} m at "
-                f"actuator.steps_per_metre {actuator.steps_per_metre} overflows")
-        attempt_s = sampler.settle_s + 2.0 * motion_duration(0, round(steps), actuator)
-        if not math.isfinite(2.0 * (travel_s + n * sampler.max_attempts * attempt_s)):
-            raise ConfigError(
-                f"sampler.settle_s: {sampler.settle_s} s, with {round(steps)} steps "
-                f"each way at actuator.step_rate_hz {actuator.step_rate_hz}, makes "
-                f"{n} points of up to {sampler.max_attempts} attempts overflow the "
-                "mission clock")
 
 
 @dataclass(frozen=True)
@@ -162,33 +135,23 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     if type(count) is not int or count < 1:
         raise ConfigError("count must be an integer >= 1")
     require_seed(seed)
-    # an int beyond float range would overflow the float arithmetic below
-    if not (type(min_spacing_m) in (int, float) and is_finite(min_spacing_m)
-            and min_spacing_m >= 0):
-        raise ConfigError("min_spacing_m must be finite and >= 0")
+    within("mission.generate", "min_spacing_m", min_spacing_m)
     width, height = field.width_m, field.height_m
-    # no squared distance between two points of the field exceeds this;
-    # float() first, as an int side squared can leave float range
-    if not math.isfinite(float(width) * width + float(height) * height):
-        raise ConfigError(f"a field of {width} x {height} m is so large that "
-                          f"squared distances across it overflow")
     # Oler's bound (Acta Math. 105, 1961) on points at pairwise distance
     # >= s > 0 in a W x H rectangle: (2/sqrt 3) W H / s^2 + (W + H) / s + 1;
     # a spacing whose square is 0 has none
-    spacing = float(min_spacing_m)  # an int spacing squared can leave float range
-    if count > max_trials and spacing * spacing > 0:
-        fit = (2.0 / math.sqrt(3.0) * (float(width) * height / (spacing * spacing))
-               + (width + height) / spacing + 1.0)
+    spacing_sq = min_spacing_m * min_spacing_m
+    if count > max_trials and spacing_sq > 0:
+        fit = (2.0 / math.sqrt(3.0) * (width * height / spacing_sq)
+               + (width + height) / min_spacing_m + 1.0)
         if count > fit:
             raise ConfigError(
                 f"count {count} exceeds both the {max_trials} draws allowed and "
                 f"the {int(fit)} points {min_spacing_m} m apart that fit "
                 f"{width} x {height} m")
     rng = np.random.default_rng(seed)
-    spacing_sq = min_spacing_m * min_spacing_m
     # cells no smaller than the spacing, and at most 1024 per axis
-    index = fieldsim.CellIndex(
-        max(min_spacing_m, width / 1024, height / 1024) or 1.0)
+    index = fieldsim.CellIndex(max(min_spacing_m, width / 1024, height / 1024))
     accepted: list[tuple[float, float]] = []
     trials = 0
     while len(accepted) < count:
@@ -223,10 +186,9 @@ def _nearest_neighbour_tour(points: list[tuple[float, float]]) -> list[int]:
     order: list[int] = []
     cx, cy = 0.0, 0.0
     for _ in points:
-        with np.errstate(over="ignore"):
-            key = (xs - cx) ** 2 + (ys - cy) ** 2
-            # taken points have NaN keys, which fmin and <= both pass over
-            bound = np.fmin.reduce(key) * (1.0 + 1e-12) + 1e-300
+        key = (xs - cx) ** 2 + (ys - cy) ** 2
+        # taken points have NaN keys, which fmin and <= both pass over
+        bound = np.fmin.reduce(key) * (1.0 + 1e-12) + 1e-300
         best = min(np.flatnonzero(key <= bound).tolist(),
                    key=lambda k: (points[k][0] - cx) ** 2 + (points[k][1] - cy) ** 2)
         xs[best] = np.nan
@@ -315,10 +277,12 @@ def convex_hull_area(points) -> float:
 # -- Log serialization -------------------------------------------------------
 
 SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
-# each field with the check its value gets, in one table walked per record
+# each field with the check its value gets, in one table walked per record:
+# its kind, and its range in errors.RANGES["log"], if it has one
 _KINDS = {"int": "int", "float": "number", "float | None": "number or null",
           "Validity": "status"}
-_SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type]) for f in fields(SoilSample))
+_SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type], RANGES["log"].get(f.name))
+                       for f in fields(SoilSample))
 _STATUSES = {status.value: status for status in Validity}
 
 # json.dumps's own settings, except that NaN and infinity raise ValueError
@@ -358,11 +322,11 @@ def sample_from_dict(d: dict) -> SoilSample:
     """Check one decoded record against SoilSample's fields and types.
 
     The record holds exactly SoilSample's fields.  Integers must be
-    ints, other numbers finite ints or floats, and only the ``float |
-    None`` fields may be null; a valid record needs a theta, and ``lat``
-    and ``lon`` lie within [-90, 90] and [-180, 180].  Values are
-    checked, never converted, so the record dumps back to the same
-    bytes.
+    ints, other numbers ints or floats, and only the ``float | None``
+    fields may be null; a valid record needs a theta.  Each number lies
+    in its range in ``errors.RANGES["log"]``, and the refusal names the
+    field and the range.  Values are checked, never converted, so the
+    record dumps back to the same bytes.
     """
     if len(d) != len(_SAMPLE_SCHEMA):
         raise _field_set_error(d)
@@ -372,34 +336,27 @@ def sample_from_dict(d: dict) -> SoilSample:
     # calls, most of its cost, and keeps its key-sharing attribute table
     sample = object.__new__(SoilSample)
     attributes = vars(sample)
-    try:
-        for name, kind in _SAMPLE_SCHEMA:
-            try:
-                value = d[name]
-            except KeyError:
-                raise _field_set_error(d) from None
-            if kind == "int":
-                if type(value) is not int:
-                    raise TypeError(f"{name} must be an integer")
-            elif kind == "status":
-                if type(value) is not str or value not in _STATUSES:
-                    raise ValueError(f"status {value!r} is not one of "
-                                     + ", ".join(_STATUSES))
-                value = _STATUSES[value]
-            elif value is None:
-                if kind == "number":
-                    raise ValueError(f"{name} must be a finite number")
-            elif type(value) not in (int, float) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite {kind}")
-            attributes[name] = value
-    except OverflowError:  # math.isfinite of an int beyond the floats
-        raise ValueError(f"{name} must be a finite {kind}") from None
+    for name, kind, bounds in _SAMPLE_SCHEMA:
+        try:
+            value = d[name]
+        except KeyError:
+            raise _field_set_error(d) from None
+        if kind == "int":
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer")
+            if bounds and not bounds[0] <= value <= bounds[1]:
+                within("log", name, value)  # raises, naming the range
+        elif kind == "status":
+            if type(value) is not str or value not in _STATUSES:
+                raise ValueError(f"status {value!r} is not one of "
+                                 + ", ".join(_STATUSES))
+            value = _STATUSES[value]
+        elif (value is not None or kind == "number") and not (
+                type(value) in (int, float) and bounds[0] <= value <= bounds[1]):
+            within("log", name, value)  # raises, naming the range
+        attributes[name] = value
     if sample.status is Validity.VALID and sample.theta is None:
         raise ValueError("a valid sample needs a theta")
-    if not -90.0 <= sample.lat <= 90.0:
-        raise ValueError(f"lat {sample.lat!r} is outside [-90, 90]")
-    if not -180.0 <= sample.lon <= 180.0:
-        raise ValueError(f"lon {sample.lon!r} is outside [-180, 180]")
     return sample
 
 

@@ -28,15 +28,14 @@ from typing import TYPE_CHECKING
 from . import actuator as act
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import ConfigError, SensorFault, require_finite
+from .errors import RANGES, SensorFault, require_within
 from .sdi12 import RawReading, run_transaction
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
     from . import fieldsim
 
-# most attempts SamplerConfig accepts: from attempt 6 on, attempt k probes
-# where attempt k - 4 did, so more attempts only retry bus faults
-MAX_ATTEMPTS = 100
+# most attempts SamplerConfig accepts
+MAX_ATTEMPTS = RANGES["sampler"]["max_attempts"][1]
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,7 @@ class SamplerConfig:
     reposition_offset_m: float = 0.10
 
     def __post_init__(self):
-        require_finite(self, "target_depth_m", "settle_s", "reposition_offset_m")
-        if (type(self.max_attempts) is not int
-                or not 1 <= self.max_attempts <= MAX_ATTEMPTS):
-            raise ConfigError(
-                f"max_attempts must be an integer in [1, {MAX_ATTEMPTS}]")
-        if self.target_depth_m < 0:
-            raise ConfigError("target_depth_m must be >= 0")
-        if self.settle_s < 0:
-            raise ConfigError("settle_s must be >= 0")
+        require_within(self, "sampler")
 
 
 @dataclass(frozen=True)

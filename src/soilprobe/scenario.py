@@ -5,10 +5,11 @@ the mission (speed plus either an explicit waypoint list or a seeded
 generator block), the sampler, actuator and validity thresholds.
 Unknown keys are rejected so typos fail loudly; mapping parameters are
 not part of a scenario, since ``map`` reads only the log and its flags.
-This module only decodes: each dataclass checks its own values, and
-MissionConfig decides which runs can finish.  Every refusal is a
-ConfigError; one raised while building a block is prefixed with that
-block's name.
+This module only decodes: each dataclass checks its own values against
+their ranges in ``errors.RANGES``, as this module checks each explicit
+waypoint's coordinates, and MissionConfig checks the run as a whole.
+Every refusal is a ConfigError; one raised while building a block is
+prefixed with that block's name.
 
 ``load_scenario`` accepts a filesystem path or the name of a scenario
 bundled with the package (see :func:`bundled_scenarios`); the bundled
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
-from .errors import ConfigError, is_finite, prefixed
+from .errors import ConfigError, prefixed, within
 from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
@@ -119,22 +120,26 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
     with prefixed("mission.waypoints"):
         _expect(explicit, list)
     points = []
-    for i, entry in enumerate(explicit):
-        shape = entry.keys() if isinstance(entry, dict) else None
-        if shape == {"id", "x", "y"}:
-            points.append(Waypoint(entry["id"], entry["x"], entry["y"]))
-            continue
-        context = f"mission.waypoints[{i}]"
-        if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
-            with prefixed(context):
+    i = 0
+    with prefixed(lambda: f"mission.waypoints[{i}]"):  # names the entry at fault
+        for i, entry in enumerate(explicit):
+            shape = entry.keys() if isinstance(entry, dict) else None
+            if shape == {"id", "x", "y"}:
+                points.append(Waypoint(entry["id"], _coordinate("x", entry),
+                                       _coordinate("y", entry)))
+                continue
+            if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
                 _keys(entry, ("id",), ("x", "y", "lat", "lon"))
                 raise ConfigError("need exactly one of x/y or lat/lon")
-        if not (is_finite(entry["lat"]) and is_finite(entry["lon"])):
-            raise ConfigError(f"{context}: lat and lon must be finite")
-        lat, lon = float(entry["lat"]), float(entry["lon"])  # no int difference overflows
-        points.append(Waypoint(entry["id"], *wgs84_to_local_at(
-            field.origin_lat, field.origin_lon, lat, lon)))
+            points.append(Waypoint(entry["id"], *wgs84_to_local_at(
+                field.origin_lat, field.origin_lon, _coordinate("lat", entry),
+                _coordinate("lon", entry))))
     return tuple(points)
+
+
+def _coordinate(key: str, entry: dict):
+    """A waypoint entry's ``key``, checked against its range."""
+    return within("mission.waypoints", key, entry[key])
 
 
 def load_scenario(ref, seed_override: int | None = None) -> Scenario:

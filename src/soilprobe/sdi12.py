@@ -64,7 +64,8 @@ import string
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, FrameError, RangeError, ShapeError, SilenceError
+from .errors import (RANGES, ConfigError, FrameError, RangeError, ShapeError,
+                     SilenceError, range_text)
 
 COMMAND_TERMINATOR = b"!"
 RESPONSE_TERMINATOR = b"\r\n"
@@ -304,19 +305,21 @@ def parse_data_response(frame: bytes) -> DataResponse:
 
 @dataclass(frozen=True)
 class RawReading:
-    """One decoded sensor transaction: RAW counts, temperature, conductivity."""
+    """One decoded sensor transaction: RAW counts, temperature, conductivity,
+    each within its range in ``errors.RANGES["log"]``; RAW counts beyond
+    theirs would calibrate to a theta outside [-1, 1]."""
 
     raw_counts: float
     temp_c: float
     ec_us_cm: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.raw_counts) and self.raw_counts >= 0):
-            raise RangeError(f"raw_counts must be finite and >= 0, got {self.raw_counts!r}")
-        if not (math.isfinite(self.temp_c) and -40.0 <= self.temp_c <= 60.0):
-            raise RangeError(f"temp_c must be within [-40, 60] C, got {self.temp_c!r}")
-        if not (math.isfinite(self.ec_us_cm) and self.ec_us_cm >= 0):
-            raise RangeError(f"ec_us_cm must be finite and >= 0, got {self.ec_us_cm!r}")
+        for name in ("raw_counts", "temp_c", "ec_us_cm"):
+            lo, hi, unit = RANGES["log"][name]
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise RangeError(f"{name} must be within "
+                                 f"{range_text(lo, hi, unit)}, got {value!r}")
 
 
 def decode_reading(resp: DataResponse) -> RawReading:

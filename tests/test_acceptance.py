@@ -296,7 +296,7 @@ def test_criterion_9_the_validity_filter_keeps_the_map_true():
     # each gate alone: here every stall is also an air reading, far below
     # theta_min, so the depth gate and the theta window each flag exactly
     # the samples both together flag
-    depth_only = ValidityThresholds(theta_min=-1e9, theta_max=1e9)
+    depth_only = ValidityThresholds(theta_min=-1.0, theta_max=1.0)
     window_only = ValidityThresholds(depth_tol_m=1.0)
     for thresholds in (depth_only, window_only):
         assert [classify(s.theta, s.achieved_depth_m, s.target_depth_m, thresholds)

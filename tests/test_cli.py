@@ -14,12 +14,13 @@ import pytest
 
 from soilprobe import cli, geomap, mission, scenario
 from soilprobe.calib import Validity
-from soilprobe.errors import (ConfigError, EmptyInputError, FrameError, LogFormatError,
-                              SilenceError)
+from soilprobe.errors import (RANGES, ConfigError, EmptyInputError, FrameError,
+                              LogFormatError, RangeError, SilenceError)
 from soilprobe.fieldsim import Disk
 from soilprobe.mission import (MissionConfig, dump_sample_log,
                                generate_waypoints, read_sample_log,
                                run_mission, select_valid)
+from soilprobe.sdi12 import RawReading
 
 from conftest import make_field, scenario_doc, validate_reference
 
@@ -333,27 +334,25 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
                          "--out-log", str(out)]) == 2
         assert one_line_error(capsys, "simulate: ")
         assert not out.exists()
-    # squares that overflow are refused by name, not met in theta_true or
-    # obstruction_at as "(34, 'Numerical result out of range')"
+    # values whose squares once overflowed in theta_true or obstruction_at
+    # as "(34, 'Numerical result out of range')", or in the tour, or whose
+    # RAW reading no frame carries, are refused by their ranges
     for mutate, prefix in (
             (lambda d: d["field"].update(blobs=[{
                 "cx": 2.0, "cy": 2.0, "sigma_m": 1e200, "amplitude": 0.1}]),
-             "simulate: field.blobs: sigma_m is so large"),
+             "simulate: field.blobs: sigma_m must be a number within"),
             (lambda d: d["field"].update(obstructions=[{
                 "cx": 2.0, "cy": 2.0, "radius_m": 1e200}]),
-             "simulate: field.obstructions: radius_m is so large"),
-            # an int spacing beyond float range is refused, not overflowed
+             "simulate: field.obstructions: radius_m must be a number within"),
             (lambda d: d.update(mission={"generate": {
                 "count": 1, "min_spacing_m": 10 ** 400, "seed": 1}}),
-             "simulate: mission.generate: min_spacing_m must be finite"),
-            # the tour's squared distances would overflow
+             "simulate: mission.generate: min_spacing_m must be a number within"),
             (lambda d: (d["field"].update(width_m=1e200, height_m=1e200),
                         d.update(mission={"generate": {
                             "count": 5, "min_spacing_m": 1.0, "seed": 1}})),
-             "simulate: mission.generate: a field of 1e+200 x 1e+200 m is so large"),
-            # noise this wide overflows a RAW reading, which no frame carries
+             "simulate: field: width_m must be a number within"),
             (lambda d: d["field"].update(noise_sigma_raw=1.7976931348623157e308),
-             "simulate: non-finite value inf cannot go on the wire")):
+             "simulate: field: noise_sigma_raw must be a number within")):
         bad = json.loads(json.dumps(doc))
         mutate(bad)
         path = tmp_path / "bad.json"
@@ -364,31 +363,25 @@ def test_simulate_bad_values_exit_2_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("mutate,line", [
     (lambda d: d["mission"].update(speed_mps=5e-324),
-     "simulate: mission: speed_mps: 5e-324 m/s is so slow that 4 legs across a "
-     "12.0 x 12.0 m field overflow the mission clock"),
+     "simulate: mission: speed_mps must be a number within [0.001, 100] m/s"),
     (lambda d: d.update(sampler={"settle_s": 1e308}),
-     "simulate: mission: sampler.settle_s: 1e+308 s, with 1000 steps each way at "
-     "actuator.step_rate_hz 500.0, makes 4 points of up to 3 attempts overflow "
-     "the mission clock"),
+     "simulate: sampler: settle_s must be a number within [0, 3600] s"),
     (lambda d: d.update(actuator={"step_rate_hz": 5e-324}),
-     "simulate: mission: sampler.settle_s: 1.0 s, with 1000 steps each way at "
-     "actuator.step_rate_hz 5e-324, makes 4 points of up to 3 attempts overflow "
-     "the mission clock"),
+     "simulate: actuator: step_rate_hz must be a number within [1, 1e+06] Hz"),
     (lambda d: d.update(actuator={"steps_per_metre": 1e10, "max_depth_m": 1e300},
                         sampler={"target_depth_m": 1e300}),
-     "simulate: mission: sampler.target_depth_m: 1e+300 m at actuator.steps_per_metre "
-     "10000000000.0 overflows"),
+     "simulate: sampler: target_depth_m must be a number within [0, 5] m"),
     (lambda d: d.update(sampler={"reposition_offset_m": 1e308}),
-     "simulate: mission: field: a 12.0 x 12.0 m field at latitude 45.0, longitude 7.5, "
-     "with attempts up to sampler.reposition_offset_m 1e+308 m beyond it, reaches past "
-     "latitude [-90, 90] or longitude [-180, 180]"),
+     "simulate: sampler: reposition_offset_m must be a number within [0, 1000] m"),
     (lambda d: d["mission"].update(sensor_address="zz"),
      "simulate: mission: invalid SDI-12 address 'zz'"),
 ], ids=["speed", "settle", "step-rate", "steps", "extent", "address"])
 def test_simulate_refuses_a_run_that_cannot_finish_by_name(tmp_path, capsys,
                                                           mutate, line):
     # these loaded once and then failed mid-run or in the writers, with a
-    # line that named no field (json's "Out of range float values ...")
+    # line that named no field (json's "Out of range float values ..."),
+    # and then were refused by the overflow checks of the whole run; each
+    # is now refused by its own key's range
     doc = json.loads(small_scenario(tmp_path).read_text())
     mutate(doc)
     path = tmp_path / "bad.json"
@@ -449,7 +442,7 @@ def test_simulate_int_sizes_whose_sum_leaves_float_range_exit_2(tmp_path, capsys
     path.write_text(json.dumps(doc))
     out = tmp_path / "out.jsonl"
     assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
-    assert one_line_error(capsys, "simulate: mission: field: ")
+    assert one_line_error(capsys, "simulate: field: width_m must be a number within ")
     assert not out.exists()
 
 
@@ -686,7 +679,8 @@ def test_fuzzed_logs_and_frames_exit_with_their_code_and_one_line(tmp_path, caps
 @pytest.mark.filterwarnings("error")
 def test_simulate_far_blob_prints_only_the_summary(tmp_path, capsys):
     doc = json.loads(small_scenario(tmp_path).read_text())
-    doc["field"]["blobs"] = [{"cx": 1e308, "cy": 2.0, "sigma_m": 3.0,
+    # the farthest centre in range, 1e6 m out
+    doc["field"]["blobs"] = [{"cx": 1e6, "cy": 2.0, "sigma_m": 3.0,
                               "amplitude": 0.1}]
     path = tmp_path / "far.json"
     path.write_text(json.dumps(doc))
@@ -697,12 +691,13 @@ def test_simulate_far_blob_prints_only_the_summary(tmp_path, capsys):
 
 
 def test_simulate_far_disk_prints_only_the_summary(tmp_path, capsys):
-    # a disk 1e200 m out never obstructs, as a blob that far never wets
+    # a disk 1e6 m out, the farthest in range, never obstructs, as a blob
+    # that far never wets
     plain = tmp_path / "plain"
     far = tmp_path / "far"
     doc = json.loads((resources.files("soilprobe") / "scenarios"
                       / "paper_field.json").read_text())
-    doc["field"]["obstructions"].append({"cx": 1e200, "cy": 2.0, "radius_m": 0.5})
+    doc["field"]["obstructions"].append({"cx": 1e6, "cy": 2.0, "radius_m": 0.5})
     path = tmp_path / "paper_field_far.json"
     path.write_text(json.dumps(doc))
     for config, out in (("paper_field", plain), (str(path), far)):
@@ -828,10 +823,10 @@ def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("coordinates,needle", [
     # two valid records whose latitudes project onto an infinite y span
-    ([(1.7e308, 7.5), (-1.7e308, 7.5)], "line 1: lat 1.7e+308 is outside [-90, 90]"),
+    ([(1.7e308, 7.5), (-1.7e308, 7.5)], "line 1: lat must be a number within [-90, 90] deg"),
     # one record off the globe, which once needed more cells than allowed
-    ([(91.0, 500.0)], "line 1: lat 91.0 is outside [-90, 90]"),
-    ([(45.0, 500.0)], "line 1: lon 500.0 is outside [-180, 180]"),
+    ([(91.0, 500.0)], "line 1: lat must be a number within [-90, 90] deg"),
+    ([(45.0, 500.0)], "line 1: lon must be a number within [-180, 180] deg"),
 ], ids=["lat-near-float-limit", "lat-91-lon-500", "lon-500"])
 def test_log_coordinates_off_the_globe_exit_3_with_one_line(tmp_path, capsys,
                                                             coordinates, needle):
@@ -863,7 +858,7 @@ def test_log_ints_beyond_the_floats_exit_3_naming_the_field(tmp_path, capsys, fi
                   "--out-grid", str(out / "g.asc")]):
         assert cli.main(argv) == 3
         assert re.fullmatch(rf"{argv[0]}: {re.escape(str(log))}: line 1: {field} "
-                            r"must be a finite number( or null)?\n",
+                            r"must be a number within \[\S+, \S+\] \S+\n",
                             capsys.readouterr().err)
         assert list(out.iterdir()) == []
 
@@ -886,7 +881,8 @@ def test_simulate_refuses_a_field_whose_attempts_leave_the_globe(tmp_path, capsy
 
 
 def test_map_oversized_raster_exits_2(tmp_path, capsys):
-    # two samples about 11 m x 8 m apart: 1e-5 m cells would be ~1e12 cells
+    # two samples about 11 m x 8 m apart: 1 mm cells, the smallest in
+    # range, would be ~1e8 cells
     log = tmp_path / "two.jsonl"
     rec = {"point_id": 1, "timestamp_s": 1.0, "lat": 45.0, "lon": 7.5,
            "target_depth_m": 0.05, "achieved_depth_m": 0.05, "attempts": 1,
@@ -894,13 +890,14 @@ def test_map_oversized_raster_exits_2(tmp_path, capsys):
            "theta": 0.25, "status": "valid"}
     log.write_text(json.dumps(rec) + "\n" + json.dumps(
         {**rec, "point_id": 2, "lat": 45.0001, "lon": 7.5001}) + "\n")
-    assert cli.main(["map", "--log", str(log), "--cell-size", "1e-5"]) == 2
-    assert one_line_error(capsys, "map: --cell-size 1e-05: cell size 1e-05 m needs more than")
+    assert cli.main(["map", "--log", str(log), "--cell-size", "0.001"]) == 2
+    assert one_line_error(capsys, "map: --cell-size 0.001: cell size 0.001 m needs more than")
 
 
 def test_map_cell_size_whose_padded_extent_overflows_exits_2(tmp_path, capsys):
     # the raster is padded by one cell on each side: with 1e308 m cells its
-    # extent overflows to inf, while 1e300 m cells still map onto 2 x 2
+    # extent once overflowed to inf, while 1e300 m cells mapped onto 2 x 2.
+    # Cells are now at most 1 km, and the largest maps onto 3 x 3
     log = tmp_path / "run.jsonl"
     cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
               "--out-summary", str(tmp_path / "s.json")])
@@ -909,13 +906,14 @@ def test_map_cell_size_whose_padded_extent_overflows_exits_2(tmp_path, capsys):
     out.mkdir()
     argv = ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
             "--out-grid", str(out / "g.asc"), "--cell-size"]
-    assert cli.main([*argv, "1e308"]) == 2
-    err = capsys.readouterr().err
-    assert err == "map: --cell-size 1e+308: raster extent inf x inf m is not finite\n"
-    assert "cells" not in err
-    assert list(out.iterdir()) == []
-    assert cli.main([*argv, "1e300"]) == 0
-    assert "onto 2 x 2 cells" in capsys.readouterr().err
+    for size in ("1e308", "1e300"):
+        assert cli.main([*argv, size]) == 2
+        assert capsys.readouterr().err == (
+            f"map: --cell-size {float(size)}: cell_size_m must be a number within "
+            "[0.001, 1000] m\n")
+        assert list(out.iterdir()) == []
+    assert cli.main([*argv, "1000"]) == 0
+    assert "onto 3 x 3 cells" in capsys.readouterr().err
 
 
 def test_codec_parse_and_encode(capsys):
@@ -1069,3 +1067,133 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["codec"])  # needs --parse or --encode
     assert exc.value.code == 2
+
+
+# -- every physical range at its edges -------------------------------------------
+
+# the scenario changes each key's bounds need to run, beside the key itself
+EDGE_SETUP = {
+    ("mission.waypoints", "x"): lambda d: d["field"].update(width_m=1e5),
+    ("mission.waypoints", "y"): lambda d: d["field"].update(height_m=1e5),
+    ("mission.generate", "min_spacing_m"): lambda d: d.update(mission={
+        "generate": {"count": 1, "min_spacing_m": 1.0, "seed": 2}}),
+    ("sampler", "target_depth_m"): lambda d: d["actuator"].update(max_depth_m=5.0),
+    ("actuator", "max_depth_m"): lambda d: d["sampler"].update(target_depth_m=0.0),
+    ("calib", "theta_min"): lambda d: d["calib"].update(theta_max=1.0),
+    ("calib", "theta_max"): lambda d: d["calib"].update(theta_min=-1.0),
+}
+# bounds that pass their range but that another check refuses: no field
+# has its corner on a pole or on the antimeridian's east side, and no
+# waypoint on a pole or the antimeridian lies in a field at latitude 45
+EDGE_REFUSED_ELSEWHERE = {
+    ("field", "origin_lat", -90.0): "reaches past latitude",
+    ("field", "origin_lat", 90.0): "reaches past latitude",
+    ("field", "origin_lon", 180.0): "reaches past latitude",
+    ("mission.waypoints", "lat", -90.0): "outside the field",
+    ("mission.waypoints", "lat", 90.0): "outside the field",
+    ("mission.waypoints", "lon", -180.0): "outside the field",
+    ("mission.waypoints", "lon", 180.0): "outside the field",
+}
+
+
+def edge_doc(block, key, value):
+    """A scenario whose ``block`` key ``key`` is ``value``; everything
+    else lies well inside its range, and each waypoint at the field's
+    origin corner."""
+    doc = scenario_doc()
+    doc["mission"]["waypoints"] = [{"id": 1, "x": 0.0, "y": 0.0},
+                                   {"id": 2, "lat": 45.0, "lon": 7.5}]
+    if block.startswith("field") and key.startswith("origin"):
+        doc["mission"]["waypoints"].pop()  # the lat/lon waypoint moves with it
+        doc["sampler"]["reposition_offset_m"] = 0.0
+    EDGE_SETUP.get((block, key), lambda d: None)(doc)
+    if block == "mission.waypoints":
+        doc["mission"]["waypoints"][0 if key in "xy" else 1][key] = value
+    elif block in ("field.blobs", "field.obstructions"):
+        doc["field"][block.split(".")[1]][0][key] = value
+    else:
+        node = doc
+        for part in block.split("."):
+            node = node[part]
+        node[key] = value
+    return doc
+
+
+def range_line(key, lo, hi, unit):
+    kind = "an integer" if type(lo) is int else "a number"
+    return f"{key} must be {kind} within [{lo:g}, {hi:g}]" + (f" {unit}" if unit else "")
+
+
+def edges(lo, hi):
+    """(bound, the next value beyond it) at each end of [lo, hi]."""
+    if type(lo) is int:
+        return (lo, lo - 1), (hi, hi + 1)
+    return (lo, math.nextafter(lo, -math.inf)), (hi, math.nextafter(hi, math.inf))
+
+
+def test_every_range_accepts_its_bounds_and_refuses_the_next_value(tmp_path, capsys):
+    # each entry of the range table: the bounds pass, and the next float
+    # (or int) beyond each is refused on one line naming the key and the
+    # range.  Scenario keys go through simulate (exit 2), log fields
+    # through validate and map (exit 3) and the sensor's reading, and
+    # --cell-size through map (exit 2)
+    assert set(RANGES) == {"field", "field.blobs", "field.obstructions", "mission",
+                           "mission.waypoints", "mission.generate", "sampler",
+                           "actuator", "calib", "log", "map"}
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "edge.json"
+    sim = ["simulate", "--config", str(config), "--out-log", str(out / "run.jsonl"),
+           "--out-summary", str(out / "s.json")]
+    failures = []
+
+    def run(argv, code, line):
+        got = cli.main(argv)
+        err = capsys.readouterr().err
+        if got != code or (line is not None and err != line + "\n"):
+            failures.append((argv[0], got, err))
+        for p in out.iterdir():
+            p.unlink()
+        return err
+
+    for block, ranges in RANGES.items():
+        if block in ("log", "map"):
+            continue
+        for key, (lo, hi, unit) in ranges.items():
+            prefix = (f"mission.waypoints[{0 if key in 'xy' else 1}]"
+                      if block == "mission.waypoints" else block)
+            for bound, beyond in edges(lo, hi):
+                config.write_text(json.dumps(edge_doc(block, key, bound)))
+                other = EDGE_REFUSED_ELSEWHERE.get((block, key, bound))
+                err = run(sim, 2 if other else 0, None)
+                if other and other not in err:
+                    failures.append((block, key, bound, err))
+                config.write_text(json.dumps(edge_doc(block, key, beyond)))
+                run(sim, 2, f"simulate: {prefix}: {range_line(key, lo, hi, unit)}")
+
+    log = tmp_path / "run.jsonl"
+    readers = (["validate", "--log", str(log), "--out", str(out / "v.jsonl")],
+               ["map", "--log", str(log), "--out-points", str(out / "p.geojson"),
+                "--out-grid", str(out / "g.asc")])
+    for key, (lo, hi, unit) in RANGES["log"].items():
+        for bound, beyond in edges(lo, hi):
+            log.write_text(json.dumps({**RECORD, key: bound}) + "\n")
+            for argv in readers:
+                run(argv, 0, None)
+            log.write_text(json.dumps({**RECORD, key: beyond}) + "\n")
+            for argv in readers:
+                run(argv, 3, f"{argv[0]}: {log}: line 1: {range_line(key, lo, hi, unit)}")
+            if key in ("raw_counts", "temp_c", "ec_us_cm"):  # the sensor's reading
+                reading = {"raw_counts": 2400.0, "temp_c": 24.0, "ec_us_cm": 150.0}
+                RawReading(**{**reading, key: bound})
+                with pytest.raises(RangeError, match=re.escape(
+                        f"{key} must be within [{lo:g}, {hi:g}] {unit}, got {beyond!r}")):
+                    RawReading(**{**reading, key: beyond})
+
+    log.write_text(json.dumps(RECORD) + "\n")
+    (lo, hi, unit), = RANGES["map"].values()
+    for bound, beyond in edges(lo, hi):
+        run([*readers[1], f"--cell-size={bound!r}"], 0, None)
+        run([*readers[1], f"--cell-size={beyond!r}"], 2,
+            f"map: --cell-size {beyond!r}: {range_line('cell_size_m', lo, hi, unit)}")
+    assert failures == []

@@ -4,7 +4,6 @@ virtual sensor behaviour."""
 import decimal
 import itertools
 import math
-import struct
 from collections import Counter
 
 import numpy as np
@@ -65,12 +64,12 @@ def test_theta_true_vectorized_matches_scalar():
 
 @pytest.mark.filterwarnings("error")
 def test_theta_true_extreme_blobs_print_no_warning():
-    far = make_field(theta=0.2, blobs=[Blob(1e308, 5.0, 3.0, 0.1)])
+    # blobs at the ends of their ranges: a centre 1e6 m out, a sigma of 1 mm
+    far = make_field(theta=0.2, blobs=[Blob(1e6, 5.0, 3.0, 0.1)])
     assert theta_true(far, 5.0, 5.0) == 0.2
     xs = np.linspace(0, 20, 5)
     assert np.all(theta_true(far, xs[None, :], xs[:, None]) == 0.2)
-    # 2 * sigma_m ** 2 is subnormal: d**2 / it overflows to inf off centre
-    narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, 1e-160, 0.1)])
+    narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, 1e-3, 0.1)])
     assert theta_true(narrow, 5.0, 5.0) == pytest.approx(0.3, abs=1e-12)
     assert theta_true(narrow, 6.0, 5.0) == 0.2
 
@@ -80,21 +79,6 @@ def same_bits(a, b) -> bool:
     if a != a or b != b:
         return a != a and b != b
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def smallest_sigma() -> float:
-    """The least sigma_m that Blob accepts: 2 * sigma ** 2 is not 0."""
-    def value(bits):  # positive floats are ordered as their bit patterns
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-    lo, hi = 1, struct.unpack("<q", struct.pack("<d", 1.0))[0]  # refused, accepted
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            Blob(0.0, 0.0, value(mid), 0.1)
-            hi = mid
-        except ValueError:
-            lo = mid
-    return value(hi)
 
 
 def test_theta_true_has_the_reference_bits():
@@ -118,25 +102,25 @@ def test_theta_true_has_the_reference_bits():
                   [y for _, y in centres] + rng.uniform(0, side, 500).tolist()
                   + [blobs[1].cy] * 500))
 
-    # far points and far centres, whose squares overflow
-    far = [1e154, 1.4e154, 1e200, 1e300, 1.7976931348623157e308]
+    # far points, and centres and sigmas at the ends of their ranges
+    far = [1e5, 1.4e5, 1e6, 2e6, 1e7]
     far_values = far + [-v for v in far] + [math.inf, -math.inf, math.nan]
     far_spec = make_field(theta=0.2, blobs=blobs[:2] + [
-        Blob(1e308, 5.0, 3.0, 0.1), Blob(-1.7976931348623157e308, -1e200, 1e150, 0.2)])
+        Blob(1e6, 5.0, 3.0, 0.1), Blob(-1e6, -1e6, 1e5, 0.2)])
     coords = far_values + [0.0, 5.0, 150.0]
     pairs = [(x, y) for x in coords for y in coords]
     cases.append((far_spec, [x for x, _ in pairs], [y for _, y in pairs]))
 
-    # the narrowest blob Blob accepts: its spread 2 * sigma_m ** 2 is subnormal
-    sigma = smallest_sigma()
-    with pytest.raises(ValueError, match="so small"):
+    # the narrowest blob Blob accepts, a sigma of 1 mm
+    sigma = 1e-3
+    with pytest.raises(ValueError, match=r"^sigma_m must be a number within"):
         Blob(0.0, 0.0, math.nextafter(sigma, 0.0), 0.1)
     narrow = make_field(theta=0.2, blobs=[Blob(5.0, 5.0, sigma, 0.1),
-                                          Blob(7.0, 5.0, 1e-150, -0.05)])
+                                          Blob(7.0, 5.0, sigma, -0.05)])
     offsets = (rng.standard_normal(3000) * sigma * 4).tolist()
     cases.append((narrow, [5.0 + d for d in offsets] + [7.0] * 1000,
                   [5.0 - d for d in offsets[::-1]]
-                  + (5.0 + rng.standard_normal(1000) * 1e-150).tolist()))
+                  + (5.0 + rng.standard_normal(1000) * sigma).tolist()))
 
     # clamped at 0 (with either sign of zero) and at THETA_TRUE_MAX
     xs = rng.uniform(0, 20, 1000).tolist()
@@ -144,9 +128,9 @@ def test_theta_true_has_the_reference_bits():
     for base, amplitude in [(-0.0, -0.1), (-0.0, 0.1), (0.0, -0.1), (0.1, -0.1),
                             (-0.2, 0.1), (0.55, 0.1), (0.6, 0.0), (0.7, -0.05)]:
         clamp = make_field(theta=base, blobs=[Blob(10.0, 10.0, 3.0, amplitude),
-                                              Blob(1e300, 0.0, 1.0, amplitude)])
-        cases.append((clamp, xs + [10.0, 1e300, -500.0, 1e200],
-                      ys + [10.0, 0.0, -500.0, 1e200]))
+                                              Blob(1e6, 0.0, 1.0, amplitude)])
+        cases.append((clamp, xs + [10.0, 1e6, -500.0, 1e7],
+                      ys + [10.0, 0.0, -500.0, 1e7]))
 
     points, signed_zeros, maxed, mismatches = 0, 0, 0, []
     for spec, xs, ys in cases:
@@ -211,9 +195,16 @@ def test_np_exp_is_the_one_the_goldens_were_pinned_with():
 @pytest.mark.filterwarnings("error")
 def test_theta_true_sum_beyond_the_floats_clamps_without_a_warning():
     # numpy scalar arithmetic once warned "overflow encountered in scalar
-    # add" on stderr; a Python float sum overflows to inf without a word
-    spec = make_field(theta=10 ** 308, blobs=[Blob(1.0, 1.0, 1.0, 10 ** 308)])
-    assert theta_true(spec, 1.0, 1.0) == THETA_TRUE_MAX
+    # add" on stderr for a sum of 10 ** 308s.  A base or an amplitude is
+    # now a VWC within [-1, 1]: such ints are refused, and the largest
+    # sums in range clamp without a word
+    with pytest.raises(ConfigError, match=r"^base_theta must be a number within"):
+        make_field(theta=10 ** 308)
+    with pytest.raises(ConfigError, match=r"^amplitude must be a number within"):
+        Blob(1.0, 1.0, 1.0, 10 ** 308)
+    for sign, clamped in ((1, THETA_TRUE_MAX), (-1, 0.0)):
+        spec = make_field(theta=sign, blobs=[Blob(1.0, 1.0, 1.0, sign)] * 3)
+        assert theta_true(spec, 1.0, 1.0) == clamped
 
 
 # -- obstructions -------------------------------------------------------------
@@ -226,9 +217,6 @@ def test_obstruction_membership():
     # boundary is inclusive
     assert obstruction_at(spec, 6.0, 5.0) == STALL_DEPTH_M
     assert obstruction_at(spec, 6.0 + 1e-9, 5.0) is None
-
-
-NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def rim_queries(disks):
@@ -253,10 +241,6 @@ def assert_index_matches_linear_scan(spec, queries):
     for x, y in queries:
         expected = obstruction_at_reference(spec, x, y)
         assert obstruction_at(spec, x, y) == expected, (x, y)
-    for x in (*NON_FINITE, 0.5, -3.0):
-        for y in (*NON_FINITE, 0.5):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                assert obstruction_at(spec, x, y) is None, (x, y)
     index = spec._obstruction_index
     assert sum(map(len, index.cells.values())) <= (
         CellIndex.MAX_CELLS * (len(spec.obstructions) - len(index.scanned)))
@@ -284,16 +268,20 @@ def test_obstruction_index_matches_linear_scan_on_cell_edges():
 
 
 def test_obstruction_index_covers_subnormal_squares():
-    # radius_m ** 2 = 1e-320 is subnormal, so the test passes points up to
-    # about 2e-4 radii beyond the rim; each rim stops 1e-6 radii short of
-    # a cell edge, and the points just past the edge must still stall
-    r = 1e-160
+    # the smallest disks, 1 mm, on the smallest field, 1 mm wide, give
+    # 2 mm cells; each rim stops 1e-6 radii short of a cell edge, and the
+    # points walking out across the edge stall exactly as the scan says.
+    # (radius_m ** 2 is at least 1e-6, never subnormal: reaches whose
+    # squares are subnormal are the generator's, in the CellIndex test)
+    r = 1e-3
     size = 2.0 * r
     disks = [Disk(k * size - r * (1 + 1e-6), 0.0, r) for k in range(1, 9)]
     spec = make_field(width=r, height=r, obstructions=disks)
     assert spec._obstruction_index.size == size
-    queries = [(k * size * (1 + j * 1e-6), 0.0) for k in range(1, 9) for j in range(50)]
+    queries = [(k * size * (1 + j * 1e-7), 0.0) for k in range(1, 9) for j in range(50)]
+    queries += [(x, 0.0) for k in range(1, 9) for x in rim_walk(k * size - r * 1e-6, 0.0, 1.0)]
     assert any(obstruction_at_reference(spec, x, y) for x, y in queries)
+    assert not all(obstruction_at_reference(spec, x, y) for x, y in queries)
     assert_index_matches_linear_scan(spec, queries)
 
 
@@ -313,24 +301,30 @@ def test_obstruction_index_matches_linear_scan_on_random_specs(seed):
 
 def test_obstruction_index_without_disks():
     spec = make_field()
-    assert_index_matches_linear_scan(spec, [(0.0, 0.0), (-1.0, 3.5), (1e300, 5.0)])
+    assert_index_matches_linear_scan(spec, [(0.0, 0.0), (-1.0, 3.5), (1e6, 5.0)])
 
 
 def test_far_and_huge_disks_stay_bounded():
-    # the linear scan raises OverflowError on a disk 1e200 m out; the
-    # index never lists it near the field, and a squared distance that
-    # overflows is a miss
-    far = Disk(1e200, 5.0, 0.5)
-    huge = Disk(2.0, 2.0, 1e150)
+    # disks at the ends of their ranges: a centre 1e6 m out, which the
+    # index never lists near the field, and the widest disk, 1 km, which
+    # covers too many cells to list; beyond them a disk is refused
+    far = Disk(1e6, 5.0, 0.5)
+    huge = Disk(2.0, 2.0, 1e3)
     stone = Disk(5.0, 5.0, 1.0)
     spec = make_field(obstructions=[far, stone])
     assert obstruction_at(spec, 5.0, 5.0) == STALL_DEPTH_M
     assert obstruction_at(spec, 15.0, 5.0) is None
-    assert obstruction_at(spec, 1e200, 5.0) == STALL_DEPTH_M
+    assert obstruction_at(spec, 1e6, 5.0) == STALL_DEPTH_M
     spec = make_field(obstructions=[far, stone, huge])
     assert spec._obstruction_index.scanned == [huge]
     assert obstruction_at(spec, 15.0, 5.0) == STALL_DEPTH_M
-    assert obstruction_at(spec, 1e300, -1e300) is None
+    assert obstruction_at(spec, -1e6, 1e6) is None
+    assert_index_matches_linear_scan(spec, [(1e6, 5.5), (1e6 + 0.5, 5.0), (1002.0, 2.0),
+                                            (1002.0 + 1e-9, 2.0), (-1e6, 1e6)])
+    for args, name in (((math.nextafter(1e6, 2e6), 5.0, 0.5), "cx"),
+                       ((2.0, 2.0, math.nextafter(1e3, 2e3)), "radius_m")):
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number within"):
+            Disk(*args)
 
 
 def rim_walk(c, reach, sign):
@@ -344,26 +338,26 @@ def rim_walk(c, reach, sign):
 
 
 def test_cell_index_finds_every_item_within_reach():
-    # reaches of 0, subnormal squares, ordinary and huge, on cells of
-    # ordinary and of subnormal-scale size.  Some items have rims on the
-    # cell edge at 0, or just short of it, and the queries walk out from
-    # every rim across the edge, where x - cx rounds to the reach.
+    # reaches of 0, subnormal squares, ordinary and the widest spacing,
+    # 1e5 m, on cells of ordinary size and of the smallest the generator
+    # makes, a 1 mm field's 1024th.  Some items have rims on the cell edge
+    # at 0, or just short of it, and the queries walk out from every rim
+    # across the edge, where x - cx rounds to the reach.
     rng = np.random.default_rng(17)
-    for size in (1.0, 0.3, 2e-160, 3e-160):
+    for size in (1.0, 0.3, 1e-3 / 1024, 3e-6):
         items, far_huge = [], []
-        for reach in (0.0, 1e-160, size * float(rng.uniform(0.05, 2.0)), 1e150):
+        for reach in (0.0, 1e-160, size * float(rng.uniform(0.05, 2.0)), 1e5):
             for sx, sy, short in itertools.product(
                     (1.0, -1.0), (1.0, -1.0), (1.0, 1.0 + 1e-6, 1.0 + 1e-5)):
                 items.append((-sx * reach * short, -sy * reach * short, reach))
             for _ in range(8):
-                if reach == 1e150:
+                if reach == 1e5:
                     far_huge.append(len(items))
                 items.append((*(size * rng.uniform(-20.0, 20.0, size=2)).tolist(), reach))
         index = CellIndex(size)
         for k, (cx, cy, reach) in enumerate(items):
             index.add(k, cx, cy, reach)
-        queries = [(x, y) for x in (*NON_FINITE, 0.0) for y in (*NON_FINITE, 0.0)]
-        queries += (size * rng.uniform(-22.0, 22.0, size=(400, 2))).tolist()
+        queries = (size * rng.uniform(-22.0, 22.0, size=(400, 2))).tolist()
         for cx, cy, reach in items:
             for sign in (1.0, -1.0):
                 queries += [(x, cy) for x in rim_walk(cx, reach, sign)]
@@ -372,11 +366,7 @@ def test_cell_index_finds_every_item_within_reach():
         for x, y in queries:
             near = index.near(x, y)
             for k, (cx, cy, reach) in enumerate(items):
-                try:
-                    within = (x - cx) ** 2 + (y - cy) ** 2 <= reach ** 2
-                except OverflowError:
-                    within = False
-                if within:
+                if (x - cx) ** 2 + (y - cy) ** 2 <= reach ** 2:
                     assert k in near, (size, k, x, y)
         # a huge item near the field covers too many cells to list
         assert set(far_huge) <= set(index.scanned)
@@ -504,30 +494,31 @@ def test_field_spec_validation():
         FieldSpec(origin_lat=0, origin_lon=0, width_m=1, height_m=1, base_theta=0.2)
     with pytest.raises(ValueError):
         Blob(0, 0, 0.0, 0.1)
-    for sigma in (5e-324, 1e-170):  # 2 * sigma_m ** 2 underflows to 0
-        with pytest.raises(ValueError, match="sigma_m is so small"):
-            Blob(0, 0, sigma, 0.1)
-    for sigma in (1e154, 1e200):  # 2 * sigma_m ** 2 overflows
-        with pytest.raises(ValueError, match="sigma_m is so large"):
+    # sigmas whose 2 * sigma_m ** 2 once underflowed to 0 or overflowed, and
+    # radii whose square overflowed, are outside their ranges
+    for sigma in (5e-324, 1e-170, 1e154, 1e200):
+        with pytest.raises(ValueError, match=r"^sigma_m must be a number within "
+                                             r"\[0\.001, 100000\] m$"):
             Blob(0, 0, sigma, 0.1)
     with pytest.raises(ValueError):
         Disk(0, 0, 0.0)
-    for radius in (1e155, 1e200):  # radius_m ** 2 overflows
-        with pytest.raises(ValueError, match="radius_m is so large"):
+    for radius in (1e155, 1e200):
+        with pytest.raises(ValueError, match=r"^radius_m must be a number within "
+                                             r"\[0\.001, 1000\] m$"):
             Disk(0, 0, radius)
     for bad in (math.nan, math.inf, -math.inf):
         for name in ("theta", "noise", "width", "height"):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="must be a number within"):
                 make_field(**{name: bad})
         with pytest.raises(ValueError, match="origin_lat"):
             FieldSpec(origin_lat=bad, origin_lon=0, width_m=1, height_m=1,
                       base_theta=0.2, seed=1)
         for args in ((bad, 0, 1.0, 0.1), (0, bad, 1.0, 0.1),
                      (0, 0, bad, 0.1), (0, 0, 1.0, bad)):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="must be a number within"):
                 Blob(*args)
         for args in ((bad, 0, 1.0), (0, bad, 1.0), (0, 0, bad)):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="must be a number within"):
                 Disk(*args)
     for seed in (-1, 1.0, "7", True, None):
         with pytest.raises(ValueError, match="seed"):
@@ -535,18 +526,21 @@ def test_field_spec_validation():
     for lat, lon, name in ((90.5, 0, "origin_lat"), (-91, 0, "origin_lat"),
                            (1e300, 0, "origin_lat"), (0, 180.5, "origin_lon"),
                            (0, -10 ** 308, "origin_lon")):
-        with pytest.raises(ConfigError, match=rf"^{name} must be within"):
+        with pytest.raises(ConfigError, match=rf"^{name} must be a number within"):
             FieldSpec(origin_lat=lat, origin_lon=lon, width_m=1, height_m=1,
                       base_theta=0.2, seed=1)
     for lat, lon in ((90, 180), (-90, -180)):  # the edges are in range
         FieldSpec(origin_lat=lat, origin_lon=lon, width_m=1, height_m=1,
                   base_theta=0.2, seed=1)
-    # int sides whose int area over the disk count no float can hold make
-    # an infinite area, hence one index cell
-    vast = make_field(width=10 ** 200, height=10 ** 200,
+    # int sides at the top of their range index like their floats
+    vast = make_field(width=10 ** 5, height=10 ** 5,
                       obstructions=[Disk(2.0, 2.0, 1.0)])
+    assert vast._obstruction_index.size == make_field(
+        width=1e5, height=1e5, obstructions=[Disk(2.0, 2.0, 1.0)])._obstruction_index.size
     assert obstruction_at(vast, 2.5, 2.0) == obstruction_at_reference(vast, 2.5, 2.0)
     assert obstruction_at(vast, 5.0, 5.0) is None
+    with pytest.raises(ConfigError, match=r"^width_m must be a number within"):
+        make_field(width=10 ** 200)
 
 
 # -- simulated clock -----------------------------------------------------------
@@ -670,12 +664,14 @@ def test_a_mission_encodes_only_the_reading_of_each_data_frame(monkeypatch):
     assert calls["encode_data_response"] == calls["__post_init__"] == 0
 
 
-def test_virtual_sensor_refuses_a_non_finite_reading():
-    # noise this wide overflows RAW to inf on some draws: the sensor
-    # refuses to send it, as DataResponse refuses to hold it
-    sensor = make_sensor(make_field(noise=1.7976931348623157e308))
+def test_virtual_sensor_refuses_a_non_finite_reading(monkeypatch):
+    # noise near the float limit once overflowed RAW to inf; noise is now
+    # at most 1000 counts, but a reading with no wire text is still
+    # refused, as DataResponse refuses to hold it
+    sensor = make_sensor(make_field(noise=1e3))
     sensor.place(2.0, 2.0, in_soil=True)
-    with pytest.raises(ValueError, match="non-finite value inf"):
-        for _ in range(100):
-            sensor.exchange(b"0M!")
+    for raw in (math.inf, math.nan):
+        monkeypatch.setattr(fieldsim, "sense_raw", lambda *args, raw=raw: raw)
+        sensor.exchange(b"0M!")
+        with pytest.raises(ValueError, match=f"non-finite value {raw}"):
             sensor.exchange(b"0D0!")

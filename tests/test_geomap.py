@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from soilprobe.calib import Validity
-from soilprobe.errors import ConfigError, EmptyInputError
+from soilprobe.errors import RANGES, ConfigError, EmptyInputError
 from soilprobe.geomap import (_CHUNK_CELLS, CUTOFF_RADIUS_M, EXACT_RADIUS_M,
                               MAX_POWER, IdwParams, MoistureGrid,
-                              _as_sample_arrays, _idw, build_grid,
+                              _as_sample_arrays, _centres, _idw, build_grid,
                               export_grid_ascii, export_points_geojson, idw_at,
                               samples_to_local)
 from soilprobe.sampler import SoilSample
@@ -146,18 +146,22 @@ def test_grid_nodata_cells_are_exactly_the_far_ones():
 
 
 def test_thetas_near_the_float_limit_stay_in_range():
-    # their weighted sums once overflowed, and cells with samples in reach
-    # became no-data; they are weighed scaled by a power of two, exactly,
-    # so the grid is that of the scaled thetas, scaled back
+    # thetas near 1.7e308 once overflowed their weighted sums, and cells
+    # with samples in reach became no-data; a theta is now a VWC within
+    # [-1, 1], its range in a log record, and at both edges of it the
+    # grid stays inside the sampled range
     rng = np.random.default_rng(63)
     xy = np.vstack([[(0.25, 0.25)], rng.uniform(0, 10, size=(24, 2))])  # one exact hit
-    theta = rng.uniform(-1, 1, size=25) * 1.7e308
+    theta = rng.choice([-1.0, 1.0], size=25)
     grid = build_grid(xy, theta, (0, 0, 10, 10), cell_size_m=0.5).values
-    scaled = build_grid(xy, np.ldexp(theta, -1024), (0, 0, 10, 10), cell_size_m=0.5).values
     assert not np.isnan(grid).any()
-    assert np.array_equal(grid, np.ldexp(scaled, 1024))
     assert grid[0, 0] == theta[0]
-    assert theta.min() <= grid.min() and grid.max() <= theta.max()
+    assert -1.0 <= grid.min() and grid.max() <= 1.0
+    for beyond in (math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0), 1.7e308,
+                   math.nan):
+        with pytest.raises(ConfigError, match=r"^theta must be a number within "
+                                              r"\[-1, 1\] m3/m3$"):
+            build_grid(xy, [*theta[:-1], beyond], (0, 0, 10, 10))
 
 
 def test_grid_cell_containing_sample_echoes_it():
@@ -192,9 +196,24 @@ def exact_hit_cells(grid, xy, exact):
     return hit
 
 
+def grid_of(xy, theta, ids, bounds, cell, power):
+    """build_grid's raster.  build_grid refuses a cell size outside the
+    --cell-size range, and the kernel cases below span 1e-160 m to 1e150 m
+    cells: their raster comes from the kernel, on the lattice build_grid
+    would give it."""
+    lo, hi, _ = RANGES["map"]["cell_size_m"]
+    if lo <= cell <= hi:
+        return build_grid(xy, theta, bounds, IdwParams(power), cell_size_m=cell,
+                          ids=ids)
+    xmin, ymin, xmax, ymax = bounds
+    nx, ny = math.ceil((xmax - xmin) / cell), math.ceil((ymax - ymin) / cell)
+    values = _idw(*_as_sample_arrays(xy, theta, ids), _centres(xmin, cell, nx),
+                  _centres(ymin, cell, ny), IdwParams(power))
+    return MoistureGrid(xmin, ymin, cell, values)
+
+
 def assert_grid_matches_dense(xy, theta, ids, bounds, cell, power=2.0):
-    grid = build_grid(xy, theta, bounds, IdwParams(power), cell_size_m=cell,
-                      ids=ids)
+    grid = grid_of(xy, theta, ids, bounds, cell, power)
     want = idw_dense_reference(*_as_sample_arrays(xy, theta, ids),
                                *grid.cell_centers(), power)
     got = grid.values
@@ -272,13 +291,12 @@ def test_tiled_kernel_matches_dense_kernel(case):
 # (width, height, cell, samples, theta range): a raster one cell wide and
 # one one cell tall; cells of 2**-6 m, so that a tile row of 640 cells
 # holds more than _CHUNK_CELLS pairs and is split across its columns; and
-# thetas beyond 1 in size, which the matrix product weighs scaled by a
-# power of two
+# thetas across their whole range, [-1, 1]
 LATTICE_EDGE_CASES = [
     (2.0, 300.0, 2.0, 40, (0.05, 0.45)),
     (300.0, 2.0, 2.0, 40, (0.05, 0.45)),
     (12.0, 0.25, 2.0**-6, 200, (0.05, 0.45)),
-    (80.0, 60.0, 0.5, 150, (-3.0, 5.0)),
+    (80.0, 60.0, 0.5, 150, (-1.0, 1.0)),
 ]
 
 
@@ -534,14 +552,17 @@ def test_raster_size_cap_rejects_before_allocating():
 
 @pytest.mark.filterwarnings("error")
 def test_cell_centres_beyond_the_floats_are_refused():
-    # a finite extent whose last cell centre overflows: once NaN cells and
-    # an overflow warning, now refused before the kernel sees an infinite axis
-    with pytest.raises(ConfigError, match=r"^cell centres of 1e\+308 m cells over "):
-        build_grid([(0, 0)], [0.1], (1.7e308, 0.0, 1.75e308, 1.0), cell_size_m=1e308)
-    with pytest.raises(ConfigError, match="leave the floats$"):
-        build_grid([(0, 0)], [0.1], (0.0, -0.9e308, 1.0, 0.85e308), cell_size_m=0.8e308)
-    # centres just inside the floats still map
-    grid = build_grid([(0, 0)], [0.1], (-0.9e308, 0.0, 0.85e308, 1.0), cell_size_m=0.9e308)
+    # a finite extent whose last cell centre overflows once made NaN cells
+    # and an overflow warning.  Such cells are now refused by their range,
+    # and a raster of cells no larger than 1 km that the cell cap lets
+    # through ends within 2 ** 24 km of its origin
+    line = r"^cell_size_m must be a number within \[0\.001, 1000\] m$"
+    for cell in (1e308, 0.8e308, math.nextafter(1e3, math.inf)):
+        with pytest.raises(ConfigError, match=line):
+            build_grid([(0, 0)], [0.1], (1.7e308, 0.0, 1.75e308, 1.0), cell_size_m=cell)
+    with pytest.raises(ConfigError, match="cells$"):
+        build_grid([(0, 0)], [0.1], (1.7e308, 0.0, 1.75e308, 1.0), cell_size_m=1e3)
+    grid = build_grid([(0, 0)], [0.1], (-1e3, 0.0, 1e3, 1.0), cell_size_m=1e3)
     assert grid.values.shape == (1, 2) and np.isnan(grid.values).all()
 
 

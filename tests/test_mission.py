@@ -77,10 +77,10 @@ WAYPOINT_SWEEP = [
     (20.0, 20.0, 200, 5e-324, 6),      # spacing_sq underflows to 0
     (20.0, 20.0, 200, 1e-160, 7),      # spacing_sq is subnormal
     (100.0, 100.0, 200, 1e-6, 8),      # cells set by the extent, not the spacing
-    (1e6, 1e6, 150, 5e4, 9),
-    (1e-3, 1e-3, 60, 1e-4, 10),
-    (10.0, 10.0, 1, 1e300, 11),
-    (10.0, 10.0, 1, 10 ** 300, 13),    # an int spacing near the float limit
+    (1e5, 1e5, 150, 5e3, 9),           # the widest field
+    (1e-3, 1e-3, 60, 1e-4, 10),        # the narrowest field
+    (10.0, 10.0, 1, 1e5, 11),          # the widest spacing
+    (10.0, 10.0, 1, 10 ** 5, 13),      # the widest spacing, an int
     (7.0, 5.0, 2, 5.0, 12),            # spacing as wide as the field
 ]
 
@@ -97,7 +97,7 @@ def test_generate_waypoints_matches_quadratic_reference(width, height, count,
 # (width, height, count, spacing, seed, max_trials)
 INFEASIBLE_SWEEP = [
     (2.0, 2.0, 1000, 1.0, 3, 20_000),
-    (10.0, 10.0, 2, 1e300, 1, 1000),
+    (10.0, 10.0, 2, 1e5, 1, 1000),
     (20.0, 20.0, 400, 1.0, 2, 5000),
     (5.0, 5.0, 30, 1.0, 0, 20),
     (1.0, 1.0, 5, 0.0, 4, 4),
@@ -301,33 +301,44 @@ def test_mission_config_validation():
                              speed_mps=v), "speed_mps"),
 ])
 def test_positive_fields_name_themselves(build, name):
+    # the power is any finite number > 0; every other key here has a
+    # physical range whose lower bound is above 0
+    line = {"steps_per_metre": "steps_per_metre must be a number within [1, 1e+06] steps/m",
+            "max_depth_m": "max_depth_m must be a number within [0.001, 5] m",
+            "step_rate_hz": "step_rate_hz must be a number within [1, 1e+06] Hz",
+            "power": "power must be finite and > 0",
+            "speed_mps": "speed_mps must be a number within [0.001, 100] m/s"}[name]
     for bad in (0, 0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as info:
             build(bad)
-        assert str(info.value) == f"{name} must be finite and > 0"
-    if name == "speed_mps":  # too slow to cross the field in finite time
-        with pytest.raises(ConfigError, match=r"^speed_mps: 5e-324 m/s is so slow"):
-            build(5e-324)
-    else:
+        assert str(info.value) == line
+    if name == "power":
         build(5e-324)
+    else:
+        with pytest.raises(ConfigError) as info:
+            build(5e-324)
+        assert str(info.value) == line
 
 
 @pytest.mark.parametrize("kwargs,line", [
-    ({"speed_mps": 5e-324}, r"^speed_mps: 5e-324 m/s is so slow"),
-    ({"sampler": SamplerConfig(settle_s=1e308)}, r"^sampler\.settle_s: 1e\+308 s"),
-    ({"actuator": ActuatorConfig(step_rate_hz=5e-324)},
-     r"^sampler\.settle_s: .* actuator\.step_rate_hz 5e-324,"),
-    ({"sampler": SamplerConfig(target_depth_m=1e300),
-      "actuator": ActuatorConfig(steps_per_metre=1e10, max_depth_m=1e300)},
-     r"^sampler\.target_depth_m: 1e\+300 m at actuator\.steps_per_metre"),
-    ({"sampler": SamplerConfig(reposition_offset_m=1e308)},
-     r"^field: .* sampler\.reposition_offset_m 1e\+308 m beyond it"),
+    (lambda: {"speed_mps": 5e-324},
+     r"^speed_mps must be a number within \[0\.001, 100\] m/s$"),
+    (lambda: {"sampler": SamplerConfig(settle_s=1e308)},
+     r"^settle_s must be a number within \[0, 3600\] s$"),
+    (lambda: {"actuator": ActuatorConfig(step_rate_hz=5e-324)},
+     r"^step_rate_hz must be a number within \[1, 1e\+06\] Hz$"),
+    (lambda: {"sampler": SamplerConfig(target_depth_m=1e300),
+              "actuator": ActuatorConfig(steps_per_metre=1e10, max_depth_m=1e300)},
+     r"^target_depth_m must be a number within \[0, 5\] m$"),
+    (lambda: {"sampler": SamplerConfig(reposition_offset_m=1e308)},
+     r"^reposition_offset_m must be a number within \[0, 1000\] m$"),
 ], ids=["speed", "settle", "step-rate", "steps", "extent"])
 def test_mission_config_refuses_a_run_that_cannot_finish(kwargs, line):
     # these once built through the API, and run_mission returned an
-    # infinite duration_s that dump_summary refused with json's ValueError
+    # infinite duration_s that dump_summary refused with json's ValueError;
+    # each value is now refused by its own range, before any run is checked
     with pytest.raises(ConfigError, match=line):
-        MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),), **kwargs)
+        MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),), **kwargs())
 
 
 def test_mission_config_keeps_every_attempt_on_the_globe():
@@ -364,20 +375,24 @@ def _check_on_globe(field, fits):
 def test_every_field_on_the_globe_keeps_its_numbers_finite():
     # the globe bound is the only extent check: each mission it accepts has
     # finite latitudes and longitudes at twice its attempts' extent, and a
-    # finite 2 * n * x_max * y_max for up to n = 10**9 points, as the
-    # overflow check it replaced required.  Odd draws span the floats, even
-    # ones a globe's width around its edge; half the origins' latitudes lie
-    # on a pole and half their longitudes on the antimeridian
+    # finite 2 * n * x_max * y_max for up to n = 10**9 points.  Sides and
+    # offsets span their ranges, [0.001, 1e5] m and [0, 1000] m, odd draws
+    # log-uniformly and even ones at an end of a range; half the origins'
+    # latitudes lie on a pole and half their longitudes on the antimeridian
     rng = np.random.default_rng(2525)
     accepted, extremes = 0, {}
     for i in range(2_000):
-        low, high = (-320.0, 308.25) if i % 2 else (4.0, 7.5)
-        width, height, reach = map(float, 10.0 ** rng.uniform(low, high, size=3))
+        if i % 2:
+            width, height = map(float, 10.0 ** rng.uniform(-3.0, 5.0, size=2))
+            reach = float(10.0 ** rng.uniform(-3.0, 3.0))
+        else:
+            width, height = map(float, rng.choice((1e-3, 1e5), size=2))
+            reach = float(rng.choice((0.0, 1e3)))
         lat = float(rng.choice((*rng.uniform(-90.0, 90.0, size=2), -90.0, 90.0)))
         lon = float(rng.choice((*rng.uniform(-180.0, 180.0, size=2), -180.0, 180.0)))
         field = dataclasses.replace(make_field(), origin_lat=lat, origin_lon=lon,
                                     width_m=width, height_m=height)
-        sampler = SamplerConfig(reposition_offset_m=float(rng.choice((-reach, reach))))
+        sampler = SamplerConfig(reposition_offset_m=reach)
         try:
             cfg = MissionConfig(field=field, waypoints=(Waypoint(1, 0.0, 0.0),),
                                 sampler=sampler)
@@ -392,9 +407,10 @@ def test_every_field_on_the_globe_keeps_its_numbers_finite():
             assert all(math.isfinite(v) for v in corner), cfg
         assert math.isfinite(2.0 * 10 ** 9 * x_max * y_max), cfg
         for name, size in (("width", width), ("height", height), ("reach", reach)):
-            if size > extremes.get(name, (0.0,))[0]:
+            if size > extremes.get(name, (-1.0,))[0]:
                 extremes[name] = (size, cfg)
     assert accepted >= 150  # of 2,000; the globe bound refuses the rest
+    assert {size for size, _ in extremes.values()} == {1e5, 1e3}
     # a one-point mission at each accepted extreme runs and writes its records
     for _, cfg in extremes.values():
         samples, summary = run_mission(cfg)
@@ -535,9 +551,9 @@ def test_parse_log_keeps_values_unconverted():
     ({"theta": None}, "theta"),
     ({"theta": math.nan}, "theta"),
     ({"status": "great"}, "great"),
-    ({"lat": 90.5}, r"lat 90\.5 is outside \[-90, 90\]"),
-    ({"lat": -1.7e308}, r"lat -1\.7e\+308 is outside \[-90, 90\]"),
-    ({"lon": -180.5}, r"lon -180\.5 is outside \[-180, 180\]"),
+    ({"lat": 90.5}, r"lat must be a number within \[-90, 90\] deg$"),
+    ({"lat": -1.7e308}, r"lat must be a number within \[-90, 90\] deg$"),
+    ({"lon": -180.5}, r"lon must be a number within \[-180, 180\] deg$"),
 ])
 def test_parse_log_rejects_mistyped_fields(changes, needle):
     lines = [_valid_record(), _valid_record(**changes)]

@@ -152,18 +152,19 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
                  r"^mission\.waypoints\[0\]: expected an object, got int$",
                  id="waypoint-number"),
     # JSON ints that each fit a float but whose int sum or difference
-    # does not once raised OverflowError
+    # does not once raised OverflowError; such sides are now refused by
+    # their range
     *(pytest.param(lambda d, side=side: (
         d["field"].update({side: 10 ** 308}),
         d.update(sampler={"reposition_offset_m": 8 * 10 ** 307})),
-        r"^mission: field: .* reaches past latitude \[-90, 90\] or longitude "
-        r"\[-180, 180\]$", id=f"{side}-plus-offset-int")
+        rf"^field: {side} must be a number within \[0\.001, 100000\] m$",
+        id=f"{side}-plus-offset-int")
       for side in ("width_m", "height_m")),
     # an origin that far out is now refused by its key, before any waypoint
     *(pytest.param(lambda d, key=key: (
         d["field"].update({"origin_" + key: 10 ** 308}),
         d["mission"].update(waypoints=[{"id": 1, "lat": 45, "lon": 7, key: -10 ** 308}])),
-        rf"^field: origin_{key} must be within \[-{bound}, {bound}\]$",
+        rf"^field: origin_{key} must be a number within \[-{bound}, {bound}\] deg$",
         id=f"{key}-less-origin-int")
       for key, bound in (("lat", 90), ("lon", 180))),
     pytest.param(_set(("field", "blobs"), [{}]),
@@ -278,41 +279,57 @@ def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch
             generate_waypoints(field, 10 ** 30, spacing, 1, max_trials=50)
 
 
-FLOATS = ("a", [1], {}, None, 10 ** 400)
+FLOATS = ("a", [1], {}, None, True, False, 10 ** 400)
 # an int key takes an int of any size: 10 ** 400 is a valid seed, and a
 # count that cannot be placed, not a mistyped one
 INTS = FLOATS[:-1]
 
 
+def _number(block, key, bounds):
+    return f"{block}: {key} must be a number within {bounds}"
+
+
 KEY_CASES = [
-    *((f"field.{key}", FLOATS, f"field: {key} must be finite")
-      for key in ("origin_lat", "origin_lon", "base_theta", "noise_sigma_raw")),
-    *((f"field.{key}", FLOATS, f"field: {key} must be finite and > 0")
+    ("field.origin_lat", FLOATS, _number("field", "origin_lat", "[-90, 90] deg")),
+    ("field.origin_lon", FLOATS, _number("field", "origin_lon", "[-180, 180] deg")),
+    ("field.base_theta", FLOATS, _number("field", "base_theta", "[-1, 1] m3/m3")),
+    ("field.noise_sigma_raw", FLOATS,
+     _number("field", "noise_sigma_raw", "[0, 1000] counts")),
+    *((f"field.{key}", FLOATS, _number("field", key, "[0.001, 100000] m"))
       for key in ("width_m", "height_m")),
     ("field.seed", INTS, "field: seed must be a non-negative integer"),
-    *((f"field.blobs.0.{key}", FLOATS, f"field.blobs: {key} must be finite")
-      for key in ("cx", "cy", "amplitude")),
-    ("field.blobs.0.sigma_m", FLOATS, "field.blobs: sigma_m must be finite and > 0"),
-    *((f"field.obstructions.0.{key}", FLOATS, f"field.obstructions: {key} must be finite")
+    *((f"field.blobs.0.{key}", FLOATS, _number("field.blobs", key, "[-1e+06, 1e+06] m"))
       for key in ("cx", "cy")),
+    ("field.blobs.0.amplitude", FLOATS,
+     _number("field.blobs", "amplitude", "[-1, 1] m3/m3")),
+    ("field.blobs.0.sigma_m", FLOATS, _number("field.blobs", "sigma_m", "[0.001, 100000] m")),
+    *((f"field.obstructions.0.{key}", FLOATS,
+       _number("field.obstructions", key, "[-1e+06, 1e+06] m")) for key in ("cx", "cy")),
     ("field.obstructions.0.radius_m", FLOATS,
-     "field.obstructions: radius_m must be finite and > 0"),
-    *((f"sampler.{key}", FLOATS, f"sampler: {key} must be finite")
-      for key in ("target_depth_m", "settle_s", "reposition_offset_m")),
+     _number("field.obstructions", "radius_m", "[0.001, 1000] m")),
+    ("sampler.target_depth_m", FLOATS, _number("sampler", "target_depth_m", "[0, 5] m")),
+    ("sampler.settle_s", FLOATS, _number("sampler", "settle_s", "[0, 3600] s")),
+    ("sampler.reposition_offset_m", FLOATS,
+     _number("sampler", "reposition_offset_m", "[0, 1000] m")),
     ("sampler.max_attempts", FLOATS,
-     "sampler: max_attempts must be an integer in [1, 100]"),
-    *((f"actuator.{key}", FLOATS, f"actuator: {key} must be finite and > 0")
-      for key in ("steps_per_metre", "max_depth_m", "step_rate_hz")),
-    *((f"calib.{key}", FLOATS, f"calib: {key} must be finite")
-      for key in ("theta_min", "theta_max", "depth_tol_m")),
-    ("mission.speed_mps", FLOATS, "mission: speed_mps must be finite and > 0"),
+     "sampler: max_attempts must be an integer within [1, 100]"),
+    ("actuator.steps_per_metre", FLOATS,
+     _number("actuator", "steps_per_metre", "[1, 1e+06] steps/m")),
+    ("actuator.max_depth_m", FLOATS, _number("actuator", "max_depth_m", "[0.001, 5] m")),
+    ("actuator.step_rate_hz", FLOATS, _number("actuator", "step_rate_hz", "[1, 1e+06] Hz")),
+    *((f"calib.{key}", FLOATS, _number("calib", key, "[-1, 1] m3/m3"))
+      for key in ("theta_min", "theta_max")),
+    ("calib.depth_tol_m", FLOATS, _number("calib", "depth_tol_m", "[0, 5] m")),
+    ("mission.speed_mps", FLOATS, _number("mission", "speed_mps", "[0.001, 100] m/s")),
     *((f"mission.waypoints.0.{key}", FLOATS,
-       "mission: waypoint 1: x and y must be finite") for key in ("x", "y")),
-    *((f"mission.waypoints.1.{key}", FLOATS,
-       "mission.waypoints[1]: lat and lon must be finite") for key in ("lat", "lon")),
+       _number("mission.waypoints[0]", key, "[0, 100000] m")) for key in ("x", "y")),
+    ("mission.waypoints.1.lat", FLOATS,
+     _number("mission.waypoints[1]", "lat", "[-90, 90] deg")),
+    ("mission.waypoints.1.lon", FLOATS,
+     _number("mission.waypoints[1]", "lon", "[-180, 180] deg")),
     ("mission.generate.count", INTS, "mission.generate: count must be an integer >= 1"),
     ("mission.generate.min_spacing_m", FLOATS,
-     "mission.generate: min_spacing_m must be finite and >= 0"),
+     _number("mission.generate", "min_spacing_m", "[0, 100000] m")),
     ("mission.generate.seed", INTS,
      "mission.generate: seed must be a non-negative integer"),
 ]

@@ -165,6 +165,34 @@ def test_every_error_type_is_raised_or_a_base_of_one_that_is():
     assert rewording == ["errors.prefixed"]
 
 
+def test_the_overflow_guards_stay_gone():
+    # every number is checked against its physical range where it enters
+    # (errors.RANGES), so nothing behind that point can overflow: no
+    # handler catches OverflowError, and the cell index's clamp of far
+    # and non-finite coordinates is gone
+    handlers, limits = [], []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "OverflowError" in _names(node.type)):
+                handlers.append(f"{path.name}:{node.lineno}")
+            if ("_CELL_LIMIT" in (getattr(node, "id", None), getattr(node, "attr", None))
+                    or isinstance(node, ast.FunctionDef) and node.name == "_cell"):
+                limits.append(f"{path.name}:{node.lineno}")
+    assert handlers == []
+    assert limits == []
+
+
+def test_readme_lists_every_range():
+    # the README's range table holds each entry of errors.RANGES, as
+    # "| `block.key` | lo | hi | unit |", so the two cannot drift apart
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [f"{block}.{key}" for block, ranges in errors.RANGES.items()
+               for key, (lo, hi, unit) in ranges.items()
+               if f"| `{block}.{key}` | {lo:g} | {hi:g} | {unit or '-'} |" not in readme]
+    assert missing == []
+
+
 def test_survey_1k_waypoints_match_the_quadratic_reference(tmp_path):
     # ties the benchmark's generated layout, pinned by its golden hashes,
     # to the reference generator
