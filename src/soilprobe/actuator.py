@@ -8,12 +8,10 @@ or driver signalling is modelled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ConfigError, require_within
+from .errors import ConfigError, record, require_within
 
 
-@dataclass(frozen=True)
+@record
 class ActuatorConfig:
     """Defaults put a 0.05 m target at exactly 1000 steps."""
 
@@ -25,7 +23,7 @@ class ActuatorConfig:
         require_within(self, "actuator")
 
 
-@dataclass(frozen=True)
+@record
 class ActuatorState:
     position_steps: int = 0
     depth_m: float = 0.0
@@ -52,14 +50,8 @@ def lower_to(cfg: ActuatorConfig, target_depth_m: float,
         final_steps = min(target_steps, round(obstruction_depth_m * cfg.steps_per_metre))
     else:
         final_steps = target_steps
-    # ActuatorState has no __post_init__: fill its __dict__ in field
-    # order, skipping the frozen __init__'s object.__setattr__ calls
-    state = object.__new__(ActuatorState)
-    fields = vars(state)
-    fields["position_steps"] = final_steps
-    fields["depth_m"] = final_steps / cfg.steps_per_metre
-    fields["stalled"] = (target_steps - final_steps) > 1
-    return state
+    return ActuatorState(final_steps, final_steps / cfg.steps_per_metre,
+                         (target_steps - final_steps) > 1)
 
 
 def motion_duration(from_steps: int, to_steps: int, cfg: ActuatorConfig) -> float:

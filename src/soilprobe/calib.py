@@ -10,10 +10,9 @@ and shorted/flooded readings are both flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConfigError, require_within
+from .errors import ConfigError, record, require_within
 
 # theta [m3/m3] = VWC_PER_COUNT * RAW + VWC_AT_ZERO_COUNTS
 VWC_PER_COUNT = 3.879e-4
@@ -28,7 +27,7 @@ class Validity(str, Enum):
     SENSOR_ERROR = "sensor_error"
 
 
-@dataclass(frozen=True)
+@record
 class ValidityThresholds:
     """Gate settings for :func:`classify`.
 

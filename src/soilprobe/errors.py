@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one table of
-physical ranges that every number is checked against where it enters.
+"""Exception types shared across the package, the one table of physical
+ranges that every number is checked against where it enters, and
+``record``, the decorator of every value type.
 
 Every error raised on purpose is a ``SoilProbeError``, and the CLI
 turns only those into exit codes.  A refused scenario document,
@@ -19,6 +20,7 @@ behind that point meets a number no field, probe or reading can have.
 """
 
 import contextlib
+import dataclasses
 
 
 # The physical range of every number a scenario, a sample log or a flag
@@ -129,6 +131,35 @@ def require_seed(seed):
     """Raise ConfigError unless ``seed`` is a non-negative int (not a bool)."""
     if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
+
+
+def record(cls):
+    """``dataclasses.dataclass(frozen=True)`` with a faster ``__init__``.
+
+    The stock frozen ``__init__`` sets each field through
+    ``object.__setattr__``, which costs about three times what the rest
+    of it does.  The one generated here, once per class and as
+    ``dataclasses`` generates its own, takes the same parameters and
+    defaults, puts each argument into the instance ``__dict__`` in field
+    order and then calls ``__post_init__`` when the class has one.  So
+    equality, hash, repr, frozenness, pickling, ``dataclasses.replace``
+    and every TypeError a call can raise stay the stock dataclass's.
+    """
+    cls = dataclasses.dataclass(frozen=True)(cls)
+    stock = cls.__init__
+    names = [f.name for f in dataclasses.fields(cls)]
+    lines = [f"def __init__(self, {', '.join(names)}):", "    fill = self.__dict__"]
+    lines += [f"    fill[{name!r}] = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = stock.__defaults__
+    init.__annotations__ = stock.__annotations__
+    init.__qualname__ = stock.__qualname__
+    cls.__init__ = init
+    return cls
 
 
 @contextlib.contextmanager

@@ -16,12 +16,11 @@ owned by the caller; identical seeds reproduce identical behaviour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import calib, sdi12
-from .errors import ConfigError, require_seed, require_within
+from .errors import ConfigError, record, require_seed, require_within
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -32,7 +31,7 @@ MEASURE_DELAY_S = 0      # seconds the sensor acknowledges on aM!
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@dataclass(frozen=True)
+@record
 class Blob:
     """One Gaussian moisture anomaly; amplitude may be negative (dry spot)."""
 
@@ -45,7 +44,7 @@ class Blob:
         require_within(self, "field.blobs")
 
 
-@dataclass(frozen=True)
+@record
 class Disk:
     """One obstruction disk; boundary points count as inside."""
 
@@ -57,7 +56,7 @@ class Disk:
         require_within(self, "field.obstructions")
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """Everything the simulated field needs; ``seed`` is mandatory."""
 

@@ -29,12 +29,12 @@ bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import RANGES, ConfigError, EmptyInputError, range_text, within
+from .errors import (RANGES, ConfigError, EmptyInputError, range_text, record,
+                     within)
 from .fieldsim import wgs84_to_local_at
 
 NODATA = -9999
@@ -61,7 +61,7 @@ MAX_GRID_CELLS = 1 << 24
 _SQUARE_BAND = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class IdwParams:
     """IDW settings.  A power above ``MAX_POWER`` is refused: the weight
     near the exact radius could overflow, and cells with samples in
@@ -79,7 +79,7 @@ class IdwParams:
                 f"weight leaves 1e-300..1e300")
 
 
-@dataclass(frozen=True)
+@record
 class MoistureGrid:
     """Raster of interpolated VWC over a local metric frame.
 
@@ -406,13 +406,8 @@ def export_grid_ascii(grid: MoistureGrid) -> str:
         f"cellsize {grid.cell_size_m:.6f}",
         f"NODATA_value {NODATA}",
     ]
-    fmt, nodata = "{:.6f}".format, str(NODATA)
+    # every non-finite cell becomes NaN, which "%.6f" writes as "nan"
+    rows = np.where(np.isfinite(grid.values), grid.values, np.nan)[::-1]
     row_fmt = " ".join(["%.6f"] * grid.nx)
-    rows = grid.values[::-1]
-    for finite, row in zip(np.isfinite(rows).all(axis=1).tolist(), rows):
-        if finite:
-            lines.append(row_fmt % tuple(row.tolist()))
-        else:
-            lines.append(" ".join(fmt(v) if math.isfinite(v) else nodata
-                                  for v in row.tolist()))
-    return "\n".join(lines) + "\n"
+    body = "".join(row_fmt % tuple(row.tolist()) + "\n" for row in rows)
+    return "\n".join(lines) + "\n" + body.replace("nan", str(NODATA))

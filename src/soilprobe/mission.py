@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import TYPE_CHECKING
 
 from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
-from .errors import (RANGES, ConfigError, LogFormatError, require_seed,
+from .errors import (RANGES, ConfigError, LogFormatError, record, require_seed,
                      require_within, within)
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import check_address
@@ -37,14 +37,14 @@ if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that u
 REJECTION_TRIAL_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class Waypoint:
     id: int
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@record
 class MissionConfig:
     """A mission, refused with a ConfigError naming the attribute at fault.
 
@@ -97,7 +97,7 @@ class MissionConfig:
                 "latitude [-90, 90] or longitude [-180, 180]")
 
 
-@dataclass(frozen=True)
+@record
 class MissionSummary:
     points_total: int
     points_valid: int
@@ -120,8 +120,8 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     point.
     Deterministic under ``seed``, a non-negative int.  Raises
     ConfigError once ``max_trials`` draws fail to place all points, and
-    before the first draw for a count above both ``max_trials`` and the
-    most points that fit at that spacing.
+    before the first draw for a count above ``max_trials``, since each
+    draw places at most one point.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
@@ -136,19 +136,11 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
         raise ConfigError("count must be an integer >= 1")
     require_seed(seed)
     within("mission.generate", "min_spacing_m", min_spacing_m)
+    if count > max_trials:
+        raise ConfigError(f"count {count} exceeds the {max_trials} draws allowed; "
+                          "each draw places at most one point")
     width, height = field.width_m, field.height_m
-    # Oler's bound (Acta Math. 105, 1961) on points at pairwise distance
-    # >= s > 0 in a W x H rectangle: (2/sqrt 3) W H / s^2 + (W + H) / s + 1;
-    # a spacing whose square is 0 has none
     spacing_sq = min_spacing_m * min_spacing_m
-    if count > max_trials and spacing_sq > 0:
-        fit = (2.0 / math.sqrt(3.0) * (width * height / spacing_sq)
-               + (width + height) / min_spacing_m + 1.0)
-        if count > fit:
-            raise ConfigError(
-                f"count {count} exceeds both the {max_trials} draws allowed and "
-                f"the {int(fit)} points {min_spacing_m} m apart that fit "
-                f"{width} x {height} m")
     rng = np.random.default_rng(seed)
     # cells no smaller than the spacing, and at most 1024 per axis
     index = fieldsim.CellIndex(max(min_spacing_m, width / 1024, height / 1024))
@@ -330,12 +322,7 @@ def sample_from_dict(d: dict) -> SoilSample:
     """
     if len(d) != len(_SAMPLE_SCHEMA):
         raise _field_set_error(d)
-    # SoilSample has no __post_init__, so each checked value goes straight
-    # into the new sample's __dict__, in field order, as copy and pickle
-    # restore an instance: this skips the frozen __init__'s object.__setattr__
-    # calls, most of its cost, and keeps its key-sharing attribute table
-    sample = object.__new__(SoilSample)
-    attributes = vars(sample)
+    values = []
     for name, kind, bounds in _SAMPLE_SCHEMA:
         try:
             value = d[name]
@@ -354,7 +341,8 @@ def sample_from_dict(d: dict) -> SoilSample:
         elif (value is not None or kind == "number") and not (
                 type(value) in (int, float) and bounds[0] <= value <= bounds[1]):
             within("log", name, value)  # raises, naming the range
-        attributes[name] = value
+        values.append(value)
+    sample = SoilSample(*values)
     if sample.status is Validity.VALID and sample.theta is None:
         raise ValueError("a valid sample needs a theta")
     return sample

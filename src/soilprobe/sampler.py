@@ -22,13 +22,12 @@ it never aborts the mission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import actuator as act
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import RANGES, SensorFault, require_within
+from .errors import RANGES, SensorFault, record, require_within
 from .sdi12 import RawReading, run_transaction
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
@@ -38,7 +37,7 @@ if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that u
 MAX_ATTEMPTS = RANGES["sampler"]["max_attempts"][1]
 
 
-@dataclass(frozen=True)
+@record
 class SamplerConfig:
     target_depth_m: float = 0.05
     settle_s: float = 1.0
@@ -49,7 +48,7 @@ class SamplerConfig:
         require_within(self, "sampler")
 
 
-@dataclass(frozen=True)
+@record
 class AttemptRecord:
     """One probe insertion: where, how deep, what was read, verdict.
 
@@ -67,7 +66,7 @@ class AttemptRecord:
     fault: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class SoilSample:
     """One persisted, geo-referenced, validity-classified measurement."""
 
@@ -85,7 +84,7 @@ class SoilSample:
     status: Validity
 
 
-@dataclass
+@record
 class PointResult:
     """Every attempt at one point, in order, and the sample the last one decided."""
 
@@ -148,21 +147,8 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
             theta = raw_to_vwc(reading.raw_counts)
             validity = classify(theta, state.depth_m, cfg.target_depth_m,
                                 thresholds)
-        # no record type has a __post_init__, so each value goes straight
-        # into the new record's __dict__, in field order, as in
-        # mission.sample_from_dict: this skips the frozen __init__'s
-        # object.__setattr__ calls, most of its cost
-        record = object.__new__(AttemptRecord)
-        fields = vars(record)
-        fields["attempt_index"] = k
-        fields["x"] = x
-        fields["y"] = y
-        fields["achieved_depth_m"] = state.depth_m
-        fields["reading"] = reading
-        fields["theta"] = theta
-        fields["validity"] = validity
-        fields["fault"] = fault
-        attempts.append(record)
+        attempts.append(AttemptRecord(k, x, y, state.depth_m, reading, theta,
+                                      validity, fault))
         validated_at = clock.now
 
         # retract to position 0
@@ -173,18 +159,8 @@ def attempt_point(point, sensor, field: fieldsim.FieldSpec, cfg: SamplerConfig, 
 
     # SamplerConfig keeps max_attempts >= 1, so the loop's names hold the last attempt
     lat, lon = fieldsim.local_to_wgs84_at(field.origin_lat, field.origin_lon, x, y)
-    sample = object.__new__(SoilSample)
-    fields = vars(sample)  # filled in field order: the log dumps it as is
-    fields["point_id"] = point.id
-    fields["timestamp_s"] = validated_at
-    fields["lat"] = lat
-    fields["lon"] = lon
-    fields["target_depth_m"] = cfg.target_depth_m
-    fields["achieved_depth_m"] = state.depth_m
-    fields["attempts"] = len(attempts)
-    fields["raw_counts"] = reading.raw_counts if reading is not None else None
-    fields["temp_c"] = reading.temp_c if reading is not None else None
-    fields["ec_us_cm"] = reading.ec_us_cm if reading is not None else None
-    fields["theta"] = theta
-    fields["status"] = validity
-    return PointResult(attempts=attempts, sample=sample)
+    measured = ((reading.raw_counts, reading.temp_c, reading.ec_us_cm)
+                if reading is not None else (None, None, None))
+    sample = SoilSample(point.id, validated_at, lat, lon, cfg.target_depth_m,
+                        state.depth_m, len(attempts), *measured, theta, validity)
+    return PointResult(attempts, sample)

@@ -20,20 +20,20 @@ bundled with the package (see :func:`bundled_scenarios`); the bundled
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
 
 from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
-from .errors import ConfigError, prefixed, within
+from .errors import ConfigError, prefixed, record, within
 from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
 from .mission import MissionConfig, Waypoint, generate_waypoints
 from .sampler import SamplerConfig
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     name: str
     mission: MissionConfig

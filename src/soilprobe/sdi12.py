@@ -61,11 +61,10 @@ import functools
 import math
 import re
 import string
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (RANGES, ConfigError, FrameError, RangeError, ShapeError,
-                     SilenceError, range_text)
+                     SilenceError, range_text, record)
 
 COMMAND_TERMINATOR = b"!"
 RESPONSE_TERMINATOR = b"\r\n"
@@ -136,7 +135,7 @@ class Verb(Enum):
 _VERBS = {None: Verb.ACKNOWLEDGE, b"I": Verb.IDENTIFY, b"M": Verb.START_MEASUREMENT}
 
 
-@dataclass(frozen=True)
+@record
 class Command:
     """One SDI-12 command.
 
@@ -191,7 +190,7 @@ def parse_command(frame: bytes) -> Command:
 # -- Measurement acknowledge ("atttn") ---------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MeasureAck:
     """Reply to aM!: measurement ready after ``delay_s``, ``value_count`` values."""
 
@@ -226,7 +225,7 @@ def _parse_measure_ack(frame: bytes) -> MeasureAck:
 # -- Data response ("a<+v><+v>...") ------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DataResponse:
     """Reply to aDn!: the sensor's values, in wire order."""
 
@@ -245,8 +244,10 @@ class DataResponse:
 def _data_response(address: str, values: tuple[float, ...]) -> DataResponse:
     """A DataResponse built without its checks, for a caller that has made them.
 
-    ``address`` must be one address character and ``values`` a tuple of
-    at most MAX_VALUES_PER_FRAME finite floats.
+    This is the one constructor in the package that skips a record's
+    checks: the data-frame grammar has already made them.  ``address``
+    must be one address character and ``values`` a tuple of at most
+    MAX_VALUES_PER_FRAME finite floats.
     """
     resp = object.__new__(DataResponse)
     fields = vars(resp)  # in field order, as __init__ sets them
@@ -303,7 +304,7 @@ def parse_data_response(frame: bytes) -> DataResponse:
 # -- Sensor reading ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RawReading:
     """One decoded sensor transaction: RAW counts, temperature, conductivity,
     each within its range in ``errors.RANGES["log"]``; RAW counts beyond

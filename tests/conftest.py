@@ -3,9 +3,9 @@ sets every key, fault-injecting sensors, the naive interpolation oracle,
 the dense IDW kernel, the per-cell ASCII raster writer, the linear
 waypoint and obstruction references, the re-encoding ``validate``
 reference, the hand-written SDI-12 parsers, the parse-based virtual
-sensor, the numpy ground truth, the check that a record is what its
-public constructor builds, and the fixture that swaps every optimised
-layer for its reference."""
+sensor, the numpy ground truth, a record type's stock dataclass twin,
+the check that a record is what its public constructor builds, and the
+fixture that swaps every optimised layer for its reference."""
 
 from __future__ import annotations
 
@@ -110,8 +110,11 @@ def generate_waypoints_reference(field, count, min_spacing_m, seed,
 
     ``mission.generate_waypoints`` must return the same waypoints and
     raise the same infeasible-layout ConfigError message (argument checks
-    aside).
+    aside), a count above ``max_trials`` refused before the first draw.
     """
+    if count > max_trials:
+        raise ConfigError(f"count {count} exceeds the {max_trials} draws allowed; "
+                          "each draw places at most one point")
     rng = np.random.default_rng(seed)
     spacing_sq = min_spacing_m * min_spacing_m
     accepted: list[tuple[float, float]] = []
@@ -371,17 +374,34 @@ def retracted(result, clock, actuator_cfg=ActuatorConfig()) -> bool:
     return clock.now == result.sample.timestamp_s + motion_duration(0, steps, actuator_cfg)
 
 
+def stock_twin(cls):
+    """A frozen dataclass built by ``dataclasses`` alone, with the name,
+    fields, defaults and ``__post_init__`` of the record type ``cls``:
+    what ``errors.record`` must behave as."""
+    namespace = ({"__post_init__": cls.__post_init__}
+                 if hasattr(cls, "__post_init__") else {})
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type, dataclasses.field(default=f.default))
+                       for f in dataclasses.fields(cls)],
+        namespace=namespace, frozen=True)
+
+
 def assert_as_constructed(record):
-    """``record``, an instance of a frozen dataclass, is what its public
+    """``record``, an instance of a record type, is what its public
     constructor builds from the same fields: equal, with the same hash,
     repr and ``vars()`` in field order, through ``dataclasses.replace``
-    and a pickle round trip, and frozen."""
+    and a pickle round trip, and frozen.  Its stock twin (``stock_twin``)
+    built from the same fields holds the same ``vars()`` in the same
+    order, with the same hash and repr."""
     names = [f.name for f in dataclasses.fields(record)]
     public = type(record)(**vars(record))
     assert record == public and hash(record) == hash(public)
     assert repr(record) == repr(public)
     assert list(vars(record)) == list(vars(public)) == names
     assert vars(record) == vars(public)
+    twin = stock_twin(type(record))(**vars(record))
+    assert list(vars(twin)) == names and vars(twin) == vars(record)
+    assert hash(twin) == hash(record) and repr(twin) == repr(record)
     for copy in (dataclasses.replace(record), pickle.loads(pickle.dumps(record))):
         assert copy == public and list(vars(copy)) == names
     for name in names:

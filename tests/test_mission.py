@@ -99,6 +99,7 @@ INFEASIBLE_SWEEP = [
     (2.0, 2.0, 1000, 1.0, 3, 20_000),
     (10.0, 10.0, 2, 1e5, 1, 1000),
     (20.0, 20.0, 400, 1.0, 2, 5000),
+    # counts above the draws allowed: both refuse before the first draw
     (5.0, 5.0, 30, 1.0, 0, 20),
     (1.0, 1.0, 5, 0.0, 4, 4),
 ]

@@ -12,7 +12,7 @@ from soilprobe.errors import ConfigError
 from soilprobe.mission import generate_waypoints
 from soilprobe.scenario import bundled_scenarios, load_scenario
 
-from conftest import scenario_doc
+from conftest import make_field, scenario_doc
 
 
 def minimal_doc(**overrides):
@@ -256,8 +256,9 @@ def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
 
 
 def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch):
-    # 10 ** 30 points once spent all 100,000 draws before the refusal;
-    # Oler's bound fits at most 478 points 1 m apart on paper_field
+    # 10 ** 30 points once spent all 100,000 draws before the refusal; each
+    # draw places at most one point, so a count above the draws allowed is
+    # refused before the first, whatever the spacing
     doc = json.loads(resources.files("soilprobe").joinpath(
         "scenarios", "paper_field.json").read_text())
     doc["mission"] = {"generate": {"count": 10 ** 30, "min_spacing_m": 1.0, "seed": 1}}
@@ -269,14 +270,23 @@ def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch
         patch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(ConfigError) as info:
             load_scenario(path)
-    assert str(info.value) == (
-        f"mission.generate: count {10 ** 30} exceeds both the 100000 draws "
-        "allowed and the 478 points 1.0 m apart that fit 19.0 x 20.0 m")
-    # a spacing whose square is 0 has no bound, and spends its draws
-    field = load_scenario("paper_field").mission.field
-    for spacing in (0.0, 5e-324):
-        with pytest.raises(ConfigError, match=r"^placed 50 of 10{30} points after 50 draws"):
-            generate_waypoints(field, 10 ** 30, spacing, 1, max_trials=50)
+        assert str(info.value) == (
+            f"mission.generate: count {10 ** 30} exceeds the 100000 draws "
+            "allowed; each draw places at most one point")
+        # (width, height, count, spacing, seed, max_trials): spacings whose
+        # square is 0 on paper_field's sides, and two layouts that used to
+        # spend their budget first
+        for width, height, count, spacing, seed, max_trials in [
+                (19.0, 20.0, 10 ** 30, 0.0, 1, 50),
+                (19.0, 20.0, 10 ** 30, 5e-324, 1, 50),
+                (5.0, 5.0, 30, 1.0, 0, 20),
+                (1.0, 1.0, 5, 0.0, 4, 4)]:
+            field = make_field(width=width, height=height)
+            with pytest.raises(ConfigError) as info:
+                generate_waypoints(field, count, spacing, seed, max_trials)
+            assert str(info.value) == (
+                f"count {count} exceeds the {max_trials} draws allowed; "
+                "each draw places at most one point")
 
 
 FLOATS = ("a", [1], {}, None, True, False, 10 ** 400)

@@ -7,10 +7,12 @@ when ``perfbench/run.py --trace 1`` runs.  These tests load the tracer
 and the workload builder from their files (without editing them), and
 run each demo from a copy in a temporary directory.  The import tests
 run each command in a fresh interpreter and compare the sets of modules
-it loaded.
+it loaded.  The record tests hold every value type to ``errors.record``
+and each record type's calls to those of its stock dataclass twin.
 """
 
 import ast
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -22,13 +24,17 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import soilprobe
 from soilprobe import cli, errors, mission, scenario
+from soilprobe.calib import Validity
 from soilprobe.mission import MissionConfig, Waypoint
+from soilprobe.sampler import SoilSample
+from soilprobe.sdi12 import RawReading, Verb
 
-from conftest import generate_waypoints_reference, make_field
+from conftest import generate_waypoints_reference, make_field, stock_twin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -181,6 +187,124 @@ def test_the_overflow_guards_stay_gone():
                 limits.append(f"{path.name}:{node.lineno}")
     assert handlers == []
     assert limits == []
+
+
+def test_every_value_type_is_a_record():
+    # errors.record alone decides how a value is built: no module names a
+    # stock dataclass decorator, and only sdi12._data_response builds a
+    # record by hand, skipping the checks the data-frame grammar has made
+    hits = []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                names = {getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, ast.alias) else None}
+                if "dataclass" in names and where != "errors.record":
+                    hits.append(f"{path.name}:{node.lineno} dataclass")
+                if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                        and getattr(node.value, "id", None) == "object"
+                        and where != "sdi12._data_response"):
+                    hits.append(f"{path.name}:{node.lineno} object.__new__")
+    assert hits == []
+
+
+def _record_types() -> dict:
+    """Every record type of the package, by name."""
+    types = {}
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        module = importlib.import_module(f"soilprobe.{path.stem}")
+        types.update((name, value) for name, value in vars(module).items()
+                     if isinstance(value, type) and dataclasses.is_dataclass(value)
+                     and value.__module__ == module.__name__)
+    return types
+
+
+_READING = RawReading(2000.0, 24.0, 150.0)
+_SAMPLE = SoilSample(1, 12.5, 45.0, 7.5, 0.05, 0.05, 1, 2000.0, 24.0, 150.0,
+                     0.08, Validity.VALID)
+_MISSION = MissionConfig(field=make_field(), waypoints=(Waypoint(1, 2.0, 3.0),))
+
+# keyword arguments that build each record type and, for a type with a
+# __post_init__, changes to them that it refuses
+RECORD_CASES = {
+    "ActuatorConfig": ({}, {"step_rate_hz": 0.5}),
+    "ActuatorState": ({"position_steps": 1000, "depth_m": 0.05}, None),
+    "ValidityThresholds": ({}, {"theta_min": 0.9}),
+    "Blob": ({"cx": 1.0, "cy": 2.0, "sigma_m": 3.0, "amplitude": 0.1},
+             {"sigma_m": 0.0}),
+    "Disk": ({"cx": 1.0, "cy": 2.0, "radius_m": 0.5}, {"radius_m": 0.0}),
+    "FieldSpec": ({name: getattr(_MISSION.field, name) for name in (
+        "origin_lat", "origin_lon", "width_m", "height_m", "base_theta", "seed")},
+        {"seed": -1}),
+    "IdwParams": ({}, {"power": 0}),
+    "MoistureGrid": ({"origin_x": 0.0, "origin_y": 0.0, "cell_size_m": 1.0,
+                      "values": np.zeros((2, 3))}, None),
+    "Waypoint": ({"id": 1, "x": 2.0, "y": 3.0}, None),
+    "MissionConfig": ({"field": _MISSION.field, "waypoints": _MISSION.waypoints},
+                      {"waypoints": ()}),
+    "MissionSummary": ({"points_total": 2, "points_valid": 1, "points_invalid": 1,
+                        "duration_s": 9.5, "area_convex_hull_m2": 0.0}, None),
+    "SamplerConfig": ({}, {"max_attempts": 0}),
+    "AttemptRecord": ({"attempt_index": 1, "x": 2.0, "y": 3.0,
+                       "achieved_depth_m": 0.05, "reading": _READING,
+                       "theta": 0.08, "validity": Validity.VALID}, None),
+    "SoilSample": (vars(_SAMPLE), None),
+    "PointResult": ({"attempts": [], "sample": _SAMPLE}, None),
+    "Scenario": ({"name": "small", "mission": _MISSION}, None),
+    "Command": ({"verb": Verb.SEND_DATA, "index": 1}, {"index": 10}),
+    "MeasureAck": ({"address": "0", "delay_s": 1, "value_count": 3},
+                   {"delay_s": 1000}),
+    "DataResponse": ({"address": "0", "values": (1.0, 2.0)}, {"address": "!"}),
+    "RawReading": (vars(_READING), {"temp_c": 61.0}),
+}
+
+
+def _outcome(make, *args, **kwargs):
+    """The type and text of what ``make(*args, **kwargs)`` raised, or
+    the repr and ``vars()`` keys of what it built."""
+    try:
+        built = make(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(built), list(vars(built))
+
+
+def test_every_record_type_has_a_case():
+    assert sorted(_record_types()) == sorted(RECORD_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_a_record_answers_each_call_as_its_stock_twin(name, monkeypatch):
+    cls = _record_types()[name]
+    twin = stock_twin(cls)
+    kwargs, refused = RECORD_CASES[name]
+    values = [kwargs.get(f.name, f.default) for f in dataclasses.fields(cls)]
+    assert _outcome(cls, **kwargs) == _outcome(twin, **kwargs)
+    # a missing argument, where a field has no default
+    missing = _outcome(cls)
+    assert missing == _outcome(twin)
+    assert all(f.default is not dataclasses.MISSING for f in dataclasses.fields(cls)) or (
+        missing[0] is TypeError and "missing" in missing[1])
+    extra = _outcome(cls, *values, None)
+    assert extra[0] is TypeError and "positional arguments" in extra[1]
+    assert extra == _outcome(twin, *values, None)
+    unknown = _outcome(cls, **kwargs, bogus=1)
+    assert unknown == (TypeError, f"{name}.__init__() got an unexpected "
+                                  "keyword argument 'bogus'")
+    assert unknown == _outcome(twin, **kwargs, bogus=1)
+    if refused is None:
+        assert not hasattr(cls, "__post_init__")
+        return
+    got = _outcome(cls, **{**kwargs, **refused})
+    assert issubclass(got[0], errors.SoilProbeError)
+    assert got == _outcome(twin, **{**kwargs, **refused})
+    calls = []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__",
+                        lambda self: (calls.append(self), post_init(self))[1])
+    built = cls(**kwargs)
+    assert len(calls) == 1 and calls[0] is built
 
 
 def test_readme_lists_every_range():
