@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from soilprobe.fieldsim import theta_true, wgs84_to_local_at
-from soilprobe.geomap import (IdwParams, build_grid, export_grid_ascii,
-                              export_points_geojson)
+from soilprobe.geomap import build_grid, export_grid_ascii, export_points_geojson
 from soilprobe.mission import run_mission, select_valid
 from soilprobe.scenario import load_scenario
 
@@ -27,7 +26,7 @@ print(f"{len(valid)} valid samples feed the map; "
 xy = np.array([wgs84_to_local_at(field.origin_lat, field.origin_lon, s.lat, s.lon)
                for s in valid])
 theta = np.array([s.theta for s in valid])
-grid = build_grid(xy, theta, (0, 0, field.width_m, field.height_m), IdwParams(),
+grid = build_grid(xy, theta, (0, 0, field.width_m, field.height_m),
                   cell_size_m=0.5, ids=[s.point_id for s in valid])
 
 gx, gy = grid.cell_centers()

@@ -33,7 +33,7 @@ _EXPORTS = {
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
                  "sense_raw", "theta_true", "wgs84_to_local_at"),
-    "geomap": ("IdwParams", "MoistureGrid", "build_grid", "export_grid_ascii",
+    "geomap": ("MoistureGrid", "build_grid", "export_grid_ascii",
                "export_points_geojson", "idw_at"),
     "mission": ("MissionConfig", "MissionSummary", "Waypoint", "convex_hull_area",
                 "generate_waypoints", "read_sample_log", "run_mission",

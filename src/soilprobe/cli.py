@@ -14,7 +14,8 @@ the code of its type (EXIT_CODES):
     EmptyInputError      4  no valid samples to map
     FrameError           5  a frame that does not decode, "at byte N"
     ConfigError          2  a refused scenario, layout or flag, a log or
-                            output path that cannot be read or written
+                            output path that cannot be read or written,
+                            a file that two outputs name
 
 Any other SoilProbeError exits 2 too.  A flag's refusal names the flag
 and its value ("--seed -1: ...").  Any other exception is a defect and
@@ -51,9 +52,11 @@ def _emit(*outputs):
     the temporary files are written.  Only when every output is written
     do the temporary files replace their files.  A path that cannot be
     written raises ConfigError naming it, once the temporary files are
-    removed, so no regular file has changed.
+    removed, so no regular file has changed.  So does a second path to
+    the file of another output, before anything is written: one file
+    cannot hold both.
     """
-    staged, through = [], []
+    files, staged, through = {}, [], []  # files: real path -> (text, mode, path)
     path = None
     try:
         for text, path in outputs:
@@ -70,6 +73,10 @@ def _emit(*outputs):
                 through.append((text, path))
                 continue
             real = os.path.realpath(path)
+            if real in files:
+                raise ConfigError(f"{path}: names the file of another output")
+            files[real] = text, mode, path
+        for real, (text, mode, path) in files.items():
             head, tail = os.path.split(real)
             tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -146,8 +153,6 @@ def cmd_map(args):
     valid = mission.select_valid(samples)
     if not valid:
         raise EmptyInputError("no valid samples to interpolate")
-    with prefixed(f"--power {args.power}"):
-        params = geomap.IdwParams(power=args.power)
 
     xy = geomap.samples_to_local(valid)
     theta = [s.theta for s in valid]
@@ -156,8 +161,8 @@ def cmd_map(args):
     bounds = (xy[:, 0].min() - pad, xy[:, 1].min() - pad,
               xy[:, 0].max() + pad, xy[:, 1].max() + pad)
     with prefixed(f"--cell-size {args.cell_size}"):
-        grid = geomap.build_grid(xy, theta, bounds, params,
-                                 cell_size_m=args.cell_size, ids=ids)
+        grid = geomap.build_grid(xy, theta, bounds, cell_size_m=args.cell_size,
+                                 ids=ids)
     _emit((geomap.export_points_geojson(samples), args.out_points),
           (geomap.export_grid_ascii(grid), args.out_grid))
     _diag(f"map: {len(valid)} valid samples onto {grid.nx} x {grid.ny} cells "
@@ -226,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-size", type=float, default=0.5,
                    help="grid cell size in metres, {:g} to {:g} (default 0.5)".format(
                        *RANGES["map"]["cell_size_m"][:2]))
-    p.add_argument("--power", type=float, default=2.0,
-                   help="IDW power, at most 50 (default 2.0)")
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("codec", help="debug the wire codec")

@@ -1,7 +1,8 @@
 """Moisture mapping: inverse-distance-weighted interpolation of valid
 samples onto a raster, plus GeoJSON and ESRI ASCII exports.
 
-One IDW kernel serves :func:`idw_at` and :func:`build_grid`.  IDW with
+One IDW kernel serves :func:`idw_at` and :func:`build_grid`, at
+Shepard's power 2: a sample at distance d weighs d**-2.  IDW with
 positive weights is a convex combination, so every interpolated value
 stays inside the sampled range and the surface is exact at the sample
 points.  A sample within ``EXACT_RADIUS_M`` of a query is its value;
@@ -44,10 +45,8 @@ NODATA = -9999
 CUTOFF_RADIUS_M = 10.0
 EXACT_RADIUS_M = 1e-6
 
-# largest IDW power: a weight d ** -50 of a sample that counts,
-# EXACT_RADIUS_M < d <= CUTOFF_RADIUS_M, stays within about 1e-300..1e300,
-# which leaves room for the sum of the weights
-MAX_POWER = 50.0
+# Shepard's power: a sample at distance d weighs d ** -IDW_POWER
+IDW_POWER = 2.0
 
 # cap on the (tile cells x tile samples) distance block held in memory at once
 _CHUNK_CELLS = 65536
@@ -59,24 +58,6 @@ MAX_GRID_CELLS = 1 << 24
 # squared distance cannot tell in from out; dx*dx + dy*dy and hypot each
 # round within a few ulps, far inside it
 _SQUARE_BAND = 1e-12
-
-
-@record
-class IdwParams:
-    """IDW settings.  A power above ``MAX_POWER`` is refused: the weight
-    near the exact radius could overflow, and cells with samples in
-    reach would turn no-data."""
-
-    power: float = 2.0
-
-    def __post_init__(self):
-        if not (type(self.power) in (int, float) and 0 < self.power < math.inf):
-            raise ConfigError("power must be finite and > 0")
-        if self.power > MAX_POWER:
-            raise ConfigError(
-                f"power must be at most {MAX_POWER:g} for radii "
-                f"{EXACT_RADIUS_M:g} to {CUTOFF_RADIUS_M:g} m, or an IDW "
-                f"weight leaves 1e-300..1e300")
 
 
 @record
@@ -140,7 +121,7 @@ def _tile_runs(g):
     return starts, ends, np.minimum.reduceat(g, starts), np.maximum.reduceat(g, starts)
 
 
-def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
+def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
     """:func:`idw_at` at every node (gx[ix], gy[iy]) of a lattice, as a
     (gy.size, gx.size) array; exact-hit ties go to the lowest rank.
 
@@ -155,8 +136,8 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     ``(y - sy)**2`` only on the row, so each tile squares its columns'
     and its rows' offsets once per sample, and each pair's squared
     distance ``d2`` is one sum of the two: the same rounded sum that
-    squaring each pair's offsets gives.  Weights are ``d2 ** (-power /
-    2)``, computed in reused buffers of at most ``max(_CHUNK_CELLS,
+    squaring each pair's offsets gives.  Weights are ``d2 ** -1``, or
+    d**-2, computed in reused buffers of at most ``max(_CHUNK_CELLS,
     samples of one tile)`` pairs; a tile row holding more is split
     across its columns.  ``np.hypot`` decides and weighs what squaring
     cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of the
@@ -167,7 +148,7 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     ``np.hypot``, bit for bit.  Each node's weight sum and weighted sum
     come from one matrix product of its weights with [1, theta], whose
     summation order is the BLAS kernel's: the values differ from
-    ``hypot(...) ** -power`` weights summed in order by a few ulps.
+    ``hypot(...) ** -2`` weights summed in order by a few ulps.
     """
     cutoff, exact = CUTOFF_RADIUS_M, EXACT_RADIUS_M
     col0, col1, x0, x1 = _tile_runs(gx)
@@ -185,7 +166,6 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     i0, i1 = xs.searchsorted(x0, "left"), xs.searchsorted(x1, "right")
     vals = np.full((gy.size, gx.size), np.nan)
 
-    power = params.power
     # the right-hand side of each tile's matrix product: a weight sum and
     # a weighted sum per node
     ones_theta = np.column_stack([np.ones(theta.size), theta])
@@ -241,10 +221,10 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
                         edge = np.flatnonzero(keep ^ sure)
                         er, ec, es = np.unravel_index(edge, shape)
                         d = np.hypot(gx[ca + ec] - sx[es], gy[ra + er] - sy[es])
-                    w = np.power(d2, -0.5 * power, out=d2)
+                    w = np.power(d2, -0.5 * IDW_POWER, out=d2)
                     w *= keep
                     if edge is not None:
-                        w.flat[edge] = np.where(d <= cutoff, d ** -power, 0.0)
+                        w.flat[edge] = np.where(d <= cutoff, d ** -IDW_POWER, 0.0)
                     sums = (w.reshape(-1, n) @ rhs).reshape(shape[0], shape[1], 2)
                     block = vals[ra:rb, ca:cb]
                     np.divide(sums[..., 1], sums[..., 0], out=block)
@@ -261,25 +241,24 @@ def _idw(xy, theta, rank, gx, gy, params: IdwParams) -> np.ndarray:
     return vals
 
 
-def idw_at(xy, theta, x: float, y: float, params: IdwParams = IdwParams(),
-           ids=None) -> float:
+def idw_at(xy, theta, x: float, y: float, ids=None) -> float:
     """Interpolated VWC at one query point; NaN when out of reach.
 
     A sample within ``EXACT_RADIUS_M`` wins outright (nearest first,
     then lowest id on ties), which also makes the surface exact at the
     sample locations.  Otherwise the samples inside ``CUTOFF_RADIUS_M``
-    are combined with weights d**-power.  The point is a lattice of one
-    node; a point at a non-finite coordinate is NaN.
+    are combined with weights d**-2, Shepard's power.  The point is a
+    lattice of one node; a point at a non-finite coordinate is NaN.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)
     query = np.array([[x], [y]], float)
     if not np.isfinite(query).all():
         return math.nan
-    return float(_idw(xy, theta, rank, *query, params)[0, 0])
+    return float(_idw(xy, theta, rank, *query)[0, 0])
 
 
-def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
-               cell_size_m: float = 0.5, ids=None) -> MoistureGrid:
+def build_grid(xy, theta, bounds, cell_size_m: float = 0.5,
+               ids=None) -> MoistureGrid:
     """Evaluate IDW at every cell centre of a rectangular raster.
 
     ``bounds`` is (xmin, ymin, xmax, ymax) in the local frame.  Every
@@ -304,7 +283,7 @@ def build_grid(xy, theta, bounds, params: IdwParams = IdwParams(),
         raise ConfigError(f"cell size {cell_size_m} m needs more than "
                           f"{MAX_GRID_CELLS} cells")
     values = _idw(xy, theta, rank, _centres(xmin, cell_size_m, nx),
-                  _centres(ymin, cell_size_m, ny), params)
+                  _centres(ymin, cell_size_m, ny))
     return MoistureGrid(xmin, ymin, cell_size_m, values)
 
 

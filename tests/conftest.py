@@ -495,8 +495,7 @@ def reference_layers():
             mp.setattr(sdi12, "parse_command", parse_command_reference)
             mp.setattr(sdi12, "parse_measure_ack", parse_measure_ack_reference)
             mp.setattr(sdi12, "parse_data_response", parse_data_response_reference)
-            mp.setattr(geomap, "_idw", lambda xy, theta, rank, gx, gy, params:
-                       idw_dense_reference(xy, theta, rank, gx, gy, params.power))
+            mp.setattr(geomap, "_idw", idw_dense_reference)
             mp.setattr(geomap, "export_grid_ascii", export_grid_ascii_reference)
             mp.setattr(cli, "cmd_validate", cmd_validate_reference)
             yield

@@ -240,27 +240,9 @@ def test_map_bad_parameters_exit_2(tmp_path, capsys):
     cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
               "--out-log", str(log), "--out-summary", str(tmp_path / "s.json")])
     assert cli.main(["map", "--log", str(log), "--cell-size", "-1"]) == 2
-    assert cli.main(["map", "--log", str(log), "--power", "0"]) == 2
     for bad in ("nan", "inf"):
         assert cli.main(["map", "--log", str(log), "--cell-size", bad]) == 2
-        assert cli.main(["map", "--log", str(log), "--power", bad]) == 2
     assert "map:" in capsys.readouterr().err
-
-
-def test_map_power_above_the_bound_exits_2(tmp_path, capsys):
-    # such powers used to write -9999 cells with samples in reach, and exit 0
-    log = tmp_path / "run.jsonl"
-    cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
-              "--out-summary", str(tmp_path / "s.json")])
-    capsys.readouterr()
-    out = tmp_path / "out"
-    out.mkdir()
-    for power in ("50.000001", "400", "1e308"):
-        assert cli.main(["map", "--log", str(log), "--power", power,
-                         "--out-points", str(out / "p.geojson"),
-                         "--out-grid", str(out / "g.asc")]) == 2
-        assert one_line_error(capsys, f"map: --power {float(power)}: power must be at most 50 ")
-        assert list(out.iterdir()) == []
 
 
 def read_ascii_grid(path):
@@ -274,12 +256,11 @@ def read_ascii_grid(path):
     return cx, cy, values
 
 
-@pytest.mark.parametrize("power", ["2", "50"])  # the default and the bound
-def test_map_under_the_power_bound_has_no_spurious_nodata(tmp_path, power):
+def test_map_of_paper_field_has_no_spurious_nodata(tmp_path):
     log, grid = tmp_path / "run.jsonl", tmp_path / "g.asc"
     cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
               "--out-summary", str(tmp_path / "s.json")])
-    assert cli.main(["map", "--log", str(log), "--power", power,
+    assert cli.main(["map", "--log", str(log),
                      "--out-points", str(tmp_path / "p.geojson"),
                      "--out-grid", str(grid)]) == 0
     cx, cy, values = read_ascii_grid(grid)
@@ -526,18 +507,17 @@ def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
             p.unlink()
     assert cli.main(["simulate", "--config", str(config), "--out-log", str(log),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
-    for flag in ("--cell-size", "--power"):
-        for value in ("nan", "inf", "-inf", "0", "5e-324", "1e300", "1.7e308"):
-            capsys.readouterr()
-            code = cli.main(["map", "--log", str(log), f"{flag}={value}",
-                             "--out-points", str(out / "p.geojson"),
-                             "--out-grid", str(out / "g.asc")])
-            failure = _fuzz_failure(code, capsys.readouterr().err, out,
-                                    ["g.asc", "p.geojson"])
-            if failure:
-                failures.append((flag, value, failure))
-            for p in out.iterdir():
-                p.unlink()
+    for value in ("nan", "inf", "-inf", "0", "5e-324", "1e300", "1.7e308"):
+        capsys.readouterr()
+        code = cli.main(["map", "--log", str(log), f"--cell-size={value}",
+                         "--out-points", str(out / "p.geojson"),
+                         "--out-grid", str(out / "g.asc")])
+        failure = _fuzz_failure(code, capsys.readouterr().err, out,
+                                ["g.asc", "p.geojson"])
+        if failure:
+            failures.append(("--cell-size", value, failure))
+        for p in out.iterdir():
+            p.unlink()
     assert failures == []
 
 
@@ -776,6 +756,39 @@ def test_outputs_write_through_devices_and_symlinks(tmp_path, capsys):
                      "--out-summary", summary]) == 0
     assert link.is_symlink() and target.read_bytes() == log.read_bytes()
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys):
+    # one file cannot hold both outputs: the second used to replace the first
+    scn = str(small_scenario(tmp_path))
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--config", scn, "--out-log", str(log),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old").write_text("old")
+    (out / "link").symlink_to(out / "old")
+    capsys.readouterr()
+    for first, second in (("new", "new"), ("old", "old"), ("old", "link"),
+                          ("link", "old"), ("link", "link")):
+        one, other = str(out / first), str(out / second)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for argv in (["simulate", "--config", scn, "--out-log", one,
+                      "--out-summary", other],
+                     ["map", "--log", str(log), "--out-points", one,
+                      "--out-grid", other]):
+            assert cli.main(argv) == 2
+            assert one_line_error(
+                capsys, f"{argv[0]}: {other}: names the file of another output")
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+            assert (out / "link").is_symlink()
+    # a device takes both
+    for argv in (["simulate", "--config", scn, "--out-log", os.devnull,
+                  "--out-summary", os.devnull],
+                 ["map", "--log", str(log), "--out-points", os.devnull,
+                  "--out-grid", os.devnull]):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
 
 
 def test_mistyped_log_records_exit_3(tmp_path, capsys):
@@ -1066,6 +1079,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["codec"])  # needs --parse or --encode
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["map", "--log", "run.jsonl", "--power", "2"])  # no such flag
     assert exc.value.code == 2
 
 

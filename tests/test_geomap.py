@@ -11,7 +11,7 @@ import pytest
 from soilprobe.calib import Validity
 from soilprobe.errors import RANGES, ConfigError, EmptyInputError
 from soilprobe.geomap import (_CHUNK_CELLS, CUTOFF_RADIUS_M, EXACT_RADIUS_M,
-                              MAX_POWER, IdwParams, MoistureGrid,
+                              MoistureGrid,
                               _as_sample_arrays, _centres, _idw, build_grid,
                               export_grid_ascii, export_points_geojson, idw_at,
                               samples_to_local)
@@ -196,26 +196,25 @@ def exact_hit_cells(grid, xy, exact):
     return hit
 
 
-def grid_of(xy, theta, ids, bounds, cell, power):
+def grid_of(xy, theta, ids, bounds, cell):
     """build_grid's raster.  build_grid refuses a cell size outside the
     --cell-size range, and the kernel cases below span 1e-160 m to 1e150 m
     cells: their raster comes from the kernel, on the lattice build_grid
     would give it."""
     lo, hi, _ = RANGES["map"]["cell_size_m"]
     if lo <= cell <= hi:
-        return build_grid(xy, theta, bounds, IdwParams(power), cell_size_m=cell,
-                          ids=ids)
+        return build_grid(xy, theta, bounds, cell_size_m=cell, ids=ids)
     xmin, ymin, xmax, ymax = bounds
     nx, ny = math.ceil((xmax - xmin) / cell), math.ceil((ymax - ymin) / cell)
     values = _idw(*_as_sample_arrays(xy, theta, ids), _centres(xmin, cell, nx),
-                  _centres(ymin, cell, ny), IdwParams(power))
+                  _centres(ymin, cell, ny))
     return MoistureGrid(xmin, ymin, cell, values)
 
 
-def assert_grid_matches_dense(xy, theta, ids, bounds, cell, power=2.0):
-    grid = grid_of(xy, theta, ids, bounds, cell, power)
+def assert_grid_matches_dense(xy, theta, ids, bounds, cell):
+    grid = grid_of(xy, theta, ids, bounds, cell)
     want = idw_dense_reference(*_as_sample_arrays(xy, theta, ids),
-                               *grid.cell_centers(), power)
+                               *grid.cell_centers())
     got = grid.values
     nodata = np.isnan(want)
     assert np.array_equal(np.isnan(got), nodata)
@@ -353,7 +352,7 @@ def test_kernel_buffers_stay_within_the_chunk_bound():
     gx, gy = (np.arange(640) + 0.5) * cell, (np.arange(32) + 0.5) * cell
     tracemalloc.start()
     try:
-        out = _idw(xy, theta, rank, gx, gy, IdwParams())
+        out = _idw(xy, theta, rank, gx, gy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,10 +437,10 @@ def assert_some_misjudged(ring, centres, radius):
     assert inside.any() and not inside.all() and misjudged.any()
 
 
-# (coordinate offset, power): squaring misjudges points on the circles only
-# where the coordinates resolve the radii to a few ulps of their squares
-@pytest.mark.parametrize("offset,power", [(0.0, 2.0), (1e6, 1.0)])
-def test_kernel_decides_both_circles_as_hypot_does(offset, power):
+# squaring misjudges points on the circles only where the coordinates
+# resolve the radii to a few ulps of their squares
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_kernel_decides_both_circles_as_hypot_does(offset):
     # a squared distance within rounding of the squared cutoff or exact
     # radius may fall on the other side of it; hypot's decision must win
     rng = np.random.default_rng(707)
@@ -450,7 +449,7 @@ def test_kernel_decides_both_circles_as_hypot_does(offset, power):
     xy = on_circle(rng, centres, 10.0)
     theta = rng.uniform(0.05, 0.45, len(xy))
     ids = rng.permutation(len(xy)) + 1
-    nodata, _ = assert_grid_matches_dense(xy, theta, ids, bounds, 8.0, power)
+    nodata, _ = assert_grid_matches_dense(xy, theta, ids, bounds, 8.0)
     assert nodata.any() and not nodata.all()
     if offset == 0.0:
         assert_some_misjudged(xy, centres, 10.0)
@@ -464,7 +463,7 @@ def test_kernel_decides_both_circles_as_hypot_does(offset, power):
     xy = np.vstack([at_exact, tied])
     theta = rng.uniform(0.05, 0.45, len(xy))
     ids = rng.permutation(len(xy)) + 1
-    _, hit = assert_grid_matches_dense(xy, theta, ids, bounds, 4e-6, power)
+    _, hit = assert_grid_matches_dense(xy, theta, ids, bounds, 4e-6)
     assert hit.any() and not hit.all()
     if offset == 0.0:
         assert_some_misjudged(at_exact, centres[:700], 1e-6)
@@ -502,40 +501,17 @@ def test_kernel_matches_dense_kernel_across_offsets(offset):
 
 
 def test_idw_params_validation():
-    with pytest.raises(ValueError):
-        IdwParams(power=0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            IdwParams(power=bad)
         with pytest.raises(ValueError):
             build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=bad)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (0, 0, 1, 1), cell_size_m=0)
     with pytest.raises(ValueError):
         build_grid([(0, 0)], [0.1], (1, 0, 0, 1))
-    # the radii are constants, not settings
-    with pytest.raises(TypeError):
-        IdwParams(exact_radius_m=1e-200)
-
-
-# (exact radius, cutoff radius, largest power accepted)
-@pytest.mark.parametrize("exact,cutoff,most", [(1e-6, 10.0, 50.0)])
-def test_power_bound(exact, cutoff, most):
-    assert (EXACT_RADIUS_M, CUTOFF_RADIUS_M, MAX_POWER) == (exact, cutoff, most)
-    IdwParams(power=most)
-    with pytest.raises(ValueError, match=f"power must be at most {most:g} "):
-        IdwParams(power=math.nextafter(most, math.inf))
-
-
-@pytest.mark.parametrize("exact,cutoff,power", [(1e-6, 10.0, 50.0)])
-def test_weights_at_the_power_bound_stay_in_the_floats(exact, cutoff, power):
-    # a sample just outside the exact radius and one just inside the cutoff
-    # each keep their cell: neither weight overflows nor underflows
-    params = IdwParams(power=power)
-    near, far = (1.01 * exact, 0.0), (0.0, 0.999 * cutoff)
-    assert idw_at([near], [0.1], 0.0, 0.0, params) == 0.1
-    assert idw_at([far], [0.3], 0.0, 0.0, params) == 0.3
-    assert idw_at([near, far], [0.1, 0.3], 0.0, 0.0, params) == pytest.approx(0.1)
+    # the radii and the power are constants, not settings
+    for setting in ("power", "exact_radius_m"):
+        with pytest.raises(TypeError):
+            build_grid([(0, 0)], [0.1], (0, 0, 1, 1), **{setting: 2.0})
 
 
 def test_raster_size_cap_rejects_before_allocating():

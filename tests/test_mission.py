@@ -13,7 +13,6 @@ from soilprobe.calib import Validity
 from soilprobe.errors import ConfigError, LogFormatError
 from soilprobe import mission
 from soilprobe.fieldsim import EARTH_RADIUS_M, Disk, local_to_wgs84_at
-from soilprobe.geomap import IdwParams
 from soilprobe.sampler import SamplerConfig, SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                convex_hull, convex_hull_area, dump_sample_log,
@@ -297,28 +296,22 @@ def test_mission_config_validation():
     (lambda v: ActuatorConfig(steps_per_metre=v), "steps_per_metre"),
     (lambda v: ActuatorConfig(max_depth_m=v), "max_depth_m"),
     (lambda v: ActuatorConfig(step_rate_hz=v), "step_rate_hz"),
-    (lambda v: IdwParams(power=v), "power"),
     (lambda v: MissionConfig(field=make_field(), waypoints=(Waypoint(1, 1, 1),),
                              speed_mps=v), "speed_mps"),
 ])
 def test_positive_fields_name_themselves(build, name):
-    # the power is any finite number > 0; every other key here has a
-    # physical range whose lower bound is above 0
+    # every key here has a physical range whose lower bound is above 0
     line = {"steps_per_metre": "steps_per_metre must be a number within [1, 1e+06] steps/m",
             "max_depth_m": "max_depth_m must be a number within [0.001, 5] m",
             "step_rate_hz": "step_rate_hz must be a number within [1, 1e+06] Hz",
-            "power": "power must be finite and > 0",
             "speed_mps": "speed_mps must be a number within [0.001, 100] m/s"}[name]
     for bad in (0, 0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError) as info:
             build(bad)
         assert str(info.value) == line
-    if name == "power":
+    with pytest.raises(ConfigError) as info:
         build(5e-324)
-    else:
-        with pytest.raises(ConfigError) as info:
-            build(5e-324)
-        assert str(info.value) == line
+    assert str(info.value) == line
 
 
 @pytest.mark.parametrize("kwargs,line", [

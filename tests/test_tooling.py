@@ -237,7 +237,6 @@ RECORD_CASES = {
     "FieldSpec": ({name: getattr(_MISSION.field, name) for name in (
         "origin_lat", "origin_lon", "width_m", "height_m", "base_theta", "seed")},
         {"seed": -1}),
-    "IdwParams": ({}, {"power": 0}),
     "MoistureGrid": ({"origin_x": 0.0, "origin_y": 0.0, "cell_size_m": 1.0,
                       "values": np.zeros((2, 3))}, None),
     "Waypoint": ({"id": 1, "x": 2.0, "y": 3.0}, None),
@@ -397,7 +396,7 @@ EXPORTS = {
     "fieldsim": ("Blob", "CellIndex", "Disk", "FieldSpec", "SimClock",
                  "VirtualTeros", "local_to_wgs84_at", "obstruction_at",
                  "sense_raw", "theta_true", "wgs84_to_local_at"),
-    "geomap": ("IdwParams", "MoistureGrid", "build_grid", "export_grid_ascii",
+    "geomap": ("MoistureGrid", "build_grid", "export_grid_ascii",
                "export_points_geojson", "idw_at"),
     "mission": ("MissionConfig", "MissionSummary", "Waypoint", "convex_hull_area",
                 "generate_waypoints", "read_sample_log", "run_mission",
@@ -413,7 +412,7 @@ EXPORTS = {
 
 def test_every_export_is_its_home_modules_object():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == len(set(names)) == 63
+    assert len(names) == len(set(names)) == 62
     assert sorted(soilprobe.__all__) == sorted([*EXPORTS, *names])
     listed = dir(soilprobe)
     star: dict = {}
