@@ -2,13 +2,13 @@
 samples onto a raster, plus GeoJSON and ESRI ASCII exports.
 
 One IDW kernel serves :func:`idw_at` and :func:`build_grid`, at
-Shepard's power 2: a sample at distance d weighs d**-2.  IDW with
-positive weights is a convex combination, so every interpolated value
-stays inside the sampled range and the surface is exact at the sample
-points.  A sample within ``EXACT_RADIUS_M`` of a query is its value;
-cells farther than ``CUTOFF_RADIUS_M`` from every sample are no-data
-(NaN internally, -9999 in the ASCII export): the map never
-extrapolates far beyond the sampled hull.
+Shepard's power 2: a sample at squared distance d2 weighs 1 / d2, that
+is d**-2.  IDW with positive weights is a convex combination, so every
+interpolated value stays inside the sampled range and the surface is
+exact at the sample points.  A sample within ``EXACT_RADIUS_M`` of a
+query is its value; cells farther than ``CUTOFF_RADIUS_M`` from every
+sample are no-data (NaN internally, -9999 in the ASCII export): the map
+never extrapolates far beyond the sampled hull.
 
 The kernel works on the cell lattice: a raster's cell centres are
 the nodes (x[ix], y[iy]), and a query point is a lattice of one node.
@@ -45,7 +45,8 @@ NODATA = -9999
 CUTOFF_RADIUS_M = 10.0
 EXACT_RADIUS_M = 1e-6
 
-# Shepard's power: a sample at distance d weighs d ** -IDW_POWER
+# Shepard's power: a sample at distance d weighs d ** -IDW_POWER; the
+# kernel weighs a squared distance d2 by 1 / d2, which holds it at 2
 IDW_POWER = 2.0
 
 # cap on the (tile cells x tile samples) distance block held in memory at once
@@ -136,8 +137,9 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
     ``(y - sy)**2`` only on the row, so each tile squares its columns'
     and its rows' offsets once per sample, and each pair's squared
     distance ``d2`` is one sum of the two: the same rounded sum that
-    squaring each pair's offsets gives.  Weights are ``d2 ** -1``, or
-    d**-2, computed in reused buffers of at most ``max(_CHUNK_CELLS,
+    squaring each pair's offsets gives.  Weights are ``1 / d2``, or
+    d**-2, by ``np.reciprocal`` (bit for bit ``np.power(d2, -1.0)``, as
+    a test checks), in reused buffers of at most ``max(_CHUNK_CELLS,
     samples of one tile)`` pairs; a tile row holding more is split
     across its columns.  ``np.hypot`` decides and weighs what squaring
     cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of the
@@ -221,7 +223,7 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
                         edge = np.flatnonzero(keep ^ sure)
                         er, ec, es = np.unravel_index(edge, shape)
                         d = np.hypot(gx[ca + ec] - sx[es], gy[ra + er] - sy[es])
-                    w = np.power(d2, -0.5 * IDW_POWER, out=d2)
+                    w = np.reciprocal(d2, out=d2)  # d2 ** (-IDW_POWER / 2)
                     w *= keep
                     if edge is not None:
                         w.flat[edge] = np.where(d <= cutoff, d ** -IDW_POWER, 0.0)

@@ -15,6 +15,12 @@ object.  Both serializations are byte-deterministic for a given run.
 The log round-trips by copy: the reader returns each record's line
 beside its sample, and ``validate`` writes the valid lines as they were
 read instead of encoding their samples again.
+
+The reader decodes a line with one call of json's C scanner, and checks
+the record with ``sample_from_dict``, whose body is compiled at import
+from ``_SAMPLE_SCHEMA``, the one table of the fields, their kinds and
+their ranges: a straight-line check per field, in field order.  The
+writer encodes every record with one prebuilt C encoder.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .actuator import ActuatorConfig
@@ -269,17 +276,30 @@ def convex_hull_area(points) -> float:
 # -- Log serialization -------------------------------------------------------
 
 SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
-# each field with the check its value gets, in one table walked per record:
-# its kind, and its range in errors.RANGES["log"], if it has one
+# each field with the check its value gets, one row per field, from which
+# sample_from_dict's code is written: its kind, and its range in
+# errors.RANGES["log"], if it has one
 _KINDS = {"int": "int", "float": "number", "float | None": "number or null",
           "Validity": "status"}
 _SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type], RANGES["log"].get(f.name))
                        for f in fields(SoilSample))
 _STATUSES = {status.value: status for status in Validity}
+# what a decoded line that is not an object holds, in JSON's words
+_JSON_TYPES = {int: "a number", float: "a number", str: "a string",
+               list: "an array", bool: "a boolean", type(None): "null"}
 
 # json.dumps's own settings, except that NaN and infinity raise ValueError
 # instead of becoming bare tokens that are not JSON
 _ENCODER = json.JSONEncoder(allow_nan=False)
+# the C encoder that _ENCODER.encode builds anew on every call, built once
+# with its settings; None where the C accelerator is missing.  It keeps no
+# markers: a record holds no container, and the C encoder leaves a
+# record's marker behind when it raises, so a later record at the same
+# address would read as a cycle
+_RECORD_ENCODER = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def _unique_fields(pairs: list) -> dict:
@@ -300,6 +320,8 @@ def _unique_fields(pairs: list) -> dict:
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
+# the same scanner without the hook: it builds each object as a dict in C
+_SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 def _field_set_error(d: dict) -> ValueError:
@@ -310,48 +332,85 @@ def _field_set_error(d: dict) -> ValueError:
         for what, names in (("missing", missing), ("unknown", unknown)) if names))
 
 
+def _compiled_from_schema(stub):
+    """``stub``'s name, signature and docstring over a body written from
+    ``_SAMPLE_SCHEMA`` and compiled once, as ``errors.record`` compiles
+    ``__init__``.
+
+    Each row becomes one straight-line read and check of its field, in
+    row order, so a record's first fault in that order is the one
+    refused.  A row's range is written into its check as constants.
+    """
+    body = []
+    for name, kind, bounds in _SAMPLE_SCHEMA:
+        body.append(f"{name} = d[{name!r}]")
+        refuse = f"    within('log', {name!r}, {name})  # raises, naming the range"
+        if kind == "int":
+            body += [f"if type({name}) is not int:",
+                     f"    raise TypeError({name + ' must be an integer'!r})"]
+            if bounds:
+                body += [f"if not {bounds[0]!r} <= {name} <= {bounds[1]!r}:", refuse]
+        elif kind == "status":
+            body += [f"if type({name}) is not str or {name} not in _STATUSES:",
+                     f"    raise ValueError(f'status {{{name}!r}} is not one of '",
+                     "                     + ', '.join(_STATUSES))",
+                     f"{name} = _STATUSES[{name}]"]
+        else:
+            test = (f"type({name}) is not float and type({name}) is not int"
+                    f" or not {bounds[0]!r} <= {name} <= {bounds[1]!r}")
+            if kind == "number or null":
+                test = f"{name} is not None and ({test})"
+            body += [f"if {test}:", refuse]
+    source = "\n".join([
+        f"def {stub.__name__}(d):",
+        "    if type(d) is not dict:",
+        "        raise TypeError('expected a JSON object, got ' + _JSON_TYPES[type(d)])",
+        f"    if len(d) != {len(_SAMPLE_SCHEMA)}:",
+        "        raise _field_set_error(d)",
+        "    try:",
+        *(f"        {line}" for line in body),
+        "    except KeyError:",
+        "        raise _field_set_error(d) from None",
+        "    if status is Validity.VALID and theta is None:",
+        "        raise ValueError('a valid sample needs a theta')",
+        f"    return SoilSample({', '.join(name for name, _, _ in _SAMPLE_SCHEMA)})",
+    ])
+    namespace = {}
+    exec(source, globals(), namespace)  # globals: the names the checks call
+    check = namespace[stub.__name__]
+    check.__doc__ = stub.__doc__
+    check.__annotations__ = stub.__annotations__
+    return check
+
+
+@_compiled_from_schema
 def sample_from_dict(d: dict) -> SoilSample:
     """Check one decoded record against SoilSample's fields and types.
 
-    The record holds exactly SoilSample's fields.  Integers must be
-    ints, other numbers ints or floats, and only the ``float | None``
-    fields may be null; a valid record needs a theta.  Each number lies
-    in its range in ``errors.RANGES["log"]``, and the refusal names the
-    field and the range.  Values are checked, never converted, so the
-    record dumps back to the same bytes.
+    The record is a JSON object holding exactly SoilSample's fields.
+    Integers must be ints, other numbers ints or floats, and only the
+    ``float | None`` fields may be null; a valid record needs a theta.
+    Each number lies in its range in ``errors.RANGES["log"]``, and the
+    refusal names the field and the range.  Values are checked, never
+    converted, so the record dumps back to the same bytes.
+
+    The body is compiled at import from ``_SAMPLE_SCHEMA``: one
+    straight-line check per field, in field order, so the first fault
+    in that order decides the refusal.  A record with a field missing
+    or unknown is refused by ``_field_set_error``, naming all of them.
     """
-    if len(d) != len(_SAMPLE_SCHEMA):
-        raise _field_set_error(d)
-    values = []
-    for name, kind, bounds in _SAMPLE_SCHEMA:
-        try:
-            value = d[name]
-        except KeyError:
-            raise _field_set_error(d) from None
-        if kind == "int":
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an integer")
-            if bounds and not bounds[0] <= value <= bounds[1]:
-                within("log", name, value)  # raises, naming the range
-        elif kind == "status":
-            if type(value) is not str or value not in _STATUSES:
-                raise ValueError(f"status {value!r} is not one of "
-                                 + ", ".join(_STATUSES))
-            value = _STATUSES[value]
-        elif (value is not None or kind == "number") and not (
-                type(value) in (int, float) and bounds[0] <= value <= bounds[1]):
-            within("log", name, value)  # raises, naming the range
-        values.append(value)
-    sample = SoilSample(*values)
-    if sample.status is Validity.VALID and sample.theta is None:
-        raise ValueError("a valid sample needs a theta")
-    return sample
 
 
 def dump_sample_log(samples: list[SoilSample]) -> str:
     """One JSON object per line: ``vars`` holds SoilSample's fields in
     order, and the ``str`` enum ``Validity`` encodes as its value."""
-    return "".join(_ENCODER.encode(vars(s)) + "\n" for s in samples)
+    if _RECORD_ENCODER is None:
+        return "".join(_ENCODER.encode(vars(s)) + "\n" for s in samples)
+    chunks = []
+    for s in samples:
+        chunks += _RECORD_ENCODER(vars(s), 0)  # 0: the indent level
+        chunks.append("\n")
+    return "".join(chunks)
 
 
 def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
@@ -361,14 +420,28 @@ def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
     as given.  A checked record's line is ASCII, and ``validate`` copies
     it instead of encoding the sample again.  Raises LogFormatError
     naming the 1-based offending line.
+
+    A line costs one call of json's C scanner, without the hook that
+    refuses a repeated name.  Every name in a line is followed by a
+    ``:`` outside any string, so when the scan ends at the end of the
+    line with one object of as many names as the line has ``:``, no
+    object in the line repeats a name, and the scan is the decode.
+    Every other line, and every line the scan refuses, is decoded by the
+    hooked ``_DECODER.decode``, which raises each error.
     """
     samples, records = [], []
-    decode = _DECODER.decode
+    scan, decode = _SCAN_ONCE, _DECODER.decode
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         try:
-            samples.append(sample_from_dict(decode(line)))
+            try:
+                d, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1  # decode raises it again, or skips the space before
+            if end != len(line) or type(d) is not dict or len(d) != line.count(":"):
+                if not line.strip():
+                    continue
+                d = decode(line)
+            samples.append(sample_from_dict(d))
         except (TypeError, ValueError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
         except RecursionError:

@@ -2,7 +2,8 @@
 sets every key, fault-injecting sensors, the naive interpolation oracle,
 the dense IDW kernel, the per-cell ASCII raster writer, the linear
 waypoint and obstruction references, the re-encoding ``validate``
-reference, the hand-written SDI-12 parsers, the parse-based virtual
+reference, the looping log-record check and the whole-line log reader,
+the hand-written SDI-12 parsers, the parse-based virtual
 sensor, the numpy ground truth, a record type's stock dataclass twin,
 the check that a record is what its public constructor builds, and the
 fixture that swaps every optimised layer for its reference."""
@@ -19,15 +20,17 @@ import string
 import numpy as np
 import pytest
 
-from soilprobe import cli, fieldsim, geomap, scenario, sdi12
+from soilprobe import cli, fieldsim, geomap, mission, scenario, sdi12
 from soilprobe.actuator import ActuatorConfig, motion_duration
-from soilprobe.errors import ConfigError, FrameError
+from soilprobe.calib import Validity
+from soilprobe.errors import ConfigError, FrameError, LogFormatError, within
 from soilprobe.fieldsim import (AIR_RAW_MEAN, MEASURE_DELAY_S, SOIL_EC_US_CM,
                                 SOIL_TEMP_C, STALL_DEPTH_M, THETA_TRUE_MAX,
                                 FieldSpec, VirtualTeros, sense_raw)
 from soilprobe.geomap import NODATA
 from soilprobe.mission import (REJECTION_TRIAL_LIMIT, Waypoint, dump_sample_log,
                                read_sample_log, select_valid)
+from soilprobe.sampler import SoilSample
 from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
                              MAX_VALUES_PER_FRAME, RESPONSE_TERMINATOR,
                              Command, DataResponse, MeasureAck, Verb,
@@ -146,6 +149,60 @@ def validate_reference(samples) -> str:
     """What ``validate`` wrote before it copied the lines it read: the
     valid samples, encoded again."""
     return dump_sample_log(select_valid(samples))
+
+
+def sample_from_dict_reference(d) -> SoilSample:
+    """``mission.sample_from_dict`` as one loop over ``_SAMPLE_SCHEMA``,
+    a row at a time: the compiled check must build the same samples, and
+    refuse the same records with the same errors."""
+    if type(d) is not dict:
+        raise TypeError("expected a JSON object, got " + mission._JSON_TYPES[type(d)])
+    if len(d) != len(mission._SAMPLE_SCHEMA):
+        raise mission._field_set_error(d)
+    statuses = {status.value: status for status in Validity}
+    values = []
+    for name, kind, bounds in mission._SAMPLE_SCHEMA:
+        try:
+            value = d[name]
+        except KeyError:
+            raise mission._field_set_error(d) from None
+        if kind == "int":
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an integer")
+            if bounds and not bounds[0] <= value <= bounds[1]:
+                within("log", name, value)  # raises, naming the range
+        elif kind == "status":
+            if type(value) is not str or value not in statuses:
+                raise ValueError(f"status {value!r} is not one of "
+                                 + ", ".join(statuses))
+            value = statuses[value]
+        elif (value is not None or kind == "number") and not (
+                type(value) in (int, float) and bounds[0] <= value <= bounds[1]):
+            within("log", name, value)  # raises, naming the range
+        values.append(value)
+    sample = SoilSample(*values)
+    if sample.status is Validity.VALID and sample.theta is None:
+        raise ValueError("a valid sample needs a theta")
+    return sample
+
+
+def parse_sample_log_reference(lines):
+    """``mission.parse_sample_log`` decoding every line that is not blank
+    whole, with the decoder that refuses a repeated name, and checking it
+    with ``sample_from_dict_reference``."""
+    samples, records = [], []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            samples.append(sample_from_dict_reference(mission._DECODER.decode(line)))
+        except (TypeError, ValueError) as exc:
+            raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
+        except RecursionError:
+            raise LogFormatError(f"line {line_no}: JSON nested too deeply",
+                                 line_no) from None
+        records.append(line)
+    return samples, records
 
 
 def obstruction_at_reference(spec, x, y):
@@ -482,8 +539,9 @@ def reference_layers():
     Inside it the pipeline runs on the linear obstruction scan, the
     quadratic waypoint generator, the hand-written frame parsers (the
     sensor is ``ParsingTeros``, which parses every command), the numpy
-    ground truth, the dense IDW kernel, the per-cell ASCII writer and the
-    re-encoding ``validate``.  Every output byte must stay the same.
+    ground truth, the whole-line log reader, the dense IDW kernel, the
+    per-cell ASCII writer and the re-encoding ``validate``.  Every output
+    byte must stay the same.
     """
     @contextlib.contextmanager
     def swapped():
@@ -495,6 +553,7 @@ def reference_layers():
             mp.setattr(sdi12, "parse_command", parse_command_reference)
             mp.setattr(sdi12, "parse_measure_ack", parse_measure_ack_reference)
             mp.setattr(sdi12, "parse_data_response", parse_data_response_reference)
+            mp.setattr(mission, "parse_sample_log", parse_sample_log_reference)
             mp.setattr(geomap, "_idw", idw_dense_reference)
             mp.setattr(geomap, "export_grid_ascii", export_grid_ascii_reference)
             mp.setattr(cli, "cmd_validate", cmd_validate_reference)

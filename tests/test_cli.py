@@ -805,6 +805,14 @@ def test_mistyped_log_records_exit_3(tmp_path, capsys):
         for command in ("validate", "map"):
             assert cli.main([command, "--log", str(bad)]) == 3
             assert one_line_error(capsys, f"{command}: ")
+    # a line that is JSON but not an object
+    for line, kind in (("5", "a number"), ('"abc"', "a string"),
+                       (json.dumps(list(first.values())), "an array")):
+        bad.write_text("\n".join([line] + lines[1:]))
+        for command in ("validate", "map"):
+            assert cli.main([command, "--log", str(bad)]) == 3
+            assert capsys.readouterr().err == (
+                f"{command}: {bad}: line 1: expected a JSON object, got {kind}\n")
 
 
 def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys):

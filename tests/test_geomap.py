@@ -11,7 +11,7 @@ import pytest
 from soilprobe.calib import Validity
 from soilprobe.errors import RANGES, ConfigError, EmptyInputError
 from soilprobe.geomap import (_CHUNK_CELLS, CUTOFF_RADIUS_M, EXACT_RADIUS_M,
-                              MoistureGrid,
+                              IDW_POWER, MoistureGrid,
                               _as_sample_arrays, _centres, _idw, build_grid,
                               export_grid_ascii, export_points_geojson, idw_at,
                               samples_to_local)
@@ -512,6 +512,28 @@ def test_idw_params_validation():
     for setting in ("power", "exact_radius_m"):
         with pytest.raises(TypeError):
             build_grid([(0, 0)], [0.1], (0, 0, 1, 1), **{setting: 2.0})
+
+
+def test_kernel_weights_are_the_documented_power():
+    # the kernel weighs a squared distance d2 by 1 / d2: d ** -IDW_POWER
+    # only while the power is Shepard's 2
+    assert IDW_POWER == 2.0
+
+
+def test_reciprocal_weights_equal_the_power_bit_for_bit():
+    # the kernel's np.reciprocal(d2) stands for np.power(d2, -IDW_POWER / 2):
+    # 10**7 seeded squared distances, log-uniform from 1e-320 to 1e308 and
+    # so subnormal ones too, plus the edges, give the same bits either way;
+    # the tiniest overflow to inf both ways, as the kernel allows
+    rng = np.random.default_rng(2024)
+    edges = np.array([0.0, -0.0, math.inf, 5e-324, np.finfo(float).tiny,
+                      np.finfo(float).max, 1.0])
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(11):  # the edges, then 10 blocks of 10**6
+            d2 = 10.0 ** rng.uniform(-320.0, 308.0, 10 ** 6) if k else edges
+            power = np.power(d2, -0.5 * IDW_POWER)
+            reciprocal = np.reciprocal(d2)
+            assert np.array_equal(power.view(np.int64), reciprocal.view(np.int64))
 
 
 def test_raster_size_cap_rejects_before_allocating():

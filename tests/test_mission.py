@@ -1,17 +1,20 @@
 """Waypoint generation, hull geometry, mission execution, log I/O."""
 
+import contextlib
 import dataclasses
 import json
 import math
+import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from soilprobe.actuator import ActuatorConfig
 from soilprobe.calib import Validity
-from soilprobe.errors import ConfigError, LogFormatError
-from soilprobe import mission
+from soilprobe.errors import RANGES, ConfigError, LogFormatError
+from soilprobe import cli, mission
 from soilprobe.fieldsim import EARTH_RADIUS_M, Disk, local_to_wgs84_at
 from soilprobe.sampler import SamplerConfig, SoilSample
 from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
@@ -20,7 +23,8 @@ from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
                                parse_sample_log, read_sample_log,
                                run_mission, sample_from_dict, select_valid)
 
-from conftest import generate_waypoints_reference, make_field
+from conftest import (generate_waypoints_reference, make_field,
+                      parse_sample_log_reference)
 
 
 # -- waypoint generation -------------------------------------------------------
@@ -548,9 +552,18 @@ def test_parse_log_keeps_values_unconverted():
     ({"lat": 90.5}, r"lat must be a number within \[-90, 90\] deg$"),
     ({"lat": -1.7e308}, r"lat must be a number within \[-90, 90\] deg$"),
     ({"lon": -180.5}, r"lon must be a number within \[-180, 180\] deg$"),
+    # a line that is JSON but not an object is refused by its JSON type
+    (5, "line 2: expected a JSON object, got a number$"),
+    (1.5, "line 2: expected a JSON object, got a number$"),
+    ("abc", "line 2: expected a JSON object, got a string$"),
+    (list(range(12)), "line 2: expected a JSON object, got an array$"),
+    (True, "line 2: expected a JSON object, got a boolean$"),
+    (None, "line 2: expected a JSON object, got null$"),
 ])
 def test_parse_log_rejects_mistyped_fields(changes, needle):
-    lines = [_valid_record(), _valid_record(**changes)]
+    # a dict changes fields of a valid record; any other value is the line
+    bad = _valid_record(**changes) if type(changes) is dict else json.dumps(changes)
+    lines = [_valid_record(), bad]
     with pytest.raises(LogFormatError, match=needle) as err:
         parse_sample_log(lines)
     assert err.value.line_no == 2
@@ -589,10 +602,134 @@ def test_decoded_samples_equal_constructed_ones():
 
 def test_writers_refuse_nan():
     (sample,), _ = parse_sample_log([_valid_record()])
-    with pytest.raises(ValueError):
-        dump_sample_log([dataclasses.replace(sample, theta=math.nan)])
+    bad = dataclasses.replace(sample, theta=math.nan)
+    # twice: the one record encoder keeps no trace of a refused record,
+    # which would read as a cycle the second time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_sample_log([bad])
     with pytest.raises(ValueError):
         dump_summary(MissionSummary(1, 1, 0, math.nan, 0.0))
+
+
+def test_dump_writes_what_the_stock_encoder_writes(monkeypatch):
+    # the prebuilt C record encoder, and the stock encoder that serves
+    # where the C accelerator is missing, both write json.dumps's bytes
+    samples, _ = run_mission(simple_mission(4, obstructed=(2,)))
+    expected = "".join(json.dumps(vars(s), allow_nan=False) + "\n" for s in samples)
+    assert mission._RECORD_ENCODER is not None
+    assert dump_sample_log(samples) == expected
+    monkeypatch.setattr(mission, "_RECORD_ENCODER", None)
+    assert dump_sample_log(samples) == expected
+
+
+def test_a_canonical_log_line_is_scanned_once(monkeypatch, tmp_path):
+    # counted from outside, at the attribute the reader looks up: no line
+    # that simulate writes goes on to the hooked decode, while a line with
+    # space around it, a repeated name or trailing data does
+    decoded = []
+    decode = mission._DECODER.decode
+
+    def counted(line):
+        decoded.append(line)
+        return decode(line)
+    monkeypatch.setattr(mission._DECODER, "decode", counted)
+    log = tmp_path / "run.jsonl"
+    assert cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+    samples, lines = read_sample_log(log)
+    assert len(samples) == len(lines) == 95
+    assert decoded == []
+    line = lines[0]
+    odd = [f" {line}\t", line[:-1] + ', "lat": 45.0}', line + " {}"]
+    for bad in odd:
+        with contextlib.suppress(LogFormatError):
+            parse_sample_log([bad])
+    assert decoded == odd
+
+
+# what the differential fuzz sets a field to: a value of each JSON type,
+# the ones json reads beyond the floats, and integers too large for one
+LOG_FUZZ_TYPES = ("a", "", [1], {}, {"a": 1}, True, False, None, math.nan,
+                  math.inf, -math.inf, 10 ** 400, -(10 ** 400))
+
+
+def _range_edges(name):
+    """Both ends of ``name``'s log range and one step beyond each: an ulp
+    for a number, one for an integer, and each end in the other type."""
+    if name not in RANGES["log"]:
+        return (0, -1, 2 ** 63, 1.0, "valid", "VALID")
+    lo, hi, _ = RANGES["log"][name]
+    if type(lo) is int:
+        return (lo, hi, lo - 1, hi + 1, float(lo), float(hi))
+    return (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf),
+            int(lo), int(hi))
+
+
+def _record_text(pairs, rng=None, compact=False) -> str:
+    """A JSON object of ``pairs``, which may repeat a name, in their order
+    or shuffled by ``rng``; json's spacing, or none with ``compact``."""
+    pairs = list(pairs)
+    if rng:
+        rng.shuffle(pairs)
+    sep, colon = (",", ":") if compact else (", ", ": ")
+    return "{" + sep.join(json.dumps(k) + colon + json.dumps(v) for k, v in pairs) + "}"
+
+
+def _fuzzed_record_lines(records, rng):
+    """Seeded lines built from ``records`` that each hold one fault or two,
+    or none, plus lines that are blank or not an object."""
+    faults = [(name, value) for name in mission.SAMPLE_FIELDS
+              for value in (*LOG_FUZZ_TYPES, *_range_edges(name))]
+    lines = ["", "  ", "\t\r", "5", '"abc"', "null", "true", "[]", "{}",
+             json.dumps(list(records[0].values())), "{", "x", "[" * 50]
+    for record in records:
+        items = list(record.items())
+        for name, value in faults:  # one field set to one fault
+            lines.append(_record_text({**record, name: value}.items()))
+        for name in record:  # one field missing, renamed or repeated
+            lines.append(_record_text((k, v) for k, v in items if k != name))
+            lines.append(_record_text((k + ":" if k == name else k, v) for k, v in items))
+            lines.append(_record_text([*items, (name, record[name])]))
+            lines.append(_record_text([(name, 0), *items]))
+        lines.append(_record_text([*items, ("extra", 1)]))
+        for _ in range(40):  # key order, spacing and the space around
+            text = _record_text(items, rng, compact=rng.random() < 0.5)
+            pad = ["".join(rng.choice(" \t\r") for _ in range(rng.randrange(3)))
+                   for _ in range(2)]
+            lines.append(pad[0] + text + pad[1])
+        for _ in range(150):  # two faults, in shuffled order
+            (a, x), (b, y) = rng.sample(faults, 2)
+            lines.append(_record_text({**record, a: x, b: y}.items(), rng))
+        lines.append(json.dumps(record, indent=1))
+        lines.append(json.dumps(record) + " {}")
+        # a name repeated inside a field's value
+        lines.append(json.dumps({**record, "lat": "@"}).replace('"@"', '{"a": 1, "a": 2}'))
+    return lines
+
+
+def test_parse_log_matches_the_looping_reference_on_fuzzed_records():
+    # every line alone and after a valid one: the compiled check and the
+    # one-scan reader give the same samples and lines, or the same refusal
+    samples, _ = run_mission(simple_mission(4, obstructed=(2,)))
+    logged = dump_sample_log(samples).splitlines()
+    records = [json.loads(line) for line in logged]
+    assert {r["status"] for r in records} == {"valid", "not_penetrated"}
+
+    def outcome(parse, lines):
+        try:
+            return repr(parse(lines))
+        except LogFormatError as exc:
+            return type(exc), str(exc), exc.line_no
+
+    cases = _fuzzed_record_lines(records, random.Random(41))
+    kinds = Counter()  # refusals and accepted logs
+    for line in cases:
+        for lines in ([line], [logged[0], line]):
+            expected = outcome(parse_sample_log_reference, lines)
+            assert outcome(parse_sample_log, lines) == expected, lines[-1]
+            kinds["refused" if type(expected) is tuple else "accepted"] += 1
+    assert kinds["accepted"] > 200 and kinds["refused"] > 2000
 
 
 def test_parse_log_empty_and_blank_lines(tmp_path):
