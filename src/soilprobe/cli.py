@@ -140,10 +140,9 @@ def cmd_validate(args):
     valid = "".join(f"{line}\n" for sample, line in zip(samples, lines)
                     if sample.status is mission.Validity.VALID)
     _emit((valid, args.out))
-    counts = Counter(s.status.value for s in samples)
+    counts = Counter(s.status for s in samples)
     _diag(f"validate: {len(samples)} samples: " + ", ".join(
-        f"{counts.get(status.value, 0)} {status.value}"
-        for status in mission.Validity))
+        f"{counts[status]} {status.value}" for status in mission.Validity))
 
 
 def cmd_map(args):

@@ -5,10 +5,12 @@ One IDW kernel serves :func:`idw_at` and :func:`build_grid`, at
 Shepard's power 2: a sample at squared distance d2 weighs 1 / d2, that
 is d**-2.  IDW with positive weights is a convex combination, so every
 interpolated value stays inside the sampled range and the surface is
-exact at the sample points.  A sample within ``EXACT_RADIUS_M`` of a
-query is its value; cells farther than ``CUTOFF_RADIUS_M`` from every
-sample are no-data (NaN internally, -9999 in the ASCII export): the map
-never extrapolates far beyond the sampled hull.
+exact at the sample points.  "Within R" means the float64 squared
+distance ``dx*dx + dy*dy <= R*R``.  A sample within ``EXACT_RADIUS_M``
+of a query is its value (nearest by squared distance, then lowest id);
+cells with no sample within ``CUTOFF_RADIUS_M`` are no-data (NaN
+internally, -9999 in the ASCII export): the map never extrapolates far
+beyond the sampled hull.
 
 The kernel works on the cell lattice: a raster's cell centres are
 the nodes (x[ix], y[iy]), and a query point is a lattice of one node.
@@ -18,13 +20,11 @@ each tile against the samples near it, never against all of them
 (local Shepard interpolation; Franke & Nielson 1980).  On a lattice a
 squared distance is a row term plus a column term (Felzenszwalb &
 Huttenlocher 2012), so each tile squares its offsets once per row and
-once per column.  Weights come from squared distances; ``hypot``
-decides every pair that lies within rounding of either radius, so
-which samples count, which cells are no-data, and which sample wins an
-exact hit are bit-exact, never depending on the squaring or the
-sums.  Each node's weight sum and weighted sum come from one matrix
-product, whose BLAS summation order may move a value in its last
-bits.
+once per column.  That one squared distance decides the cutoff, the
+exact hit and the weight, so which samples count, which cells are
+no-data, and which sample wins an exact hit never depend on the sums.
+Each node's weight sum and weighted sum come from one matrix product,
+whose BLAS summation order may move a value in its last bits.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from .fieldsim import wgs84_to_local_at
 NODATA = -9999
 
 # a sample within EXACT_RADIUS_M of a query is the query's value; samples
-# farther than CUTOFF_RADIUS_M from it do not count
+# farther than CUTOFF_RADIUS_M from it do not count; "within R" is
+# dx*dx + dy*dy <= R*R
 CUTOFF_RADIUS_M = 10.0
 EXACT_RADIUS_M = 1e-6
 
@@ -54,11 +55,6 @@ _CHUNK_CELLS = 65536
 
 # largest raster build_grid accepts: 128 MiB of float64 values
 MAX_GRID_CELLS = 1 << 24
-
-# relative width of the band around a squared radius inside which the
-# squared distance cannot tell in from out; dx*dx + dy*dy and hypot each
-# round within a few ulps, far inside it
-_SQUARE_BAND = 1e-12
 
 
 @record
@@ -124,7 +120,7 @@ def _tile_runs(g):
 
 def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
     """:func:`idw_at` at every node (gx[ix], gy[iy]) of a lattice, as a
-    (gy.size, gx.size) array; exact-hit ties go to the lowest rank.
+    (gy.size, gx.size) array.
 
     ``xy`` must be in canonical order, which sorts it by x first, and
     both axes must be non-empty and finite.  The nodes are grouped into
@@ -137,27 +133,24 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
     ``(y - sy)**2`` only on the row, so each tile squares its columns'
     and its rows' offsets once per sample, and each pair's squared
     distance ``d2`` is one sum of the two: the same rounded sum that
-    squaring each pair's offsets gives.  Weights are ``1 / d2``, or
+    squaring each pair's offsets gives.  That ``d2`` decides both
+    circles: a pair counts when ``d2 <= cutoff * cutoff``, and a node
+    whose nearest ``d2`` is at most ``exact * exact`` takes the value of
+    that sample, the lowest rank on ties.  Weights are ``1 / d2``, or
     d**-2, by ``np.reciprocal`` (bit for bit ``np.power(d2, -1.0)``, as
     a test checks), in reused buffers of at most ``max(_CHUNK_CELLS,
     samples of one tile)`` pairs; a tile row holding more is split
-    across its columns.  ``np.hypot`` decides and weighs what squaring
-    cannot: pairs whose ``d2`` lies within ``_SQUARE_BAND`` of the
-    squared cutoff, and the exact-hit test of every node holding a
-    ``d2`` up to that band above the squared exact radius, which every
-    ``d2`` below the normal floats is.  So the kept pairs, the no-data
-    cells and the exact-hit winners are those of distances from
-    ``np.hypot``, bit for bit.  Each node's weight sum and weighted sum
-    come from one matrix product of its weights with [1, theta], whose
-    summation order is the BLAS kernel's: the values differ from
-    ``hypot(...) ** -2`` weights summed in order by a few ulps.
+    across its columns.  Each node's weight sum and weighted sum come
+    from one matrix product of its weights with [1, theta], whose
+    summation order is the BLAS kernel's: the values differ from the
+    same weights summed in order by a few ulps.
     """
     cutoff, exact = CUTOFF_RADIUS_M, EXACT_RADIUS_M
     col0, col1, x0, x1 = _tile_runs(gx)
     row0, row1, y0, y1 = _tile_runs(gy)
     # each tile's node box grown by the cutoff, tiles indexed [row run,
-    # column run]; the pad outweighs every rounding in the box and in d,
-    # so no sample that d <= cutoff would keep is left out
+    # column run]; the pad outweighs every rounding in the box and in d2,
+    # so no sample that d2 <= cutoff * cutoff would keep is left out
     with np.errstate(over="ignore"):
         reach = np.maximum(np.abs(y0), np.abs(y1))[:, None]
         reach = np.maximum(reach, np.maximum(np.abs(x0), np.abs(x1)))
@@ -171,20 +164,14 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
     # the right-hand side of each tile's matrix product: a weight sum and
     # a weighted sum per node
     ones_theta = np.column_stack([np.ones(theta.size), theta])
-    # each squared radius widened by the band; products, not **, which
-    # rounds some squares to a different last bit
-    shrink, grow = 1.0 - _SQUARE_BAND, 1.0 + _SQUARE_BAND
-    cut_lo = (cutoff * shrink) * (cutoff * shrink)
-    cut_hi = (cutoff * grow) * (cutoff * grow)
-    exact_hi = (exact * grow) * (exact * grow)
+    cut2, exact2 = cutoff * cutoff, exact * exact
     # a chunk holds at most max(_CHUNK_CELLS, samples of one tile) pairs,
     # and never more than every node against those samples
     most = int((i1 - i0).max())
     size = min(max(_CHUNK_CELLS, most), vals.size * most)
-    d2_buf = np.empty(size)
-    keep_buf, sure_buf = np.empty(size, bool), np.empty(size, bool)
+    d2_buf, keep_buf = np.empty(size), np.empty(size, bool)
 
-    # far pairs may overflow their squares to inf, which every test drops;
+    # far pairs may overflow their squares to inf, which the cutoff drops;
     # exact hits get 1/0 weights, and are overwritten; a node with no
     # weight divides 0 by 0 into NaN, no-data; matmul checks the flags too
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -206,39 +193,28 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
                 for ra in range(row0[r], row1[r], rstep):
                     rb = min(row1[r], ra + rstep)
                     shape = (rb - ra, cb - ca, n)
-                    d2, keep, sure = (buf[:shape[0] * shape[1] * n].reshape(shape)
-                                      for buf in (d2_buf, keep_buf, sure_buf))
+                    d2 = d2_buf[:shape[0] * shape[1] * n].reshape(shape)
+                    keep = keep_buf[:d2.size].reshape(shape)
                     dy2 = np.square(gy[ra:rb, None] - sy)
                     np.add(dy2[:, None, :], dx2, out=d2)
                     # rounding is monotone, so no node is within the exact
-                    # band of a sample that fails this
-                    close = np.flatnonzero(dx2_min + dy2.min(axis=0) <= exact_hi)
-                    may_hit = (np.flatnonzero(d2[:, :, close].min(axis=2) <= exact_hi)
-                               if close.size else close)
-                    np.less_equal(d2, cut_hi, out=keep)
-                    np.less(d2, cut_lo, out=sure)
-                    # hypot weighs the pairs whose squares cannot tell in from out
-                    edge = None
-                    if np.count_nonzero(keep) != np.count_nonzero(sure):
-                        edge = np.flatnonzero(keep ^ sure)
-                        er, ec, es = np.unravel_index(edge, shape)
-                        d = np.hypot(gx[ca + ec] - sx[es], gy[ra + er] - sy[es])
+                    # radius of a sample that fails this
+                    close = np.flatnonzero(dx2_min + dy2.min(axis=0) <= exact2)
+                    cand = near[close]
+                    # a copy, taken before the weights overwrite d2
+                    d2c = d2[:, :, close]
+                    np.less_equal(d2, cut2, out=keep)
                     w = np.reciprocal(d2, out=d2)  # d2 ** (-IDW_POWER / 2)
                     w *= keep
-                    if edge is not None:
-                        w.flat[edge] = np.where(d <= cutoff, d ** -IDW_POWER, 0.0)
                     sums = (w.reshape(-1, n) @ rhs).reshape(shape[0], shape[1], 2)
                     block = vals[ra:rb, ca:cb]
                     np.divide(sums[..., 1], sums[..., 0], out=block)
-                    if may_hit.size:
-                        hr, hc = np.divmod(may_hit, shape[1])
-                        cand = near[close]
-                        d = np.hypot(gx[ca + hc, None] - xs[cand],
-                                     gy[ra + hr, None] - ys[cand])
-                        hit = (d <= exact).any(axis=1)
-                        d = d[hit]
-                        tied = d == d.min(axis=1, keepdims=True)
-                        block[hr[hit], hc[hit]] = theta[cand][
+                    if cand.size:
+                        d2c = d2c.reshape(-1, cand.size)
+                        nearest = d2c.min(axis=1, keepdims=True)
+                        hits = np.flatnonzero(nearest <= exact2)
+                        tied = d2c[hits] == nearest[hits]
+                        block[np.divmod(hits, shape[1])] = theta[cand][
                             np.where(tied, rank[cand], rank.size).argmin(axis=1)]
     return vals
 
@@ -246,10 +222,11 @@ def _idw(xy, theta, rank, gx, gy) -> np.ndarray:
 def idw_at(xy, theta, x: float, y: float, ids=None) -> float:
     """Interpolated VWC at one query point; NaN when out of reach.
 
-    A sample within ``EXACT_RADIUS_M`` wins outright (nearest first,
-    then lowest id on ties), which also makes the surface exact at the
-    sample locations.  Otherwise the samples inside ``CUTOFF_RADIUS_M``
-    are combined with weights d**-2, Shepard's power.  The point is a
+    A sample within ``EXACT_RADIUS_M`` wins outright (nearest by squared
+    distance, then lowest id), which also makes the surface exact at the
+    sample locations.  Otherwise the samples within ``CUTOFF_RADIUS_M``
+    are combined with weights d**-2, Shepard's power.  "Within R" is
+    ``dx*dx + dy*dy <= R*R`` in float64.  The point is a
     lattice of one node; a point at a non-finite coordinate is NaN.
     """
     xy, theta, rank = _as_sample_arrays(xy, theta, ids)

@@ -38,19 +38,24 @@ from soilprobe.sdi12 import (ADDRESS_CHARS, COMMAND_TERMINATOR,
 
 
 def idw_oracle(xy, theta, qx, qy, power=2.0, cutoff=10.0, exact=1e-6):
-    """Direct-evaluation IDW, independent of the library implementation."""
+    """Direct-evaluation IDW, independent of the library implementation.
+
+    A sample is within a radius R when ``dx*dx + dy*dy <= R*R``.
+    """
     best = None
     for i, (x, y) in enumerate(xy):
-        d = math.hypot(x - qx, y - qy)
-        if d <= exact and (best is None or (d, i) < best):
-            best = (d, i)
+        dx, dy = x - qx, y - qy
+        d2 = dx * dx + dy * dy
+        if d2 <= exact * exact and (best is None or (d2, i) < best):
+            best = (d2, i)
     if best is not None:
         return theta[best[1]]
     num = den = 0.0
     for i, (x, y) in enumerate(xy):
-        d = math.hypot(x - qx, y - qy)
-        if d <= cutoff:
-            w = d ** -power
+        dx, dy = x - qx, y - qy
+        d2 = dx * dx + dy * dy
+        if d2 <= cutoff * cutoff:
+            w = d2 ** (-power / 2)
             num += w * theta[i]
             den += w
     return num / den if den > 0 else float("nan")
@@ -63,24 +68,27 @@ def idw_dense_reference(xy, theta, rank, gx, gy, power=2.0, cutoff=10.0,
     Same arguments as ``geomap._idw`` (samples in canonical order, ranks
     by id, the lattice's x and y axes), with the parameters spelt out;
     it returns a (gy.size, gx.size) array.  The nodes are meshgridded
-    and flattened, each weight comes from ``np.hypot`` and each sum is
-    numpy's, so the library's kernel must agree with it to rounding, and
-    exactly on exact hits.
+    and flattened, each pair's squared distance is ``dx*dx + dy*dy``,
+    which decides both radii, each weight is its ``** (-power / 2)`` and
+    each sum is numpy's, so the library's kernel must agree with it to
+    rounding, and exactly on exact hits.
     """
     qx, qy = (q.ravel() for q in np.meshgrid(gx, gy))
     out = np.full(qx.size, np.nan)
     step = max(1, 65536 // theta.size)
     for q0 in range(0, qx.size, step):
         q1 = min(qx.size, q0 + step)
-        d = np.hypot(qx[q0:q1, None] - xy[:, 0], qy[q0:q1, None] - xy[:, 1])
+        dx = qx[q0:q1, None] - xy[:, 0]
+        dy = qy[q0:q1, None] - xy[:, 1]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = np.where(d <= cutoff, d ** -power, 0.0)
+            d2 = dx * dx + dy * dy
+            w = np.where(d2 <= cutoff * cutoff, d2 ** (-power / 2), 0.0)
             wsum = w.sum(axis=1)
             np.divide((w * theta).sum(axis=1), wsum, out=out[q0:q1],
                       where=wsum > 0)
-        hits = np.flatnonzero((d <= exact).any(axis=1))
+        hits = np.flatnonzero((d2 <= exact * exact).any(axis=1))
         if hits.size:
-            tied = d[hits] == d[hits].min(axis=1, keepdims=True)
+            tied = d2[hits] == d2[hits].min(axis=1, keepdims=True)
             out[q0 + hits] = theta[np.where(tied, rank, rank.size).argmin(axis=1)]
     return out.reshape(gy.size, gx.size)
 

@@ -92,8 +92,9 @@ def test_validate_counts_and_filters(tmp_path, capsys):
               str(tmp_path / "s.json")])
     out = tmp_path / "valid.jsonl"
     assert cli.main(["validate", "--log", str(log), "--out", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "3 valid" in err and "1 not_penetrated" in err
+    # the whole line, the zero count included
+    assert capsys.readouterr().err.endswith(
+        "\nvalidate: 4 samples: 3 valid, 1 not_penetrated, 0 sensor_error\n")
     kept, _ = read_sample_log(out)
     assert len(kept) == 3
     assert all(s.status.value == "valid" for s in kept)

@@ -83,6 +83,11 @@ def test_coincident_samples_tie_break_by_lowest_id():
     grid = build_grid(near, [0.4, 0.2], (0.5, 0.5, 1.5, 1.5), cell_size_m=1.0,
                       ids=[7, 3])
     assert grid.values[0, 0] == 0.4
+    # coincident by squares: both offsets square to 0, so the lowest id
+    # wins, though hypot puts id 2 nearer
+    tiny = [(1e-170, 0.0), (2e-170, 0.0)]
+    assert idw_at(tiny, [0.1, 0.2], 0.0, 0.0, ids=[2, 1]) == 0.2
+    assert idw_at(tiny, [0.1, 0.2], 0.0, 0.0, ids=[1, 2]) == 0.1
 
 
 def test_exactness_property_over_random_samples():
@@ -141,7 +146,8 @@ def test_grid_nodata_cells_are_exactly_the_far_ones():
     gx, gy = grid.cell_centers()
     for iy, y in enumerate(gy):
         for ix, x in enumerate(gx):
-            far = all(math.hypot(x - sx, y - sy) > 10.0 for sx, sy in xy)
+            far = all((x - sx) * (x - sx) + (y - sy) * (y - sy) > 10.0 * 10.0
+                      for sx, sy in xy)
             assert math.isnan(grid.values[iy, ix]) == far
 
 
@@ -186,13 +192,18 @@ def test_non_finite_queries_are_nodata_without_warnings():
 
 
 def exact_hit_cells(grid, xy, exact):
-    """Cells whose centre lies within ``exact`` of some sample."""
+    """Cells whose centre lies within ``exact`` of some sample, by
+    ``dx*dx + dy*dy <= exact*exact``.  The sum is never below either
+    square, so an axis whose offset squares above ``exact*exact`` is
+    skipped; an offset one float past ``exact`` may not square above it."""
     gx, gy = grid.cell_centers()
     hit = np.zeros(grid.values.shape, dtype=bool)
     for sx, sy in xy:
-        ix = np.flatnonzero(np.abs(gx - sx) <= exact)
-        iy = np.flatnonzero(np.abs(gy - sy) <= exact)
-        hit[np.ix_(iy, ix)] |= np.hypot(gx[ix] - sx, gy[iy, None] - sy) <= exact
+        dx, dy = gx - sx, gy - sy
+        ix = np.flatnonzero(dx * dx <= exact * exact)
+        iy = np.flatnonzero(dy * dy <= exact * exact)
+        dx, dy = dx[ix], dy[iy, None]
+        hit[np.ix_(iy, ix)] |= dx * dx + dy * dy <= exact * exact
     return hit
 
 
@@ -333,7 +344,8 @@ def test_idw_at_matches_dense_kernel_at_random_points():
     for x, y in points:
         want = idw_dense_reference(*canonical, np.array([x]), np.array([y]))[0, 0]
         got = idw_at(xy, theta, x, y, ids=ids)
-        if np.hypot(xy[:, 0] - x, xy[:, 1] - y).min() <= EXACT_RADIUS_M:
+        dx, dy = xy[:, 0] - x, xy[:, 1] - y
+        if (dx * dx + dy * dy).min() <= EXACT_RADIUS_M * EXACT_RADIUS_M:
             assert got == want
         elif math.isnan(want):
             assert math.isnan(got)
@@ -398,18 +410,23 @@ def on_circle(rng, centres, radius):
     """One point per centre, at a random angle, within ulps of its circle.
 
     Each point's x is walked one float at a time to the last value with
-    ``hypot(dx, dy) <= radius``, then moved 2 floats inwards to 3
+    ``dx*dx + dy*dy <= radius*radius``, then moved 2 floats inwards to 3
     outwards, so the points straddle the circle.
     """
     cx, cy = centres.T
     angle = rng.uniform(0.0, 2.0 * np.pi, len(centres))
     x, y = cx + radius * np.cos(angle), cy + radius * np.sin(angle)
+    dy = y - cy
+
+    def within(x):
+        return (x - cx) * (x - cx) + dy * dy <= radius * radius
+
     outward = np.where(x > cx, np.inf, -np.inf)
-    inside = np.hypot(x - cx, y - cy) <= radius
+    inside = within(x)
     walk = np.where(inside, outward, -outward)
     for _ in range(64):
         step = np.nextafter(x, walk)
-        same_side = (np.hypot(step - cx, y - cy) <= radius) == inside
+        same_side = within(step) == inside
         if not same_side.any():
             break
         x = np.where(same_side, step, x)
@@ -430,19 +447,19 @@ def ring_raster(rng, offset, cell, count):
 
 
 def assert_some_misjudged(ring, centres, radius):
-    """The placements straddle the circle, and squaring misjudges some."""
+    """The placements straddle the circle, and hypot misjudges some."""
     dx, dy = (ring - centres).T
-    inside = np.hypot(dx, dy) <= radius
-    misjudged = (dx * dx + dy * dy <= radius * radius) != inside
+    inside = dx * dx + dy * dy <= radius * radius
+    misjudged = (np.hypot(dx, dy) <= radius) != inside
     assert inside.any() and not inside.all() and misjudged.any()
 
 
-# squaring misjudges points on the circles only where the coordinates
+# hypot misjudges points on the circles only where the coordinates
 # resolve the radii to a few ulps of their squares
 @pytest.mark.parametrize("offset", [0.0, 1e6])
-def test_kernel_decides_both_circles_as_hypot_does(offset):
-    # a squared distance within rounding of the squared cutoff or exact
-    # radius may fall on the other side of it; hypot's decision must win
+def test_kernel_decides_both_circles_by_squares(offset):
+    # a point within ulps of the cutoff or exact radius is inside exactly
+    # when dx*dx + dy*dy <= R*R, even where hypot puts it on the other side
     rng = np.random.default_rng(707)
     # the cutoff circle, on a raster where some cells have no sample in reach
     bounds, centres = ring_raster(rng, offset, 8.0, 300)
@@ -457,7 +474,7 @@ def test_kernel_decides_both_circles_as_hypot_does(offset):
     # the exact circle, on a raster fine enough to resolve it
     bounds, centres = ring_raster(rng, offset, 4e-6, 800)
     at_exact = on_circle(rng, centres[:700], 1e-6)
-    # two points on one exact circle: the nearer one by hypot wins
+    # two points on one exact circle: the nearer one by squares wins
     tied = np.vstack([on_circle(rng, centres[700:], 1e-6),
                       on_circle(rng, centres[700:], 1e-6)])
     xy = np.vstack([at_exact, tied])
