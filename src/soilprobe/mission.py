@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import fields
+from itertools import product, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import TYPE_CHECKING
 
@@ -125,10 +126,16 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     so each draw is compared only with the points listed in its own
     cell; the results are those of comparing it with every accepted
     point.
-    Deterministic under ``seed``, a non-negative int.  Raises
-    ConfigError once ``max_trials`` draws fail to place all points, and
-    before the first draw for a count above ``max_trials``, since each
-    draw places at most one point.
+    Deterministic under ``seed``, a non-negative int.  A draw is the
+    pair ``(width * u, height * v)`` of two consecutive numbers ``u, v``
+    of ``numpy.random.default_rng(seed).random``, which are the numbers
+    the scalar ``uniform(0, width)`` and ``uniform(0, height)`` would
+    return.  They come in blocks of one pair per point still to place,
+    and no more than the draws left, so no block runs past the last
+    draw needed or past ``max_trials``.  Raises ConfigError once
+    ``max_trials`` draws fail to place all points, and before the first
+    draw for a count above ``max_trials``, since each draw places at
+    most one point.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
@@ -151,6 +158,7 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     rng = np.random.default_rng(seed)
     # cells no smaller than the spacing, and at most 1024 per axis
     index = fieldsim.CellIndex(max(min_spacing_m, width / 1024, height / 1024))
+    near = index.near
     accepted: list[tuple[float, float]] = []
     trials = 0
     while len(accepted) < count:
@@ -159,13 +167,21 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
                 f"placed {len(accepted)} of {count} points after {trials} "
                 f"draws; spacing {min_spacing_m} m does not fit "
                 f"{width} x {height} m")
-        trials += 1
-        x = rng.uniform(0.0, width)
-        y = rng.uniform(0.0, height)
-        if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq
-               for ax, ay in index.near(x, y)):
-            accepted.append((x, y))
-            index.add((x, y), x, y, min_spacing_m)
+        pairs = min(count - len(accepted), max_trials - trials)
+        trials += pairs
+        # a flat list of floats: no list per pair for the collector to count
+        block = iter(rng.random(2 * pairs).tolist())
+        for u, v in zip(block, block):
+            x, y = width * u, height * v
+            for ax, ay in near(x, y):
+                if (x - ax) ** 2 + (y - ay) ** 2 < spacing_sq:
+                    break
+            else:
+                accepted.append((x, y))
+                index.add((x, y), x, y, min_spacing_m)
+    # the collector runs once enough containers are alive: the index's
+    # lists go before the tour lists the points in its own
+    del index, near
     return [Waypoint(i + 1, *accepted[k])
             for i, k in enumerate(_nearest_neighbour_tour(accepted))]
 
@@ -173,27 +189,98 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
 def _nearest_neighbour_tour(points: list[tuple[float, float]]) -> list[int]:
     """Indices of ``points`` in greedy nearest-neighbour order from (0, 0).
 
-    Each step takes the remaining point with the least ``(x - cx) ** 2 +
-    (y - cy) ** 2``, the lowest index on ties.  numpy squares by
-    multiplying, which can differ from Python's ``** 2`` in the last
-    bit, so the numpy keys only shortlist the points within a relative
-    1e-12 of the least one, and the Python keys decide among those.
+    Each step takes the untaken point with the least ``(x - cx) ** 2 +
+    (y - cy) ** 2`` from the current point, the lowest index on ties.
+    The untaken points are listed in a :class:`fieldsim.CellIndex` with
+    reach 0, and a step reads its cells in rings outward from the
+    current cell, from the first ring that meets an occupied cell, the
+    first two rings as one 3 x 3 square (a greedy tour over a cell grid,
+    Bentley 1992).  Every point whose key is at most the least found so
+    far is listed in a cell of the box that ``CellIndex.add`` would cover
+    with that key's root as reach, so the walk reads only the cells of
+    that box and stops once its rings cover it.  The index is rebuilt on
+    a coarser cell each time the untaken count halves, so the rings stay
+    short as the points thin out.
     """
-    import numpy as np
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    from . import fieldsim
+    floor, sqrt = math.floor, math.sqrt
+    taken = [False] * len(points)
     order: list[int] = []
     cx, cy = 0.0, 0.0
-    for _ in points:
-        key = (xs - cx) ** 2 + (ys - cy) ** 2
-        # taken points have NaN keys, which fmin and <= both pass over
-        bound = np.fmin.reduce(key) * (1.0 + 1e-12) + 1e-300
-        best = min(np.flatnonzero(key <= bound).tolist(),
-                   key=lambda k: (points[k][0] - cx) ** 2 + (points[k][1] - cy) ** 2)
-        xs[best] = np.nan
-        order.append(best)
-        cx, cy = points[best]
+    untaken = range(len(points))
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    w, h = max(xs) - min(xs), max(ys) - min(ys)
+    # about one point per cell, or per cell along a strip; 1 m when every
+    # point coincides
+    first = max(sqrt(w * h / len(points)), max(w, h) / len(points)) or 1.0
+    while untaken:
+        # the cell's area grows as the square root of the thinning.  The
+        # tour leaves its untaken points in patches at the first density,
+        # so a step's keys in a patch and its empty rings between patches
+        # both grow as that root, while the steps per index halve: the
+        # work of the whole tour stays linear
+        size = first * (len(points) / len(untaken)) ** 0.25
+        index = fieldsim.CellIndex(size)
+        cells = index.cells  # the last index's cells go before the adds
+        for k in untaken:
+            index.add(k, xs[k], ys[k], 0.0)
+        # the occupied cells' extent, which no ring needs to pass
+        imin, imax = min(i for i, _ in cells), max(i for i, _ in cells)
+        jmin, jmax = min(j for _, j in cells), max(j for _, j in cells)
+        for _ in range(len(untaken) - len(untaken) // 2):
+            ci, cj = floor(cx / size), floor(cy / size)
+            ilo, ihi, jlo, jhi = imin, imax, jmin, jmax
+            # no cell nearer than ring r is occupied
+            r = max(1, ilo - ci, ci - ihi, jlo - cj, cj - jhi)
+            ring = (product(range(ci - 1, ci + 2), range(cj - 1, cj + 2)) if r == 1
+                    else _ring(ci, cj, r, ilo, ihi, jlo, jhi))
+            best, least, home = -1, math.inf, None
+            while True:
+                found = least
+                for cell in ring:
+                    for k in cells.get(cell, ()):
+                        if taken[k]:
+                            continue
+                        x, y = points[k]
+                        key = (x - cx) ** 2 + (y - cy) ** 2
+                        if key < least or key == least and k < best:
+                            best, least, home = k, key, cell
+                if least < found:
+                    # the box CellIndex.add covers for reach sqrt(least)
+                    reach = sqrt(least) * (1.0 + 1e-9) + 1e-160
+                    ilo = max(imin, floor((cx - reach) / size))
+                    ihi = min(imax, floor((cx + reach) / size))
+                    jlo = max(jmin, floor((cy - reach) / size))
+                    jhi = min(jmax, floor((cy + reach) / size))
+                if ci - r <= ilo and ihi <= ci + r and cj - r <= jlo and jhi <= cj + r:
+                    break
+                r += 1
+                ring = _ring(ci, cj, r, ilo, ihi, jlo, jhi)
+            taken[best] = True
+            # a point on a cell edge stays listed in the other cells, as taken
+            cells[home].remove(best)
+            order.append(best)
+            cx, cy = points[best]
+        untaken = [k for k in untaken if not taken[k]]
     return order
+
+
+def _ring(ci: int, cj: int, r: int, ilo: int, ihi: int, jlo: int,
+          jhi: int) -> list[tuple[int, int]]:
+    """The cells (i, j) at Chebyshev distance ``r`` >= 1 from cell
+    (ci, cj) with ``ilo <= i <= ihi`` and ``jlo <= j <= jhi``."""
+    rows = range(max(ci - r, ilo), min(ci + r, ihi) + 1)
+    cols = range(max(cj - r + 1, jlo), min(cj + r - 1, jhi) + 1)
+    ring: list[tuple[int, int]] = []
+    if jlo <= cj - r:
+        ring += zip(rows, repeat(cj - r))
+    if cj + r <= jhi:
+        ring += zip(rows, repeat(cj + r))
+    if ilo <= ci - r:
+        ring += zip(repeat(ci - r), cols)
+    if ci + r <= ihi:
+        ring += zip(repeat(ci + r), cols)
+    return ring
 
 
 def run_mission(cfg: MissionConfig) -> tuple[list[SoilSample], MissionSummary]:

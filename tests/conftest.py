@@ -1,9 +1,9 @@
 """Shared test helpers: deterministic fields, a scenario document that
 sets every key, fault-injecting sensors, the naive interpolation oracle,
 the dense IDW kernel, the per-cell ASCII raster writer, the linear
-waypoint and obstruction references, the re-encoding ``validate``
-reference, the looping log-record check and the whole-line log reader,
-the hand-written SDI-12 parsers, the parse-based virtual
+waypoint and obstruction references, the numpy tour, the re-encoding
+``validate`` reference, the looping log-record check and the whole-line
+log reader, the hand-written SDI-12 parsers, the parse-based virtual
 sensor, the numpy ground truth, a record type's stock dataclass twin,
 the check that a record is what its public constructor builds, and the
 fixture that swaps every optimised layer for its reference."""
@@ -116,8 +116,9 @@ def export_grid_ascii_reference(grid) -> str:
 
 def generate_waypoints_reference(field, count, min_spacing_m, seed,
                                  max_trials=REJECTION_TRIAL_LIMIT):
-    """The quadratic waypoint generator: every draw is compared with every
-    accepted point, and each tour step scans every remaining point.
+    """The quadratic waypoint generator: two scalar ``uniform`` draws per
+    trial, every draw compared with every accepted point, and the points
+    ordered by ``nearest_neighbour_tour_reference``.
 
     ``mission.generate_waypoints`` must return the same waypoints and
     raise the same infeasible-layout ConfigError message (argument checks
@@ -141,16 +142,35 @@ def generate_waypoints_reference(field, count, min_spacing_m, seed,
         y = rng.uniform(0.0, field.height_m)
         if all((x - ax) ** 2 + (y - ay) ** 2 >= spacing_sq for ax, ay in accepted):
             accepted.append((x, y))
+    return [Waypoint(i + 1, *accepted[k])
+            for i, k in enumerate(nearest_neighbour_tour_reference(accepted))]
 
-    ordered: list[tuple[float, float]] = []
+
+def nearest_neighbour_tour_reference(points) -> list[int]:
+    """The quadratic tour: each step keys every point in numpy from the
+    current one, from (0, 0) on.
+
+    ``mission._nearest_neighbour_tour`` must return the same order.  Each
+    step takes the untaken point with the least ``(x - cx) ** 2 + (y -
+    cy) ** 2``, the lowest index on ties.  numpy squares by multiplying,
+    which can differ from Python's ``** 2`` in the last bit, so the numpy
+    keys only shortlist the points within a relative 1e-12 of the least
+    one, and the Python keys decide among those.
+    """
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    order: list[int] = []
     cx, cy = 0.0, 0.0
-    remaining = list(accepted)
-    while remaining:
-        nearest = min(remaining, key=lambda p: (p[0] - cx) ** 2 + (p[1] - cy) ** 2)
-        remaining.remove(nearest)
-        ordered.append(nearest)
-        cx, cy = nearest
-    return [Waypoint(i + 1, x, y) for i, (x, y) in enumerate(ordered)]
+    for _ in points:
+        key = (xs - cx) ** 2 + (ys - cy) ** 2
+        # taken points have NaN keys, which fmin and <= both pass over
+        bound = np.fmin.reduce(key) * (1.0 + 1e-12) + 1e-300
+        best = min(np.flatnonzero(key <= bound).tolist(),
+                   key=lambda k: (points[k][0] - cx) ** 2 + (points[k][1] - cy) ** 2)
+        xs[best] = np.nan
+        order.append(best)
+        cx, cy = points[best]
+    return order
 
 
 def validate_reference(samples) -> str:
@@ -545,11 +565,11 @@ def reference_layers():
     reference, at the attribute its caller looks up.
 
     Inside it the pipeline runs on the linear obstruction scan, the
-    quadratic waypoint generator, the hand-written frame parsers (the
-    sensor is ``ParsingTeros``, which parses every command), the numpy
-    ground truth, the whole-line log reader, the dense IDW kernel, the
-    per-cell ASCII writer and the re-encoding ``validate``.  Every output
-    byte must stay the same.
+    quadratic waypoint generator and its numpy tour, the hand-written
+    frame parsers (the sensor is ``ParsingTeros``, which parses every
+    command), the numpy ground truth, the whole-line log reader, the
+    dense IDW kernel, the per-cell ASCII writer and the re-encoding
+    ``validate``.  Every output byte must stay the same.
     """
     @contextlib.contextmanager
     def swapped():

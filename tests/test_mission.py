@@ -17,14 +17,14 @@ from soilprobe.errors import RANGES, ConfigError, LogFormatError
 from soilprobe import cli, mission
 from soilprobe.fieldsim import EARTH_RADIUS_M, Disk, local_to_wgs84_at
 from soilprobe.sampler import SamplerConfig, SoilSample
-from soilprobe.mission import (MissionConfig, MissionSummary, Waypoint,
-                               convex_hull, convex_hull_area, dump_sample_log,
+from soilprobe.mission import (REJECTION_TRIAL_LIMIT, MissionConfig, MissionSummary,
+                               Waypoint, convex_hull, convex_hull_area, dump_sample_log,
                                dump_summary, generate_waypoints,
                                parse_sample_log, read_sample_log,
                                run_mission, sample_from_dict, select_valid)
 
 from conftest import (generate_waypoints_reference, make_field,
-                      parse_sample_log_reference)
+                      nearest_neighbour_tour_reference, parse_sample_log_reference)
 
 
 # -- waypoint generation -------------------------------------------------------
@@ -118,6 +118,89 @@ def test_generate_waypoints_infeasible_matches_reference(width, height, count,
     with pytest.raises(ConfigError) as got:
         generate_waypoints(field, count, spacing, seed, max_trials)
     assert str(got.value) == str(expected.value)
+
+
+class CountingRng:
+    """A numpy Generator that counts the numbers it draws."""
+
+    default_rng = np.random.default_rng  # the real one, bound before any patch
+
+    def __init__(self, seed):
+        self.rng = CountingRng.default_rng(seed)
+        self.drawn = 0
+
+    def random(self, size=None):
+        self.drawn += math.prod(np.atleast_1d(size)) if size is not None else 1
+        return self.rng.random(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        self.drawn += math.prod(np.atleast_1d(size)) if size is not None else 1
+        return self.rng.uniform(low, high, size)
+
+
+def draws_of(monkeypatch, generate, *args) -> tuple[object, int]:
+    """What ``generate(*args)`` returns or raises, and how many numbers
+    its ``default_rng`` stream gave."""
+    made = []
+
+    def default_rng(seed):
+        made.append(CountingRng(seed))
+        return made[-1]
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", default_rng)
+        try:
+            out = generate(*args)
+        except ConfigError as exc:
+            out = str(exc)
+    return out, sum(rng.drawn for rng in made)
+
+
+@pytest.mark.parametrize("width,height,count,spacing,seed,max_trials", [
+    # a non-square field, so a swapped width and height would show
+    *((100.0, 37.0, 300, 2.0, seed, REJECTION_TRIAL_LIMIT)
+      for seed in (0, 2 ** 32, 2 ** 64 + 5, 10 ** 30)),
+    *INFEASIBLE_SWEEP,
+])
+def test_block_draws_are_the_scalar_stream(monkeypatch, width, height, count,
+                                           spacing, seed, max_trials):
+    args = (make_field(width=width, height=height), count, spacing, seed, max_trials)
+    got, drawn = draws_of(monkeypatch, generate_waypoints, *args)
+    expected, expected_drawn = draws_of(monkeypatch, generate_waypoints_reference, *args)
+    assert got == expected
+    # the blocks drew exactly the numbers the scalar loop drew, two a
+    # trial, and none past the last trial allowed
+    assert drawn == expected_drawn <= 2 * max_trials
+
+
+def lattice(rng, n, step):
+    """``n`` points of a lattice, some repeated: ties everywhere."""
+    return [(step * rng.randrange(12), step * rng.randrange(9)) for _ in range(n)]
+
+
+TOUR_SETS = {
+    "random": lambda rng: [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 37.0))
+                           for _ in range(rng.randrange(1, 300))],
+    "unit lattice": lambda rng: lattice(rng, 150, 1.0),
+    "decimal lattice": lambda rng: lattice(rng, 150, 0.1),
+    "cluster and outliers": lambda rng: (
+        [(50.0 + rng.uniform(0.0, 1e-3), 20.0 + rng.uniform(0.0, 1e-3))
+         for _ in range(150)]
+        + [(rng.uniform(0.0, 1e5), rng.uniform(0.0, 1e5)) for _ in range(4)]),
+    "near 1e5 m": lambda rng: [(1e5 - rng.uniform(0.0, 2.0), 1e5 - rng.uniform(0.0, 1e-6))
+                               for _ in range(150)],
+    "a strip": lambda rng: [(rng.uniform(0.0, 0.5), rng.uniform(0.0, 300.0))
+                            for _ in range(150)],
+}
+
+
+@pytest.mark.parametrize("kind", TOUR_SETS)
+def test_tour_matches_the_numpy_reference(kind):
+    for seed in range(5):
+        rng = random.Random(f"{kind}:{seed}")
+        points = TOUR_SETS[kind](rng)
+        order = mission._nearest_neighbour_tour(points)
+        assert order == nearest_neighbour_tour_reference(points)
+        assert sorted(order) == list(range(len(points)))
 
 
 @pytest.mark.parametrize("points,order", [

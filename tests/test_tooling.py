@@ -490,6 +490,16 @@ def test_validate_never_loads_numpy(paper_field_log, tmp_path):
         "actuator", "calib", "cli", "errors", "mission", "sampler", "sdi12")]
 
 
+def test_tour_loads_no_numpy(monkeypatch):
+    # the generator's tour runs where numpy cannot be imported: with the
+    # uniform stream in Python too, the generator would need no numpy
+    points = [(3.0, 4.0), (5.0, 0.0), (0.0, 5.0), (4.0, 3.0)]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
+    assert mission._nearest_neighbour_tour(points) == [0, 3, 1, 2]
+
+
 @pytest.mark.parametrize("command", ["simulate", "map"])
 def test_cold_simulate_and_map_still_run(command, paper_field_log, tmp_path):
     argv = {
