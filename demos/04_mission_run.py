@@ -12,7 +12,7 @@ from soilprobe.mission import run_mission
 from soilprobe.scenario import load_scenario
 
 scn = load_scenario("paper_field")
-print(f"scenario '{scn.name}': {len(scn.mission.waypoints)} waypoints, "
+print(f"scenario {scn.name!r}: {len(scn.mission.waypoints)} waypoints, "
       f"{len(scn.mission.field.obstructions)} obstruction disks, "
       f"noise sigma {scn.mission.field.noise_sigma_raw} counts")
 

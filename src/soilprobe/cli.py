@@ -115,7 +115,7 @@ def cmd_simulate(args):
     samples, summary = mission.run_mission(scn.mission)
     _emit((mission.dump_sample_log(samples), args.out_log),
           (mission.dump_summary(summary), args.out_summary))
-    _diag(f"simulate: scenario '{scn.name}': {summary.points_total} points, "
+    _diag(f"simulate: scenario {scn.name!r}: {summary.points_total} points, "
           f"{summary.points_valid} valid, {summary.points_invalid} invalid, "
           f"{summary.duration_s:.1f} s simulated, "
           f"hull {summary.area_convex_hull_m2:.1f} m2")

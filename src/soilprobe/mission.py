@@ -20,7 +20,9 @@ The reader decodes a line with one call of json's C scanner, and checks
 the record with ``sample_from_dict``, whose body is compiled at import
 from ``_SAMPLE_SCHEMA``, the one table of the fields, their kinds and
 their ranges: a straight-line check per field, in field order.  The
-writer encodes every record with one prebuilt C encoder.
+writer encodes every record with one prebuilt C encoder.  The reader is
+the package's one reader of JSON: a scenario is read with it too, so one
+fault reads the same in a log and in a scenario.
 """
 
 from __future__ import annotations
@@ -115,8 +117,7 @@ class MissionSummary:
 
 
 def generate_waypoints(field: fieldsim.FieldSpec, count: int,
-                       min_spacing_m: float, seed: int,
-                       max_trials: int = REJECTION_TRIAL_LIMIT) -> list[Waypoint]:
+                       min_spacing_m: float, seed: int) -> list[Waypoint]:
     """Draw ``count`` points with pairwise spacing >= ``min_spacing_m``.
 
     Rejection sampling: uniform draws over the field, rejected when
@@ -132,10 +133,10 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
     the scalar ``uniform(0, width)`` and ``uniform(0, height)`` would
     return.  They come in blocks of one pair per point still to place,
     and no more than the draws left, so no block runs past the last
-    draw needed or past ``max_trials``.  Raises ConfigError once
-    ``max_trials`` draws fail to place all points, and before the first
-    draw for a count above ``max_trials``, since each draw places at
-    most one point.
+    draw needed or past the ``REJECTION_TRIAL_LIMIT`` draws allowed,
+    read at the call.  Raises ConfigError once those draws fail to
+    place all points, and before the first draw for a count above
+    them, since each draw places at most one point.
 
     Points are returned in nearest-neighbour order starting from the
     field origin (a rough tour, so visit order is sensible), with ids
@@ -150,6 +151,7 @@ def generate_waypoints(field: fieldsim.FieldSpec, count: int,
         raise ConfigError("count must be an integer >= 1")
     require_seed(seed)
     within("mission.generate", "min_spacing_m", min_spacing_m)
+    max_trials = REJECTION_TRIAL_LIMIT
     if count > max_trials:
         raise ConfigError(f"count {count} exceeds the {max_trials} draws allowed; "
                           "each draw places at most one point")
@@ -360,42 +362,16 @@ def convex_hull_area(points) -> float:
     return abs(acc) / 2.0
 
 
-# -- Log serialization -------------------------------------------------------
+# -- JSON documents: the log's reader, which the scenario's shares ----------
 
-SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
-# each field with the check its value gets, one row per field, from which
-# sample_from_dict's code is written: its kind, and its range in
-# errors.RANGES["log"], if it has one
-_KINDS = {"int": "int", "float": "number", "float | None": "number or null",
-          "Validity": "status"}
-_SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type], RANGES["log"].get(f.name))
-                       for f in fields(SoilSample))
-_STATUSES = {status.value: status for status in Validity}
-# what a decoded line that is not an object holds, in JSON's words
-_JSON_TYPES = {int: "a number", float: "a number", str: "a string",
-               list: "an array", bool: "a boolean", type(None): "null"}
-
-# json.dumps's own settings, except that NaN and infinity raise ValueError
-# instead of becoming bare tokens that are not JSON
-_ENCODER = json.JSONEncoder(allow_nan=False)
-# the C encoder that _ENCODER.encode builds anew on every call, built once
-# with its settings; None where the C accelerator is missing.  It keeps no
-# markers: a record holds no container, and the C encoder leaves a
-# record's marker behind when it raises, so a later record at the same
-# address would read as a cycle
-_RECORD_ENCODER = None if c_make_encoder is None else c_make_encoder(
-    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
-    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
-    _ENCODER.skipkeys, _ENCODER.allow_nan)
+# a decoded JSON value's type, in JSON's words
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
 
 
 def _unique_fields(pairs: list) -> dict:
-    """One decoded JSON object; a name that repeats raises ValueError.
-
-    ``json`` alone would keep the last value, and the line copied by
-    ``validate`` would then mean something else to a reader that keeps
-    the first.
-    """
+    """One decoded JSON object; a repeated name raises ValueError, since
+    readers differ on the value it holds (``json`` alone keeps the last)."""
     d = dict(pairs)
     if len(d) != len(pairs):
         seen = set()
@@ -411,12 +387,74 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_fields)
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
 
-def _field_set_error(d: dict) -> ValueError:
-    missing = [name for name in SAMPLE_FIELDS if name not in d]
-    unknown = [repr(name) for name in d if name not in SAMPLE_FIELDS]
-    return ValueError("; ".join(
-        f"{what} fields: {', '.join(names)}"
-        for what, names in (("missing", missing), ("unknown", unknown)) if names))
+def decode_utf8(raw: bytes) -> str:
+    """``raw`` as text; a byte that is not UTF-8 raises LogFormatError
+    naming its 1-based line, lines ending at LF, CRLF or CR."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise LogFormatError(f"line {line_no}: not valid UTF-8", line_no) from None
+
+
+def decode_json(text: str):
+    """The JSON value of ``text``; a repeated name, nesting too deep and
+    text that is not JSON raise ValueError."""
+    try:
+        return _DECODER.decode(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
+def json_type(value, kind: type):
+    """``value`` itself when its JSON type is ``kind`` (dict, list or
+    str), else ConfigError: "expected a JSON array, got null"."""
+    if type(value) is not kind:
+        raise ConfigError(f"expected a JSON {_JSON_TYPES[kind].split()[1]}, "
+                          f"got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def json_fields(value, names, optional=()) -> dict:
+    """``value`` itself when it is a JSON object with every name of
+    ``names`` and none outside ``names`` and ``optional``, else ConfigError
+    naming its type, or its missing names, then its unknown ones."""
+    json_type(value, dict)
+    missing = [name for name in names if name not in value]
+    unknown = [] if len(value) + len(missing) == len(names) else [
+        repr(name) for name in value if name not in names and name not in optional]
+    if missing or unknown:
+        raise ConfigError("; ".join(
+            f"{what} fields: {', '.join(found)}"
+            for what, found in (("missing", missing), ("unknown", unknown)) if found))
+    return value
+
+
+# -- Log serialization -------------------------------------------------------
+
+SAMPLE_FIELDS = tuple(f.name for f in fields(SoilSample))
+# each field with the check its value gets, one row per field, from which
+# sample_from_dict's code is written: its kind, and its range in
+# errors.RANGES["log"], if it has one
+_KINDS = {"int": "int", "float": "number", "float | None": "number or null",
+          "Validity": "status"}
+_SAMPLE_SCHEMA = tuple((f.name, _KINDS[f.type], RANGES["log"].get(f.name))
+                       for f in fields(SoilSample))
+_STATUSES = {status.value: status for status in Validity}
+
+# json.dumps's own settings, except that NaN and infinity raise ValueError
+# instead of becoming bare tokens that are not JSON
+_ENCODER = json.JSONEncoder(allow_nan=False)
+# the C encoder that _ENCODER.encode builds anew on every call, built once
+# with its settings; None where the C accelerator is missing.  It keeps no
+# markers: a record holds no container, and the C encoder leaves a
+# record's marker behind when it raises, so a later record at the same
+# address would read as a cycle
+_RECORD_ENCODER = None if c_make_encoder is None else c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, _ENCODER.indent,
+    _ENCODER.key_separator, _ENCODER.item_separator, _ENCODER.sort_keys,
+    _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 
 def _compiled_from_schema(stub):
@@ -450,14 +488,12 @@ def _compiled_from_schema(stub):
             body += [f"if {test}:", refuse]
     source = "\n".join([
         f"def {stub.__name__}(d):",
-        "    if type(d) is not dict:",
-        "        raise TypeError('expected a JSON object, got ' + _JSON_TYPES[type(d)])",
-        f"    if len(d) != {len(_SAMPLE_SCHEMA)}:",
-        "        raise _field_set_error(d)",
+        f"    if type(d) is not dict or len(d) != {len(_SAMPLE_SCHEMA)}:",
+        "        json_fields(d, SAMPLE_FIELDS)  # raises: not an object of these",
         "    try:",
         *(f"        {line}" for line in body),
         "    except KeyError:",
-        "        raise _field_set_error(d) from None",
+        "        json_fields(d, SAMPLE_FIELDS)  # raises: a field is missing",
         "    if status is Validity.VALID and theta is None:",
         "        raise ValueError('a valid sample needs a theta')",
         f"    return SoilSample({', '.join(name for name, _, _ in _SAMPLE_SCHEMA)})",
@@ -483,8 +519,8 @@ def sample_from_dict(d: dict) -> SoilSample:
 
     The body is compiled at import from ``_SAMPLE_SCHEMA``: one
     straight-line check per field, in field order, so the first fault
-    in that order decides the refusal.  A record with a field missing
-    or unknown is refused by ``_field_set_error``, naming all of them.
+    in that order decides the refusal.  A record that is not an object,
+    or has a field missing or unknown, is refused by ``json_fields``.
     """
 
 
@@ -513,11 +549,11 @@ def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
     ``:`` outside any string, so when the scan ends at the end of the
     line with one object of as many names as the line has ``:``, no
     object in the line repeats a name, and the scan is the decode.
-    Every other line, and every line the scan refuses, is decoded by the
-    hooked ``_DECODER.decode``, which raises each error.
+    Every other line, and every line the scan refuses, is decoded by
+    ``decode_json``, which raises each error.
     """
     samples, records = [], []
-    scan, decode = _SCAN_ONCE, _DECODER.decode
+    scan, decode = _SCAN_ONCE, decode_json
     for line_no, line in enumerate(lines, start=1):
         try:
             try:
@@ -531,9 +567,6 @@ def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
             samples.append(sample_from_dict(d))
         except (TypeError, ValueError) as exc:
             raise LogFormatError(f"line {line_no}: {exc}", line_no) from None
-        except RecursionError:
-            raise LogFormatError(f"line {line_no}: JSON nested too deeply",
-                                 line_no) from None
         records.append(line)
     return samples, records
 
@@ -541,18 +574,11 @@ def parse_sample_log(lines) -> tuple[list[SoilSample], list[str]]:
 def read_sample_log(path) -> tuple[list[SoilSample], list[str]]:
     """Decode a log file into samples and their lines, without line endings.
 
-    Lines end at LF, CRLF or CR, as in a text-mode file.  Bytes that are
-    not UTF-8 raise LogFormatError.
+    Lines end at LF, CRLF or CR, as in a text-mode file and as
+    ``decode_utf8`` counts them.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines break where the splitter below breaks them: LF, CRLF or CR
-        head = raw[:exc.start]
-        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise LogFormatError(f"line {line_no}: not valid UTF-8", line_no) from None
+        text = decode_utf8(fh.read())
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_sample_log(text.split("\n"))

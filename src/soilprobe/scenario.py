@@ -5,11 +5,14 @@ the mission (speed plus either an explicit waypoint list or a seeded
 generator block), the sampler, actuator and validity thresholds.
 Unknown keys are rejected so typos fail loudly; mapping parameters are
 not part of a scenario, since ``map`` reads only the log and its flags.
+The document is read with the sample log's reader, so a fault reads as
+in a log: a byte that is not UTF-8 names its line, a repeated key its
+name, and a mistyped block or value its JSON type.
 This module only decodes: each dataclass checks its own values against
 their ranges in ``errors.RANGES``, as this module checks each explicit
 waypoint's coordinates, and MissionConfig checks the run as a whole.
-Every refusal is a ConfigError; one raised while building a block is
-prefixed with that block's name.
+Every refusal is a ConfigError, prefixed with the name of the block it
+comes from, or of the scenario while its document is read.
 
 ``load_scenario`` accepts a filesystem path or the name of a scenario
 bundled with the package (see :func:`bundled_scenarios`); the bundled
@@ -19,7 +22,6 @@ bundled with the package (see :func:`bundled_scenarios`); the bundled
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, fields
 from functools import cache
 from importlib import resources
@@ -27,9 +29,10 @@ from pathlib import Path
 
 from .actuator import ActuatorConfig
 from .calib import ValidityThresholds
-from .errors import ConfigError, prefixed, record, within
+from .errors import ConfigError, LogFormatError, prefixed, record, within
 from .fieldsim import Blob, Disk, FieldSpec, wgs84_to_local_at
-from .mission import MissionConfig, Waypoint, generate_waypoints
+from .mission import (MissionConfig, Waypoint, decode_json, decode_utf8,
+                      generate_waypoints, json_fields, json_type)
 from .sampler import SamplerConfig
 
 
@@ -46,31 +49,6 @@ def bundled_scenarios() -> list[str]:
                   for p in root.iterdir() if p.name.endswith(".json"))
 
 
-# The checks below raise ConfigErrors that name no context: each caller
-# runs them under errors.prefixed, which names the block they came from.
-
-
-def _expect(value, kind: type):
-    """``value`` itself when it is a ``kind`` (dict or list), else ConfigError."""
-    if not isinstance(value, kind):
-        expected = "an object" if kind is dict else "a list"
-        raise ConfigError(f"expected {expected}, got {type(value).__name__}")
-    return value
-
-
-def _keys(doc, required, optional=()):
-    """Raise ConfigError unless ``doc`` is an object with every key of
-    ``required`` and no key outside ``required`` and ``optional``."""
-    _expect(doc, dict)
-    missing = [key for key in required if key not in doc]
-    if len(doc) > len(required) - len(missing):  # a key beyond ``required``
-        unknown = set(doc).difference(required, optional)
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)}")
-    if missing:
-        raise ConfigError(f"missing required keys {missing}")
-
-
 @cache
 def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
     """A ``cls`` document's required (no default) and optional keys, less ``given``."""
@@ -79,28 +57,24 @@ def _doc_keys(cls, *given) -> tuple[tuple, tuple]:
             tuple(f.name for f in own if f.default is not MISSING))
 
 
-def _make(cls, doc: dict, **extra):
-    """``cls(**doc, **extra)``; ``doc`` gives the fields ``extra`` does not."""
-    _keys(doc, *_doc_keys(cls, *extra))
-    return cls(**doc, **extra)
-
-
 def _build(cls, doc: dict, context: str, **extra):
-    """``_make(cls, doc, **extra)``, its refusal prefixed with ``context``."""
+    """``cls(**doc, **extra)``, ``doc`` giving the fields ``extra`` does not,
+    a refusal prefixed with ``context``."""
     with prefixed(context):
-        return _make(cls, doc, **extra)
+        return cls(**json_fields(doc, *_doc_keys(cls, *extra)), **extra)
 
 
 def _build_each(cls, docs: list, context: str) -> tuple:
-    """``_make(cls, doc)`` of each document in the list ``docs``, in order,
-    a refusal prefixed with ``context``."""
+    """``cls(**doc)`` of each document in the list ``docs``, in order, a
+    refusal prefixed with ``context``."""
+    keys = _doc_keys(cls)
     with prefixed(context):
-        return tuple(_make(cls, doc) for doc in _expect(docs, list))
+        return tuple(cls(**json_fields(doc, *keys)) for doc in json_type(docs, list))
 
 
 def _field_spec(doc: dict, seed_override: int | None) -> FieldSpec:
     with prefixed("field"):
-        doc = dict(_expect(doc, dict))
+        doc = dict(json_type(doc, dict))
     blobs = _build_each(Blob, doc.pop("blobs", []), "field.blobs")
     disks = _build_each(Disk, doc.pop("obstructions", []), "field.obstructions")
     if seed_override is not None:
@@ -113,12 +87,10 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
         raise ConfigError("mission: give exactly one of 'waypoints' or 'generate'")
     if generate is not None:
         with prefixed("mission.generate"):
-            _keys(generate, ("count", "min_spacing_m", "seed"))
-            return tuple(generate_waypoints(field, generate["count"],
-                                            generate["min_spacing_m"],
-                                            generate["seed"]))
+            block = json_fields(generate, ("count", "min_spacing_m", "seed"))
+            return tuple(generate_waypoints(field, **block))
     with prefixed("mission.waypoints"):
-        _expect(explicit, list)
+        json_type(explicit, list)
     points = []
     i = 0
     with prefixed(lambda: f"mission.waypoints[{i}]"):  # names the entry at fault
@@ -128,8 +100,8 @@ def _waypoints(explicit, generate, field: FieldSpec) -> tuple[Waypoint, ...]:
                 points.append(Waypoint(entry["id"], _coordinate("x", entry),
                                        _coordinate("y", entry)))
                 continue
-            if shape != {"id", "lat", "lon"}:  # any other entry: _keys names its fault
-                _keys(entry, ("id",), ("x", "y", "lat", "lon"))
+            if shape != {"id", "lat", "lon"}:  # json_fields names any other's fault
+                json_fields(entry, ("id",), ("x", "y", "lat", "lon"))
                 raise ConfigError("need exactly one of x/y or lat/lon")
             points.append(Waypoint(entry["id"], *wgs84_to_local_at(
                 field.origin_lat, field.origin_lon, _coordinate("lat", entry),
@@ -153,7 +125,7 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
     if path.exists():
         name = path.stem
         try:
-            text = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from None
     else:
@@ -163,21 +135,20 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
             raise ConfigError(
                 f"{ref!r} is neither a file nor a bundled scenario "
                 f"(bundled: {', '.join(bundled_scenarios())})")
-        text = resource.read_text(encoding="utf-8")
+        raw = resource.read_bytes()
 
-    try:
-        # a JSONDecodeError, or an int of more digits than int() converts
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ConfigError(f"{name}: invalid JSON: nested too deeply") from None
+    try:  # also an int of more digits than int() converts
+        doc = decode_json(decode_utf8(raw))
+    except (LogFormatError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
     with prefixed(name):
-        _keys(doc, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
+        json_fields(doc, ("field", "mission"), ("name", "sampler", "actuator", "calib"))
+    with prefixed("name"):
+        name = json_type(doc.get("name", name), str)
 
     field = _field_spec(doc["field"], seed_override)
     with prefixed("mission"):
-        mission_doc = dict(_expect(doc["mission"], dict))
+        mission_doc = dict(json_type(doc["mission"], dict))
     waypoints = _waypoints(mission_doc.pop("waypoints", None),
                            mission_doc.pop("generate", None), field)
 
@@ -187,5 +158,5 @@ def load_scenario(ref, seed_override: int | None = None) -> Scenario:
     mission = _build(MissionConfig, mission_doc, "mission", field=field,
                      waypoints=waypoints, sampler=sampler, actuator=actuator,
                      thresholds=thresholds)
-    return Scenario(name=doc.get("name", name), mission=mission)
+    return Scenario(name=name, mission=mission)
 

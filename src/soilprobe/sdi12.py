@@ -154,7 +154,7 @@ class Command:
         else:
             check_address(self.address)
         if self.verb is Verb.SEND_DATA:
-            if not (isinstance(self.index, int) and 0 <= self.index <= 9):
+            if not (type(self.index) is int and 0 <= self.index <= 9):
                 raise ConfigError(f"SEND_DATA index must be 0..9, got {self.index!r}")
         else:
             object.__setattr__(self, "index", 0)
@@ -200,9 +200,9 @@ class MeasureAck:
 
     def __post_init__(self):
         check_address(self.address)
-        if not (isinstance(self.delay_s, int) and 0 <= self.delay_s <= 999):
+        if not (type(self.delay_s) is int and 0 <= self.delay_s <= 999):
             raise ConfigError(f"delay_s must be 0..999, got {self.delay_s!r}")
-        if not (isinstance(self.value_count, int) and 0 <= self.value_count <= 9):
+        if not (type(self.value_count) is int and 0 <= self.value_count <= 9):
             raise ConfigError(f"value_count must be 0..9, got {self.value_count!r}")
 
 

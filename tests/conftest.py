@@ -183,17 +183,15 @@ def sample_from_dict_reference(d) -> SoilSample:
     """``mission.sample_from_dict`` as one loop over ``_SAMPLE_SCHEMA``,
     a row at a time: the compiled check must build the same samples, and
     refuse the same records with the same errors."""
-    if type(d) is not dict:
-        raise TypeError("expected a JSON object, got " + mission._JSON_TYPES[type(d)])
-    if len(d) != len(mission._SAMPLE_SCHEMA):
-        raise mission._field_set_error(d)
+    if type(d) is not dict or len(d) != len(mission._SAMPLE_SCHEMA):
+        mission.json_fields(d, mission.SAMPLE_FIELDS)  # raises, naming the fault
     statuses = {status.value: status for status in Validity}
     values = []
     for name, kind, bounds in mission._SAMPLE_SCHEMA:
         try:
             value = d[name]
         except KeyError:
-            raise mission._field_set_error(d) from None
+            mission.json_fields(d, mission.SAMPLE_FIELDS)  # raises, naming the fault
         if kind == "int":
             if type(value) is not int:
                 raise TypeError(f"{name} must be an integer")

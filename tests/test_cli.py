@@ -200,6 +200,66 @@ def test_unknown_or_repeated_fields_exit_3_with_one_line(tmp_path, capsys, line,
         assert list(out.iterdir()) == []
 
 
+def _line_3_not_utf8(lines, ending) -> bytes:
+    """``lines`` joined by ``ending``, line 3 opening with a byte that is
+    not UTF-8."""
+    raw = [line.encode() for line in lines]
+    raw[2] = b"\xff" + raw[2]
+    return ending.encode().join(raw)
+
+
+def _after_record(line):
+    """A log of a valid record, then the line that ``line`` makes of the
+    record's text."""
+    return lambda r: f"{json.dumps(r)}\n{line(json.dumps(r))}\n".encode()
+
+
+def _repeat_lat(text):
+    return text.replace('"lat": ', '"lat": 1, "lat": ', 1)
+
+
+# one fault, as a scenario holds it and as a sample log does: the
+# scenario's bytes, made from a valid document, and the place its
+# refusal names; the log's bytes, made from a valid record, and the line
+# its refusal names; the words of both refusals after their place, or of
+# each where the two documents hold different names
+SAME_FAULTS = {
+    "array-for-object": (lambda d: b"[1]", "scn", _after_record(lambda r: "[1]"), 2,
+                         "expected a JSON object, got an array"),
+    "null-for-object": (lambda d: json.dumps({**d, "sampler": None}).encode(), "sampler",
+                        _after_record(lambda r: "null"), 2,
+                        "expected a JSON object, got null"),
+    "repeated-name": (lambda d: _repeat_lat(json.dumps(d)).encode(), "scn",
+                      _after_record(_repeat_lat), 2, "field 'lat' appears more than once"),
+    "nested-too-deep": (lambda d: b"[" * 100_000, "scn",
+                        _after_record(lambda r: "[" * 100_000), 2, "JSON nested too deeply"),
+    **{f"not-utf8-{name}": (
+        lambda d, end=end: _line_3_not_utf8(json.dumps(d, indent=1).split("\n"), end),
+        "scn: line 3", lambda r, end=end: _line_3_not_utf8([json.dumps(r)] * 3, end), 3,
+        "not valid UTF-8") for name, end in (("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n"))},
+    "missing-and-unknown": (
+        lambda d: json.dumps(d).replace('"amplitude"', '"amplitud"').encode(), "field.blobs",
+        _after_record(lambda r: r.replace('"theta"', '"thetta"')), 2,
+        ("missing fields: amplitude; unknown fields: 'amplitud'",
+         "missing fields: theta; unknown fields: 'thetta'")),
+}
+
+
+@pytest.mark.parametrize("fault", SAME_FAULTS)
+def test_a_fault_reads_the_same_in_a_scenario_and_a_log(tmp_path, capsys, fault):
+    # the scenario is read with the log's reader: simulate exits 2 and
+    # validate 3, each on one line, in the same words after its place
+    scenario_bytes, place, log_bytes, line_no, words = SAME_FAULTS[fault]
+    scenario_words, log_words = (words, words) if type(words) is str else words
+    scn, log = tmp_path / "scn.json", tmp_path / "run.jsonl"
+    scn.write_bytes(scenario_bytes(scenario_doc()))
+    log.write_bytes(log_bytes(RECORD))
+    assert cli.main(["simulate", "--config", str(scn)]) == 2
+    assert capsys.readouterr().err == f"simulate: {place}: {scenario_words}\n"
+    assert cli.main(["validate", "--log", str(log)]) == 3
+    assert capsys.readouterr().err == f"validate: {log}: line {line_no}: {log_words}\n"
+
+
 def test_map_outputs(tmp_path):
     log = tmp_path / "run.jsonl"
     cli.main(["simulate", "--config", str(small_scenario(tmp_path)),
@@ -404,6 +464,23 @@ def test_map_lets_a_defect_in_the_raster_raise(tmp_path, monkeypatch):
         cli.main(["map", "--log", str(log)])
 
 
+def test_the_scenario_name_stays_on_one_line(tmp_path, capsys):
+    # the summary line names the scenario as a quoted string, so a name
+    # holding a line break cannot split it; a plain name prints as before
+    argv = ["simulate", "--out-log", os.devnull, "--out-summary", os.devnull]
+    assert cli.main([*argv, "--config", "paper_field"]) == 0
+    assert capsys.readouterr().err.startswith("simulate: scenario 'paper_field': 95 points")
+    doc = json.loads(small_scenario(tmp_path).read_text())
+    path = tmp_path / "named.json"
+    for name, shown in (("a\nb", r"'a\nb'"), ("a\r\nb", r"'a\r\nb'"),
+                        ("a\u2028b", r"'a\u2028b'"), ("it's", '"it\'s"')):
+        path.write_text(json.dumps({**doc, "name": name}))
+        assert cli.main([*argv, "--config", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"simulate: scenario {shown}: 4 points, ")
+        assert len(err.splitlines()) == 1 and err.endswith("\n")
+
+
 def test_simulate_an_int_of_too_many_digits_exits_2(tmp_path, capsys):
     # once a bare ValueError from load_scenario, caught only by a catch-all
     path = tmp_path / "digits.json"
@@ -411,7 +488,7 @@ def test_simulate_an_int_of_too_many_digits_exits_2(tmp_path, capsys):
         '"seed": 9', '"seed": ' + "1" * 5000))
     out = tmp_path / "out.jsonl"
     assert cli.main(["simulate", "--config", str(path), "--out-log", str(out)]) == 2
-    assert one_line_error(capsys, "simulate: digits: invalid JSON: ")
+    assert one_line_error(capsys, "simulate: digits: Exceeds the limit (4300 digits)")
     assert not out.exists()
 
 
@@ -467,9 +544,7 @@ def test_fuzzed_scenarios_and_map_flags_exit_0_or_2_with_one_line(
 
     # an infeasible layout is refused after 1,000 draws, not 100,000: the
     # same refusal, in milliseconds
-    generate = scenario.generate_waypoints
-    monkeypatch.setattr(scenario, "generate_waypoints",
-                        lambda *args: generate(*args, max_trials=1000))
+    monkeypatch.setattr(mission, "REJECTION_TRIAL_LIMIT", 1000)
     cases = [(gen, path, value) for gen in (False, True)
              for path in _key_paths(scenario_doc(gen))
              if not gen or path[0] == "mission" for value in FUZZ_VALUES]
@@ -839,7 +914,7 @@ def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(scn),
                      "--out-log", str(out / "run.jsonl"),
                      "--out-summary", str(out / "s.json")]) == 2
-    assert one_line_error(capsys, "simulate: deep: invalid JSON: ")
+    assert one_line_error(capsys, "simulate: deep: JSON nested too deeply")
     assert list(out.iterdir()) == []
 
 

@@ -110,13 +110,14 @@ INFEASIBLE_SWEEP = [
 
 @pytest.mark.parametrize("width,height,count,spacing,seed,max_trials",
                          INFEASIBLE_SWEEP)
-def test_generate_waypoints_infeasible_matches_reference(width, height, count,
-                                                         spacing, seed, max_trials):
+def test_generate_waypoints_infeasible_matches_reference(monkeypatch, width, height,
+                                                         count, spacing, seed, max_trials):
     field = make_field(width=width, height=height)
     with pytest.raises(ConfigError) as expected:
         generate_waypoints_reference(field, count, spacing, seed, max_trials)
+    monkeypatch.setattr(mission, "REJECTION_TRIAL_LIMIT", max_trials)
     with pytest.raises(ConfigError) as got:
-        generate_waypoints(field, count, spacing, seed, max_trials)
+        generate_waypoints(field, count, spacing, seed)
     assert str(got.value) == str(expected.value)
 
 
@@ -163,9 +164,11 @@ def draws_of(monkeypatch, generate, *args) -> tuple[object, int]:
 ])
 def test_block_draws_are_the_scalar_stream(monkeypatch, width, height, count,
                                            spacing, seed, max_trials):
-    args = (make_field(width=width, height=height), count, spacing, seed, max_trials)
+    args = (make_field(width=width, height=height), count, spacing, seed)
+    monkeypatch.setattr(mission, "REJECTION_TRIAL_LIMIT", max_trials)
     got, drawn = draws_of(monkeypatch, generate_waypoints, *args)
-    expected, expected_drawn = draws_of(monkeypatch, generate_waypoints_reference, *args)
+    expected, expected_drawn = draws_of(monkeypatch, generate_waypoints_reference,
+                                        *args, max_trials)
     assert got == expected
     # the blocks drew exactly the numbers the scalar loop drew, two a
     # trial, and none past the last trial allowed
@@ -707,8 +710,9 @@ def test_dump_writes_what_the_stock_encoder_writes(monkeypatch):
 
 
 def test_a_canonical_log_line_is_scanned_once(monkeypatch, tmp_path):
-    # counted from outside, at the attribute the reader looks up: no line
-    # that simulate writes goes on to the hooked decode, while a line with
+    # counted from outside, at the attribute the reader looks up, once
+    # simulate has decoded its scenario with the same decoder: no line that
+    # simulate writes goes on to the hooked decode, while a line with
     # space around it, a repeated name or trailing data does
     decoded = []
     decode = mission._DECODER.decode
@@ -716,10 +720,10 @@ def test_a_canonical_log_line_is_scanned_once(monkeypatch, tmp_path):
     def counted(line):
         decoded.append(line)
         return decode(line)
-    monkeypatch.setattr(mission._DECODER, "decode", counted)
     log = tmp_path / "run.jsonl"
     assert cli.main(["simulate", "--config", "paper_field", "--out-log", str(log),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
+    monkeypatch.setattr(mission._DECODER, "decode", counted)
     samples, lines = read_sample_log(log)
     assert len(samples) == len(lines) == 95
     assert decoded == []

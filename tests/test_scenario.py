@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from soilprobe import scenario
+from soilprobe import mission
 from soilprobe.errors import ConfigError
 from soilprobe.mission import generate_waypoints
 from soilprobe.scenario import bundled_scenarios, load_scenario
@@ -97,8 +97,10 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
 
 
 @pytest.mark.parametrize("mutate,needle", [
-    (lambda d: d.pop("field"), "required"),
-    (lambda d: d.pop("mission"), "required"),
+    pytest.param(lambda d: d.pop("field"), "^scn: missing fields: field$",
+                 id="missing-field"),
+    pytest.param(lambda d: d.pop("mission"), "^scn: missing fields: mission$",
+                 id="missing-mission"),
     (lambda d: d["field"].pop("seed"), "seed"),
     (lambda d: d["field"].update(widht_m=3), "unknown"),
     (lambda d: d.update(extra={}), "unknown"),
@@ -128,9 +130,12 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
     pytest.param(_set(("field", "obstructions"), [{"cx": math.nan, "cy": 1,
                                                    "radius_m": 1}]),
                  "cx", id="disk-nan"),
-    pytest.param(_set(("field",), []), "field: expected an object", id="field-list"),
-    pytest.param(_set(("field", "blobs"), {}), "expected a list", id="blobs-object"),
-    pytest.param(_set(("mission", "waypoints"), 5), "expected a list",
+    pytest.param(_set(("field",), []), "^field: expected a JSON object, got an array$",
+                 id="field-list"),
+    pytest.param(_set(("field", "blobs"), {}),
+                 "^field.blobs: expected a JSON array, got an object$", id="blobs-object"),
+    pytest.param(_set(("mission", "waypoints"), 5),
+                 "^mission.waypoints: expected a JSON array, got a number$",
                  id="waypoints-number"),
     pytest.param(_set(("mission", "waypoints"), [{"id": 1, "lat": "x", "lon": 7.5}]),
                  r"waypoints\[0\]", id="waypoint-lat-string"),
@@ -139,17 +144,17 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
     pytest.param(_set(("mission", "waypoints"), [{"id": [1], "x": 1, "y": 1}]),
                  r"waypoint id \[1\] is not an integer", id="waypoint-id-list"),
     pytest.param(_set(("mission", "waypoints"), [{"id": 1, "x": 1, "y": 1, "z": 5}]),
-                 r"^mission\.waypoints\[0\]: unknown keys \['z'\]$",
+                 r"^mission\.waypoints\[0\]: unknown fields: 'z'$",
                  id="waypoint-unknown-key"),
     pytest.param(_set(("mission", "waypoints"), [{"id": 1, "x": 1, "y": 1,
                                                   "lat": "a"}]),
                  r"^mission\.waypoints\[0\]: need exactly one of x/y or lat/lon$",
                  id="waypoint-xy-and-lat"),
     pytest.param(_set(("mission", "waypoints"), [{"x": 1, "y": 1}]),
-                 r"^mission\.waypoints\[0\]: missing required keys \['id'\]$",
+                 r"^mission\.waypoints\[0\]: missing fields: id$",
                  id="waypoint-no-id"),
     pytest.param(_set(("mission", "waypoints"), [5]),
-                 r"^mission\.waypoints\[0\]: expected an object, got int$",
+                 r"^mission\.waypoints\[0\]: expected a JSON object, got a number$",
                  id="waypoint-number"),
     # JSON ints that each fit a float but whose int sum or difference
     # does not once raised OverflowError; such sides are now refused by
@@ -168,8 +173,8 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
         id=f"{key}-less-origin-int")
       for key, bound in (("lat", 90), ("lon", 180))),
     pytest.param(_set(("field", "blobs"), [{}]),
-                 r"^field\.blobs: missing required keys \['cx', 'cy', 'sigma_m', "
-                 r"'amplitude'\]$", id="blob-empty"),
+                 r"^field\.blobs: missing fields: cx, cy, sigma_m, amplitude$",
+                 id="blob-empty"),
     pytest.param(_set(("mission", "speed_mps"), math.nan), "speed_mps",
                  id="speed-nan"),
     pytest.param(_set(("sampler",), {"target_depth_m": math.nan}),
@@ -198,7 +203,8 @@ def _generate(count=3, min_spacing_m=1.0, seed=1):
                  id="generate-spacing-negative"),
     pytest.param(_generate(min_spacing_m="1"), "min_spacing_m",
                  id="generate-spacing-string"),
-    pytest.param(_set(("mission",), {"generate": 5}), "expected an object",
+    pytest.param(_set(("mission",), {"generate": 5}),
+                 "^mission.generate: expected a JSON object, got a number$",
                  id="generate-number"),
 ])
 def test_bad_documents_raise_scenario_error(tmp_path, mutate, needle):
@@ -211,9 +217,7 @@ def test_bad_documents_raise_scenario_error(tmp_path, mutate, needle):
 def test_an_infeasible_layout_names_the_generate_block(tmp_path, monkeypatch):
     # an infeasible layout once left load_scenario as it was, naming no key;
     # 20 draws reach the same refusal as 100,000
-    generate = scenario.generate_waypoints
-    monkeypatch.setattr(scenario, "generate_waypoints",
-                        lambda *args: generate(*args, max_trials=20))
+    monkeypatch.setattr(mission, "REJECTION_TRIAL_LIMIT", 20)
     doc = minimal_doc()
     doc["mission"] = {"generate": {"count": 2, "min_spacing_m": 100.0, "seed": 1}}
     with pytest.raises(ConfigError, match=r"^mission\.generate: placed 1 of 2 "
@@ -237,12 +241,24 @@ def test_unreadable_references(tmp_path):
         load_scenario("no_such_scenario")
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
-    with pytest.raises(ConfigError, match="JSON"):
+    with pytest.raises(ConfigError, match="^bad: Expecting property name"):
         load_scenario(bad)
     top_list = tmp_path / "list.json"
     top_list.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="object"):
+    with pytest.raises(ConfigError, match="^list: expected a JSON object, got an array$"):
         load_scenario(top_list)
+
+
+@pytest.mark.parametrize("name,kind", [
+    (["x"], "an array"), (None, "null"), ({"a": 1}, "an object"), (5, "a number"),
+    (1.5, "a number"), (True, "a boolean"),
+])
+def test_a_name_that_is_not_a_string_is_refused(tmp_path, name, kind):
+    # once run, and printed as a Python repr: scenario '['x']'
+    with pytest.raises(ConfigError) as exc:
+        load_scenario(write_doc(tmp_path, minimal_doc(name=name)))
+    assert str(exc.value) == f"name: expected a JSON string, got {kind}"
+    assert load_scenario(write_doc(tmp_path, minimal_doc(name="x\ny"))).name == "x\ny"
 
 
 def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
@@ -251,7 +267,7 @@ def test_an_int_of_too_many_digits_is_a_scenario_error(tmp_path):
     path = tmp_path / "digits.json"
     path.write_text(json.dumps(minimal_doc()).replace('"seed": 5',
                                                       '"seed": ' + "1" * 5000))
-    with pytest.raises(ConfigError, match=r"^digits: invalid JSON: .*4300 digits"):
+    with pytest.raises(ConfigError, match=r"^digits: Exceeds the limit \(4300 digits\)"):
         load_scenario(path)
 
 
@@ -282,8 +298,9 @@ def test_a_count_no_field_holds_is_refused_before_any_draw(tmp_path, monkeypatch
                 (5.0, 5.0, 30, 1.0, 0, 20),
                 (1.0, 1.0, 5, 0.0, 4, 4)]:
             field = make_field(width=width, height=height)
+            patch.setattr(mission, "REJECTION_TRIAL_LIMIT", max_trials)
             with pytest.raises(ConfigError) as info:
-                generate_waypoints(field, count, spacing, seed, max_trials)
+                generate_waypoints(field, count, spacing, seed)
             assert str(info.value) == (
                 f"count {count} exceeds the {max_trials} draws allowed; "
                 "each draw places at most one point")

@@ -107,6 +107,25 @@ def test_measure_ack_round_trip_sweep():
             assert parse_measure_ack(encode_measure_ack(ack)) == ack
 
 
+def test_int_fields_take_ints_and_refuse_bools():
+    # a bool is an int to isinstance, and once went on the wire as its
+    # name: index=True encoded b"0DTrue!", MeasureAck("0", True, False)
+    # b"0001False\r\n", and neither frame parses back
+    for index in range(10):
+        cmd = Command(Verb.SEND_DATA, "0", index=index)
+        assert parse_command(encode_command(cmd)) == cmd
+    for delay, count in ((0, 0), (1, 1), (999, 9)):
+        ack = MeasureAck("0", delay, count)
+        assert parse_measure_ack(encode_measure_ack(ack)) == ack
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match=f"^SEND_DATA index must be 0..9, got {flag}$"):
+            Command(Verb.SEND_DATA, "0", index=flag)
+        with pytest.raises(ConfigError, match=f"^delay_s must be 0..999, got {flag}$"):
+            MeasureAck("0", flag, 1)
+        with pytest.raises(ConfigError, match=f"^value_count must be 0..9, got {flag}$"):
+            MeasureAck("0", 1, flag)
+
+
 # -- data response -----------------------------------------------------------
 
 

@@ -189,6 +189,24 @@ def test_the_overflow_guards_stay_gone():
     assert limits == []
 
 
+def test_json_is_read_in_one_module():
+    # the sample log's reader in mission is the package's one reader of
+    # JSON, which the scenario shares: no other module calls json.loads or
+    # json.load or builds a JSONDecoder, and one table of type words
+    # (a dict keyed by Python types) names what a decoded value holds
+    readers, tables = [], []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _names(node.func) & {
+                    "loads", "load", "JSONDecoder"}:
+                readers.append(path.name)
+            if isinstance(node, ast.Dict) and {"dict", "list", "bool"} & {
+                    getattr(key, "id", None) for key in node.keys}:
+                tables.append(f"{path.name}:{node.lineno}")
+    assert set(readers) == {"mission.py"}
+    assert len(tables) == 1 and tables[0].startswith("mission.py:")
+
+
 def test_every_value_type_is_a_record():
     # errors.record alone decides how a value is built: no module names a
     # stock dataclass decorator, and only sdi12._data_response builds a
