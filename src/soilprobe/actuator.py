@@ -8,19 +8,16 @@ or driver signalling is modelled.
 
 from __future__ import annotations
 
-from .errors import ConfigError, record, require_within
+from .errors import ConfigError, record
 
 
-@record
+@record(ranges="actuator")
 class ActuatorConfig:
     """Defaults put a 0.05 m target at exactly 1000 steps."""
 
     steps_per_metre: float = 20000.0
     max_depth_m: float = 0.15
     step_rate_hz: float = 500.0
-
-    def __post_init__(self):
-        require_within(self, "actuator")
 
 
 @record

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import ConfigError, record, require_within
+from .errors import ConfigError, record
 
 # theta [m3/m3] = VWC_PER_COUNT * RAW + VWC_AT_ZERO_COUNTS
 VWC_PER_COUNT = 3.879e-4
@@ -27,7 +27,7 @@ class Validity(str, Enum):
     SENSOR_ERROR = "sensor_error"
 
 
-@record
+@record(ranges="calib")
 class ValidityThresholds:
     """Gate settings for :func:`classify`.
 
@@ -41,7 +41,6 @@ class ValidityThresholds:
     depth_tol_m: float = 0.005
 
     def __post_init__(self):
-        require_within(self, "calib")
         if self.theta_min > self.theta_max:
             raise ConfigError("theta_min must not exceed theta_max")
 

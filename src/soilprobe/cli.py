@@ -244,14 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and return its exit code: 0, or on a refusal the
     code of its type in EXIT_CODES, after one "<command>: <message>"
-    line on stderr.  Any other exception is a defect, and raises."""
+    line on stderr, each line break in it written as its escape.  Any
+    other exception is a defect, and raises."""
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except SoilProbeError as exc:
         at = (f" at byte {exc.position}"
               if isinstance(exc, FrameError) and exc.position is not None else "")
-        _diag(f"{args.command}: {exc}{at}")
+        _diag("".join(c if c.splitlines() == [c] else c.encode("unicode_escape").decode()
+                      for c in f"{args.command}: {exc}{at}"))
         return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
     return 0
 

@@ -17,6 +17,8 @@ sampler catches that one type and records the fault on the attempt.
 field and ``map`` flag; a value outside it is refused where it enters
 ("width_m must be a number within [0.001, 100000] m"), so no layer
 behind that point meets a number no field, probe or reading can have.
+The one record type whose fields a block ranges declares it,
+``@record(ranges="sampler")``; any other value is checked by ``within``.
 """
 
 import contextlib
@@ -120,20 +122,13 @@ def within(block: str, name: str, value):
     return value
 
 
-def require_within(obj, block: str):
-    """Raise ConfigError naming the first attribute of ``obj`` that is
-    outside its range; ``RANGES[block]`` names the attributes, in order."""
-    for name in RANGES[block]:
-        within(block, name, getattr(obj, name))
-
-
 def require_seed(seed):
     """Raise ConfigError unless ``seed`` is a non-negative int (not a bool)."""
     if type(seed) is not int or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
 
-def record(cls):
+def record(cls=None, *, ranges=None):
     """``dataclasses.dataclass(frozen=True)`` with a faster ``__init__``.
 
     The stock frozen ``__init__`` sets each field through
@@ -144,16 +139,27 @@ def record(cls):
     order and then calls ``__post_init__`` when the class has one.  So
     equality, hash, repr, frozenness, pickling, ``dataclasses.replace``
     and every TypeError a call can raise stay the stock dataclass's.
+
+    ``@record(ranges=block)`` declares the one class ``RANGES[block]``
+    ranges: between storing the fields and ``__post_init__``, its
+    ``__init__`` tests each ranged one in the block's order, bounds as
+    constants, with ``within``'s type rule, calling ``within`` to raise.
     """
+    if cls is None:
+        return lambda cls: record(cls, ranges=ranges)
     cls = dataclasses.dataclass(frozen=True)(cls)
     stock = cls.__init__
     names = [f.name for f in dataclasses.fields(cls)]
     lines = [f"def __init__(self, {', '.join(names)}):", "    fill = self.__dict__"]
     lines += [f"    fill[{name!r}] = {name}" for name in names]
+    for name, (lo, hi, _) in RANGES[ranges].items() if ranges else ():
+        kinds = "(int,)" if type(lo) is int else "(int, float)"
+        lines += [f"    if type({name}) not in {kinds} or not {lo!r} <= {name} <= {hi!r}:",
+                  f"        within({ranges!r}, {name!r}, {name})  # raises"]
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")
     namespace = {}
-    exec("\n".join(lines), namespace)
+    exec("\n".join(lines), {"within": within}, namespace)
     init = namespace["__init__"]
     init.__defaults__ = stock.__defaults__
     init.__annotations__ = stock.__annotations__

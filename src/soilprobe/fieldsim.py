@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import calib, sdi12
-from .errors import ConfigError, record, require_seed, require_within
+from .errors import ConfigError, record, require_seed
 
 THETA_TRUE_MAX = 0.60    # m3/m3 cap on the synthetic ground truth
 STALL_DEPTH_M = 0.01     # where the probe stops on any obstruction
@@ -31,7 +31,7 @@ MEASURE_DELAY_S = 0      # seconds the sensor acknowledges on aM!
 EARTH_RADIUS_M = 6_371_000.0
 
 
-@record
+@record(ranges="field.blobs")
 class Blob:
     """One Gaussian moisture anomaly; amplitude may be negative (dry spot)."""
 
@@ -40,11 +40,8 @@ class Blob:
     sigma_m: float
     amplitude: float
 
-    def __post_init__(self):
-        require_within(self, "field.blobs")
 
-
-@record
+@record(ranges="field.obstructions")
 class Disk:
     """One obstruction disk; boundary points count as inside."""
 
@@ -52,11 +49,8 @@ class Disk:
     cy: float
     radius_m: float
 
-    def __post_init__(self):
-        require_within(self, "field.obstructions")
 
-
-@record
+@record(ranges="field")
 class FieldSpec:
     """Everything the simulated field needs; ``seed`` is mandatory."""
 
@@ -71,7 +65,6 @@ class FieldSpec:
     noise_sigma_raw: float = 0.0
 
     def __post_init__(self):
-        require_within(self, "field")
         require_seed(self.seed)
         object.__setattr__(self, "blobs", tuple(self.blobs))
         object.__setattr__(self, "obstructions", tuple(self.obstructions))

@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING
 
 from .actuator import ActuatorConfig
 from .calib import Validity, ValidityThresholds
-from .errors import (RANGES, ConfigError, LogFormatError, record, require_seed,
-                     require_within, within)
+from .errors import RANGES, ConfigError, LogFormatError, record, require_seed, within
 from .sampler import SamplerConfig, SoilSample, attempt_point
 from .sdi12 import check_address
 
@@ -76,7 +75,7 @@ class MissionConfig:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         if not self.waypoints:
             raise ConfigError("waypoint list must be non-empty")
-        require_within(self, "mission")
+        within("mission", "speed_mps", self.speed_mps)
         for w in self.waypoints:
             if type(w.id) is not int:
                 raise ConfigError(f"waypoint id {w.id!r} is not an integer")

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from . import actuator as act
 from .calib import (DEFAULT_THRESHOLDS, Validity, ValidityThresholds,
                     classify, raw_to_vwc)
-from .errors import RANGES, SensorFault, record, require_within
+from .errors import RANGES, SensorFault, record
 from .sdi12 import RawReading, run_transaction
 
 if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that use it
@@ -37,15 +37,12 @@ if TYPE_CHECKING:  # numpy loads with fieldsim, imported by the functions that u
 MAX_ATTEMPTS = RANGES["sampler"]["max_attempts"][1]
 
 
-@record
+@record(ranges="sampler")
 class SamplerConfig:
     target_depth_m: float = 0.05
     settle_s: float = 1.0
     max_attempts: int = 3
     reposition_offset_m: float = 0.10
-
-    def __post_init__(self):
-        require_within(self, "sampler")
 
 
 @record

@@ -8,9 +8,9 @@ not part of a scenario, since ``map`` reads only the log and its flags.
 The document is read with the sample log's reader, so a fault reads as
 in a log: a byte that is not UTF-8 names its line, a repeated key its
 name, and a mistyped block or value its JSON type.
-This module only decodes: each dataclass checks its own values against
-their ranges in ``errors.RANGES``, as this module checks each explicit
-waypoint's coordinates, and MissionConfig checks the run as a whole.
+This module only decodes: each record type checks its values against
+the block of ``errors.RANGES`` it declares, as this module checks each
+explicit waypoint's coordinates, and MissionConfig checks the run as a whole.
 Every refusal is a ConfigError, prefixed with the name of the block it
 comes from, or of the scenario while its document is read.
 

@@ -234,7 +234,10 @@ class DataResponse:
 
     def __post_init__(self):
         check_address(self.address)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(self.values)
+        if bool in map(type, values):
+            raise ConfigError(f"values must be numbers, got {values!r}")
+        object.__setattr__(self, "values", tuple(float(v) for v in values))
         if len(self.values) > MAX_VALUES_PER_FRAME:
             raise ConfigError(f"at most {MAX_VALUES_PER_FRAME} values per frame")
         for v in self.values:

@@ -4,18 +4,21 @@ the dense IDW kernel, the per-cell ASCII raster writer, the linear
 waypoint and obstruction references, the numpy tour, the re-encoding
 ``validate`` reference, the looping log-record check and the whole-line
 log reader, the hand-written SDI-12 parsers, the parse-based virtual
-sensor, the numpy ground truth, a record type's stock dataclass twin,
-the check that a record is what its public constructor builds, and the
-fixture that swaps every optimised layer for its reference."""
+sensor, the numpy ground truth, the range blocks the record types
+declare, a record type's stock dataclass twin, the check that a record
+is what its public constructor builds, and the fixture that swaps
+every optimised layer for its reference."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dataclasses
 import math
 import pickle
 import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ import pytest
 from soilprobe import cli, fieldsim, geomap, mission, scenario, sdi12
 from soilprobe.actuator import ActuatorConfig, motion_duration
 from soilprobe.calib import Validity
-from soilprobe.errors import ConfigError, FrameError, LogFormatError, within
+from soilprobe.errors import RANGES, ConfigError, FrameError, LogFormatError, within
 from soilprobe.fieldsim import (AIR_RAW_MEAN, MEASURE_DELAY_S, SOIL_EC_US_CM,
                                 SOIL_TEMP_C, STALL_DEPTH_M, THETA_TRUE_MAX,
                                 FieldSpec, VirtualTeros, sense_raw)
@@ -457,12 +460,37 @@ def retracted(result, clock, actuator_cfg=ActuatorConfig()) -> bool:
     return clock.now == result.sample.timestamp_s + motion_duration(0, steps, actuator_cfg)
 
 
+def declared_ranges() -> list:
+    """Each ``@record(ranges=...)`` of the package, read from its source:
+    (class name, block, the class's field names), in file order."""
+    found = []
+    for path in sorted(Path(fieldsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            found += [(node.name, ast.literal_eval(keyword.value), fields)
+                      for deco in node.decorator_list if isinstance(deco, ast.Call)
+                      and getattr(deco.func, "id", None) == "record"
+                      for keyword in deco.keywords if keyword.arg == "ranges"]
+    return found
+
+
 def stock_twin(cls):
     """A frozen dataclass built by ``dataclasses`` alone, with the name,
-    fields, defaults and ``__post_init__`` of the record type ``cls``:
-    what ``errors.record`` must behave as."""
-    namespace = ({"__post_init__": cls.__post_init__}
-                 if hasattr(cls, "__post_init__") else {})
+    fields and defaults of the record type ``cls``: what ``errors.record``
+    must behave as.  Its ``__post_init__`` checks the fields of the block
+    ``cls`` declares, one ``within`` call per name in the block's order,
+    and then runs the ``__post_init__`` of ``cls``, if any."""
+    block = {name: block for name, block, _ in declared_ranges()}.get(cls.__name__)
+    own = getattr(cls, "__post_init__", None)
+
+    def __post_init__(self):
+        for name in RANGES[block] if block else ():
+            within(block, name, getattr(self, name))
+        if own is not None:
+            own(self)
+    namespace = {"__post_init__": __post_init__} if block or own else {}
     return dataclasses.make_dataclass(
         cls.__name__, [(f.name, f.type, dataclasses.field(default=f.default))
                        for f in dataclasses.fields(cls)],

@@ -481,6 +481,50 @@ def test_the_scenario_name_stays_on_one_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and err.endswith("\n")
 
 
+def test_unreadable_inputs_exit_2_with_one_line(tmp_path, capsys):
+    # a log or scenario path that is missing or a directory is refused by
+    # the OSError it raised, naming the path
+    missing, folder = tmp_path / "missing.jsonl", tmp_path / "folder.json"
+    folder.mkdir()
+    for command in ("validate", "map"):
+        assert cli.main([command, "--log", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: [Errno 2] No such file or directory: {str(missing)!r}\n")
+        assert cli.main([command, "--log", str(folder)]) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: [Errno 21] Is a directory: {str(folder)!r}\n")
+    assert cli.main(["simulate", "--config", str(folder)]) == 2
+    assert capsys.readouterr().err == (
+        f"simulate: cannot read {folder}: [Errno 21] Is a directory: {str(folder)!r}\n")
+
+
+def test_a_path_holding_line_breaks_stays_on_one_line(tmp_path, capsys):
+    # a refusal names its path as it is, except that each character
+    # str.splitlines breaks on is written as its backslash escape
+    odd = "a\nb\r\nc\rd\x0be\x1cf\x85g\u2028h\u00e9"
+    shown = r"a\nb\r\nc\rd\x0be\x1cf\x85g\u2028h" + "\u00e9"
+    scn = tmp_path / f"{odd}.json"
+    scn.write_text('{"field": 5}')
+    assert cli.main(["simulate", "--config", str(scn)]) == 2
+    assert capsys.readouterr().err == f"simulate: {shown}: missing fields: mission\n"
+    folder = tmp_path / odd
+    folder.mkdir()
+    where = f"{tmp_path}/{shown}"
+    assert cli.main(["simulate", "--config", str(folder)]) == 2
+    assert capsys.readouterr().err == (
+        f"simulate: cannot read {where}: [Errno 21] Is a directory: {str(folder)!r}\n")
+    log = folder / "run.jsonl"
+    log.write_text('{"point_id": 1}\n')
+    assert cli.main(["validate", "--log", str(log)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"validate: {where}/run.jsonl: line 1: ")
+    assert len(err.splitlines()) == 1
+    log.write_text("")
+    assert cli.main(["validate", "--log", str(log), "--out", str(folder / odd / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"validate: {where}/{shown}/out: No such file or directory\n")
+
+
 def test_simulate_an_int_of_too_many_digits_exits_2(tmp_path, capsys):
     # once a bare ValueError from load_scenario, caught only by a catch-all
     path = tmp_path / "digits.json"

@@ -1,6 +1,7 @@
 """IDW interpolation properties and export formats."""
 
 import dataclasses
+import enum
 import json
 import math
 import tracemalloc
@@ -673,10 +674,21 @@ def random_int(rng):
     return int(rng.integers(0, 10**6)) if rng.random() < 0.8 else 2**64 + 7
 
 
+class Code(enum.IntEnum):
+    """An int subclass that is not a bool, which json writes by int's repr."""
+
+    FIRST = 1
+    HUGE = 2**64 + 3
+
+
 def test_geojson_matches_json_on_random_samples():
     rng = np.random.default_rng(808)
     statuses = list(Validity)
     assert export_points_geojson([]) == geojson_reference([])
+    coded = [dataclasses.replace(make_sample(i), point_id=code, attempts=Code.FIRST)
+             for i, code in enumerate(Code)]
+    assert export_points_geojson(coded) == geojson_reference(coded)
+    assert '"point_id": 18446744073709551619,' in export_points_geojson(coded)
     for _ in range(300):
         samples = [SoilSample(
             point_id=random_int(rng), timestamp_s=0.0, lat=random_number(rng),

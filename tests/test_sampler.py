@@ -92,7 +92,9 @@ GOOD_REPLIES = [b"00003\r\n", b"0+2000+24+150\r\n"]
      "ShapeError: expected 3 values (RAW, temp, EC), got 2"),
     ([b"00003\r\n", b"0+2000+99+150\r\n"],
      "RangeError: temp_c must be within [-40, 60] C, got 99.0"),
-], ids=["frame", "shape", "range"])
+    ([b"00003\r\n", b"1+2000+24+150\r\n"],
+     "FrameError: data response from address '1', expected '0'"),
+], ids=["frame", "shape", "range", "other-address"])
 def test_each_sensor_fault_is_named_on_its_attempt(replies, fault):
     result, _ = run_point(make_field(), sensor=ScriptedSensor(replies + GOOD_REPLIES))
     bad, good = result.attempts

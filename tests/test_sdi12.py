@@ -126,6 +126,16 @@ def test_int_fields_take_ints_and_refuse_bools():
             MeasureAck("0", 1, flag)
 
 
+def test_data_values_take_numbers_and_refuse_bools():
+    # DataResponse("0", (True, False)) once held (1.0, 0.0) and encoded
+    # b"0+1+0\r\n"
+    assert DataResponse("0", (1, 2.5)).values == (1.0, 2.5)
+    for values in ((True,), (1.0, False), [2.0, 3.0, True]):
+        with pytest.raises(ConfigError) as refused:
+            DataResponse("0", values)
+        assert str(refused.value) == f"values must be numbers, got {tuple(values)!r}"
+
+
 # -- data response -----------------------------------------------------------
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import runpy
 import shutil
@@ -34,7 +35,8 @@ from soilprobe.mission import MissionConfig, Waypoint
 from soilprobe.sampler import SoilSample
 from soilprobe.sdi12 import RawReading, Verb
 
-from conftest import generate_waypoints_reference, make_field, stock_twin
+from conftest import (declared_ranges, generate_waypoints_reference, make_field,
+                      stock_twin)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -227,6 +229,31 @@ def test_every_value_type_is_a_record():
     assert hits == []
 
 
+def test_each_range_block_of_a_record_is_declared_once():
+    # errors.record writes the range checks of a block its class declares,
+    # so no __post_init__ wires a block by hand: nothing calls
+    # require_within, and the one within call left in a __post_init__ is
+    # MissionConfig's for speed_mps, made after its waypoint check
+    calls, by_hand = [], []
+    for path in sorted((ROOT / "src" / "soilprobe").glob("*.py")):
+        for top in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(top, ast.Call) and "require_within" in _names(top.func):
+                calls.append(f"{path.name}:{top.lineno}")
+            if not isinstance(top, ast.ClassDef):
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                    by_hand += [f"{top.name}: {ast.unparse(call)}" for call in ast.walk(node)
+                                if isinstance(call, ast.Call) and "within" in _names(call.func)]
+    assert calls == [] and not hasattr(errors, "require_within")
+    assert by_hand == ["MissionConfig: within('mission', 'speed_mps', self.speed_mps)"]
+    declared = Counter(block for _, block, _ in declared_ranges())
+    assert declared == dict.fromkeys(("field", "field.blobs", "field.obstructions",
+                                      "sampler", "actuator", "calib"), 1)
+    for name, block, fields in declared_ranges():
+        assert set(errors.RANGES[block]) <= set(fields), name
+
+
 def _record_types() -> dict:
     """Every record type of the package, by name."""
     types = {}
@@ -244,7 +271,7 @@ _SAMPLE = SoilSample(1, 12.5, 45.0, 7.5, 0.05, 0.05, 1, 2000.0, 24.0, 150.0,
 _MISSION = MissionConfig(field=make_field(), waypoints=(Waypoint(1, 2.0, 3.0),))
 
 # keyword arguments that build each record type and, for a type with a
-# __post_init__, changes to them that it refuses
+# __post_init__ or a declared range block, changes to them that it refuses
 RECORD_CASES = {
     "ActuatorConfig": ({}, {"step_rate_hz": 0.5}),
     "ActuatorState": ({"position_steps": 1000, "depth_m": 0.05}, None),
@@ -312,16 +339,39 @@ def test_a_record_answers_each_call_as_its_stock_twin(name, monkeypatch):
     assert unknown == _outcome(twin, **kwargs, bogus=1)
     if refused is None:
         assert not hasattr(cls, "__post_init__")
+        assert name not in {declared for declared, _, _ in declared_ranges()}
         return
     got = _outcome(cls, **{**kwargs, **refused})
     assert issubclass(got[0], errors.SoilProbeError)
     assert got == _outcome(twin, **{**kwargs, **refused})
+    if not hasattr(cls, "__post_init__"):
+        return
     calls = []
     post_init = cls.__post_init__
     monkeypatch.setattr(cls, "__post_init__",
                         lambda self: (calls.append(self), post_init(self))[1])
     built = cls(**kwargs)
     assert len(calls) == 1 and calls[0] is built
+
+
+@pytest.mark.parametrize("name, block", sorted(
+    (name, block) for name, block, _ in declared_ranges()))
+def test_a_declared_block_refuses_as_its_stock_twin(name, block):
+    # each ranged field set alone to each kind of value within judges, and
+    # every one set out of range at once: the checks record writes accept
+    # and refuse what the twin's within calls do, first fault first
+    cls = _record_types()[name]
+    twin = stock_twin(cls)
+    kwargs = RECORD_CASES[name][0]
+    for key, (lo, hi, _) in errors.RANGES[block].items():
+        for value in (lo, hi, float(lo), lo - 1, hi + 1, 2 * hi + 1, math.nan,
+                      math.inf, -math.inf, True, False, "1", None, 10**400):
+            changed = {**kwargs, key: value}
+            assert _outcome(cls, **changed) == _outcome(twin, **changed), (key, value)
+    spoiled = {**kwargs, **dict.fromkeys(errors.RANGES[block], math.nan)}
+    got = _outcome(cls, **spoiled)
+    assert got[0] is errors.ConfigError and got == _outcome(twin, **spoiled)
+    assert got[1].startswith(f"{next(iter(errors.RANGES[block]))} must be ")
 
 
 def test_readme_lists_every_range():
